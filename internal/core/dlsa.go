@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ApplyDoubleBuffer installs the classical double-buffer DLSA the paper uses
 // as the baseline strategy (Sec. III-B): every load is prefetched one tile
@@ -27,7 +24,8 @@ func (s *Schedule) ApplyDoubleBuffer() {
 		}
 	}
 	// Stores of tile t sort just before loads first used by tile t+1, so
-	// producer stores always precede their dependent reloads.
+	// producer stores always precede their dependent reloads. The keys lie
+	// in [0, 2n), so a stable counting sort orders them in linear time.
 	key := func(id int) int {
 		t := &s.Tensors[id]
 		if t.Kind.IsLoad() {
@@ -35,9 +33,20 @@ func (s *Schedule) ApplyDoubleBuffer() {
 		}
 		return 2*t.Producer + 1
 	}
-	sort.SliceStable(s.Order, func(a, b int) bool {
-		return key(s.Order[a]) < key(s.Order[b])
-	})
+	start := make([]int, 2*n+1)
+	for _, id := range s.Order {
+		start[key(id)+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	sorted := make([]int, len(s.Order))
+	for _, id := range s.Order {
+		k := key(id)
+		sorted[start[k]] = id
+		start[k]++
+	}
+	copy(s.Order, sorted)
 }
 
 // OrderValid reports whether the DRAM Tensor Order is a permutation that

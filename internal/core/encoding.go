@@ -216,11 +216,11 @@ func (e *Encoding) MoveLayer(g *graph.Graph, from, to int) bool {
 	if from < 0 || from >= n || to < 0 || to >= n || from == to {
 		return false
 	}
-	cand := make([]graph.LayerID, 0, n)
-	cand = append(cand, e.Order[:from]...)
-	cand = append(cand, e.Order[from+1:]...)
-	rest := append([]graph.LayerID(nil), cand[to:]...)
-	cand = append(append(cand[:to:to], e.Order[from]), rest...)
+	cand := append([]graph.LayerID(nil), e.Order...)
+	id := cand[from]
+	copy(cand[from:], cand[from+1:])
+	copy(cand[to+1:], cand[to:n-1])
+	cand[to] = id
 	if !g.IsValidOrder(cand) {
 		return false
 	}

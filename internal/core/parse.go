@@ -116,9 +116,6 @@ type Schedule struct {
 	// OnChip are the static on-chip fmap intervals (same-FLG tile slabs
 	// and cross-FLG aggregates).
 	OnChip []Interval
-
-	// LayerTiles[layer] lists the tile seqs of each layer, in order.
-	LayerTiles map[graph.LayerID][]int
 }
 
 // NumTiles returns the compute-sequence length.
@@ -136,97 +133,159 @@ func (s *Schedule) Clone() *Schedule {
 	return &c
 }
 
+// layerInfo is Parse's per-layer bookkeeping, indexed by LayerID (Input
+// layers keep the zero value).
+type layerInfo struct {
+	flg, lg int
+	// tiles lists the layer's tile seqs in order; stores lists its store
+	// tensor IDs, nil when it has none. Both are windows of arrays shared
+	// by all layers.
+	tiles, stores []int
+	// store marks an ofmap written back to DRAM: a consumer sits in
+	// another LG, or the layer is a network output.
+	store bool
+	// lgHi is the exclusive seq after the last tile of any same-LG
+	// consumer, flgHi the same over same-LG consumers in other FLGs; 0
+	// when there is none.
+	lgHi, flgHi int
+}
+
 // Parse lowers an encoding into a Schedule, or fails when the encoding is
 // illegal (bad order/cuts, or a global dependency inside a multi-tile FLG).
 // The resulting schedule carries the classical double-buffer DLSA; callers
 // explore alternatives via the DLSA methods.
+//
+// The stage-1 annealer parses every cache-missing candidate, so Parse keeps
+// its bookkeeping in dense LayerID-indexed slices and sizes every output
+// once: its allocations grow with the FLG count, not with the tile count.
 func Parse(g *graph.Graph, e *Encoding) (*Schedule, error) {
 	if err := e.Check(g); err != nil {
 		return nil, err
 	}
-	s := &Schedule{G: g, Enc: e, LayerTiles: make(map[graph.LayerID][]int)}
+	s := &Schedule{G: g, Enc: e}
 
-	// Positions and group indices per layer.
-	posOf := make(map[graph.LayerID]int, len(e.Order))
-	for p, id := range e.Order {
-		posOf[id] = p
-	}
-	flgOf := make(map[graph.LayerID]int, len(e.Order))
-	lgOf := make(map[graph.LayerID]int, len(e.Order))
-
-	// Tiling plans and the global tile sequence (FLGs in order, each
-	// enumerated tile-major).
-	plans := make([]*tiling.Plan, e.NumFLGs())
-	flgLast := make([]int, e.NumFLGs()) // seq of each FLG's last tile
-	type tileKey struct {
-		layer graph.LayerID
-		idx   int
-	}
-	seqOf := make(map[tileKey]int)
-	for f := 0; f < e.NumFLGs(); f++ {
-		layers := e.FLGLayers(f)
-		plan, err := tiling.New(g, layers, e.Tile[f])
+	// Tiling plans. FLGs run in order, each enumerated tile-major, so tile
+	// t of the li-th layer of FLG f has seq flgStart[f] + t*len(FLG) + li.
+	nf := e.NumFLGs()
+	plans := make([]*tiling.Plan, nf)
+	flgStart := make([]int, nf+1)
+	for f := range plans {
+		plan, err := tiling.New(g, e.FLGLayers(f), e.Tile[f])
 		if err != nil {
 			return nil, fmt.Errorf("core: FLG %d: %w", f, err)
 		}
 		plans[f] = plan
-		lg := e.LGOfPos(posOf[layers[0]])
-		for t := 0; t < plan.Tiles; t++ {
-			for li, id := range layers {
-				seq := len(s.Tiles)
-				s.Tiles = append(s.Tiles, Tile{
+		flgStart[f+1] = flgStart[f] + plan.Tiles*len(plan.Layers)
+	}
+	n := flgStart[nf]
+	eb := int64(g.ElemBytes)
+
+	// The global tile sequence and each layer's tile seqs.
+	info := make([]layerInfo, len(g.Layers))
+	seqs := make([]int, n)
+	s.Tiles = make([]Tile, n)
+	lg := 0
+	for f, plan := range plans {
+		if f > 0 && e.IsDRAM[f-1] {
+			lg++
+		}
+		nl, nt := len(plan.Layers), plan.Tiles
+		for li, id := range plan.Layers {
+			lo := flgStart[f] + li*nt
+			tiles := seqs[lo : lo+nt : lo+nt]
+			for t := range tiles {
+				seq := flgStart[f] + t*nl + li
+				tiles[t] = seq
+				s.Tiles[seq] = Tile{
 					Seq: seq, Layer: id, FLG: f, LG: lg, Index: t,
 					Region: plan.Computed[li][t],
 					Own:    plan.Owned[li][t],
-				})
-				s.LayerTiles[id] = append(s.LayerTiles[id], seq)
-				seqOf[tileKey{id, t}] = seq
-				flgOf[id], lgOf[id] = f, lg
-			}
-		}
-		flgLast[f] = len(s.Tiles) - 1
-	}
-	n := len(s.Tiles)
-	eb := int64(g.ElemBytes)
-
-	// Stores first (loads reference them through AfterStores). A layer's
-	// ofmap is stored once per tile if any dependency crosses an LG
-	// boundary or the layer is a network output.
-	storeIDs := make(map[graph.LayerID][]int)
-	for _, id := range e.Order {
-		needStore := g.IsOutput(id)
-		for _, cid := range g.Consumers(id) {
-			if lgOf[cid] != lgOf[id] {
-				needStore = true
-			}
-		}
-		if !needStore {
-			continue
-		}
-		// On-chip consumers extend the buffer life of the stored slab.
-		onChipHi := 0
-		for _, cid := range g.Consumers(id) {
-			if lgOf[cid] == lgOf[id] {
-				ct := s.LayerTiles[cid]
-				if hi := ct[len(ct)-1] + 1; hi > onChipHi {
-					onChipHi = hi
 				}
 			}
+			info[id] = layerInfo{flg: f, lg: lg, tiles: tiles}
 		}
-		for _, seq := range s.LayerTiles[id] {
-			tl := &s.Tiles[seq]
-			bytes := tl.Own.Elems(g.Layer(id).Out.C) * eb
+	}
+
+	// Per-layer store obligations and on-chip lifetimes, plus upper bounds
+	// on the tensor and interval counts (emission skips zero-byte slabs)
+	// so neither list grows while it is filled.
+	nStores, nLoads, nOnChip := 0, 0, 0
+	for _, id := range e.Order {
+		li := &info[id]
+		li.store = g.IsOutput(id)
+		for _, cid := range g.Consumers(id) {
+			ci := &info[cid]
+			if ci.lg != li.lg {
+				li.store = true
+				continue
+			}
+			hi := ci.tiles[len(ci.tiles)-1] + 1
+			li.lgHi = max(li.lgHi, hi)
+			if ci.flg != li.flg {
+				li.flgHi = max(li.flgHi, hi)
+			}
+		}
+		l := g.Layer(id)
+		nt := len(li.tiles)
+		if li.store {
+			nStores += nt
+		} else if li.flgHi > 0 {
+			nOnChip += nt
+		}
+		switch {
+		case l.WeightBytes == 0:
+		case l.WeightsPerSample:
+			nLoads += nt
+		default:
+			nLoads++
+		}
+		for _, d := range l.Deps {
+			pi := &info[d.Producer]
+			switch {
+			case g.Layer(d.Producer).Kind == graph.Input || pi.lg != li.lg:
+				if d.Global && nt == 1 {
+					nLoads++
+				} else {
+					nLoads += nt
+				}
+			case pi.flg == li.flg:
+				nOnChip += len(pi.tiles)
+			}
+		}
+	}
+	s.Tensors = make([]Tensor, 0, nStores+nLoads)
+	s.OnChip = make([]Interval, 0, nOnChip)
+
+	// Stores first (loads reference them through AfterStores), one per
+	// tile of each stored layer. Their IDs therefore count up from 0 and a
+	// layer's store IDs form a contiguous window of one shared list.
+	storeIDs := make([]int, nStores)
+	for i := range storeIDs {
+		storeIDs[i] = i
+	}
+	for _, id := range e.Order {
+		li := &info[id]
+		if !li.store {
+			continue
+		}
+		lo := len(s.Tensors)
+		outC := g.Layer(id).Out.C
+		for _, seq := range li.tiles {
+			bytes := s.Tiles[seq].Own.Elems(outC) * eb
 			if bytes == 0 {
 				continue
 			}
-			t := Tensor{
+			s.Tensors = append(s.Tensors, Tensor{
 				ID: len(s.Tensors), Kind: StoreOfmap, Layer: id,
 				Source: graph.None, Bytes: bytes,
-				FirstUse: seq, Producer: seq, OnChipHi: onChipHi,
+				// On-chip consumers extend the buffer life of
+				// the stored slab.
+				FirstUse: seq, Producer: seq, OnChipHi: li.lgHi,
 				Start: seq, End: n,
-			}
-			s.Tensors = append(s.Tensors, t)
-			storeIDs[id] = append(storeIDs[id], t.ID)
+			})
+		}
+		if hi := len(s.Tensors); hi > lo {
+			li.stores = storeIDs[lo:hi:hi]
 		}
 	}
 
@@ -238,8 +297,9 @@ func Parse(g *graph.Graph, e *Encoding) (*Schedule, error) {
 		if l.WeightBytes == 0 {
 			continue
 		}
+		li := &info[id]
 		if l.WeightsPerSample {
-			for _, seq := range s.LayerTiles[id] {
+			for _, seq := range li.tiles {
 				r := s.Tiles[seq].Region
 				bytes := l.WeightBytes * int64(r.N1-r.N0) / int64(l.Out.N)
 				if bytes == 0 {
@@ -254,11 +314,11 @@ func Parse(g *graph.Graph, e *Encoding) (*Schedule, error) {
 			}
 			continue
 		}
-		first := s.LayerTiles[id][0]
+		first := li.tiles[0]
 		s.Tensors = append(s.Tensors, Tensor{
 			ID: len(s.Tensors), Kind: LoadWeight, Layer: id,
 			Source: graph.None, Bytes: l.WeightBytes,
-			FirstUse: first, Release: flgLast[flgOf[id]] + 1,
+			FirstUse: first, Release: flgStart[li.flg+1],
 			Producer: -1, Start: first,
 		})
 	}
@@ -266,10 +326,12 @@ func Parse(g *graph.Graph, e *Encoding) (*Schedule, error) {
 	// Ifmap loads and on-chip intervals, per dependency edge.
 	for _, id := range e.Order {
 		l := g.Layer(id)
-		myTiles := s.LayerTiles[id]
+		li := &info[id]
+		myTiles := li.tiles
 		for _, d := range l.Deps {
 			p := g.Layer(d.Producer)
-			fromDRAM := p.Kind == graph.Input || lgOf[d.Producer] != lgOf[id]
+			pi := &info[d.Producer]
+			fromDRAM := p.Kind == graph.Input || pi.lg != li.lg
 			switch {
 			case fromDRAM && d.Global:
 				// A single-tile consumer keeps the whole operand
@@ -285,7 +347,7 @@ func Parse(g *graph.Graph, e *Encoding) (*Schedule, error) {
 						Source: d.Producer, Bytes: full,
 						FirstUse: myTiles[0], Release: myTiles[len(myTiles)-1] + 1,
 						Producer: -1, Start: myTiles[0],
-						AfterStores: storeIDs[d.Producer],
+						AfterStores: pi.stores,
 					})
 					continue
 				}
@@ -300,7 +362,7 @@ func Parse(g *graph.Graph, e *Encoding) (*Schedule, error) {
 						Source: d.Producer, Bytes: bytes,
 						FirstUse: seq, Release: seq + 1,
 						Producer: -1, Start: seq,
-						AfterStores: storeIDs[d.Producer],
+						AfterStores: pi.stores,
 					})
 				}
 			case fromDRAM:
@@ -316,16 +378,15 @@ func Parse(g *graph.Graph, e *Encoding) (*Schedule, error) {
 						Source: d.Producer, Bytes: bytes,
 						FirstUse: seq, Release: seq + 1,
 						Producer: -1, Start: seq,
-						AfterStores: storeIDs[d.Producer],
+						AfterStores: pi.stores,
 					})
 				}
-			case flgOf[d.Producer] == flgOf[id]:
+			case pi.flg == li.flg:
 				// Same FLG: the producer's computed slab of tile t
 				// lives until this consumer's tile t finishes.
-				for t, pseq := range s.LayerTiles[d.Producer] {
-					cseq := seqOf[tileKey{id, t}]
+				for t, pseq := range pi.tiles {
 					bytes := s.Tiles[pseq].Region.Elems(p.Out.C) * eb
-					s.OnChip = append(s.OnChip, Interval{Lo: pseq, Hi: cseq + 1, Bytes: bytes})
+					s.OnChip = append(s.OnChip, Interval{Lo: pseq, Hi: myTiles[t] + 1, Bytes: bytes})
 				}
 			default:
 				// Same LG, earlier FLG: the producer's owned slabs
@@ -340,25 +401,15 @@ func Parse(g *graph.Graph, e *Encoding) (*Schedule, error) {
 	// spanning to the last cross-FLG consumer. Skips producers whose data
 	// already persists through a store's OnChipHi extension.
 	for _, id := range e.Order {
-		if len(storeIDs[id]) > 0 {
-			continue // store intervals already cover the slabs
-		}
-		hi := 0
-		for _, cid := range g.Consumers(id) {
-			if lgOf[cid] == lgOf[id] && flgOf[cid] != flgOf[id] {
-				ct := s.LayerTiles[cid]
-				if h := ct[len(ct)-1] + 1; h > hi {
-					hi = h
-				}
-			}
-		}
-		if hi == 0 {
+		li := &info[id]
+		if len(li.stores) > 0 || li.flgHi == 0 {
 			continue
 		}
-		for _, pseq := range s.LayerTiles[id] {
-			bytes := s.Tiles[pseq].Own.Elems(g.Layer(id).Out.C) * eb
+		outC := g.Layer(id).Out.C
+		for _, pseq := range li.tiles {
+			bytes := s.Tiles[pseq].Own.Elems(outC) * eb
 			if bytes > 0 {
-				s.OnChip = append(s.OnChip, Interval{Lo: pseq, Hi: hi, Bytes: bytes})
+				s.OnChip = append(s.OnChip, Interval{Lo: pseq, Hi: li.flgHi, Bytes: bytes})
 			}
 		}
 	}

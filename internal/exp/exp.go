@@ -364,8 +364,8 @@ func Fig7(ctx context.Context, workload string, batch int, par soma.Params, work
 		bufsMB[i] = b >> 20
 	}
 	res, err := dse.Run(ctx, dse.Sweep{
-		Name:     "fig7",
-		Backends: []string{"cocco", "soma"},
+		Name:      "fig7",
+		Backends:  []string{"cocco", "soma"},
 		Platforms: []string{"edge"}, Models: []string{workload},
 		Batches: []int{batch},
 		DRAMGBs: Fig7Bandwidths, GBufMB: bufsMB,
@@ -415,8 +415,8 @@ func Fig8(ctx context.Context, c Case, par soma.Params) (*TracePair, error) {
 	}
 	cs := coresched.New(cfg)
 	res, err := dse.Run(ctx, dse.Sweep{
-		Name:     "fig8",
-		Backends: []string{"cocco", "soma"},
+		Name:      "fig8",
+		Backends:  []string{"cocco", "soma"},
 		Platforms: []string{c.Platform}, Models: []string{c.Workload},
 		Batches: []int{c.Batch}, Params: &par,
 	}, dse.Options{})

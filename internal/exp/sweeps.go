@@ -34,10 +34,10 @@ func ObjectiveSweep(ctx context.Context, c Case, par soma.Params, objectives []s
 		objs[i] = report.Objective{N: o.N, M: o.M}
 	}
 	res, err := dse.Run(ctx, dse.Sweep{
-		Name:      "objective-sweep",
-		Models:    []string{c.Workload},
-		Batches:   []int{c.Batch},
-		Platforms: []string{c.Platform},
+		Name:       "objective-sweep",
+		Models:     []string{c.Workload},
+		Batches:    []int{c.Batch},
+		Platforms:  []string{c.Platform},
 		Objectives: objs,
 		Params:     &par,
 	}, dse.Options{})

@@ -367,17 +367,26 @@ func (g *Graph) TopoOrder() []LayerID { return g.ComputeLayers() }
 // which every dependency points leftward (the paper's legality rule for the
 // Computing Order attribute).
 func (g *Graph) IsValidOrder(ord []LayerID) bool {
-	pos := make(map[LayerID]int, len(ord))
+	// pos[id] is 1 + id's position in ord, 0 for layers outside it. Every
+	// encoding check and layer move runs this, so it counts the compute
+	// layers in place instead of materializing them.
+	pos := make([]int, len(g.Layers))
 	for i, id := range ord {
 		if int(id) < 0 || int(id) >= len(g.Layers) || g.Layers[id].Kind == Input {
 			return false
 		}
-		if _, dup := pos[id]; dup {
+		if pos[id] != 0 {
 			return false
 		}
-		pos[id] = i
+		pos[id] = i + 1
 	}
-	if len(pos) != len(g.ComputeLayers()) {
+	compute := 0
+	for i := range g.Layers {
+		if g.Layers[i].Kind != Input {
+			compute++
+		}
+	}
+	if len(ord) != compute {
 		return false
 	}
 	for _, id := range ord {
@@ -390,9 +399,11 @@ func (g *Graph) IsValidOrder(ord []LayerID) bool {
 			}
 		}
 		// Barriers constrain the Computing Order exactly like data
-		// dependencies even though they carry no bytes.
+		// dependencies even though they carry no bytes. A barrier on a
+		// layer outside ord (an Input, which Validate rejects) counts
+		// as position 0.
 		for _, a := range g.Layers[id].After {
-			if pos[a] >= pos[id] {
+			if max(pos[a], 1) >= pos[id] {
 				return false
 			}
 		}

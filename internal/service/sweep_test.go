@@ -14,8 +14,8 @@ import (
 // smallSweep is a 2-point grid quick enough for round-trip tests.
 func smallSweep() map[string]any {
 	return map[string]any{
-		"name":   "test-sweep",
-		"models": []string{"mobilenetv2"},
+		"name":    "test-sweep",
+		"models":  []string{"mobilenetv2"},
 		"gbuf_mb": []int64{2, 4},
 		"search":  map[string]any{"profile": "fast", "beta1": 2, "beta2": 1},
 	}
@@ -98,10 +98,10 @@ func TestSweepMatchesCLIJournalRows(t *testing.T) {
 func TestSweepValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	cases := []map[string]any{
-		{},                                  // no workload
-		{"models": []string{"nope"}},        // unknown model
-		{"modles": []string{"resnet50"}},    // typoed axis
-		{"models": []string{"resnet50"}, "batches": []int{0}},  // bad batch
+		{},                               // no workload
+		{"models": []string{"nope"}},     // unknown model
+		{"modles": []string{"resnet50"}}, // typoed axis
+		{"models": []string{"resnet50"}, "batches": []int{0}},                      // bad batch
 		{"models": []string{"resnet50"}, "seeds": make([]int64, MaxSweepPoints+1)}, // too big
 	}
 	for i, c := range cases {

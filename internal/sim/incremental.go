@@ -190,7 +190,8 @@ func NewIncremental(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*In
 
 // buildBlockers maps each tile seq to the tensor IDs gating it: loads gate
 // their first consuming tile, stores gate the tile at their Living Duration
-// end (the same structure Evaluate derives per call).
+// end. Evaluate derives it per call, the incremental evaluator once per
+// owned schedule.
 func buildBlockers(s *core.Schedule, n int) [][]int {
 	blockers := make([][]int, n+1)
 	for i := range s.Tensors {

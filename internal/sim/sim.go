@@ -123,15 +123,7 @@ func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics,
 	coreEnergy, computeBusy := tc.CoreEnergy, tc.ComputeBusy
 
 	// Which tensors gate which tile.
-	blockers := make([][]int, n+1)
-	for i := range s.Tensors {
-		t := &s.Tensors[i]
-		if t.Kind.IsLoad() {
-			blockers[t.FirstUse] = append(blockers[t.FirstUse], t.ID)
-		} else if t.End < n {
-			blockers[t.End] = append(blockers[t.End], t.ID)
-		}
-	}
+	blockers := buildBlockers(s, n)
 
 	tileEnd := make([]float64, n)
 	tensorEnd := make([]float64, mTensors)

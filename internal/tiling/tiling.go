@@ -174,23 +174,20 @@ func New(g *graph.Graph, layers []graph.LayerID, t int) (*Plan, error) {
 	sp := ChooseSplit(t, bound)
 	tiles := sp.Tiles()
 
-	// pos[id] is the FLG-local index of layer id, -1 for layers outside the
-	// FLG. A dense slice keyed by LayerID instead of a map: New runs on
-	// every structural proposal (each parse re-tiles each FLG), and map
-	// bucket churn dominated its allocation profile.
-	pos := make([]int, len(g.Layers))
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, id := range layers {
-		pos[id] = i
+	var inline [32]int
+	lo, pos := localIndex(layers, inline[:0])
+	local := func(id graph.LayerID) int {
+		if i := int(id - lo); i >= 0 && i < len(pos) {
+			return pos[i]
+		}
+		return -1
 	}
 	// Global deps are batch-local: splitting the batch axis is fine, but
 	// spatial splits would starve the consumer of producer rows.
 	if sp.TH*sp.TW > 1 {
 		for _, id := range layers {
 			for _, d := range g.Layer(id).Deps {
-				if pos[d.Producer] >= 0 && d.Global {
+				if d.Global && local(d.Producer) >= 0 {
 					return nil, fmt.Errorf("tiling: global dependency %s->%s inside spatially-split FLG (%dx%d)",
 						g.Layer(d.Producer).Name, g.Layer(id).Name, sp.TH, sp.TW)
 				}
@@ -203,7 +200,7 @@ func New(g *graph.Graph, layers []graph.LayerID, t int) (*Plan, error) {
 	if tiles > 1 {
 		for _, id := range layers {
 			for _, a := range g.Layer(id).After {
-				if pos[a] >= 0 {
+				if local(a) >= 0 {
 					return nil, fmt.Errorf("tiling: barrier %s->%s inside multi-tile FLG (%d tiles)",
 						g.Layer(a).Name, g.Layer(id).Name, tiles)
 				}
@@ -211,18 +208,24 @@ func New(g *graph.Graph, layers []graph.LayerID, t int) (*Plan, error) {
 		}
 	}
 
+	// New runs for every FLG of every parse, so the per-layer region rows
+	// are carved from one backing array rather than allocated per layer.
+	nl := len(layers)
+	rows := make([][]Region, 2*nl)
+	regions := make([]Region, 2*nl*tiles)
+	for i := range rows {
+		rows[i] = regions[i*tiles : (i+1)*tiles : (i+1)*tiles]
+	}
 	p := &Plan{
 		Layers:   append([]graph.LayerID(nil), layers...),
 		Split:    sp,
 		Tiles:    tiles,
-		Computed: make([][]Region, len(layers)),
-		Owned:    make([][]Region, len(layers)),
+		Owned:    rows[:nl:nl],
+		Computed: rows[nl:],
 	}
 	// Owned regions: an even split of each layer's own output shape.
 	for i, id := range layers {
 		s := g.Layer(id).Out
-		p.Owned[i] = make([]Region, tiles)
-		p.Computed[i] = make([]Region, tiles)
 		ti := 0
 		for n := 0; n < sp.TN; n++ {
 			n0, n1 := evenCut(s.N, sp.TN, n)
@@ -237,26 +240,50 @@ func New(g *graph.Graph, layers []graph.LayerID, t int) (*Plan, error) {
 		}
 	}
 	// Backward halo propagation: computed = owned U (needs of in-FLG
-	// consumers' computed regions).
-	for i := len(layers) - 1; i >= 0; i-- {
+	// consumers' computed regions), folded consumer by consumer so each
+	// consumer's FLG position is resolved once per layer.
+	for i := nl - 1; i >= 0; i-- {
 		id := layers[i]
-		for ti := 0; ti < tiles; ti++ {
-			r := p.Owned[i][ti]
-			for _, cid := range g.Consumers(id) {
-				ci := pos[cid]
-				if ci <= i { // outside the FLG (-1) or not a later layer
-					continue
-				}
-				c := g.Layer(cid)
-				if depIsGlobal(c, id) {
-					continue // only with tiles==1; full region already owned
-				}
-				r = r.Union(InputRegion(c, id, g, p.Computed[ci][ti]))
+		comp := p.Computed[i]
+		copy(comp, p.Owned[i])
+		for _, cid := range g.Consumers(id) {
+			ci := local(cid)
+			if ci <= i { // outside the FLG (-1) or not a later layer
+				continue
 			}
-			p.Computed[i][ti] = r
+			c := g.Layer(cid)
+			if depIsGlobal(c, id) {
+				continue // only with tiles==1; full region already owned
+			}
+			for ti, r := range p.Computed[ci] {
+				comp[ti] = comp[ti].Union(InputRegion(c, id, g, r))
+			}
 		}
 	}
 	return p, nil
+}
+
+// localIndex maps LayerIDs to FLG-local indices: pos[id-lo] is the index of
+// layer id in layers, -1 for IDs in the FLG's range but outside the FLG. It
+// spans only the FLG's own ID range, so its size follows the FLG rather than
+// the graph, and it reuses buf's storage when the span fits.
+func localIndex(layers []graph.LayerID, buf []int) (lo graph.LayerID, pos []int) {
+	lo, hi := layers[0], layers[0]
+	for _, id := range layers[1:] {
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	if span := int(hi-lo) + 1; span <= cap(buf) {
+		pos = buf[:span]
+	} else {
+		pos = make([]int, span)
+	}
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, id := range layers {
+		pos[id-lo] = i
+	}
+	return lo, pos
 }
 
 // depIsGlobal reports whether consumer c's edge from producer is global.
