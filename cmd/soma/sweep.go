@@ -43,12 +43,12 @@ func runSweep(path, journal string, jsonOut, adaptive bool, budget int, clusterW
 		}
 		sw.Adaptive.Budget = budget
 	}
-	var out *dse.Outcome
+	opt := dse.Options{Journal: journal, Hooks: hooks, Obs: o}
 	if len(clusterWorkers) > 0 {
-		out, err = runClusterSweep(sw, journal, clusterWorkers, hooks, o)
-	} else {
-		out, err = dse.Run(context.Background(), sw, dse.Options{Journal: journal, Hooks: hooks, Obs: o})
+		stop := useCluster(&opt, clusterWorkers)
+		defer stop()
 	}
+	out, err := dse.Run(context.Background(), sw, opt)
 	if err != nil {
 		fatal(err)
 	}
@@ -65,32 +65,30 @@ func runSweep(path, journal string, jsonOut, adaptive bool, budget int, clusterW
 	printSweepReport(out)
 }
 
-// runClusterSweep coordinates one sharded sweep: it hosts an ephemeral
-// remote-cache listener (the workers' L2, sharing the coordinator's own
-// cache) and dispatches leases to the given somad workers. Unreachable
-// workers degrade to plain local execution inside cluster.Run.
-func runClusterSweep(sw dse.Sweep, journal string, workers []string, hooks *engine.Hooks, o *obs.Obs) (*dse.Outcome, error) {
-	cache := sim.NewCache(0)
-	opt := cluster.Options{
-		Workers: workers, Cache: cache,
-		Journal: journal, Hooks: hooks, Obs: o,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	}
+// useCluster points opt at the given somad workers: a cluster executor
+// leases the points, and an ephemeral loopback listener serves the sweep's
+// cache as the workers' remote L2. Unreachable workers degrade to plain local
+// execution inside the executor. The returned func stops the listener.
+func useCluster(opt *dse.Options, workers []string) (stop func()) {
+	opt.Cache = sim.NewCache(0)
+	copt := cluster.Options{Workers: workers, Logf: func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, format+"\n", args...)
+	}}
+	stop = func() {}
 	// The L2 listener binds loopback: local workers (the 1-coordinator +
 	// N-worker quickstart) share evaluations through it, remote workers
 	// simply run L1-only - their Remote clients trip the breaker and the
 	// sweep proceeds unshared, never unfinished.
 	if ln, err := net.Listen("tcp", "127.0.0.1:0"); err == nil {
 		mux := http.NewServeMux()
-		cluster.NewCacheServer(cache).Mount(mux)
+		cluster.NewCacheServer(opt.Cache).Mount(mux)
 		srv := &http.Server{Handler: mux}
 		go srv.Serve(ln)
-		defer srv.Close()
-		opt.CacheURL = "http://" + ln.Addr().String()
+		stop = func() { srv.Close() }
+		copt.CacheURL = "http://" + ln.Addr().String()
 	}
-	return cluster.Run(context.Background(), sw, opt)
+	opt.Executor = cluster.New(copt)
+	return stop
 }
 
 func printSweepReport(out *dse.Outcome) {

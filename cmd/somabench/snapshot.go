@@ -1,24 +1,18 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
-	"soma/internal/cluster"
 	"soma/internal/core"
 	"soma/internal/coresched"
-	"soma/internal/dse"
 	"soma/internal/engine"
 	"soma/internal/exp"
 	"soma/internal/models"
@@ -70,33 +64,12 @@ type BenchEntry struct {
 	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
 }
 
-// BenchSnapshot is the BENCH_6.json payload. Sweep is additive (schema
-// unchanged, field omitted when absent): older snapshots without it still
-// load, and checkSnapshot never gates on it.
+// BenchSnapshot is the BENCH_6.json payload.
 type BenchSnapshot struct {
 	Schema  string       `json:"schema"`
 	Profile string       `json:"profile"`
 	Seed    int64        `json:"seed"`
 	Models  []BenchEntry `json:"models"`
-	Sweep   *BenchSweep  `json:"sweep,omitempty"`
-}
-
-// BenchSweep is the sharded-sweep trajectory point: a small fixed grid
-// executed serially through dse.Run and again through cluster.Run against
-// two in-process worker nodes sharing the coordinator's remote cache tier.
-// Both wall times are machine- and load-dependent (the workers compete for
-// the same cores here, so the sharded time mostly measures coordination
-// overhead, not cluster speedup) - recorded for the trajectory, never gated.
-// JournalIdentical is the determinism check: the sharded journal must be
-// byte-identical to the serial one.
-type BenchSweep struct {
-	Points             int     `json:"points"`
-	Workers            int     `json:"workers"`
-	SerialMS           float64 `json:"serial_ms"`
-	ShardedMS          float64 `json:"sharded_ms"`
-	Speedup            float64 `json:"speedup"`
-	RemoteCacheHitRate float64 `json:"remote_cache_hit_rate"`
-	JournalIdentical   bool    `json:"journal_identical"`
 }
 
 // snapshotCases pairs every zoo model with its paper platform (GPT-2 XL and
@@ -139,17 +112,6 @@ func (h *harness) snapshot(outFile, checkFile string, solve bool) error {
 		}
 		snap.Models = append(snap.Models, e)
 	}
-	if solve {
-		bs, err := benchSweep()
-		if err != nil {
-			return fmt.Errorf("snapshot sweep: %w", err)
-		}
-		snap.Sweep = bs
-		fmt.Printf("sweep: %d points, serial %.0fms, sharded(%d workers) %.0fms, L2 hit rate %.0f%%, journal identical: %v\n",
-			bs.Points, bs.SerialMS, bs.Workers, bs.ShardedMS,
-			100*bs.RemoteCacheHitRate, bs.JournalIdentical)
-	}
-
 	if err := h.emit(snapshotTable(snap), "snapshot.csv"); err != nil {
 		return err
 	}
@@ -167,90 +129,6 @@ func (h *harness) snapshot(outFile, checkFile string, solve bool) error {
 		return checkSnapshot(snap, checkFile)
 	}
 	return nil
-}
-
-// benchSweep measures the sharded-sweep point: the 4-point fast grid run
-// serially, then through the cluster coordinator against two loopback worker
-// nodes plus a coordinator-hosted remote cache.
-func benchSweep() (*BenchSweep, error) {
-	par := soma.FastParams()
-	par.Beta1, par.Beta2 = 2, 1
-	sw := dse.Sweep{Name: "bench-sweep", Models: []string{"mobilenetv2"},
-		GBufMB: []int64{2, 4}, Seeds: []int64{1, 2}, Params: &par}
-	pts, err := sw.Expand()
-	if err != nil {
-		return nil, err
-	}
-
-	dir, err := os.MkdirTemp("", "somabench-sweep")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-
-	serialPath := filepath.Join(dir, "serial.jsonl")
-	start := time.Now()
-	if _, err := dse.Run(context.Background(), sw, dse.Options{Journal: serialPath}); err != nil {
-		return nil, err
-	}
-	serialMS := float64(time.Since(start)) / float64(time.Millisecond)
-
-	serve := func(mux *http.ServeMux) (string, func(), error) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", nil, err
-		}
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		return "http://" + ln.Addr().String(), func() { srv.Close() }, nil
-	}
-
-	const workers = 2
-	urls := make([]string, 0, workers)
-	for i := 0; i < workers; i++ {
-		mux := http.NewServeMux()
-		cluster.NewWorker(nil).Mount(mux)
-		url, stop, err := serve(mux)
-		if err != nil {
-			return nil, err
-		}
-		defer stop()
-		urls = append(urls, url)
-	}
-	cache := sim.NewCache(0)
-	cs := cluster.NewCacheServer(cache)
-	cmux := http.NewServeMux()
-	cs.Mount(cmux)
-	cacheURL, stop, err := serve(cmux)
-	if err != nil {
-		return nil, err
-	}
-	defer stop()
-
-	shardedPath := filepath.Join(dir, "sharded.jsonl")
-	start = time.Now()
-	if _, err := cluster.Run(context.Background(), sw, cluster.Options{
-		Workers: urls, Cache: cache, CacheURL: cacheURL, Journal: shardedPath}); err != nil {
-		return nil, err
-	}
-	shardedMS := float64(time.Since(start)) / float64(time.Millisecond)
-
-	serial, err := os.ReadFile(serialPath)
-	if err != nil {
-		return nil, err
-	}
-	sharded, err := os.ReadFile(shardedPath)
-	if err != nil {
-		return nil, err
-	}
-	bs := &BenchSweep{Points: len(pts), Workers: workers,
-		SerialMS: serialMS, ShardedMS: shardedMS,
-		RemoteCacheHitRate: cs.Stats().HitRate(),
-		JournalIdentical:   bytes.Equal(serial, sharded)}
-	if shardedMS > 0 {
-		bs.Speedup = serialMS / shardedMS
-	}
-	return bs, nil
 }
 
 // benchCase measures one model: both per-move benchmarks share the tile-cost

@@ -38,15 +38,15 @@ func TestShardedAdaptiveJournalByteIdentical(t *testing.T) {
 
 	w1, w2 := startWorker(t), startWorker(t)
 	opt := fastOptions(w1.URL, w2.URL)
-	opt.Journal = filepath.Join(dir, "sharded.jsonl")
-	out, err := Run(context.Background(), adaptiveSweep(), opt)
+	sharded := filepath.Join(dir, "sharded.jsonl")
+	out, _, err := shard(t, adaptiveSweep(), opt, dse.Options{Journal: sharded})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Adaptive == nil || out.Adaptive.Promotions == 0 {
 		t.Fatalf("sharded adaptive outcome missing stats: %+v", out.Adaptive)
 	}
-	got, err := os.ReadFile(opt.Journal)
+	got, err := os.ReadFile(sharded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +65,7 @@ func TestShardedAdaptiveJournalByteIdentical(t *testing.T) {
 	if err := os.WriteFile(resume, []byte(strings.Join(lines[:n+2], "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ropt := fastOptions(w1.URL, w2.URL)
-	ropt.Journal = resume
-	rout, err := Run(context.Background(), adaptiveSweep(), ropt)
+	rout, _, err := shard(t, adaptiveSweep(), opt, dse.Options{Journal: resume})
 	if err != nil {
 		t.Fatal(err)
 	}

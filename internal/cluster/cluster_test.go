@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +14,7 @@ import (
 	"time"
 
 	"soma/internal/dse"
+	"soma/internal/engine"
 	"soma/internal/obs"
 	"soma/internal/sim"
 	"soma/internal/soma"
@@ -79,11 +83,45 @@ func fastOptions(workers ...string) Options {
 		Heartbeat:    100 * time.Millisecond,
 		PingTimeout:  250 * time.Millisecond,
 		LeaseTimeout: 30 * time.Second,
-		Obs:          obs.New(),
 	}
 }
 
-func counterValue(t *testing.T, o *obs.Obs, name string) int64 {
+// shard runs sw through dse.Run on a cluster executor built from opt,
+// recording telemetry on a fresh Obs. Whatever the faults, every committed
+// point must stream exactly one point-done or point-error event.
+func shard(t *testing.T, sw dse.Sweep, opt Options, dopt dse.Options) (*dse.Outcome, *obs.Obs, error) {
+	t.Helper()
+	var mu sync.Mutex
+	finished := map[string]int{}
+	dopt.Hooks = &engine.Hooks{Event: func(e engine.Event) {
+		if e.Kind == "point-done" || e.Kind == "point-error" {
+			mu.Lock()
+			finished[fmt.Sprintf("%s/%d", e.Stage, e.Iter)]++
+			mu.Unlock()
+		}
+	}}
+	dopt.Executor, dopt.Obs = New(opt), obs.New()
+	out, err := dse.Run(context.Background(), sw, dopt)
+	if err != nil {
+		return out, dopt.Obs, err
+	}
+	commits := out.Points - out.Resumed
+	if out.Adaptive != nil {
+		commits += out.Adaptive.Promotions
+	}
+	for key, n := range finished {
+		if n != 1 {
+			t.Errorf("point %s finished %d times, want once", key, n)
+		}
+	}
+	if len(finished) != commits {
+		t.Errorf("point-done/point-error for %d points, want %d commits", len(finished), commits)
+	}
+	return out, dopt.Obs, nil
+}
+
+// metricValue sums every series of one metric family.
+func metricValue(t *testing.T, o *obs.Obs, name string) int64 {
 	t.Helper()
 	var total int64
 	for _, m := range o.Registry().Snapshot() {
@@ -110,10 +148,8 @@ func TestShardedJournalByteIdentical(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "sharded.jsonl")
 	opt := fastOptions(w1.URL, w2.URL)
-	opt.Cache = cache
 	opt.CacheURL = csrv.URL
-	opt.Journal = path
-	out, err := Run(context.Background(), fastSweep(), opt)
+	out, o, err := shard(t, fastSweep(), opt, dse.Options{Cache: cache, Journal: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +162,13 @@ func TestShardedJournalByteIdentical(t *testing.T) {
 	}
 	if string(got) != string(golden) {
 		t.Fatalf("sharded journal differs from serial:\nserial:\n%s\nsharded:\n%s", golden, got)
+	}
+	// The live-state gauges read only running sweeps: once the sweep has
+	// returned, no lease is in flight and no worker counts as alive.
+	for _, name := range []string{"cluster_leases_inflight", "cluster_workers_alive"} {
+		if v := metricValue(t, o, name); v != 0 {
+			t.Errorf("%s = %d after the sweep returned, want 0", name, v)
+		}
 	}
 }
 
@@ -147,9 +190,7 @@ func TestShardedResumeFromCommittedPrefix(t *testing.T) {
 	}
 
 	w := startWorker(t)
-	opt := fastOptions(w.URL)
-	opt.Journal = path
-	out, err := Run(context.Background(), fastSweep(), opt)
+	out, _, err := shard(t, fastSweep(), fastOptions(w.URL), dse.Options{Journal: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +227,7 @@ func TestDegradesToLocalWithoutWorkers(t *testing.T) {
 	golden := serialJournal(t)
 	path := filepath.Join(t.TempDir(), "degraded.jsonl")
 	opt := fastOptions("127.0.0.1:1", "127.0.0.1:2") // nothing listens there
-	opt.Journal = path
-	out, err := Run(context.Background(), fastSweep(), opt)
+	out, o, err := shard(t, fastSweep(), opt, dse.Options{Journal: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +241,7 @@ func TestDegradesToLocalWithoutWorkers(t *testing.T) {
 	if string(got) != string(golden) {
 		t.Fatal("degraded journal differs from serial")
 	}
-	if n := counterValue(t, opt.Obs, "cluster_degraded_runs_total"); n != 1 {
+	if n := metricValue(t, o, "cluster_degraded_runs_total"); n != 1 {
 		t.Fatalf("cluster_degraded_runs_total = %d, want 1", n)
 	}
 }
@@ -328,5 +368,44 @@ func TestMemoizeThroughInterface(t *testing.T) {
 	}
 	if st := tier.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("tier stats = %+v", st)
+	}
+}
+
+// TestRequestBodiesBounded: every cluster endpoint decodes at most
+// maxBodyBytes. A cache put the size of the largest measured real one is
+// served; one past the bound gets a 4xx, as does an oversized lease.
+func TestRequestBodiesBounded(t *testing.T) {
+	mux := http.NewServeMux()
+	NewCacheServer(sim.NewCache(0)).Mount(mux)
+	NewWorker(nil).Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	put := func(keyBytes int) []byte {
+		body, err := json.Marshal(CachePutRequest{Key: bytes.Repeat([]byte{0xfe}, keyBytes),
+			Metrics: &sim.Metrics{LatencyNS: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	if code := post(PathCachePut, put(209030)); code != http.StatusOK {
+		t.Fatalf("legitimate cache put got %d", code)
+	}
+	if code := post(PathCachePut, put(maxBodyBytes)); code < 400 || code >= 500 {
+		t.Fatalf("oversized cache put got %d, want 4xx", code)
+	}
+	huge := append([]byte(`{"lease_id":"`), bytes.Repeat([]byte("x"), maxBodyBytes)...)
+	if code := post(PathLease, append(huge, `"}`...)); code < 400 || code >= 500 {
+		t.Fatalf("oversized lease got %d, want 4xx", code)
 	}
 }

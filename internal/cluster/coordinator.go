@@ -5,41 +5,25 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"soma/internal/dse"
-	"soma/internal/engine"
 	"soma/internal/obs"
-	"soma/internal/sim"
 )
 
-// Options configures one coordinated sweep.
+// Options configures a cluster executor.
 type Options struct {
 	// Workers are worker base URLs ("host:port" is accepted and normalized
-	// to "http://host:port"). Empty, or none reachable at the initial
-	// probe, degrades to plain local execution.
+	// to "http://host:port"). Empty, or none reachable at a batch's
+	// initial probe, degrades that batch to the local pool.
 	Workers []string
-	// Cache is the coordinator's evaluation cache: local-fallback points
-	// evaluate through it, and when CacheURL advertises a CacheServer
-	// backed by the same cache, workers share it as their L2. nil gives
-	// the run a private cache.
-	Cache sim.EvalCache
 	// CacheURL is the remote-cache base URL handed to workers in every
-	// lease ("" disables the L2 tier).
+	// lease ("" disables the L2 tier). It should advertise a CacheServer
+	// backed by the sweep's dse.Options.Cache, which local fallback
+	// evaluations also use.
 	CacheURL string
-	// Hooks streams sweep progress exactly like dse.Options.Hooks; points
-	// report start on lease dispatch and done/error on delivery.
-	Hooks *engine.Hooks
-	// Journal is the checkpoint file path ("" disables journaling), with
-	// dse.Run's semantics: committed prefixes resume, finished files are
-	// byte-identical to a serial uninterrupted run's.
-	Journal string
-	// Obs receives coordinator telemetry (cluster_* families) and
-	// everything local fallback execution emits.
-	Obs *obs.Obs
 	// Client performs lease and ping calls; nil gets a private default.
 	Client *http.Client
 	// Logf, when non-nil, receives coordinator lifecycle lines (worker
@@ -157,165 +141,91 @@ type result struct {
 	wall time.Duration
 }
 
-// Run executes the sweep across opt.Workers, producing an Outcome - and,
-// with opt.Journal set, a journal file - byte-identical to a serial
-// dse.Run of the same spec. Zero reachable workers at the initial probe
-// degrades to dse.Run; workers dying mid-sweep get their leases reassigned
-// (and, attempts exhausted, executed locally), so the sweep completes as
-// long as the coordinator itself survives.
-func Run(ctx context.Context, sw dse.Sweep, opt Options) (*dse.Outcome, error) {
-	opt.defaults()
+// Executor is the cluster's dse.Executor: it leases each batch's points to
+// somad workers over HTTP - heartbeats, per-lease timeouts, backoff and
+// reassignment - and runs what no worker can take on the batch's local pool.
+// Pass it as dse.Options.Executor: dse.Run keeps journaling, the in-order
+// commit, progress events and aggregation, so a sharded journal is
+// byte-identical to a serial one. One Executor serves any number of
+// sequential or concurrent sweeps.
+type Executor struct {
+	opt Options
 
-	pts, err := sw.Expand()
-	if err != nil {
-		return nil, err
-	}
-	digest, err := sw.SpecSHA256()
-	if err != nil {
-		return nil, err
-	}
-
-	// Initial probe: a cluster run with zero reachable workers is a plain
-	// local sweep, not an error - the flag must never break the sweep.
-	// dse.Run dispatches adaptive specs itself, so degradation covers both
-	// modes.
-	nodes := probeWorkers(ctx, opt)
-	reg := opt.Obs.Registry()
-	if len(nodes) == 0 {
-		opt.logf("cluster: no reachable workers of %d configured; running locally", len(opt.Workers))
-		reg.Counter("cluster_degraded_runs_total",
-			"Sweeps that fell back to pure-local execution at start.").Inc()
-		return dse.Run(ctx, sw, dse.Options{Cache: opt.Cache,
-			Hooks: opt.Hooks, Journal: opt.Journal, Obs: opt.Obs})
-	}
-
-	if sw.Adaptive != nil {
-		return runAdaptive(ctx, sw, pts, digest, nodes, opt)
-	}
-
-	out := &dse.Outcome{Name: sw.Name, SpecSHA256: digest, Points: len(pts), BestIndex: -1}
-	out.Rows = make([]dse.Row, len(pts))
-
-	// Resume support mirrors dse.Run: load the committed prefix, rewrite
-	// it verbatim, lease only the rest.
-	var jw *dse.JournalWriter
-	start := 0
-	if opt.Journal != "" {
-		rows, lines, err := dse.LoadJournal(opt.Journal, digest, len(pts))
-		if err != nil {
-			return nil, err
-		}
-		if jw, err = dse.OpenJournal(opt.Journal, sw, digest, len(pts), lines); err != nil {
-			return nil, err
-		}
-		defer jw.Close()
-		copy(out.Rows, rows)
-		start = len(rows)
-		out.Resumed = len(rows)
-	}
-
-	cache := opt.Cache
-	if cache == nil {
-		cache = sim.NewCache(0)
-	}
-
-	opt.Hooks.Emit(engine.Event{Kind: "sweep-start", Component: sw.Name, Iter: len(pts)})
-
-	// Exhaustive dispatch: the sequence is the grid itself.
-	seq := make([]int, len(pts))
-	for i := range seq {
-		seq[i] = i
-	}
-	c := newCoord(sw, digest, &opt, nodes, pts, seq, "", out.Rows, jw, start, cache)
-	if err := c.run(ctx, start); err != nil {
-		return nil, err
-	}
-
-	bestCost := -1.0
-	for i := range out.Rows {
-		r := &out.Rows[i]
-		if r.Err != "" {
-			out.Failed++
-			continue
-		}
-		if r.Result != nil && (out.BestIndex < 0 || r.Result.Cost < bestCost) {
-			out.BestIndex, bestCost = i, r.Result.Cost
-		}
-	}
-	out.Pareto = dse.CostVsBufferFront(out.Rows)
-	out.Cache = cache.Stats()
-	opt.Hooks.Emit(engine.Event{Kind: "sweep-done", Component: sw.Name, Cost: bestCost})
-	return out, nil
+	gauges sync.Once
+	mu     sync.Mutex
+	active map[*coord]struct{} // batches dispatching right now
 }
 
-// runAdaptive coordinates a successive-halving sweep: the probe rung shards
-// the whole grid across the workers, the promotion decision replays the same
-// deterministic dse.AdaptiveRun state machine the local driver uses, and the
-// full-fidelity rung shards the promoted subset - each rung an ordinary
-// lease grid, so heartbeats, reassignment, dedup-at-commit and local
-// fallback all apply per rung unchanged. The journal (probe rows in point
-// order, then promotions in point order) is byte-identical to a serial
-// dse.RunAdaptive of the same spec.
-func runAdaptive(ctx context.Context, sw dse.Sweep, pts []dse.Point, digest string,
-	nodes []*node, opt Options) (*dse.Outcome, error) {
-	a, err := dse.NewAdaptiveRun(sw)
-	if err != nil {
-		return nil, err
-	}
-	var jw *dse.JournalWriter
-	resumed := 0
-	if opt.Journal != "" {
-		lines, err := a.LoadJournal(opt.Journal)
-		if err != nil {
-			return nil, err
-		}
-		if jw, err = dse.OpenJournal(opt.Journal, sw, digest, len(pts), lines); err != nil {
-			return nil, err
-		}
-		defer jw.Close()
-		resumed = len(lines)
-	}
-	cache := opt.Cache
-	if cache == nil {
-		cache = sim.NewCache(0)
-	}
+// New builds a cluster executor over opt.Workers.
+func New(opt Options) *Executor {
+	opt.defaults()
+	return &Executor{opt: opt, active: make(map[*coord]struct{})}
+}
 
-	opt.Hooks.Emit(engine.Event{Kind: "sweep-start", Component: sw.Name, Iter: len(pts)})
-
-	seq := make([]int, len(pts))
-	for i := range seq {
-		seq[i] = i
+// Execute implements dse.Executor. Zero reachable workers at the batch's
+// initial probe hand the whole batch to its local pool - the cluster can
+// never make a sweep fail that would have succeeded single-process.
+func (e *Executor) Execute(ctx context.Context, b *dse.Batch, deliver func(pos int, row dse.Row) bool) error {
+	if len(b.Pos) == 0 {
+		return nil // a fully resumed grid, or a rung that promoted nothing
 	}
-	opt.Hooks.Emit(engine.Event{Kind: "rung-start", Component: sw.Name,
-		Stage: dse.FidelityProbe, Iter: len(pts) - a.ProbeDone})
-	c0 := newCoord(sw, digest, &opt, nodes, pts, seq, dse.FidelityProbe, a.Probes, jw, a.ProbeDone, cache)
-	if err := c0.run(ctx, a.ProbeDone); err != nil {
-		return nil, err
+	reg := b.Obs.Registry()
+	e.exportGauges(reg)
+	nodes := probeWorkers(ctx, e.opt)
+	if len(nodes) == 0 {
+		e.opt.logf("cluster: no reachable workers of %d configured; running locally", len(e.opt.Workers))
+		reg.Counter("cluster_degraded_runs_total",
+			"Sweep batches (a grid or an adaptive rung) run locally because no worker answered the initial probe.").Inc()
+		return b.Local(ctx, b.Pos, deliver)
 	}
-	a.ProbeDone = len(pts)
-	opt.Hooks.Emit(engine.Event{Kind: "rung-done", Component: sw.Name,
-		Stage: dse.FidelityProbe, Iter: len(pts)})
+	c := &coord{opt: &e.opt, b: b, nodes: nodes, deliver: deliver, results: make(chan result),
+		reassignments: reg.Counter("cluster_lease_reassignments_total",
+			"Lease dispatches retried after a worker failure or death."),
+		deduped: reg.Counter("cluster_points_deduped_total",
+			"Duplicate point deliveries ignored at the journal commit point.")}
+	e.mu.Lock()
+	e.active[c] = struct{}{}
+	e.mu.Unlock()
+	defer func() {
+		e.mu.Lock()
+		delete(e.active, c)
+		e.mu.Unlock()
+	}()
+	return c.run(ctx)
+}
 
-	a.Promote()
-	a.RecordMetrics(opt.Obs)
-
-	opt.Hooks.Emit(engine.Event{Kind: "rung-start", Component: sw.Name,
-		Stage: dse.FidelityFull, Iter: len(a.Promoted) - a.FullDone})
-	c1 := newCoord(sw, digest, &opt, nodes, pts, a.Promoted, dse.FidelityFull, a.Fulls, jw, a.FullDone, cache)
-	if err := c1.run(ctx, a.FullDone); err != nil {
-		return nil, err
+// exportGauges registers the live-state gauges, once per executor. They read
+// only the batches dispatching right now, so both drop to 0 between sweeps.
+func (e *Executor) exportGauges(reg *obs.Registry) {
+	if reg == nil {
+		return
 	}
-	a.FullDone = len(a.Promoted)
-	opt.Hooks.Emit(engine.Event{Kind: "rung-done", Component: sw.Name,
-		Stage: dse.FidelityFull, Iter: len(a.Promoted)})
-
-	out := a.Outcome(resumed, cache)
-	bestCost := -1.0
-	if b := out.Best(); b != nil {
-		bestCost = b.Result.Cost
-	}
-	opt.Hooks.Emit(engine.Event{Kind: "sweep-done", Component: sw.Name, Cost: bestCost})
-	return out, nil
+	e.gauges.Do(func() {
+		reg.GaugeFunc("cluster_leases_inflight",
+			"Leases currently dispatched (remote or local).", func() float64 {
+				e.mu.Lock()
+				defer e.mu.Unlock()
+				n := int64(0)
+				for c := range e.active {
+					n += c.inflight.Load()
+				}
+				return float64(n)
+			})
+		reg.GaugeFunc("cluster_workers_alive",
+			"Workers currently passing heartbeats.", func() float64 {
+				e.mu.Lock()
+				defer e.mu.Unlock()
+				alive := map[string]bool{}
+				for c := range e.active {
+					for _, n := range c.nodes {
+						if n.alive.Load() {
+							alive[n.url] = true
+						}
+					}
+				}
+				return float64(len(alive))
+			})
+	})
 }
 
 // probeWorkers pings every configured worker once in parallel, returning the
@@ -378,158 +288,59 @@ func pingWorker(ctx context.Context, hc *http.Client, url string, timeout time.D
 	return resp.StatusCode == http.StatusOK
 }
 
-// coord is the dispatch-loop state for one dispatch sequence - a whole
-// exhaustive grid, or one adaptive rung. Except where noted on node, every
-// field is owned by the single run() goroutine.
+// coord is the dispatch-loop state for one batch. Local fallback goroutines
+// use b, put and results, the executor's gauges read nodes and inflight, and
+// node notes its own sharing; everything else is owned by the single run()
+// goroutine.
 type coord struct {
-	sw     dse.Sweep
-	digest string
-	opt    *Options
-	nodes  []*node
-	pts    []dse.Point
-	cache  sim.EvalCache
-
-	// seq is the dispatch sequence (seq[pos] = canonical point index), fid
-	// the rung fidelity carried by every lease ("" for exhaustive), rows
-	// the sequence-position-indexed result store the caller owns. done and
-	// frontier are also by sequence position: the journal commits rows in
-	// sequence order.
-	seq  []int
-	fid  string
-	rows []dse.Row
-
-	jw       *dse.JournalWriter
-	done     []bool
-	frontier int
-	werr     error
+	opt     *Options
+	b       *dse.Batch
+	nodes   []*node
+	deliver func(pos int, row dse.Row) bool
 
 	results chan result
-	localCh chan *lease
+	locals  sync.WaitGroup // local fallback goroutines
 
 	inflight      atomic.Int64
 	reassignments *obs.Counter
 	deduped       *obs.Counter
-	committed     int
 }
 
-// newCoord builds the dispatch state for one sequence, resuming after the
-// first start positions (already loaded from the journal).
-func newCoord(sw dse.Sweep, digest string, opt *Options, nodes []*node, pts []dse.Point,
-	seq []int, fid string, rows []dse.Row, jw *dse.JournalWriter, start int,
-	cache sim.EvalCache) *coord {
-	c := &coord{sw: sw, digest: digest, opt: opt, nodes: nodes, pts: pts,
-		seq: seq, fid: fid, rows: rows, jw: jw,
-		done: make([]bool, len(seq)), frontier: start,
-		cache: cache, results: make(chan result),
-		localCh: make(chan *lease, (len(seq)-start)/opt.LeasePoints+1)}
-	c.exportMetrics(opt.Obs.Registry())
-	return c
-}
-
-func (c *coord) exportMetrics(reg *obs.Registry) {
-	reg.GaugeFunc("cluster_leases_inflight",
-		"Leases currently dispatched (remote or local).",
-		func() float64 { return float64(c.inflight.Load()) })
-	reg.GaugeFunc("cluster_workers_alive",
-		"Workers currently passing heartbeats.", func() float64 {
-			alive := 0
-			for _, n := range c.nodes {
-				if n.alive.Load() {
-					alive++
-				}
-			}
-			return float64(alive)
-		})
-	c.reassignments = reg.Counter("cluster_lease_reassignments_total",
-		"Lease dispatches retried after a worker failure or death.")
-	c.deduped = reg.Counter("cluster_points_deduped_total",
-		"Duplicate point deliveries ignored at the journal commit point.")
-}
-
-// commit merges one delivered row set into the sequence store, ignoring
-// duplicates (at-least-once dispatch makes double delivery legal) and
-// advancing the in-order journal frontier - the exactly-once point of the
-// whole design.
-func (c *coord) commit(l *lease, rows []dse.Row) {
-	for j, pos := range l.pos {
-		if c.done[pos] {
-			c.deduped.Inc()
-			continue
-		}
-		c.rows[pos] = rows[j]
-		c.done[pos] = true
-		c.committed++
-		idx := c.seq[pos]
-		row := &c.rows[pos]
-		if row.Err != "" {
-			c.opt.Hooks.Emit(engine.Event{Kind: "point-error",
-				Component: row.Point.Label(), Stage: c.fid, Iter: idx, Err: row.Err})
-		} else if row.Result != nil {
-			c.opt.Hooks.Emit(engine.Event{Kind: "point-done",
-				Component: row.Point.Label(), Stage: c.fid, Iter: idx, Cost: row.Result.Cost})
-		}
+// put delivers one row, counting a duplicate: at-least-once dispatch makes
+// double delivery legal, and dse's commit keeps the first.
+func (c *coord) put(pos int, row dse.Row) bool {
+	if !c.deliver(pos, row) {
+		c.deduped.Inc()
+		return false
 	}
-	for c.frontier < len(c.done) && c.done[c.frontier] {
-		if c.jw != nil && c.werr == nil {
-			c.werr = c.jw.Append(c.rows[c.frontier].Scrubbed())
-		}
-		c.frontier++
-	}
+	return true
 }
 
-// run drives dispatch until every sequence position is committed or ctx dies.
-func (c *coord) run(ctx context.Context, start int) error {
-	opt := c.opt
+// run drives dispatch until every lease has delivered or ctx dies.
+func (c *coord) run(ctx context.Context) error {
+	opt, b := c.opt, c.b
 	runCtx, stop := context.WithCancel(ctx)
-	defer stop()
+	defer func() {
+		stop()
+		c.locals.Wait()
+	}()
 
-	// Partition deterministically: consecutive chunks in sequence order, so
-	// lease boundaries never depend on worker behavior.
+	// Partition deterministically: consecutive chunks of the pending
+	// positions, so lease boundaries never depend on worker behavior.
 	var pending []*lease
-	for lo := start; lo < len(c.seq); lo += opt.LeasePoints {
-		hi := lo + opt.LeasePoints
-		if hi > len(c.seq) {
-			hi = len(c.seq)
+	for lo := 0; lo < len(b.Pos); lo += opt.LeasePoints {
+		pos := b.Pos[lo:min(lo+opt.LeasePoints, len(b.Pos))]
+		indices := make([]int, len(pos))
+		for j, p := range pos {
+			indices[j] = b.Seq[p]
 		}
-		pos := make([]int, 0, hi-lo)
-		indices := make([]int, 0, hi-lo)
-		for p := lo; p < hi; p++ {
-			pos = append(pos, p)
-			indices = append(indices, c.seq[p])
-		}
-		id := fmt.Sprintf("lease-%04d", lo)
-		if c.fid != "" {
-			id = fmt.Sprintf("lease-%s-%04d", c.fid, lo)
+		id := fmt.Sprintf("lease-%04d", pos[0])
+		if b.Fidelity != "" {
+			id = fmt.Sprintf("lease-%s-%04d", b.Fidelity, pos[0])
 		}
 		pending = append(pending, &lease{id: id, pos: pos, indices: indices})
 	}
-	need := len(c.seq) - start
-
-	// Local fallback executors: leases that exhaust remote attempts (or
-	// find no workers alive) run here through dse.RunPoints with the
-	// coordinator cache.
-	var localWG sync.WaitGroup
-	localWorkers := runtime.NumCPU()
-	for w := 0; w < localWorkers; w++ {
-		localWG.Add(1)
-		go func() {
-			defer localWG.Done()
-			for l := range c.localCh {
-				rows, err := dse.RunPoints(runCtx, c.sw, l.indices,
-					dse.Options{Cache: c.cache, Obs: opt.Obs, Fidelity: c.fid})
-				select {
-				case c.results <- result{l: l, rows: rows, err: err}:
-				case <-runCtx.Done():
-					return
-				}
-			}
-		}()
-	}
-	defer func() {
-		close(c.localCh)
-		stop()
-		localWG.Wait()
-	}()
+	left := len(pending)
 
 	// Heartbeats: a failed probe kills the node's in-flight lease with a
 	// reassignment cause; a later success revives the node.
@@ -560,7 +371,7 @@ func (c *coord) run(ctx context.Context, start int) error {
 	tick := time.NewTicker(100 * time.Millisecond)
 	defer tick.Stop()
 
-	for c.committed < need {
+	for left > 0 {
 		// Assign pending leases to idle, alive, backoff-eligible nodes.
 		now := time.Now()
 		anyAlive := false
@@ -581,7 +392,7 @@ func (c *coord) run(ctx context.Context, start int) error {
 				l := pending[0]
 				pending = pending[1:]
 				c.reassignments.Inc()
-				c.toLocal(l, "no workers alive")
+				c.toLocal(runCtx, l, "no workers alive")
 			}
 		}
 
@@ -592,19 +403,18 @@ func (c *coord) run(ctx context.Context, start int) error {
 			// Re-check aliveness and backoff windows.
 		case res := <-c.results:
 			c.inflight.Add(-1)
-			if res.node != nil {
+			switch {
+			case res.err != nil && ctx.Err() != nil:
+				return ctx.Err()
+			case res.node == nil && res.err != nil:
+				// Local fallback failed: nothing further to degrade to,
+				// so the sweep fails loudly.
+				return fmt.Errorf("cluster: local execution of %s: %w", res.l.id, res.err)
+			case res.node == nil:
+				left-- // the local pool delivered the rows itself
+			case res.err != nil:
 				res.node.busy = false
 				res.node.setCancel(nil)
-			}
-			if res.err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				if res.node == nil {
-					// Local fallback failed: nothing further to
-					// degrade to, so the sweep fails loudly.
-					return fmt.Errorf("cluster: local execution of %s: %w", res.l.id, res.err)
-				}
 				res.l.attempts++
 				res.node.fails++
 				backoff := time.Duration(100<<min(res.node.fails, 6)) * time.Millisecond
@@ -614,36 +424,42 @@ func (c *coord) run(ctx context.Context, start int) error {
 				opt.logf("cluster: %s failed on %s (attempt %d): %v",
 					res.l.id, res.node.url, res.l.attempts, res.err)
 				if res.l.attempts >= opt.MaxAttempts {
-					c.toLocal(res.l, "attempts exhausted")
+					c.toLocal(runCtx, res.l, "attempts exhausted")
 				} else {
 					pending = append(pending, res.l)
 				}
-			} else {
-				if res.node != nil {
-					res.node.fails = 0
-					if n := len(res.l.indices); n > 0 {
-						c.opt.Obs.Registry().Histogram("cluster_point_seconds",
-							"Per-point wall time of leases by worker.",
-							"worker", res.node.url).
-							Observe(res.wall.Seconds() / float64(n))
-					}
+			default:
+				res.node.busy = false
+				res.node.setCancel(nil)
+				res.node.fails = 0
+				b.Obs.Registry().Histogram("cluster_point_seconds",
+					"Per-point wall time of leases by worker.", "worker", res.node.url).
+					Observe(res.wall.Seconds() / float64(len(res.l.pos)))
+				for j, pos := range res.l.pos {
+					c.put(pos, res.rows[j])
 				}
-				c.commit(res.l, res.rows)
+				left--
 			}
 		}
-	}
-	if c.werr != nil {
-		return c.werr
 	}
 	return nil
 }
 
-// toLocal queues a lease for local fallback execution. Callers count the
+// toLocal runs a lease on the batch's local pool, which delivers its rows
+// directly; the completion comes back through results. Callers count the
 // reassignment (the failure paths already have).
-func (c *coord) toLocal(l *lease, why string) {
+func (c *coord) toLocal(ctx context.Context, l *lease, why string) {
 	c.opt.logf("cluster: %s running locally (%s)", l.id, why)
 	c.inflight.Add(1)
-	c.localCh <- l
+	c.locals.Add(1)
+	go func() {
+		defer c.locals.Done()
+		err := c.b.Local(ctx, l.pos, c.put)
+		select {
+		case c.results <- result{l: l, err: err}:
+		case <-ctx.Done():
+		}
+	}()
 }
 
 // dispatch launches one remote lease attempt.
@@ -652,9 +468,8 @@ func (c *coord) dispatch(ctx context.Context, n *node, l *lease) {
 	c.inflight.Add(1)
 	lctx, cancel := context.WithCancelCause(ctx)
 	n.setCancel(cancel)
-	for _, idx := range l.indices {
-		c.opt.Hooks.Emit(engine.Event{Kind: "point-start",
-			Component: c.pts[idx].Label(), Stage: c.fid, Iter: idx})
+	for _, pos := range l.pos {
+		c.b.Started(pos)
 	}
 	go func() {
 		defer cancel(nil)
@@ -674,8 +489,8 @@ func (c *coord) doLease(ctx context.Context, n *node, l *lease) ([]dse.Row, erro
 	defer cancel()
 	var resp LeaseResponse
 	err := postJSON(tctx, c.opt.Client, n.url+PathLease, LeaseRequest{
-		LeaseID: l.id, Spec: c.sw, SpecSHA256: c.digest,
-		Indices: l.indices, CacheURL: c.opt.CacheURL, Fidelity: c.fid}, &resp)
+		LeaseID: l.id, Spec: c.b.Sweep, SpecSHA256: c.b.Digest,
+		Indices: l.indices, CacheURL: c.opt.CacheURL, Fidelity: c.b.Fidelity}, &resp)
 	if err != nil {
 		if cause := context.Cause(ctx); cause != nil && ctx.Err() != nil {
 			return nil, cause
@@ -690,9 +505,9 @@ func (c *coord) doLease(ctx context.Context, n *node, l *lease) ([]dse.Row, erro
 			return nil, fmt.Errorf("cluster: %s returned row for point %d at position %d (want %d)",
 				n.url, resp.Rows[j].Point.Index, j, idx)
 		}
-		if resp.Rows[j].Fidelity != c.fid {
+		if resp.Rows[j].Fidelity != c.b.Fidelity {
 			return nil, fmt.Errorf("cluster: %s returned fidelity %q rows for a %q lease (worker version skew?)",
-				n.url, resp.Rows[j].Fidelity, c.fid)
+				n.url, resp.Rows[j].Fidelity, c.b.Fidelity)
 		}
 	}
 	return resp.Rows, nil

@@ -1,11 +1,14 @@
 package cluster
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -86,13 +89,12 @@ func startFaulty(t *testing.T, f *faulty) *httptest.Server {
 	return srv
 }
 
-// runSharded runs the standard grid through the coordinator and returns the
-// journal bytes for comparison against the serial golden.
-func runSharded(t *testing.T, opt Options) ([]byte, *dse.Outcome) {
+// runSharded runs sw through the coordinator and returns the journal bytes
+// for comparison against the serial golden, plus the run's telemetry.
+func runSharded(t *testing.T, sw dse.Sweep, opt Options) ([]byte, *dse.Outcome, *obs.Obs) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	opt.Journal = path
-	out, err := Run(context.Background(), fastSweep(), opt)
+	out, o, err := shard(t, sw, opt, dse.Options{Journal: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func runSharded(t *testing.T, opt Options) ([]byte, *dse.Outcome) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, out
+	return data, out, o
 }
 
 // TestFaultDroppedLeases: a worker that 500s the first two lease attempts.
@@ -111,15 +113,14 @@ func TestFaultDroppedLeases(t *testing.T) {
 	f := &faulty{drop: 2}
 	srv := startFaulty(t, f)
 
-	opt := fastOptions(srv.URL)
-	got, out := runSharded(t, opt)
+	got, out, o := runSharded(t, fastSweep(), fastOptions(srv.URL))
 	if string(got) != string(golden) {
 		t.Fatal("journal after dropped leases differs from serial")
 	}
 	if out.Failed != 0 {
 		t.Fatalf("failed = %d", out.Failed)
 	}
-	if n := counterValue(t, opt.Obs, "cluster_lease_reassignments_total"); n != 2 {
+	if n := metricValue(t, o, "cluster_lease_reassignments_total"); n != 2 {
 		t.Fatalf("cluster_lease_reassignments_total = %d, want 2 (one per injected drop)", n)
 	}
 }
@@ -133,15 +134,88 @@ func TestFaultEveryLeaseDropsFallsLocal(t *testing.T) {
 
 	opt := fastOptions(srv.URL)
 	opt.MaxAttempts = 1 // first failure sends the lease local
-	got, out := runSharded(t, opt)
+	got, out, o := runSharded(t, fastSweep(), opt)
 	if string(got) != string(golden) {
 		t.Fatal("journal after local fallback differs from serial")
 	}
 	if out.Failed != 0 {
 		t.Fatalf("failed = %d", out.Failed)
 	}
-	if n := counterValue(t, opt.Obs, "cluster_lease_reassignments_total"); n != 4 {
+	if n := metricValue(t, o, "cluster_lease_reassignments_total"); n != 4 {
 		t.Fatalf("cluster_lease_reassignments_total = %d, want 4 (each lease dropped once)", n)
+	}
+}
+
+// TestFaultLocalFallbackHonorsWorkers: with every lease dropped by four
+// workers at once, all leases land on the local fallback together - and a
+// spec with workers: 1 must still solve them one at a time. Each local solve
+// records its spans on its own trace track, so overlapping track intervals
+// would mean concurrent local solves.
+func TestFaultLocalFallbackHonorsWorkers(t *testing.T) {
+	golden := serialJournal(t)
+	var urls []string
+	for i := 0; i < 4; i++ {
+		urls = append(urls, startFaulty(t, &faulty{drop: 1 << 20}).URL)
+	}
+	opt := fastOptions(urls...)
+	opt.MaxAttempts = 1
+	sw := fastSweep()
+	sw.Workers = 1
+	got, _, o := runSharded(t, sw, opt)
+	if string(got) != string(golden) {
+		t.Fatal("journal after local fallback differs from serial")
+	}
+
+	var buf bytes.Buffer
+	if err := o.Trace().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			TS   int64          `json:"ts"`
+			Dur  int64          `json:"dur"`
+			TID  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	points := map[int]bool{}
+	for _, ev := range trace.TraceEvents {
+		if name, _ := ev.Args["name"].(string); ev.Ph == "M" && strings.HasPrefix(name, "point-") {
+			points[ev.TID] = true
+		}
+	}
+	type span struct{ from, to int64 }
+	solves := map[int]*span{}
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph != "X" || !points[ev.TID] {
+			continue
+		}
+		s, ok := solves[ev.TID]
+		if !ok {
+			s = &span{ev.TS, ev.TS + ev.Dur}
+			solves[ev.TID] = s
+		}
+		s.from, s.to = min(s.from, ev.TS), max(s.to, ev.TS+ev.Dur)
+	}
+	if len(solves) != 4 {
+		t.Fatalf("traced %d local solves, want 4 (every lease falls back)", len(solves))
+	}
+	var spans []*span
+	for _, s := range solves {
+		spans = append(spans, s)
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].from < spans[j].from })
+	for i := 1; i < len(spans); i++ {
+		// 1us of slack: span ends are rounded up to a whole microsecond.
+		if spans[i].from < spans[i-1].to-1 {
+			t.Fatalf("local solves overlap under workers: 1: [%d,%d] and [%d,%d]us",
+				spans[i-1].from, spans[i-1].to, spans[i].from, spans[i].to)
+		}
 	}
 }
 
@@ -154,14 +228,14 @@ func TestFaultDelayedLease(t *testing.T) {
 
 	opt := fastOptions(srv.URL)
 	opt.LeaseTimeout = 400 * time.Millisecond
-	got, out := runSharded(t, opt)
+	got, out, o := runSharded(t, fastSweep(), opt)
 	if string(got) != string(golden) {
 		t.Fatal("journal after delayed lease differs from serial")
 	}
 	if out.Failed != 0 {
 		t.Fatalf("failed = %d", out.Failed)
 	}
-	if n := counterValue(t, opt.Obs, "cluster_lease_reassignments_total"); n < 1 {
+	if n := metricValue(t, o, "cluster_lease_reassignments_total"); n < 1 {
 		t.Fatal("timed-out lease was not counted as a reassignment")
 	}
 }
@@ -186,56 +260,11 @@ func TestFaultKillWorkerMidSweep(t *testing.T) {
 		f.kill()
 	}()
 
-	opt := fastOptions(victim.URL, survivor.URL)
-	got, out := runSharded(t, opt)
+	got, out, _ := runSharded(t, fastSweep(), fastOptions(victim.URL, survivor.URL))
 	if string(got) != string(golden) {
 		t.Fatal("journal after mid-sweep worker kill differs from serial")
 	}
 	if out.Failed != 0 || out.Points != 4 {
 		t.Fatalf("outcome = %+v", out)
-	}
-}
-
-// TestCommitDedup exercises the at-least-once safety valve directly: a lease
-// delivered twice must mutate the outcome exactly once, count every duplicate
-// point, and never re-append to the journal.
-func TestCommitDedup(t *testing.T) {
-	reg := obs.NewRegistry()
-	out := &dse.Outcome{Rows: make([]dse.Row, 3)}
-	c := &coord{opt: &Options{}, seq: []int{0, 1, 2}, rows: out.Rows, done: make([]bool, 3)}
-	c.exportMetrics(reg)
-
-	l := &lease{id: "lease-0000", pos: []int{0, 1}, indices: []int{0, 1}}
-	first := []dse.Row{
-		{Point: dse.Point{Index: 0, Seed: 11}},
-		{Point: dse.Point{Index: 1, Seed: 12}},
-	}
-	c.commit(l, first)
-	if c.committed != 2 || c.frontier != 2 {
-		t.Fatalf("committed=%d frontier=%d after first delivery", c.committed, c.frontier)
-	}
-
-	// Second delivery of the same lease (e.g. a retried dispatch whose
-	// first attempt actually succeeded): different payload, must be ignored.
-	dup := []dse.Row{
-		{Point: dse.Point{Index: 0, Seed: 99}},
-		{Point: dse.Point{Index: 1, Seed: 99}},
-	}
-	c.commit(l, dup)
-	if c.committed != 2 {
-		t.Fatalf("committed = %d after duplicate delivery, want 2", c.committed)
-	}
-	if out.Rows[0].Point.Seed != 11 || out.Rows[1].Point.Seed != 12 {
-		t.Fatalf("duplicate delivery overwrote committed rows: %+v", out.Rows[:2])
-	}
-	if got := c.deduped.Value(); got != 2 {
-		t.Fatalf("cluster_points_deduped_total = %d, want 2", got)
-	}
-
-	// Out-of-order delivery holds the frontier until the gap fills.
-	c.commit(&lease{id: "lease-0002", pos: []int{2}, indices: []int{2}},
-		[]dse.Row{{Point: dse.Point{Index: 2, Seed: 13}}})
-	if c.committed != 3 || c.frontier != 3 {
-		t.Fatalf("committed=%d frontier=%d after final delivery", c.committed, c.frontier)
 	}
 }

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,8 +94,8 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 
 	reg := w.Obs.Registry()
 	start := time.Now()
-	rows, err := dse.RunPoints(r.Context(), req.Spec, req.Indices,
-		dse.Options{Cache: w.tier(req.CacheURL), Obs: w.Obs, Fidelity: req.Fidelity})
+	rows, err := dse.RunPoints(r.Context(), req.Spec, req.Indices, req.Fidelity,
+		dse.Options{Cache: w.tier(req.CacheURL), Obs: w.Obs})
 	if err != nil {
 		reg.Counter("cluster_worker_leases_total", "Leases served by outcome.",
 			"outcome", "error").Inc()
@@ -113,11 +115,25 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, LeaseResponse{LeaseID: req.LeaseID, Rows: rows})
 }
 
-// decodeBody parses one JSON request body, answering 400 on failure.
+// maxBodyBytes bounds every cluster request body (lease, cache get, cache
+// put). Measured sizes: the largest sim.Key a fast-profile gpt2xl-prefill
+// solve on the cloud platform PUTs is 209,030 bytes, a 279,247-byte
+// cache-put body once base64-encoded; a lease carrying a 4096-point spec
+// (4096 listed seeds, full params) plus all 4096 indices is 101,821 bytes.
+// 4 MiB leaves 15x headroom over the larger of the two.
+const maxBodyBytes = 4 << 20
+
+// decodeBody parses one JSON request body of at most maxBodyBytes,
+// answering 413 when it is larger and 400 when it is malformed.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, "cluster: request body exceeds "+strconv.Itoa(maxBodyBytes)+" bytes",
+			http.StatusRequestEntityTooLarge)
+	case err != nil:
 		http.Error(w, "cluster: bad request body: "+err.Error(), http.StatusBadRequest)
-		return err
 	}
-	return nil
+	return err
 }

@@ -8,8 +8,6 @@ import (
 	"sort"
 
 	"soma/internal/engine"
-	"soma/internal/obs"
-	"soma/internal/sim"
 	"soma/internal/soma"
 )
 
@@ -63,65 +61,50 @@ type AdaptiveStats struct {
 	SolvesSaved int `json:"solves_saved"`
 }
 
-// AdaptiveRun is the deterministic state machine behind RunAdaptive and the
-// cluster coordinator's adaptive path: grid expansion, the two-rung row
-// stores, the promotion decision and the journal-resume rules all live here
-// so the local and sharded drivers cannot drift. The journal layout is the
-// dispatch sequence flattened: probe rows 0..N-1 in point-index order, then
-// the promoted full-fidelity rows in ascending point-index order.
-type AdaptiveRun struct {
-	Sweep  Sweep
-	Ad     Adaptive // resolved (withDefaults) block
-	Pts    []Point
-	Digest string
+// adaptiveRun is the deterministic state machine behind RunAdaptive: the
+// two-rung row stores, the promotion decision and the journal-resume rules.
+// The journal layout is the dispatch sequence flattened: probe rows 0..N-1
+// in point-index order, then the promoted full-fidelity rows in ascending
+// point-index order.
+type adaptiveRun struct {
+	*run
+	ad Adaptive // resolved (withDefaults) block
 
-	// Probes is point-indexed (rung 0 is the identity sequence); Fulls is
-	// promotion-order-indexed. ProbeDone/FullDone count the journal-resumed
+	// probes is point-indexed (rung 0 is the identity sequence); fulls is
+	// promotion-order-indexed. probeDone/fullDone count the journal-resumed
 	// prefix of each rung.
-	Probes    []Row
-	ProbeDone int
-	Promoted  []int // ascending point indices promoted to full fidelity
-	Explored  int   // how many of Promoted came from the exploration quota
-	Fulls     []Row
-	FullDone  int
+	probes    []Row
+	probeDone int
+	promoted  []int // ascending point indices promoted to full fidelity
+	explored  int   // how many of promoted came from the exploration quota
+	fulls     []Row
+	fullDone  int
 
-	par   soma.Params
 	dists []float64 // per-point probe front distance (NaN = failed/unscored)
 }
 
-// NewAdaptiveRun expands and validates an adaptive spec.
-func NewAdaptiveRun(sw Sweep) (*AdaptiveRun, error) {
+// newAdaptiveRun expands and validates an adaptive spec.
+func newAdaptiveRun(sw Sweep, opt Options) (*adaptiveRun, error) {
 	if sw.Adaptive == nil {
 		return nil, fmt.Errorf("dse: sweep spec has no adaptive block")
 	}
-	pts, err := sw.Expand()
+	r, err := newRun(sw, opt)
 	if err != nil {
 		return nil, err
 	}
-	_, par, err := sw.normalized()
-	if err != nil {
-		return nil, err
-	}
-	digest, err := sw.SpecSHA256()
-	if err != nil {
-		return nil, err
-	}
-	return &AdaptiveRun{
-		Sweep: sw, Ad: sw.Adaptive.withDefaults(len(pts)),
-		Pts: pts, Digest: digest, par: par,
-		Probes: make([]Row, len(pts)),
-	}, nil
+	return &adaptiveRun{run: r, ad: sw.Adaptive.withDefaults(len(r.pts)),
+		probes: make([]Row, len(r.pts))}, nil
 }
 
-// LoadJournal loads the committed prefix of an adaptive journal into the
-// run's rung stores and returns the raw prefix lines (rewritten verbatim by
-// OpenJournal, so resumed rows never re-marshal). The trusted prefix ends at
+// load reads the committed prefix of an adaptive journal into the rung
+// stores and returns the raw prefix lines (rewritten verbatim by
+// openJournal, so resumed rows never re-marshal). The trusted prefix ends at
 // the first row that contradicts the deterministic sequence: a probe row out
 // of index order, or a full row whose point is not the next recomputed
 // promotion - everything after is distrusted, exactly like a torn tail.
-func (a *AdaptiveRun) LoadJournal(path string) ([][]byte, error) {
-	n := len(a.Pts)
-	rows, lines, err := loadJournal(path, a.Digest, n, func(k int, row Row) bool {
+func (a *adaptiveRun) load(path string) ([][]byte, error) {
+	n := len(a.pts)
+	rows, lines, err := loadJournal(path, a.digest, n, func(k int, row Row) bool {
 		if k < n {
 			return row.Point.Index == k && row.Fidelity == FidelityProbe
 		}
@@ -130,36 +113,33 @@ func (a *AdaptiveRun) LoadJournal(path string) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.ProbeDone = len(rows)
-	if a.ProbeDone > n {
-		a.ProbeDone = n
-	}
-	copy(a.Probes, rows[:a.ProbeDone])
-	if a.ProbeDone < n {
+	a.probeDone = min(len(rows), n)
+	copy(a.probes, rows[:a.probeDone])
+	if a.probeDone < n {
 		return lines, nil
 	}
 	// Rung 0 is complete: the promotion set is a pure function of the probe
 	// rows, so recompute it and validate the full-row tail against it.
-	a.Promote()
+	a.promoteProbes()
 	for _, row := range rows[n:] {
-		if a.FullDone >= len(a.Promoted) || row.Point.Index != a.Promoted[a.FullDone] {
+		if a.fullDone >= len(a.promoted) || row.Point.Index != a.promoted[a.fullDone] {
 			break
 		}
-		a.Fulls[a.FullDone] = row
-		a.FullDone++
+		a.fulls[a.fullDone] = row
+		a.fullDone++
 	}
-	return lines[:n+a.FullDone], nil
+	return lines[:n+a.fullDone], nil
 }
 
-// Promote computes the rung-1 promotion set from the completed probe rows.
-// Idempotent; a pure function of (probe rows, resolved adaptive block, spec
-// seed), which is what lets a resumed or sharded run re-derive the same set.
-func (a *AdaptiveRun) Promote() {
-	if a.Promoted != nil || a.Fulls != nil {
+// promoteProbes computes the rung-1 promotion set from the completed probe
+// rows. Idempotent; a pure function of (probe rows, resolved adaptive block,
+// spec seed), which is what lets a resumed run re-derive the same set.
+func (a *adaptiveRun) promoteProbes() {
+	if a.promoted != nil || a.fulls != nil {
 		return
 	}
-	a.Promoted, a.Explored, a.dists = promote(a.Probes, a.Ad, a.par.Seed)
-	a.Fulls = make([]Row, len(a.Promoted))
+	a.promoted, a.explored, a.dists = promote(a.probes, a.ad, a.par.Seed)
+	a.fulls = make([]Row, len(a.promoted))
 }
 
 // promote is the Pareto-guided selection: rank successful probes by relative
@@ -244,72 +224,45 @@ func promote(probes []Row, ad Adaptive, seed int64) (promoted []int, explored in
 	return promoted, explored, dists
 }
 
-// Outcome assembles the final adaptive outcome: one row per grid point in
+// outcome assembles the final adaptive outcome: one row per grid point in
 // canonical index order - the full-fidelity row where the point was
 // promoted, its probe row otherwise - so every exhaustive aggregate (Best,
 // CostVsBufferFront, BestPerAxis, convergence scrubbing) works unchanged.
-func (a *AdaptiveRun) Outcome(resumed int, cache sim.EvalCache) *Outcome {
-	out := &Outcome{Name: a.Sweep.Name, SpecSHA256: a.Digest,
-		Points: len(a.Pts), Resumed: resumed, BestIndex: -1}
-	out.Rows = make([]Row, len(a.Pts))
-	copy(out.Rows, a.Probes)
-	for j, idx := range a.Promoted {
-		out.Rows[idx] = a.Fulls[j]
+func (a *adaptiveRun) outcome(resumed int) *Outcome {
+	rows := make([]Row, len(a.pts))
+	copy(rows, a.probes)
+	for j, idx := range a.promoted {
+		rows[idx] = a.fulls[j]
 	}
-	bestCost := math.Inf(1)
-	for i := range out.Rows {
-		r := &out.Rows[i]
-		if r.Err != "" {
-			out.Failed++
-			continue
-		}
-		if r.Result != nil && r.Result.Cost < bestCost {
-			out.BestIndex, bestCost = i, r.Result.Cost
-		}
-	}
-	out.Pareto = CostVsBufferFront(out.Rows)
-	if cache != nil {
-		out.Cache = cache.Stats()
-	}
-	out.Adaptive = &AdaptiveStats{
-		Budget:      a.Ad.Budget,
-		Probes:      len(a.Pts),
-		Promotions:  len(a.Promoted),
-		Explored:    a.Explored,
-		SolvesSaved: len(a.Pts) - len(a.Promoted),
-	}
-	return out
+	return a.finish(rows, resumed, &AdaptiveStats{
+		Budget:      a.ad.Budget,
+		Probes:      len(a.pts),
+		Promotions:  len(a.promoted),
+		Explored:    a.explored,
+		SolvesSaved: len(a.pts) - len(a.promoted),
+	})
 }
 
-// bestCostOf returns the outcome's best-cost hook value (-1 when every point
-// failed, matching the Hooks convention).
-func bestCostOf(out *Outcome) float64 {
-	if b := out.Best(); b != nil {
-		return b.Result.Cost
-	}
-	return -1
-}
-
-// RecordMetrics emits the dse_adaptive_* series after promotion: probe and
+// recordMetrics emits the dse_adaptive_* series after promotion: probe and
 // promotion counts (front band vs exploration quota), the solves saved
 // against an exhaustive run, and the front-distance histogram of the probe
 // costs the decision ranked.
-func (a *AdaptiveRun) RecordMetrics(o *obs.Obs) {
-	reg := o.Registry()
+func (a *adaptiveRun) recordMetrics() {
+	reg := a.opt.Obs.Registry()
 	if reg == nil {
 		return
 	}
 	reg.Counter("dse_adaptive_probes_total",
-		"Probe-fidelity solves issued by adaptive sweeps.").Add(int64(len(a.Pts)))
+		"Probe-fidelity solves issued by adaptive sweeps.").Add(int64(len(a.pts)))
 	reg.Counter("dse_adaptive_promotions_total",
 		"Points promoted to full fidelity, by selection kind.",
-		"kind", "front").Add(int64(len(a.Promoted) - a.Explored))
+		"kind", "front").Add(int64(len(a.promoted) - a.explored))
 	reg.Counter("dse_adaptive_promotions_total",
 		"Points promoted to full fidelity, by selection kind.",
-		"kind", "explore").Add(int64(a.Explored))
+		"kind", "explore").Add(int64(a.explored))
 	reg.Counter("dse_adaptive_solves_saved_total",
 		"Full-fidelity solves an exhaustive run would have issued but the adaptive driver skipped.").
-		Add(int64(len(a.Pts) - len(a.Promoted)))
+		Add(int64(len(a.pts) - len(a.promoted)))
 	h := reg.Histogram("dse_adaptive_front_distance",
 		"Relative distance of each successful probe cost to the probe-level cost-vs-buffer front.")
 	for _, d := range a.dists {
@@ -319,66 +272,46 @@ func (a *AdaptiveRun) RecordMetrics(o *obs.Obs) {
 	}
 }
 
-// RunAdaptive executes an adaptive sweep locally: probe every grid point at
-// reduced fidelity (rung 0), promote the budgeted points nearest the probe
-// front plus a seeded exploration quota, and solve only those at full
-// fidelity (rung 1). Journals share the exhaustive format and commit
-// discipline - header, then rows at an in-order frontier (probes by point
-// index, then promotions by point index) - so serial, parallel and
-// interrupted-then-resumed adaptive runs produce byte-identical files and
-// all exhaustive tooling (resume, aggregation, cluster sharding) applies
-// per rung. Run dispatches here whenever the spec carries an adaptive block.
+// RunAdaptive executes an adaptive sweep: probe every grid point at reduced
+// fidelity (rung 0), promote the budgeted points nearest the probe front
+// plus a seeded exploration quota, and solve only those at full fidelity
+// (rung 1). Each rung is one batch through opt.Executor, so journals share
+// the exhaustive format and commit discipline - header, then rows at an
+// in-order frontier (probes by point index, then promotions by point index)
+// - and serial, parallel, sharded and interrupted-then-resumed adaptive runs
+// produce byte-identical files. Run dispatches here whenever the spec
+// carries an adaptive block.
 func RunAdaptive(ctx context.Context, sw Sweep, opt Options) (*Outcome, error) {
-	a, err := NewAdaptiveRun(sw)
+	a, err := newAdaptiveRun(sw, opt)
 	if err != nil {
 		return nil, err
 	}
-	var jw *JournalWriter
-	resumed := 0
-	if opt.Journal != "" {
-		lines, err := a.LoadJournal(opt.Journal)
-		if err != nil {
-			return nil, err
-		}
-		if jw, err = OpenJournal(opt.Journal, sw, a.Digest, len(a.Pts), lines); err != nil {
-			return nil, err
-		}
-		defer jw.Close()
-		resumed = len(lines)
-	}
-	cache := opt.Cache
-	if cache == nil {
-		cache = sim.NewCache(0)
-	}
-	sr := &seqRun{pts: a.Pts, par: a.par, conv: sw.Convergence, workers: poolSize(sw),
-		cache: cache, hooks: opt.Hooks, o: opt.Obs, jw: jw}
-
-	opt.Hooks.Emit(engine.Event{Kind: "sweep-start", Component: sw.Name, Iter: len(a.Pts)})
-
-	opt.Hooks.Emit(engine.Event{Kind: "rung-start", Component: sw.Name,
-		Stage: FidelityProbe, Iter: len(a.Pts) - a.ProbeDone})
-	sr.fid = FidelityProbe
-	if err := sr.run(ctx, identitySeq(len(a.Pts)), a.ProbeDone, a.Probes); err != nil {
+	resumed, err := a.resume(a.load)
+	if err != nil {
 		return nil, err
 	}
-	a.ProbeDone = len(a.Pts)
-	opt.Hooks.Emit(engine.Event{Kind: "rung-done", Component: sw.Name,
-		Stage: FidelityProbe, Iter: len(a.Pts)})
+	defer a.jw.close()
 
-	a.Promote()
-	a.RecordMetrics(opt.Obs)
-
-	opt.Hooks.Emit(engine.Event{Kind: "rung-start", Component: sw.Name,
-		Stage: FidelityFull, Iter: len(a.Promoted) - a.FullDone})
-	sr.fid = FidelityFull
-	if err := sr.run(ctx, a.Promoted, a.FullDone, a.Fulls); err != nil {
+	n := len(a.pts)
+	a.emit(engine.Event{Kind: "sweep-start", Iter: n})
+	if err := a.rung(ctx, FidelityProbe, identitySeq(n), a.probeDone, a.probes); err != nil {
 		return nil, err
 	}
-	a.FullDone = len(a.Promoted)
-	opt.Hooks.Emit(engine.Event{Kind: "rung-done", Component: sw.Name,
-		Stage: FidelityFull, Iter: len(a.Promoted)})
+	a.promoteProbes()
+	a.recordMetrics()
+	if err := a.rung(ctx, FidelityFull, a.promoted, a.fullDone, a.fulls); err != nil {
+		return nil, err
+	}
+	return a.outcome(resumed), nil
+}
 
-	out := a.Outcome(resumed, cache)
-	opt.Hooks.Emit(engine.Event{Kind: "sweep-done", Component: sw.Name, Cost: bestCostOf(out)})
-	return out, nil
+// rung executes one successive-halving rung as a batch, bracketed by
+// rung-start (Iter = points left to solve) and rung-done (Iter = rung size).
+func (r *run) rung(ctx context.Context, fid string, seq []int, start int, rows []Row) error {
+	r.emit(engine.Event{Kind: "rung-start", Stage: fid, Iter: len(seq) - start})
+	if err := r.execute(ctx, fid, seq, start, rows); err != nil {
+		return err
+	}
+	r.emit(engine.Event{Kind: "rung-done", Stage: fid, Iter: len(seq)})
+	return nil
 }

@@ -234,15 +234,15 @@ func TestAdaptiveLoadJournalDistrustsBadFullRow(t *testing.T) {
 	// swap the first full row for a probe row re-labeled "full" whose point
 	// index is not the first promotion - contradicting the deterministic
 	// full-row sequence.
-	a, err := NewAdaptiveRun(sw)
+	a, err := newAdaptiveRun(sw, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.LoadJournal(path); err != nil {
+	if _, err := a.load(path); err != nil {
 		t.Fatal(err)
 	}
 	src := 1 // probe row of point 0
-	if a.Promoted[0] == 0 {
+	if a.promoted[0] == 0 {
 		src = 2 // probe row of point 1
 	}
 	lines[n+1] = strings.Replace(lines[src], `"fidelity":"probe"`, `"fidelity":"full"`, 1)
@@ -250,17 +250,17 @@ func TestAdaptiveLoadJournalDistrustsBadFullRow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, err := NewAdaptiveRun(sw)
+	b, err := newAdaptiveRun(sw, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, err := b.LoadJournal(path)
+	kept, err := b.load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.ProbeDone != n || b.FullDone != 0 || len(kept) != n {
+	if b.probeDone != n || b.fullDone != 0 || len(kept) != n {
 		t.Fatalf("kept %d lines, ProbeDone=%d FullDone=%d; want all probes and no fulls",
-			len(kept), b.ProbeDone, b.FullDone)
+			len(kept), b.probeDone, b.fullDone)
 	}
 }
 
@@ -282,15 +282,15 @@ func TestAdaptiveLoadJournalDistrustsGappedProbes(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(torn, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewAdaptiveRun(sw)
+	a, err := newAdaptiveRun(sw, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, err := a.LoadJournal(path)
+	kept, err := a.load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.ProbeDone != 2 || len(kept) != 2 {
-		t.Fatalf("ProbeDone=%d kept=%d, want 2", a.ProbeDone, len(kept))
+	if a.probeDone != 2 || len(kept) != 2 {
+		t.Fatalf("ProbeDone=%d kept=%d, want 2", a.probeDone, len(kept))
 	}
 }

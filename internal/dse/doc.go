@@ -6,9 +6,10 @@
 // A Sweep declares axes - solver backends, platform presets, parametric
 // hardware overrides (DRAM GB/s, GBUF MiB), models or multi-model scenarios,
 // batches, objectives, seeds - and Expand crosses them into a deterministic
-// point grid. Run executes the grid on a bounded worker pool with one shared
-// evaluation cache (neighboring points on the seed and objective axes reuse
-// each other's evaluations), streams per-point progress through
+// point grid. Run executes the grid through an Executor - by default a
+// bounded in-process pool, or the cluster's lease dispatcher - with one
+// shared evaluation cache (neighboring points on the seed and objective axes
+// reuse each other's evaluations), streams per-point progress through
 // engine.Hooks, and checkpoints completed rows to a JSONL journal committed
 // strictly in point-index order - so an interrupted sweep resumes from its
 // prefix without recomputation, and serial, parallel, and resumed runs of

@@ -29,32 +29,23 @@ type journalHeader struct {
 	Points     int    `json:"points"`
 }
 
-// JournalWriter is the append side of the checkpoint file. The cluster
-// coordinator drives it directly (merging worker row streams into the
-// canonical file); everyone else goes through Run's Journal option.
-type JournalWriter struct {
+// journalWriter is the append side of the checkpoint file. Run and
+// RunAdaptive own it: whatever executor solves the points, rows reach the
+// file only through the in-order commit in run.execute.
+type journalWriter struct {
 	f *os.File
 	w *bufio.Writer
 }
 
-// LoadJournal reads an existing journal, validating the header against the
+// loadJournal reads an existing journal, validating the header against the
 // sweep digest and returning the committed row prefix together with the raw
 // line bytes (re-written verbatim on resume, so loaded rows never go through
 // a re-marshal). A missing file returns no rows and no error. A header
 // bound to a different spec or grid size is an error - resuming must never
 // silently mix two sweeps. A torn tail (partial last line from a killed
-// process) is discarded; everything before it is kept.
-func LoadJournal(path string, digest string, points int) (rows []Row, lines [][]byte, err error) {
-	// An exhaustive journal's row k is exactly grid point k.
-	return loadJournal(path, digest, points, func(k int, row Row) bool {
-		return row.Point.Index == k && row.Point.Index < points
-	})
-}
-
-// loadJournal is the shared loader behind the exhaustive and adaptive resume
-// paths: header binding, torn-tail tolerance, and a caller-supplied
-// row-sequence validator - row k of the file must satisfy valid(k, row), and
-// the first row that does not ends the trusted prefix.
+// process) is discarded; everything before it is kept. Row k of the file
+// must satisfy valid(k, row) - the exhaustive and adaptive row sequences
+// differ - and the first row that does not ends the trusted prefix.
 func loadJournal(path, digest string, points int, valid func(k int, row Row) bool) (rows []Row, lines [][]byte, err error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -102,24 +93,24 @@ func shortDigest(d string) string {
 	return d
 }
 
-// OpenJournal creates (or, with kept prefix lines, rewrites) the journal and
+// openJournal creates (or, with kept prefix lines, rewrites) the journal and
 // leaves it positioned for appending row len(lines). Rewriting the verbatim
 // prefix keeps resumed files byte-identical to uninterrupted runs even if
 // the previous process died mid-line. The rewrite goes through a temp file
 // renamed into place only after the prefix is flushed, so a crash during
 // resume never costs the points the previous run already paid for.
-func OpenJournal(path string, sw Sweep, digest string, points int, lines [][]byte) (*JournalWriter, error) {
+func openJournal(path string, sw Sweep, digest string, points int, lines [][]byte) (*journalWriter, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*JournalWriter, error) {
+	fail := func(err error) (*journalWriter, error) {
 		f.Close()
 		os.Remove(tmp)
 		return nil, err
 	}
-	j := &JournalWriter{f: f, w: bufio.NewWriter(f)}
+	j := &journalWriter{f: f, w: bufio.NewWriter(f)}
 	hdr, err := json.Marshal(journalHeader{Version: journalVersion, Sweep: sw.Name,
 		SpecSHA256: digest, Points: points})
 	if err != nil {
@@ -147,9 +138,9 @@ func OpenJournal(path string, sw Sweep, digest string, points int, lines [][]byt
 	return j, nil
 }
 
-// Append commits one (already Scrubbed) row and flushes it to the OS, so a
-// kill right after a point completes loses at most the in-flight points.
-func (j *JournalWriter) Append(row Row) error {
+// appendRow commits one (already Scrubbed) row and flushes it to the OS, so
+// a kill right after a point completes loses at most the in-flight points.
+func (j *journalWriter) appendRow(row Row) error {
 	data, err := json.Marshal(row)
 	if err != nil {
 		return err
@@ -160,8 +151,8 @@ func (j *JournalWriter) Append(row Row) error {
 	return j.w.Flush()
 }
 
-// Close flushes and closes the journal file.
-func (j *JournalWriter) Close() error {
+// close flushes and closes the journal file (a no-op without one).
+func (j *journalWriter) close() error {
 	if j == nil {
 		return nil
 	}

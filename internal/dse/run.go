@@ -26,10 +26,11 @@ type Options struct {
 	// only changes lookup cost, never any result.
 	Cache sim.EvalCache
 	// Hooks streams sweep progress: "sweep-start" (Iter = grid size),
-	// then per point "point-start" / "point-done" (Cost) / "point-error"
-	// (Err), each tagged Component = Point.Label() and Iter = point
-	// index, and finally "sweep-done" (Cost = best). nil disables
-	// streaming. The somad SSE endpoint serves this stream verbatim.
+	// then per point "point-start" when its solve begins and exactly one
+	// "point-done" (Cost) or "point-error" (Err) when its row commits,
+	// each tagged Component = Point.Label() and Iter = point index, and
+	// finally "sweep-done" (Cost = best). nil disables streaming. The
+	// somad SSE endpoint serves this stream verbatim.
 	Hooks *engine.Hooks
 	// Journal is the checkpoint file path ("" disables journaling). If
 	// the file already holds a committed prefix of this exact sweep, those
@@ -43,12 +44,151 @@ type Options struct {
 	// pass-through: rows and journals are byte-identical with or without
 	// it (Row.Scrubbed drops the wall-clock Telemetry section).
 	Obs *obs.Obs
-	// Fidelity selects the solve fidelity for RunPoints leases dispatched
-	// by an adaptive rung: FidelityProbe runs the scaled-down ProbeParams
-	// solve, FidelityFull (or "") the spec's full parameters. Rows are
-	// stamped with it. Run ignores this field - exhaustive sweeps have no
-	// fidelity axis and adaptive ones derive it per rung.
+	// Executor solves the grid points; nil selects the in-process pool
+	// bounded by Sweep.Workers. Run keeps everything else - resume,
+	// deduplication and the in-order commit, progress events, aggregation
+	// - so every executor yields the same rows, journal and event stream.
+	Executor Executor
+}
+
+// Executor solves one Batch of sweep points: the in-process pool, or a
+// remote dispatcher such as the cluster's lease coordinator. Execute solves
+// every position in b.Pos and hands each finished row to deliver - in any
+// order, from any goroutine, at least once. deliver reports whether the row
+// was new: a repeat delivery of a committed position is ignored and returns
+// false. Execute returns once every position is delivered, or with ctx's
+// error, and never calls deliver after returning. Rows must be pure
+// functions of (spec, point index, fidelity), which is what keeps any
+// executor's journal byte-identical to the local pool's.
+type Executor interface {
+	Execute(ctx context.Context, b *Batch, deliver func(pos int, row Row) bool) error
+}
+
+// Batch is one dispatch sequence handed to an Executor: a whole exhaustive
+// grid, or one adaptive rung.
+type Batch struct {
+	// Sweep and Digest are the spec and its SpecSHA256, what a remote
+	// executor ships with every lease.
+	Sweep  Sweep
+	Digest string
+	// Fidelity is the rung (FidelityProbe, FidelityFull), "" for an
+	// exhaustive sweep.
 	Fidelity string
+	// Seq[pos] is the canonical point index solved at sequence position
+	// pos. Pos lists the positions left to solve: the uncommitted suffix
+	// of Seq, ascending.
+	Seq, Pos []int
+	// Obs is the run's telemetry sink (nil disables it).
+	Obs *obs.Obs
+
+	r   *run
+	sem chan struct{} // the local pool's slots, shared by every Local call
+}
+
+// Started emits the point-start event for position pos. Local calls it as
+// each solve begins; a remote executor calls it when it dispatches a point.
+func (b *Batch) Started(pos int) {
+	p := b.r.pts[b.Seq[pos]]
+	b.r.opt.Hooks.Emit(engine.Event{Kind: "point-start", Component: p.Label(), Stage: b.Fidelity, Iter: p.Index})
+}
+
+// Local solves positions on the in-process pool, delivering each finished
+// row. Every Local call of one batch shares the same Sweep.Workers slots, so
+// a remote executor's fallback stays within the spec's bound however many
+// leases it runs locally. Solves start in the given order; a point aborted
+// by ctx is not delivered. Local returns ctx's cancellation cause, if any.
+func (b *Batch) Local(ctx context.Context, pos []int, deliver func(pos int, row Row) bool) error {
+	queueWait := b.Obs.Registry().Histogram("dse_queue_wait_seconds",
+		"Time sweep points wait for a worker slot.")
+	enqueued := time.Now()
+	var wg sync.WaitGroup
+	for _, p := range pos {
+		if !b.acquire(ctx) {
+			break
+		}
+		queueWait.Observe(time.Since(enqueued).Seconds())
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			defer func() { <-b.sem }()
+			// Commit completed rows even if cancellation raced in right
+			// after the solve finished - the journal keeps every point
+			// that was actually paid for. Aborted points (neither result
+			// nor error) stay uncommitted, stalling the in-order frontier
+			// so the journal remains a clean prefix.
+			if row := b.solve(ctx, p); row.Result != nil || row.Err != "" {
+				deliver(p, row)
+			}
+		}(p)
+	}
+	wg.Wait()
+	return context.Cause(ctx)
+}
+
+// acquire takes a pool slot, reporting false (and holding none) once ctx is
+// done.
+func (b *Batch) acquire(ctx context.Context) bool {
+	select {
+	case b.sem <- struct{}{}:
+		if ctx.Err() == nil {
+			return true
+		}
+		<-b.sem
+	case <-ctx.Done():
+	}
+	return false
+}
+
+// solve runs one grid cell. Engine failures other than cancellation become
+// error rows - an infeasible (buffer, bandwidth) corner is data, not a
+// reason to abort the grid. A probe batch swaps in the scaled-down
+// ProbeParams solve; every row is stamped with the batch fidelity.
+func (b *Batch) solve(ctx context.Context, pos int) Row {
+	p, par := b.r.pts[b.Seq[pos]], b.r.par
+	if b.Fidelity == FidelityProbe {
+		par = ProbeParams(par)
+	}
+	b.Started(pos)
+	reg := b.Obs.Registry()
+	start := time.Now()
+	row := Row{Point: p, Fidelity: b.Fidelity}
+	req, err := p.Request(par)
+	if err == nil {
+		req.Cache = b.r.opt.Cache
+		req.Obs = b.Obs
+		if b.Sweep.Convergence {
+			req.Journal = obs.NewJournal()
+		}
+		// Concurrent points must not share a trace track: each gets its own
+		// row in the viewer, named by grid position (adaptive probe and full
+		// solves of one point are distinct tracks).
+		track := fmt.Sprintf("point-%03d", p.Index)
+		if b.Fidelity != "" {
+			track += "-" + b.Fidelity
+		}
+		req.TraceTrack = track + " " + p.Label()
+		row.Result, err = engine.Run(ctx, req, nil)
+	}
+	reg.Histogram("dse_point_seconds",
+		"Wall time of one sweep point solve.").Observe(time.Since(start).Seconds())
+	outcome := "ok"
+	switch {
+	case err != nil && ctx.Err() != nil:
+		outcome = "canceled" // aborted: neither result nor error, never delivered
+	case err != nil:
+		row.Err, outcome = err.Error(), "error"
+	case row.Result.Convergence != nil:
+		row.Convergence = row.Result.Convergence.Diagnostics
+	}
+	reg.Counter("dse_points_total", "Sweep points by outcome.", "outcome", outcome).Inc()
+	return row
+}
+
+// pool is the default Executor: the batch's own bounded in-process pool.
+type pool struct{}
+
+func (pool) Execute(ctx context.Context, b *Batch, deliver func(pos int, row Row) bool) error {
+	return b.Local(ctx, b.Pos, deliver)
 }
 
 // Outcome is a completed (or resumed-and-completed) sweep: every grid row
@@ -104,22 +244,89 @@ func (o *Outcome) WriteJSON(w io.Writer) error {
 	return enc.Encode(o)
 }
 
-// Run expands the sweep and executes every point through engine.Run on a
-// bounded worker pool. Per-point search failures become error rows and the
-// sweep continues; ctx cancellation stops the grid promptly (in-flight
-// points abort mid-anneal via the engine's context threading) and returns
-// ctx's error, leaving any journal holding the committed prefix.
+// Run expands the sweep and solves every point through opt.Executor (by
+// default a bounded in-process pool over engine.Run). Per-point search
+// failures become error rows and the sweep continues; ctx cancellation stops
+// the grid promptly (in-flight points abort mid-anneal via the engine's
+// context threading) and returns ctx's error, leaving any journal holding
+// the committed prefix.
 //
 // Determinism: each point's result is a pure function of the spec (the
 // engine backends are seed-deterministic and cache sharing never changes
 // results), journal rows are committed strictly in point-index order, and
-// row payloads are Scrubbed of cache counters - so serial, parallel, and
-// interrupted-then-resumed executions of one spec all produce byte-identical
-// journals.
+// row payloads are Scrubbed of cache counters - so serial, parallel,
+// sharded and interrupted-then-resumed executions of one spec all produce
+// byte-identical journals.
 func Run(ctx context.Context, sw Sweep, opt Options) (*Outcome, error) {
 	if sw.Adaptive != nil {
 		return RunAdaptive(ctx, sw, opt)
 	}
+	r, err := newRun(sw, opt)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, len(r.pts))
+	start, err := r.resume(func(path string) ([][]byte, error) {
+		// An exhaustive journal's row k is exactly grid point k.
+		loaded, lines, err := loadJournal(path, r.digest, len(r.pts), func(k int, row Row) bool {
+			return row.Point.Index == k && k < len(r.pts)
+		})
+		copy(rows, loaded)
+		return lines, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer r.jw.close()
+
+	r.emit(engine.Event{Kind: "sweep-start", Iter: len(r.pts)})
+	if err := r.execute(ctx, "", identitySeq(len(r.pts)), start, rows); err != nil {
+		return nil, err
+	}
+	return r.finish(rows, start, nil), nil
+}
+
+// RunPoints solves the given grid points on the in-process pool at the given
+// fidelity (FidelityProbe, FidelityFull, or "" for an exhaustive sweep) and
+// returns their Scrubbed rows in the same order. This is the lease-execution
+// primitive a cluster worker serves: each row is a pure function of (spec,
+// index, fidelity), so rows computed here are byte-identical to the rows Run
+// commits. No journal is written and no point-done events are emitted;
+// indices outside the grid are an error.
+func RunPoints(ctx context.Context, sw Sweep, indices []int, fidelity string, opt Options) ([]Row, error) {
+	r, err := newRun(sw, opt)
+	if err != nil {
+		return nil, err
+	}
+	for _, idx := range indices {
+		if idx < 0 || idx >= len(r.pts) {
+			return nil, fmt.Errorf("dse: point index %d outside grid of %d", idx, len(r.pts))
+		}
+	}
+	rows := make([]Row, len(indices))
+	b := r.batch(fidelity, indices, 0)
+	if err := b.Local(ctx, b.Pos, func(pos int, row Row) bool {
+		rows[pos] = row.Scrubbed()
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// run is the state one sweep execution shares across its batches: the
+// expanded grid, the resolved parameters, the options (Cache defaulted) and
+// the open journal.
+type run struct {
+	sw     Sweep
+	pts    []Point
+	par    soma.Params
+	digest string
+	opt    Options
+	jw     *journalWriter
+}
+
+func newRun(sw Sweep, opt Options) (*run, error) {
 	pts, err := sw.Expand()
 	if err != nil {
 		return nil, err
@@ -132,63 +339,124 @@ func Run(ctx context.Context, sw Sweep, opt Options) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	out := &Outcome{Name: sw.Name, SpecSHA256: digest, Points: len(pts), BestIndex: -1}
-	out.Rows = make([]Row, len(pts))
-
-	// Resume: load the committed prefix, rewrite it verbatim, continue.
-	var jw *JournalWriter
-	start := 0
-	if opt.Journal != "" {
-		rows, lines, err := LoadJournal(opt.Journal, digest, len(pts))
-		if err != nil {
-			return nil, err
-		}
-		if jw, err = OpenJournal(opt.Journal, sw, digest, len(pts), lines); err != nil {
-			return nil, err
-		}
-		defer jw.Close()
-		copy(out.Rows, rows)
-		start = len(rows)
-		out.Resumed = len(rows)
+	if opt.Cache == nil {
+		opt.Cache = sim.NewCache(0)
 	}
-
-	cache := opt.Cache
-	if cache == nil {
-		cache = sim.NewCache(0)
-	}
-
-	opt.Hooks.Emit(engine.Event{Kind: "sweep-start", Component: sw.Name, Iter: len(pts)})
-
-	sr := &seqRun{pts: pts, par: par, conv: sw.Convergence, workers: poolSize(sw),
-		cache: cache, hooks: opt.Hooks, o: opt.Obs, jw: jw}
-	if err := sr.run(ctx, identitySeq(len(pts)), start, out.Rows); err != nil {
-		return nil, err
-	}
-
-	bestCost := -1.0 // the Hooks convention for "no valid cost"
-	for i := range out.Rows {
-		r := &out.Rows[i]
-		if r.Err != "" {
-			out.Failed++
-			continue
-		}
-		if r.Result != nil && (out.BestIndex < 0 || r.Result.Cost < bestCost) {
-			out.BestIndex, bestCost = i, r.Result.Cost
-		}
-	}
-	out.Pareto = CostVsBufferFront(out.Rows)
-	out.Cache = cache.Stats()
-	opt.Hooks.Emit(engine.Event{Kind: "sweep-done", Component: sw.Name, Cost: bestCost})
-	return out, nil
+	return &run{sw: sw, pts: pts, par: par, digest: digest, opt: opt}, nil
 }
 
-// poolSize resolves the spec's grid-worker bound.
-func poolSize(sw Sweep) int {
-	if sw.Workers > 0 {
-		return sw.Workers
+// resume loads the journal's committed prefix through load (which returns
+// the raw prefix lines) and reopens the file to append after it, returning
+// how many rows were resumed. Without a journal it resumes nothing.
+func (r *run) resume(load func(path string) ([][]byte, error)) (int, error) {
+	if r.opt.Journal == "" {
+		return 0, nil
 	}
-	return runtime.NumCPU()
+	lines, err := load(r.opt.Journal)
+	if err != nil {
+		return 0, err
+	}
+	r.jw, err = openJournal(r.opt.Journal, r.sw, r.digest, len(r.pts), lines)
+	return len(lines), err
+}
+
+// emit streams one sweep-level event tagged with the sweep name.
+func (r *run) emit(ev engine.Event) {
+	ev.Component = r.sw.Name
+	r.opt.Hooks.Emit(ev)
+}
+
+// batch builds the Batch solving seq[start:] at fidelity fid.
+func (r *run) batch(fid string, seq []int, start int) *Batch {
+	workers := r.sw.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	b := &Batch{Sweep: r.sw, Digest: r.digest, Fidelity: fid, Seq: seq, Obs: r.opt.Obs,
+		r: r, sem: make(chan struct{}, workers)}
+	for pos := start; pos < len(seq); pos++ {
+		b.Pos = append(b.Pos, pos)
+	}
+	return b
+}
+
+// execute solves seq[start:] through the run's executor and commits each
+// delivered row at rows[pos] (rows is indexed by sequence position,
+// len(rows) == len(seq)). The commit is the exactly-once point of every
+// executor: the first delivery of a position wins and emits its point-done
+// or point-error event, repeats are ignored, and rows reach the journal
+// strictly in sequence order - however the executor interleaved, an
+// interrupted journal is a clean prefix, which is what makes adaptive
+// journals (probe rows, then promoted rows) as resumable as exhaustive ones.
+func (r *run) execute(ctx context.Context, fid string, seq []int, start int, rows []Row) error {
+	var (
+		mu       sync.Mutex
+		done     = make([]bool, len(seq))
+		frontier = start
+		werr     error
+	)
+	deliver := func(pos int, row Row) bool {
+		mu.Lock()
+		fresh := !done[pos]
+		if fresh {
+			done[pos], rows[pos] = true, row
+			for frontier < len(seq) && done[frontier] {
+				if r.jw != nil && werr == nil {
+					werr = r.jw.appendRow(rows[frontier].Scrubbed())
+				}
+				frontier++
+			}
+		}
+		mu.Unlock()
+		if fresh { // emitted outside the lock: hooks are caller code
+			ev := engine.Event{Kind: "point-error", Component: r.pts[seq[pos]].Label(),
+				Stage: fid, Iter: seq[pos], Err: row.Err}
+			if row.Err == "" && row.Result != nil {
+				ev.Kind, ev.Cost = "point-done", row.Result.Cost
+			}
+			r.opt.Hooks.Emit(ev)
+		}
+		return fresh
+	}
+	ex := r.opt.Executor
+	if ex == nil {
+		ex = pool{}
+	}
+	err := ex.Execute(ctx, r.batch(fid, seq, start), deliver)
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return ctxErr
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	switch {
+	case err != nil:
+		return err
+	case werr != nil:
+		return werr
+	case frontier < len(seq):
+		return fmt.Errorf("dse: executor returned with points undelivered from sequence position %d of %d",
+			frontier, len(seq))
+	}
+	return nil
+}
+
+// finish aggregates the committed rows (one per grid point, in index order)
+// into the outcome and emits sweep-done.
+func (r *run) finish(rows []Row, resumed int, ad *AdaptiveStats) *Outcome {
+	out := &Outcome{Name: r.sw.Name, SpecSHA256: r.digest, Points: len(rows), Resumed: resumed,
+		Rows: rows, BestIndex: -1, Cache: r.opt.Cache.Stats(), Adaptive: ad}
+	bestCost := -1.0 // the Hooks convention for "no valid cost"
+	for i, row := range rows {
+		switch {
+		case row.Err != "":
+			out.Failed++
+		case row.Result != nil && (out.BestIndex < 0 || row.Result.Cost < bestCost):
+			out.BestIndex, bestCost = i, row.Result.Cost
+		}
+	}
+	out.Pareto = CostVsBufferFront(rows)
+	r.emit(engine.Event{Kind: "sweep-done", Cost: bestCost})
+	return out
 }
 
 // identitySeq is the exhaustive dispatch sequence: position == point index.
@@ -198,194 +466,4 @@ func identitySeq(n int) []int {
 		seq[i] = i
 	}
 	return seq
-}
-
-// seqRun executes one dispatch sequence of grid points - the whole grid for
-// an exhaustive sweep, one rung for an adaptive one - on a bounded worker
-// pool. seq[pos] is the point index solved at sequence position pos; the
-// journal commits strictly in sequence order, which is what makes adaptive
-// journals (probe rows, then promoted rows) as cleanly resumable as
-// exhaustive ones.
-type seqRun struct {
-	pts     []Point
-	par     soma.Params
-	fid     string
-	conv    bool
-	workers int
-	cache   sim.EvalCache
-	hooks   *engine.Hooks
-	o       *obs.Obs
-	jw      *JournalWriter
-}
-
-// run executes seq[start:], storing each finished row at rows[pos] (rows is
-// indexed by sequence position, len(rows) == len(seq)).
-func (s *seqRun) run(ctx context.Context, seq []int, start int, rows []Row) error {
-	// In-order journal commit: workers finish points in any order, but rows
-	// hit the file strictly by sequence position, so an interrupted journal
-	// is always a clean prefix.
-	var (
-		mu       sync.Mutex
-		done     = make([]bool, len(seq))
-		frontier = start
-		werr     error
-	)
-	commit := func(pos int) {
-		mu.Lock()
-		defer mu.Unlock()
-		done[pos] = true
-		for frontier < len(seq) && done[frontier] {
-			if s.jw != nil && werr == nil {
-				werr = s.jw.Append(rows[frontier].Scrubbed())
-			}
-			frontier++
-		}
-	}
-
-	queueWait := s.o.Registry().Histogram("dse_queue_wait_seconds",
-		"Time sweep points wait for a worker slot.")
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, s.workers)
-	for pos := start; pos < len(seq); pos++ {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(pos int) {
-			defer wg.Done()
-			enqueued := time.Now()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			queueWait.Observe(time.Since(enqueued).Seconds())
-			if ctx.Err() != nil {
-				return
-			}
-			rows[pos] = runPoint(ctx, s.pts[seq[pos]], s.par, s.cache, s.hooks, s.o, s.conv, s.fid)
-			// Commit completed rows even if cancellation raced in right
-			// after the solve finished - the journal keeps every point
-			// that was actually paid for. Aborted points (neither result
-			// nor error) stay uncommitted, stalling the in-order frontier
-			// so the journal remains a clean prefix.
-			if rows[pos].Result != nil || rows[pos].Err != "" {
-				commit(pos)
-			}
-		}(pos)
-	}
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return werr
-}
-
-// RunPoints executes a subset of the sweep's expanded grid - the given point
-// indices - and returns their Scrubbed rows in the same order. This is the
-// lease-execution primitive the cluster worker serves and the coordinator
-// falls back to locally when no worker can take a lease: because each row is
-// a pure function of (spec, index), rows computed here are byte-identical to
-// the rows a serial Run commits. No journal is written; indices outside the
-// grid are an error.
-func RunPoints(ctx context.Context, sw Sweep, indices []int, opt Options) ([]Row, error) {
-	pts, err := sw.Expand()
-	if err != nil {
-		return nil, err
-	}
-	_, par, err := sw.normalized()
-	if err != nil {
-		return nil, err
-	}
-	for _, idx := range indices {
-		if idx < 0 || idx >= len(pts) {
-			return nil, fmt.Errorf("dse: point index %d outside grid of %d", idx, len(pts))
-		}
-	}
-	cache := opt.Cache
-	if cache == nil {
-		cache = sim.NewCache(0)
-	}
-	rows := make([]Row, len(indices))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, poolSize(sw))
-	for j, idx := range indices {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		go func(j, idx int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
-			rows[j] = runPoint(ctx, pts[idx], par, cache, opt.Hooks, opt.Obs, sw.Convergence, opt.Fidelity).Scrubbed()
-		}(j, idx)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, context.Cause(ctx)
-	}
-	return rows, nil
-}
-
-// runPoint solves one grid cell. Engine failures other than cancellation
-// become error rows - an infeasible (buffer, bandwidth) corner is data, not
-// a reason to abort the grid. A FidelityProbe fid swaps in the scaled-down
-// ProbeParams solve and stamps the row; fidelity is otherwise pass-through.
-func runPoint(ctx context.Context, p Point, par soma.Params, cache sim.EvalCache,
-	h *engine.Hooks, o *obs.Obs, convergence bool, fid string) Row {
-	if fid == FidelityProbe {
-		par = ProbeParams(par)
-	}
-	h.Emit(engine.Event{Kind: "point-start", Component: p.Label(), Stage: fid, Iter: p.Index})
-	reg := o.Registry()
-	start := time.Now()
-	row := Row{Point: p, Fidelity: fid}
-	req, err := p.Request(par)
-	if err == nil {
-		req.Cache = cache
-		req.Obs = o
-		if convergence {
-			req.Journal = obs.NewJournal()
-		}
-		// Concurrent points must not share a trace track: each gets its own
-		// row in the viewer, named by grid position (adaptive probe and full
-		// solves of one point are distinct tracks).
-		track := fmt.Sprintf("point-%03d", p.Index)
-		if fid != "" {
-			track += "-" + fid
-		}
-		req.TraceTrack = track + " " + p.Label()
-		row.Result, err = engine.Run(ctx, req, nil)
-	}
-	reg.Histogram("dse_point_seconds",
-		"Wall time of one sweep point solve.").Observe(time.Since(start).Seconds())
-	if err != nil {
-		if ctx.Err() != nil {
-			// Aborted: the row stays uncommitted (the in-order frontier
-			// stalls, keeping the journal a clean prefix), but the hook
-			// stream records the cancellation *cause* - not the engine's
-			// generic error string - so a lease the cluster coordinator
-			// reassigned is distinguishable from a real point failure.
-			reg.Counter("dse_points_total", "Sweep points by outcome.",
-				"outcome", "canceled").Inc()
-			h.Emit(engine.Event{Kind: "point-error", Component: p.Label(), Stage: fid,
-				Iter: p.Index, Err: context.Cause(ctx).Error()})
-			return row
-		}
-		row.Err = err.Error()
-		reg.Counter("dse_points_total", "Sweep points by outcome.",
-			"outcome", "error").Inc()
-		h.Emit(engine.Event{Kind: "point-error", Component: p.Label(), Stage: fid, Iter: p.Index, Err: row.Err})
-		return row
-	}
-	if row.Result.Convergence != nil {
-		row.Convergence = row.Result.Convergence.Diagnostics
-	}
-	reg.Counter("dse_points_total", "Sweep points by outcome.",
-		"outcome", "ok").Inc()
-	h.Emit(engine.Event{Kind: "point-done", Component: p.Label(), Stage: fid, Iter: p.Index, Cost: row.Result.Cost})
-	return row
 }

@@ -163,7 +163,7 @@ func TestCancelMidSweepLeavesCleanPrefix(t *testing.T) {
 	}
 	pts, _ := sw.Expand()
 	digest, _ := sw.SpecSHA256()
-	rows, _, err := LoadJournal(path, digest, len(pts))
+	rows, _, err := loadJournal(path, digest, len(pts), func(int, Row) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}

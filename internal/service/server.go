@@ -83,10 +83,12 @@ type Server struct {
 
 	queue chan string
 
-	// clusterWorker serves lease execution when cfg.ClusterWorker; the
-	// cache server exposes the shared evaluation cache as the cluster L2
-	// when this somad coordinates sweeps for remote workers.
+	// clusterWorker serves lease execution when cfg.ClusterWorker. When
+	// this somad coordinates sweeps for remote workers, sweepExec leases
+	// their points and the cache server exposes the shared evaluation
+	// cache as the cluster L2.
 	clusterWorker *cluster.Worker
+	sweepExec     dse.Executor
 	cacheServer   *cluster.CacheServer
 
 	// base is canceled by Stop/Shutdown, stopping workers and running
@@ -122,6 +124,13 @@ func New(cfg Config) *Server {
 	if len(cfg.ClusterWorkers) > 0 {
 		s.cacheServer = cluster.NewCacheServer(s.cache)
 		s.cacheServer.ExportMetrics(s.reg)
+		// Sharded execution; each sweep degrades to the local pool by
+		// itself when no worker answers the initial probe.
+		copt := cluster.Options{Workers: cfg.ClusterWorkers, Logf: log.Printf}
+		if cfg.Advertise != "" {
+			copt.CacheURL = cluster.NormalizeWorkerURL(cfg.Advertise)
+		}
+		s.sweepExec = cluster.New(copt)
 	}
 	s.routes()
 	for i := 0; i < cfg.Workers; i++ {
@@ -227,28 +236,15 @@ func (s *Server) runJob(id string) {
 	}
 }
 
-// runSweepJob executes one sweep job through the dse grid runner with the
+// runSweepJob executes one sweep job through the dse grid runner (sharded by
+// the cluster executor when somad coordinates workers) with the
 // process-wide cache, streaming per-point progress onto the job's event log
 // (served live by the sweeps SSE endpoint). Retained outcomes are scrubbed:
 // rows lose their in-memory Raw artifacts and run-dependent cache counters,
 // which makes a fixed-seed sweep's rows byte-identical to the journal
 // `soma -sweep` writes for the same spec.
 func (s *Server) runSweepJob(ctx context.Context, id string, sw dse.Sweep, hooks *engine.Hooks, o *obs.Obs) {
-	var out *dse.Outcome
-	var err error
-	if len(s.cfg.ClusterWorkers) > 0 {
-		// Sharded execution; degrades to the local path by itself when no
-		// worker answers the initial probe.
-		var cacheURL string
-		if s.cfg.Advertise != "" {
-			cacheURL = cluster.NormalizeWorkerURL(s.cfg.Advertise)
-		}
-		out, err = cluster.Run(ctx, sw, cluster.Options{
-			Workers: s.cfg.ClusterWorkers, Cache: s.cache, CacheURL: cacheURL,
-			Hooks: hooks, Obs: o, Logf: log.Printf})
-	} else {
-		out, err = dse.Run(ctx, sw, dse.Options{Cache: s.cache, Hooks: hooks, Obs: o})
-	}
+	out, err := dse.Run(ctx, sw, dse.Options{Cache: s.cache, Hooks: hooks, Obs: o, Executor: s.sweepExec})
 	s.countJob("sweep", err)
 	switch {
 	case err == nil:
