@@ -11,6 +11,7 @@ import (
 	"soma/internal/cocco"
 	"soma/internal/core"
 	"soma/internal/coresched"
+	"soma/internal/engine"
 	"soma/internal/exp"
 	"soma/internal/graph"
 	"soma/internal/hw"
@@ -129,7 +130,7 @@ func BenchmarkFig8Trace(b *testing.B) {
 
 // BenchmarkScenario measures one composed multi-model run: the built-in
 // multi-tenant CNN mix scheduled as a single graph plus its per-model
-// isolated baselines (the exp.RunScenario flow behind `soma -scenario` and
+// isolated baselines (the engine.Run flow behind `soma -scenario` and
 // scenario jobs in somad).
 func BenchmarkScenario(b *testing.B) {
 	sc, err := workload.Builtin("multi-tenant-cnn")
@@ -139,8 +140,8 @@ func BenchmarkScenario(b *testing.B) {
 	par := fastPar()
 	par.Beta1, par.Beta2 = 2, 1
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunScenario(exp.ScenarioRun{Scenario: sc, Platform: "edge",
-			Obj: soma.EDP(), Par: par})
+		res, err := engine.Run(context.Background(), engine.Request{Scenario: &sc,
+			Platform: "edge", Objective: soma.EDP(), Params: par}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -35,6 +35,7 @@ import (
 	"soma/internal/coresched"
 	"soma/internal/engine"
 	"soma/internal/exp"
+	"soma/internal/hw"
 	"soma/internal/isa"
 	"soma/internal/models"
 	"soma/internal/obs"
@@ -80,7 +81,7 @@ func main() {
 		return
 	}
 
-	cfg, err := exp.Platform(*hwName)
+	cfg, err := hw.Platform(*hwName)
 	if err != nil {
 		fatal(err)
 	}
@@ -408,7 +409,7 @@ func printCatalog() {
 	}
 	fmt.Println("platforms:")
 	for _, p := range cat.Platforms {
-		cfg, err := exp.Platform(p)
+		cfg, err := hw.Platform(p)
 		if err != nil {
 			fatal(err)
 		}

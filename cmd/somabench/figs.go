@@ -8,6 +8,7 @@ import (
 
 	"soma/internal/engine"
 	"soma/internal/exp"
+	"soma/internal/hw"
 	"soma/internal/models"
 	"soma/internal/report"
 	"soma/internal/soma"
@@ -50,7 +51,7 @@ func (h *harness) fig3() error {
 		if err != nil {
 			return err
 		}
-		cfg, _ := exp.Platform("edge")
+		cfg, _ := hw.Platform("edge")
 		layers := exp.Fig3Layers(g)
 		tiles, err := exp.Fig3Tiles(g, cfg, h.par)
 		if err != nil {

@@ -45,7 +45,6 @@ func main() {
 	seed := fs.Int64("seed", 1, "search seed")
 	snapOut := fs.String("snapshot-out", "", "snapshot: write the measurement as JSON to FILE (e.g. BENCH_6.json)")
 	snapCheck := fs.String("check", "", "snapshot: compare against committed snapshot FILE, exit non-zero on regression")
-	snapSolve := fs.Bool("solve", true, "snapshot: include end-to-end solve times (always off with -check)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
@@ -81,7 +80,7 @@ func main() {
 	case "seeds":
 		err = h.seeds(exp.Case{Platform: *platform, Workload: *workload, Batch: *batch})
 	case "snapshot":
-		err = h.snapshot(*snapOut, *snapCheck, *snapSolve)
+		err = h.snapshot(*snapOut, *snapCheck)
 	case "all":
 		err = h.all()
 	default:

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,20 +11,19 @@ import (
 
 	"soma/internal/core"
 	"soma/internal/coresched"
-	"soma/internal/engine"
 	"soma/internal/exp"
+	"soma/internal/hw"
 	"soma/internal/models"
 	"soma/internal/report"
 	"soma/internal/sim"
-	"soma/internal/soma"
 )
 
 // BenchSchema identifies the snapshot file format. BENCH_6.json (committed at
 // the repo root) is the first point of the performance trajectory: it records
 // the stage-2 DLSA per-move cost of the incremental evaluator against the
-// historical clone-and-replay path for every zoo model, plus an end-to-end
-// solve time. CI regenerates the measurement and fails on regression (see
-// checkSnapshot for the exact rules).
+// historical clone-and-replay path for every zoo model. CI regenerates the
+// measurement and fails on regression (see checkSnapshot for the exact
+// rules).
 const BenchSchema = "soma-bench/v1"
 
 // BenchEntry is one zoo model's measurement.
@@ -53,15 +50,6 @@ type BenchEntry struct {
 	// actually re-simulated (both from sim.IncStats).
 	ResumedFrac float64 `json:"resumed_frac"`
 	EventsFrac  float64 `json:"events_frac"`
-	// SolveMS is the end-to-end soma solve wall time under the selected
-	// profile. Machine- and load-dependent: recorded for the trajectory,
-	// never gated on.
-	SolveMS float64 `json:"solve_ms,omitempty"`
-	// CacheHitRate is the evaluation-cache hit rate of that same solve
-	// (report.Result Search.CacheHitRate). Unlike SolveMS it is
-	// deterministic for a fixed seed; recorded for the trajectory so cache
-	// effectiveness regressions show up alongside per-move cost.
-	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
 }
 
 // BenchSnapshot is the BENCH_6.json payload.
@@ -97,16 +85,11 @@ func snapshotCases() []exp.Case {
 
 // snapshot measures the per-move evaluation cost of every zoo model and
 // optionally writes the result (-snapshot-out) or compares it against a
-// committed snapshot (-check), exiting non-zero on regression. The -check
-// path skips the end-to-end solve column: per-move costs are what the guard
-// gates on, and skipping the solves keeps the CI step fast.
-func (h *harness) snapshot(outFile, checkFile string, solve bool) error {
+// committed snapshot (-check), exiting non-zero on regression.
+func (h *harness) snapshot(outFile, checkFile string) error {
 	snap := BenchSnapshot{Schema: BenchSchema, Profile: h.profile, Seed: h.par.Seed}
-	if checkFile != "" {
-		solve = false
-	}
 	for _, c := range snapshotCases() {
-		e, err := h.benchCase(c, solve)
+		e, err := h.benchCase(c)
 		if err != nil {
 			return fmt.Errorf("snapshot %s: %w", c, err)
 		}
@@ -134,8 +117,8 @@ func (h *harness) snapshot(outFile, checkFile string, solve bool) error {
 // benchCase measures one model: both per-move benchmarks share the tile-cost
 // precomputation and walk deterministic move sequences drawn from the same
 // seed and operator mix, so the ratio isolates the evaluator strategy.
-func (h *harness) benchCase(c exp.Case, solve bool) (BenchEntry, error) {
-	cfg, err := exp.Platform(c.Platform)
+func (h *harness) benchCase(c exp.Case) (BenchEntry, error) {
+	cfg, err := hw.Platform(c.Platform)
 	if err != nil {
 		return BenchEntry{}, err
 	}
@@ -216,25 +199,6 @@ func (h *harness) benchCase(c exp.Case, solve bool) (BenchEntry, error) {
 		e.EventsFrac = float64(stats.EventsSimulated) / float64(stats.EventsTotal)
 	}
 
-	if solve {
-		start := time.Now()
-		res, err := engine.Run(context.Background(), engine.Request{Backend: "soma",
-			Model: c.Workload, Batch: c.Batch, Platform: c.Platform,
-			Objective: soma.EDP(), Params: h.par}, nil)
-		switch {
-		case errors.Is(err, soma.ErrNoFeasible):
-			// Feasibility under a reduced search budget is a property of
-			// the (model, platform) pairing, not of the evaluator this
-			// snapshot measures: record the point without a solve column.
-			fmt.Fprintf(os.Stderr, "snapshot: %s: no feasible schedule under profile %q; solve time omitted\n",
-				c, h.profile)
-		case err != nil:
-			return e, err
-		default:
-			e.SolveMS = float64(time.Since(start)) / float64(time.Millisecond)
-			e.CacheHitRate = res.Search.CacheHitRate
-		}
-	}
 	return e, nil
 }
 
@@ -351,7 +315,7 @@ func durationJitter(s *core.Schedule, rng *rand.Rand) int {
 func snapshotTable(snap BenchSnapshot) *report.Table {
 	t := report.New("stage-2 per-move evaluation snapshot", "model", "platform",
 		"tiles", "tensors", "inc ns/move", "full ns/move", "speedup",
-		"allocs inc/full", "resumed", "events", "solve ms", "cache hit")
+		"allocs inc/full", "resumed", "events")
 	for _, e := range snap.Models {
 		t.Add(e.Model, e.Platform,
 			fmt.Sprintf("%d", e.Tiles), fmt.Sprintf("%d", e.Tensors),
@@ -360,9 +324,7 @@ func snapshotTable(snap BenchSnapshot) *report.Table {
 			fmt.Sprintf("%.2fx", e.Speedup),
 			fmt.Sprintf("%.0f/%.0f", e.IncAllocsPerMove, e.FullAllocsPerMove),
 			fmt.Sprintf("%.0f%%", 100*e.ResumedFrac),
-			fmt.Sprintf("%.0f%%", 100*e.EventsFrac),
-			fmt.Sprintf("%.0f", e.SolveMS),
-			fmt.Sprintf("%.0f%%", 100*e.CacheHitRate))
+			fmt.Sprintf("%.0f%%", 100*e.EventsFrac))
 	}
 	return t
 }

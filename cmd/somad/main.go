@@ -91,7 +91,7 @@ func main() {
 		ClusterWorkers: workerList,
 		Advertise:      *advertise,
 	})
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	srv := newServer(*addr, svc.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -129,6 +129,23 @@ func main() {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
+}
+
+// Connection timeouts. A client gets readHeaderTimeout to deliver a
+// request's headers, so a slow or stalled client cannot hold a connection
+// open without sending a request; an idle keep-alive connection closes after
+// idleTimeout. Request bodies and responses are left unbounded in time:
+// ?wait=1 submissions and the SSE event streams legitimately stay open for
+// as long as a job runs, and body size is bounded by the handlers.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the HTTP server somad listens with.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h,
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func fatal(err error) {

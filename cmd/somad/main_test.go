@@ -1,0 +1,42 @@
+package main
+
+import (
+	"errors"
+	"io"
+	"net"
+	"net/http"
+	"testing"
+	"time"
+)
+
+// TestSlowClientDisconnected: a client that sends half a request line and
+// then stalls is disconnected once readHeaderTimeout expires, instead of
+// holding the connection open forever.
+func TestSlowClientDisconnected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(ln.Addr().String(), http.NotFoundHandler())
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /healthz HT")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open %s after a stalled request line", time.Since(start))
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %s, before the header timeout", waited)
+	}
+}

@@ -372,7 +372,7 @@ func TestMemoizeThroughInterface(t *testing.T) {
 }
 
 // TestRequestBodiesBounded: every cluster endpoint decodes at most
-// maxBodyBytes. A cache put the size of the largest measured real one is
+// MaxBodyBytes. A cache put the size of the largest measured real one is
 // served; one past the bound gets a 4xx, as does an oversized lease.
 func TestRequestBodiesBounded(t *testing.T) {
 	mux := http.NewServeMux()
@@ -401,10 +401,10 @@ func TestRequestBodiesBounded(t *testing.T) {
 	if code := post(PathCachePut, put(209030)); code != http.StatusOK {
 		t.Fatalf("legitimate cache put got %d", code)
 	}
-	if code := post(PathCachePut, put(maxBodyBytes)); code < 400 || code >= 500 {
+	if code := post(PathCachePut, put(MaxBodyBytes)); code < 400 || code >= 500 {
 		t.Fatalf("oversized cache put got %d, want 4xx", code)
 	}
-	huge := append([]byte(`{"lease_id":"`), bytes.Repeat([]byte("x"), maxBodyBytes)...)
+	huge := append([]byte(`{"lease_id":"`), bytes.Repeat([]byte("x"), MaxBodyBytes)...)
 	if code := post(PathLease, append(huge, `"}`...)); code < 400 || code >= 500 {
 		t.Fatalf("oversized lease got %d, want 4xx", code)
 	}

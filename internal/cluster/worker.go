@@ -115,22 +115,22 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, LeaseResponse{LeaseID: req.LeaseID, Rows: rows})
 }
 
-// maxBodyBytes bounds every cluster request body (lease, cache get, cache
-// put). Measured sizes: the largest sim.Key a fast-profile gpt2xl-prefill
+// MaxBodyBytes bounds every cluster request body (lease, cache get, cache
+// put) and somad's job and sweep submissions. Measured sizes: the largest sim.Key a fast-profile gpt2xl-prefill
 // solve on the cloud platform PUTs is 209,030 bytes, a 279,247-byte
 // cache-put body once base64-encoded; a lease carrying a 4096-point spec
 // (4096 listed seeds, full params) plus all 4096 indices is 101,821 bytes.
 // 4 MiB leaves 15x headroom over the larger of the two.
-const maxBodyBytes = 4 << 20
+const MaxBodyBytes = 4 << 20
 
-// decodeBody parses one JSON request body of at most maxBodyBytes,
+// decodeBody parses one JSON request body of at most MaxBodyBytes,
 // answering 413 when it is larger and 400 when it is malformed.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
-		http.Error(w, "cluster: request body exceeds "+strconv.Itoa(maxBodyBytes)+" bytes",
+		http.Error(w, "cluster: request body exceeds "+strconv.Itoa(MaxBodyBytes)+" bytes",
 			http.StatusRequestEntityTooLarge)
 	case err != nil:
 		http.Error(w, "cluster: bad request body: "+err.Error(), http.StatusBadRequest)

@@ -212,9 +212,3 @@ func (e *Explorer) applyHeuristicTiling(enc *core.Encoding) {
 		enc.Tile[f] = soma.HeuristicTile(e.G, e.Cfg, enc.FLGLayers(f))
 	}
 }
-
-// ApplyHeuristicTilingForTest exposes the tiling heuristic for probes and
-// tests.
-func (e *Explorer) ApplyHeuristicTilingForTest(enc *core.Encoding) {
-	e.applyHeuristicTiling(enc)
-}

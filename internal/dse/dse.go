@@ -499,8 +499,9 @@ type Row struct {
 }
 
 // Scrubbed returns a copy of the row safe to persist and compare across
-// runs: the Raw artifact section is dropped, and the evaluation-cache
-// counters in the search stats are zeroed - they depend on cache warmth and
+// runs: the result is reduced to its deterministic payload
+// (report.Result.Deterministic), and the evaluation-cache counters in the
+// search stats are zeroed - they depend on cache warmth and
 // worker interleaving, which would break the journal's guarantee that
 // parallel and serial sweeps (and resumed and uninterrupted ones) produce
 // byte-identical rows. Everything the schedule determines - cost, metrics,
@@ -510,32 +511,33 @@ func (r Row) Scrubbed() Row {
 	return r
 }
 
+// scrubResult is the deterministic payload (report.Result.Deterministic)
+// with the evaluation-cache counters zeroed, here and on every scenario
+// component: a sweep's points share one cache, so the counters depend on
+// which points ran first.
 func scrubResult(res *report.Result) *report.Result {
-	if res == nil {
+	out := res.Deterministic()
+	if out == nil {
 		return nil
 	}
-	out := *res
-	out.Raw = nil
-	// Telemetry is wall-clock (observability runs only) - as
-	// interleaving-dependent as the cache counters, so it never persists.
-	out.Telemetry = nil
-	// The full convergence section's samples carry incremental-evaluation
-	// counters that depend on cache warmth; the worker-count-stable summary
-	// persists as Row.Convergence instead.
-	out.Convergence = nil
-	if res.Search != nil {
-		s := *res.Search
-		s.CacheHits, s.CacheMisses, s.CacheEntries, s.CacheGenerations = 0, 0, 0, 0
-		s.CacheHitRate = 0
-		out.Search = &s
-	}
-	if res.Scenario != nil {
-		sc := *res.Scenario
-		sc.Components = append([]report.ScenarioComponent(nil), sc.Components...)
-		for i := range sc.Components {
-			sc.Components[i].Isolated = scrubResult(sc.Components[i].Isolated)
+	zeroCacheCounters(out)
+	if out.Scenario != nil {
+		for i := range out.Scenario.Components {
+			if iso := out.Scenario.Components[i].Isolated; iso != nil {
+				zeroCacheCounters(iso)
+			}
 		}
-		out.Scenario = &sc
 	}
-	return &out
+	return out
+}
+
+// zeroCacheCounters replaces res.Search by a copy without cache counters.
+func zeroCacheCounters(res *report.Result) {
+	if res.Search == nil {
+		return
+	}
+	s := *res.Search
+	s.CacheHits, s.CacheMisses, s.CacheEntries, s.CacheGenerations = 0, 0, 0, 0
+	s.CacheHitRate = 0
+	res.Search = &s
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -161,26 +160,4 @@ func (j *journalWriter) close() error {
 		return err
 	}
 	return j.f.Close()
-}
-
-// WriteJournal re-emits a completed outcome in the exact journal format -
-// header plus scrubbed rows - so callers that ran without a checkpoint file
-// (the somad sweeps API, -json pipelines) can still export the canonical
-// byte-comparable artifact.
-func WriteJournal(w io.Writer, sw Sweep, out *Outcome) error {
-	digest, err := sw.SpecSHA256()
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(journalHeader{Version: journalVersion, Sweep: sw.Name,
-		SpecSHA256: digest, Points: out.Points}); err != nil {
-		return err
-	}
-	for _, row := range out.Rows {
-		if err := enc.Encode(row.Scrubbed()); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -217,27 +217,6 @@ func TestSharedCacheReuseAcrossGridPoints(t *testing.T) {
 	}
 }
 
-func TestWriteJournalMatchesFileJournal(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "file.jsonl")
-	sw := fastSweep(1)
-	out, err := Run(context.Background(), sw, Options{Journal: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := WriteJournal(&buf, sw, out); err != nil {
-		t.Fatal(err)
-	}
-	file, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != string(file) {
-		t.Fatal("WriteJournal output differs from the checkpoint file")
-	}
-}
-
 // TestConvergenceRows: a sweep with the convergence field set carries the
 // per-point diagnostics summary on every row, serial and parallel journals
 // stay byte-identical, and the full Result.Convergence section never

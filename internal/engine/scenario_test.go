@@ -1,11 +1,10 @@
-package exp
+package engine
 
 import (
 	"bytes"
-	"sort"
+	"context"
 	"testing"
 
-	"soma/internal/models"
 	"soma/internal/report"
 	"soma/internal/soma"
 	"soma/internal/workload"
@@ -25,7 +24,8 @@ func TestRunScenarioAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunScenario(ScenarioRun{Scenario: sc, Platform: "edge", Obj: soma.EDP(), Par: scenarioPar()})
+	res, err := Run(context.Background(), Request{Scenario: &sc, Platform: "edge",
+		Objective: soma.EDP(), Params: scenarioPar()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,8 @@ func TestRunScenarioDeterministicAcrossWorkers(t *testing.T) {
 		par := scenarioPar()
 		par.Chains = chains
 		par.Workers = workers
-		res, err := RunScenario(ScenarioRun{Scenario: sc, Platform: "edge", Obj: soma.EDP(), Par: par})
+		res, err := Run(context.Background(), Request{Scenario: &sc, Platform: "edge",
+			Objective: soma.EDP(), Params: par}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,37 +104,5 @@ func TestRunScenarioDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(serial, render(2, 1)) {
 		t.Fatal("scenario result changed between identical runs")
-	}
-}
-
-// TestRegistryListingsSorted: every registry listing the scenario subsystem
-// references is deterministically sorted, so specs stay stable across runs.
-func TestRegistryListingsSorted(t *testing.T) {
-	cat := Registry()
-	if !sort.StringsAreSorted(cat.Models) || len(cat.Models) == 0 {
-		t.Fatalf("catalog models not sorted: %v", cat.Models)
-	}
-	if !sort.StringsAreSorted(cat.Platforms) || len(cat.Platforms) == 0 {
-		t.Fatalf("catalog platforms not sorted: %v", cat.Platforms)
-	}
-	if !sort.StringsAreSorted(cat.Scenarios) || len(cat.Scenarios) < 3 {
-		t.Fatalf("catalog scenarios not sorted: %v", cat.Scenarios)
-	}
-	for i := 0; i < 3; i++ {
-		again := Registry()
-		if len(again.Models) != len(cat.Models) || len(again.Scenarios) != len(cat.Scenarios) {
-			t.Fatal("catalog not deterministic")
-		}
-	}
-	known := make(map[string]bool, len(cat.Models))
-	for _, m := range models.Names() {
-		known[m] = true
-	}
-	for _, pf := range cat.Platforms {
-		for _, w := range Workloads(pf) {
-			if !known[w] {
-				t.Fatalf("Workloads(%s) lists %q, absent from the models registry", pf, w)
-			}
-		}
 	}
 }

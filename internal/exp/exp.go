@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"soma/internal/core"
@@ -18,21 +17,6 @@ import (
 	"soma/internal/sim"
 	"soma/internal/soma"
 )
-
-// Platforms lists the named hardware presets Platform accepts, in sorted
-// order. The registry itself lives in the hw package (shared with the
-// engine and the somad /v1/hw enumeration); these wrappers keep the exp API
-// stable.
-func Platforms() []string { return hw.Platforms() }
-
-// Platform returns the named hardware preset.
-func Platform(name string) (hw.Config, error) {
-	cfg, err := hw.Platform(name)
-	if err != nil {
-		return hw.Config{}, fmt.Errorf("exp: unknown platform %q (%v)", name, Platforms())
-	}
-	return cfg, nil
-}
 
 // Workloads returns the paper's Fig. 6 workload list for a platform (GPT-2
 // Small on edge, XL on cloud).
@@ -167,19 +151,6 @@ func ParallelMap[T any](items []T, workers int, fn func(T) PairResult) []PairRes
 	}
 	wg.Wait()
 	return out
-}
-
-// Fig6Cases enumerates the 48 (platform, workload, batch) points of Fig. 6.
-func Fig6Cases() []Case {
-	var cs []Case
-	for _, pf := range []string{"edge", "cloud"} {
-		for _, w := range Workloads(pf) {
-			for _, b := range Batches {
-				cs = append(cs, Case{Platform: pf, Workload: w, Batch: b})
-			}
-		}
-	}
-	return cs
 }
 
 // Fig6 runs the overall comparison on the given cases.
@@ -409,7 +380,7 @@ type TracePair struct {
 // sweep over the backend axis (Cocco and SoMa on the same cell), then traced
 // re-evaluations of the three schedules.
 func Fig8(ctx context.Context, c Case, par soma.Params) (*TracePair, error) {
-	cfg, err := Platform(c.Platform)
+	cfg, err := hw.Platform(c.Platform)
 	if err != nil {
 		return nil, err
 	}
@@ -450,10 +421,4 @@ func Fig8(ctx context.Context, c Case, par soma.Params) (*TracePair, error) {
 		return nil, err
 	}
 	return tp, nil
-}
-
-// SortCases orders cases deterministically (heavy ones first improves
-// parallel load balance is NOT done here; stable order for reports).
-func SortCases(cs []Case) {
-	sort.Slice(cs, func(a, b int) bool { return cs[a].String() < cs[b].String() })
 }

@@ -4,23 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"soma/internal/hw"
 	"soma/internal/models"
 	"soma/internal/soma"
 )
-
-func TestPlatform(t *testing.T) {
-	e, err := Platform("edge")
-	if err != nil || e.Name != "edge" {
-		t.Fatalf("edge: %v %v", e.Name, err)
-	}
-	c, err := Platform("cloud")
-	if err != nil || c.Name != "cloud" {
-		t.Fatalf("cloud: %v %v", c.Name, err)
-	}
-	if _, err := Platform("tpu"); err == nil {
-		t.Fatal("unknown platform accepted")
-	}
-}
 
 func TestWorkloadsPairing(t *testing.T) {
 	edge := Workloads("edge")
@@ -39,22 +26,6 @@ func TestWorkloadsPairing(t *testing.T) {
 		if _, err := models.Build(w, 1); err != nil {
 			t.Fatalf("workload %s unbuildable: %v", w, err)
 		}
-	}
-}
-
-func TestFig6CasesCount(t *testing.T) {
-	cs := Fig6Cases()
-	// The paper's artifact runs 96 experiments for Fig. 6: 48 cases, each
-	// with baseline + ours.
-	if len(cs) != 48 {
-		t.Fatalf("cases = %d, want 48", len(cs))
-	}
-	seen := map[string]bool{}
-	for _, c := range cs {
-		if seen[c.String()] {
-			t.Fatalf("duplicate case %s", c)
-		}
-		seen[c.String()] = true
 	}
 }
 
@@ -158,7 +129,7 @@ func TestFig3LayersNormalization(t *testing.T) {
 
 func TestFig3TilesMoreSpreadThanLayers(t *testing.T) {
 	g, _ := models.Build("resnet50", 1)
-	cfg, _ := Platform("edge")
+	cfg, _ := hw.Platform("edge")
 	layers := Fig3Layers(g)
 	tiles, err := Fig3Tiles(g, cfg, soma.FastParams())
 	if err != nil {
@@ -203,16 +174,5 @@ func TestParallelMapPreservesOrder(t *testing.T) {
 		if out[i].Case != cases[i] {
 			t.Fatalf("order not preserved: %v", out)
 		}
-	}
-}
-
-func TestSortCases(t *testing.T) {
-	cs := []Case{
-		{Platform: "edge", Workload: "z", Batch: 1},
-		{Platform: "cloud", Workload: "a", Batch: 1},
-	}
-	SortCases(cs)
-	if cs[0].Platform != "cloud" {
-		t.Fatalf("not sorted: %v", cs)
 	}
 }

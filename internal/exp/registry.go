@@ -2,6 +2,7 @@ package exp
 
 import (
 	"soma/internal/engine"
+	"soma/internal/hw"
 	"soma/internal/models"
 	"soma/internal/workload"
 )
@@ -22,7 +23,7 @@ type Catalog struct {
 func Registry() Catalog {
 	return Catalog{
 		Models:    models.Names(),
-		Platforms: Platforms(),
+		Platforms: hw.Platforms(),
 		Scenarios: workload.BuiltinNames(),
 		Backends:  engine.Backends(),
 	}

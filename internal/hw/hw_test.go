@@ -115,3 +115,17 @@ func TestString(t *testing.T) {
 		}
 	}
 }
+
+func TestPlatform(t *testing.T) {
+	e, err := Platform("edge")
+	if err != nil || e.Name != "edge" {
+		t.Fatalf("edge: %v %v", e.Name, err)
+	}
+	c, err := Platform("cloud")
+	if err != nil || c.Name != "cloud" {
+		t.Fatalf("cloud: %v %v", c.Name, err)
+	}
+	if _, err := Platform("tpu"); err == nil {
+		t.Fatal("unknown platform accepted")
+	}
+}

@@ -291,3 +291,28 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
 }
+
+// Deterministic returns a copy of the payload reduced to what a fixed seed
+// determines: the Raw artifacts, the wall-clock Telemetry section and the
+// Convergence trajectory (whose samples carry cache-warmth-dependent
+// incremental counters) are dropped, on the result and on every scenario
+// component's isolated result. It is the one definition of the
+// byte-comparable payload that somad stores and dse journals persist. The
+// receiver is not modified; sections the copy keeps are shared with it. A
+// nil receiver yields nil.
+func (r *Result) Deterministic() *Result {
+	if r == nil {
+		return nil
+	}
+	out := *r
+	out.Raw, out.Telemetry, out.Convergence = nil, nil, nil
+	if r.Scenario != nil {
+		sc := *r.Scenario
+		sc.Components = append([]ScenarioComponent(nil), sc.Components...)
+		for i := range sc.Components {
+			sc.Components[i].Isolated = sc.Components[i].Isolated.Deterministic()
+		}
+		out.Scenario = &sc
+	}
+	return &out
+}

@@ -1,7 +1,7 @@
 // Package sa is the simulated-annealing engine both exploration stages of
 // the SoMa framework share (paper Sec. V-C).
 //
-// # Serial search (Run)
+// # Serial search (RunMovesCtx)
 //
 // Starting from an initial solution, each iteration applies a random
 // operator, evaluates the candidate, always accepts improvements and accepts
@@ -10,20 +10,23 @@
 // An optional wall-clock deadline switches the tail of the search to
 // improve-only iterations (the paper's "Y more iterations" rule).
 //
-// The engine is generic over the state type: stage 1 anneals *core.Encoding
-// (the Layer-Fusion-related Attributes), stage 2 anneals *core.Schedule (the
-// DRAM-Load-and-Store-related Attributes), and the Cocco baseline reuses the
-// same engine for its fusion search. States must be value-like: neighbor
-// functions clone before mutating.
+// The engine is generic over the state type through the MoveState
+// interface: a state applies one move in place, reports its cost, and then
+// commits or rolls it back on the acceptance draw. Stage 1 anneals
+// *core.Encoding (the Layer-Fusion-related Attributes), stage 2 anneals
+// *core.Schedule (the DRAM-Load-and-Store-related Attributes) over an
+// incremental evaluator, and the Cocco baseline reuses the same engine for
+// its fusion search.
 //
-// # Portfolio search (RunPortfolio)
+// # Portfolio search (RunMovesPortfolioCtx)
 //
-// RunPortfolio is the parallel extension of the paper's search: it runs
-// several independently seeded chains (seed, seed+1, ...) from the same
-// initial solution - a classic portfolio of restarts - on a bounded worker
-// pool, and selects the winner by (cost, chain index). Because every chain
-// is deterministic given its seed and the selection rule is total, the
-// result is a pure function of the configuration: the Workers knob changes
-// wall-clock time only, never the returned schedule. This is what makes
-// figure sweeps reproducible while still scaling across cores.
+// RunMovesPortfolioCtx is the parallel extension of the paper's search: it
+// runs several independently seeded chains (seed, seed+1, ...), each on its
+// own MoveState built from the same initial solution - a classic portfolio
+// of restarts - on a bounded worker pool, and selects the winner by (cost,
+// chain index). Because every chain is deterministic given its seed and the
+// selection rule is total, the result is a pure function of the
+// configuration: the Workers knob changes wall-clock time only, never the
+// returned schedule. This is what makes figure sweeps reproducible while
+// still scaling across cores. The zero PortfolioConfig is one serial chain.
 package sa

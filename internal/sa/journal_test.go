@@ -1,6 +1,7 @@
 package sa
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,7 +51,7 @@ func TestJournalDoesNotPerturbRun(t *testing.T) {
 		if j != nil {
 			pf.Journal = func(c int) *obs.Series { return j.Series("test", 0, c) }
 		}
-		return RunMovesPortfolio(cfg, pf, func(int) MoveState[int] {
+		return RunMovesPortfolioCtx(context.Background(), cfg, pf, func(int) MoveState[int] {
 			return &kindedMoves{cur: 500}
 		})
 	}
@@ -113,7 +114,7 @@ func TestJournalSingleChainSeries(t *testing.T) {
 	j := obs.NewJournalWith(8, 32)
 	cfg := DefaultConfig(500, 3)
 	pf := PortfolioConfig{Journal: func(c int) *obs.Series { return j.Series("solo", 1, c) }}
-	_, cost, _ := RunMovesPortfolio(cfg, pf, func(int) MoveState[int] {
+	_, cost, _ := RunMovesPortfolioCtx(context.Background(), cfg, pf, func(int) MoveState[int] {
 		return &kindedMoves{cur: 99}
 	})
 	rep := obs.BuildConvergence(j)

@@ -23,12 +23,12 @@ func journalSample(move int64, st Stats, bestCost, curCost, temp float64,
 	return sm
 }
 
-// MoveState is the move-aware face of an annealing problem. Where the
-// classic Run interface clones the whole state per candidate (neighbor +
-// cost), a MoveState applies one move in place, reports its cost, and then
-// commits or rolls it back depending on the acceptance draw - which is what
-// lets an incremental evaluator (sim.Incremental) splice cached simulation
-// state instead of replaying the schedule per candidate.
+// MoveState is the face of an annealing problem. Rather than cloning the
+// whole state per candidate, a MoveState applies one move in place, reports
+// its cost, and then commits or rolls it back depending on the acceptance
+// draw - which is what lets an incremental evaluator (sim.Incremental)
+// splice cached simulation state instead of replaying the schedule per
+// candidate.
 //
 // The contract: Propose applies at most one move and returns its cost;
 // ok=false means the drawn move was unproductive, the state is unchanged,
@@ -64,16 +64,12 @@ type IncCountSource interface {
 	IncCounts() (resumed, fallbacks int64)
 }
 
-// RunMoves anneals a MoveState with the paper's acceptance rule and cooling
-// schedule. It is the engine underneath Run/RunCtx: both interfaces draw
-// the same rng sequence under the same Config, so migrating a caller from
-// the clone interface to a MoveState preserves its search trajectory
-// exactly (given the costs are bit-identical).
-func RunMoves[S any](cfg Config, ms MoveState[S]) (S, float64, Stats) {
-	return RunMovesCtx(context.Background(), cfg, ms)
-}
-
-// RunMovesCtx is RunMoves with cooperative cancellation, mirroring RunCtx.
+// RunMovesCtx anneals a MoveState with the paper's acceptance rule and
+// cooling schedule, and returns the best state seen. It honours cooperative
+// cancellation: when ctx is canceled the loop stops within cancelCheckEvery
+// iterations and returns the best state seen so far. Callers that must
+// distinguish a canceled run from a converged one check ctx.Err() after
+// RunMovesCtx returns (the annealer itself never fails).
 func RunMovesCtx[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, float64, Stats) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	curCost := ms.InitCost()
@@ -178,22 +174,22 @@ func RunMovesCtx[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, fl
 	return best, bestCost, st
 }
 
-// RunMovesPortfolio runs Chains independently seeded MoveState chains and
-// returns the best state across them, exactly like RunPortfolio for the
-// clone interface. newState builds chain c's private MoveState: move-aware
-// states are stateful by design (they carry spliced evaluator caches), so
-// unlike the clone interface the chains cannot share one state value - each
-// gets its own, and newState must be safe to call from the worker
-// goroutines.
-func RunMovesPortfolio[S any](cfg Config, pf PortfolioConfig,
-	newState func(chain int) MoveState[S]) (S, float64, PortfolioStats) {
-	return RunMovesPortfolioCtx(context.Background(), cfg, pf, newState)
-}
-
-// RunMovesPortfolioCtx is RunMovesPortfolio with cooperative cancellation.
-// The chain seeding, winner selection, and stats aggregation match
-// RunPortfolioCtx, so a fixed Config.Seed yields an identical result for
-// any Workers value (Config.Deadline == 0, as ever).
+// RunMovesPortfolioCtx anneals Chains independent chains and returns the
+// best state found across all of them. Chain c runs RunMovesCtx under seed
+// Config.Seed+c, and the winner is selected by (cost, chain index), so a
+// fixed Config.Seed yields an identical result for any Workers value -
+// parallelism is observationally equivalent to the serial sweep.
+//
+// The invariance requires Config.Deadline == 0: a wall-clock deadline makes
+// each chain's improve-only cutoff depend on when the pool scheduled it, so
+// deadline runs trade determinism for bounded time.
+//
+// newState builds chain c's private MoveState: move-aware states are
+// stateful by design (they carry spliced evaluator caches), so the chains
+// cannot share one state value. newState must be safe to call from the
+// worker goroutines. ctx is shared by every chain, so canceling it stops the
+// whole portfolio within cancelCheckEvery iterations per chain; the best
+// state seen across the chains that did run is still returned.
 func RunMovesPortfolioCtx[S any](ctx context.Context, cfg Config, pf PortfolioConfig,
 	newState func(chain int) MoveState[S]) (S, float64, PortfolioStats) {
 
@@ -258,27 +254,3 @@ func RunMovesPortfolioCtx[S any](ctx context.Context, cfg Config, pf PortfolioCo
 	ps.Total.BestIter = results[winner].st.BestIter
 	return results[winner].best, results[winner].cost, ps
 }
-
-// cloneMoves adapts the classic clone-per-candidate interface (neighbor +
-// cost) to a MoveState. The rng draw sequence is exactly the historical
-// RunCtx loop's: neighbor's draws, then the acceptance draw.
-type cloneMoves[S any] struct {
-	cur, cand S
-	cost      func(S) float64
-	neighbor  func(S, *rand.Rand) (S, bool)
-}
-
-func (m *cloneMoves[S]) InitCost() float64 { return m.cost(m.cur) }
-
-func (m *cloneMoves[S]) Propose(rng *rand.Rand) (float64, bool) {
-	cand, ok := m.neighbor(m.cur, rng)
-	if !ok {
-		return 0, false
-	}
-	m.cand = cand
-	return m.cost(cand), true
-}
-
-func (m *cloneMoves[S]) Accept()     { m.cur = m.cand }
-func (m *cloneMoves[S]) Reject()     {}
-func (m *cloneMoves[S]) Snapshot() S { return m.cur }

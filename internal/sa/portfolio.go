@@ -1,21 +1,16 @@
 package sa
 
-import (
-	"context"
-	"math/rand"
-
-	"soma/internal/obs"
-)
+import "soma/internal/obs"
 
 // PortfolioConfig sizes a portfolio run: Chains independent annealing chains
 // executed on at most Workers goroutines. Zero or negative values normalize
-// to 1, so the zero value is exactly the classic serial Run.
+// to 1, so the zero value is exactly one serial RunMovesCtx chain.
 type PortfolioConfig struct {
 	// Chains is the number of independently seeded restarts. Chain i runs
 	// with seed Config.Seed+i, so the portfolio's outcome is a pure
 	// function of (Config, Chains) - the Workers knob only changes
 	// wall-clock time, never the returned solution (provided
-	// Config.Deadline is zero; see RunPortfolio).
+	// Config.Deadline is zero; see RunMovesPortfolioCtx).
 	Chains int
 	// Workers bounds the goroutines running chains concurrently.
 	Workers int
@@ -57,39 +52,4 @@ type PortfolioStats struct {
 	BestChain int
 	// PerChain holds each chain's own statistics.
 	PerChain []Stats
-}
-
-// RunPortfolio anneals Chains independent chains from the same initial
-// solution and returns the best state found across all of them. Every chain
-// is the deterministic serial Run under its derived seed, and the winner is
-// selected by (cost, chain index), so a fixed Config.Seed yields an
-// identical result for any Workers value - parallelism is observationally
-// equivalent to the serial sweep.
-//
-// The invariance requires Config.Deadline == 0: a wall-clock deadline makes
-// each chain's improve-only cutoff depend on when the pool scheduled it, so
-// deadline runs trade determinism for bounded time just like serial Run.
-//
-// cost and neighbor must be safe for concurrent use when Workers > 1
-// (neighbor already must not mutate its argument; cost must not mutate
-// shared state without synchronization).
-func RunPortfolio[S any](cfg Config, pf PortfolioConfig, init S, cost func(S) float64,
-	neighbor func(S, *rand.Rand) (S, bool)) (S, float64, PortfolioStats) {
-	return RunPortfolioCtx(context.Background(), cfg, pf, init, cost, neighbor)
-}
-
-// RunPortfolioCtx is RunPortfolio with cooperative cancellation: ctx is
-// shared by every chain, so canceling it stops the whole portfolio within
-// cancelCheckEvery iterations per chain. The best state seen across the
-// chains that did run is still returned; callers check ctx.Err() to tell a
-// canceled portfolio from a converged one.
-func RunPortfolioCtx[S any](ctx context.Context, cfg Config, pf PortfolioConfig, init S,
-	cost func(S) float64, neighbor func(S, *rand.Rand) (S, bool)) (S, float64, PortfolioStats) {
-
-	return RunMovesPortfolioCtx[S](ctx, cfg, pf, func(int) MoveState[S] {
-		// The clone interface's states are value-like, so every chain can
-		// start from the same init value; each adapter instance is still
-		// private to its chain.
-		return &cloneMoves[S]{cur: init, cost: cost, neighbor: neighbor}
-	})
 }

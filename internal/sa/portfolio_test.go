@@ -29,7 +29,7 @@ func TestPortfolioDeterministicAcrossWorkers(t *testing.T) {
 	var chains []int
 	for _, workers := range []int{1, 3, 8, 16} {
 		pf := PortfolioConfig{Chains: 6, Workers: workers}
-		best, c, st := RunPortfolio(portfolioCfg(), pf, 0, rugged, ruggedNeighbor)
+		best, c, st := annealPortfolio(bg, portfolioCfg(), pf, 0, rugged, ruggedNeighbor)
 		states = append(states, best)
 		costs = append(costs, c)
 		chains = append(chains, st.BestChain)
@@ -46,7 +46,7 @@ func TestPortfolioDeterministicAcrossWorkers(t *testing.T) {
 
 func TestPortfolioNeverWorseThanAnyChain(t *testing.T) {
 	cfg := portfolioCfg()
-	pfBest, pfCost, st := RunPortfolio(cfg, PortfolioConfig{Chains: 8, Workers: 4},
+	pfBest, pfCost, st := annealPortfolio(bg, cfg, PortfolioConfig{Chains: 8, Workers: 4},
 		0, rugged, ruggedNeighbor)
 	if rugged(pfBest) != pfCost {
 		t.Fatalf("returned cost %g does not match returned state (%g)", pfCost, rugged(pfBest))
@@ -54,7 +54,7 @@ func TestPortfolioNeverWorseThanAnyChain(t *testing.T) {
 	for c := 0; c < 8; c++ {
 		chainCfg := cfg
 		chainCfg.Seed = cfg.Seed + int64(c)
-		_, cc, _ := Run(chainCfg, 0, rugged, ruggedNeighbor)
+		_, cc, _ := anneal(bg, chainCfg, 0, rugged, ruggedNeighbor)
 		if pfCost > cc {
 			t.Fatalf("portfolio (%g) lost to its own chain %d (%g)", pfCost, c, cc)
 		}
@@ -65,7 +65,7 @@ func TestPortfolioNeverWorseThanAnyChain(t *testing.T) {
 }
 
 func TestPortfolioAggregatesStats(t *testing.T) {
-	_, _, st := RunPortfolio(portfolioCfg(), PortfolioConfig{Chains: 5, Workers: 2},
+	_, _, st := annealPortfolio(bg, portfolioCfg(), PortfolioConfig{Chains: 5, Workers: 2},
 		0, rugged, ruggedNeighbor)
 	if len(st.PerChain) != 5 {
 		t.Fatalf("per-chain stats = %d", len(st.PerChain))
@@ -86,10 +86,10 @@ func TestPortfolioAggregatesStats(t *testing.T) {
 
 func TestPortfolioZeroValueIsSerialRun(t *testing.T) {
 	cfg := portfolioCfg()
-	serialBest, serialCost, serialStats := Run(cfg, 0, rugged, ruggedNeighbor)
-	pfBest, pfCost, st := RunPortfolio(cfg, PortfolioConfig{}, 0, rugged, ruggedNeighbor)
+	serialBest, serialCost, serialStats := anneal(bg, cfg, 0, rugged, ruggedNeighbor)
+	pfBest, pfCost, st := annealPortfolio(bg, cfg, PortfolioConfig{}, 0, rugged, ruggedNeighbor)
 	if pfBest != serialBest || pfCost != serialCost || st.Total != serialStats {
-		t.Fatalf("zero portfolio must equal Run: %v/%g vs %v/%g", pfBest, pfCost, serialBest, serialCost)
+		t.Fatalf("zero portfolio must equal one chain: %v/%g vs %v/%g", pfBest, pfCost, serialBest, serialCost)
 	}
 	if st.Chains != 1 || st.Workers != 1 || st.BestChain != 0 {
 		t.Fatalf("normalized dimensions wrong: %+v", st)

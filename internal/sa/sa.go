@@ -1,8 +1,6 @@
 package sa
 
 import (
-	"context"
-	"math/rand"
 	"time"
 
 	"soma/internal/obs"
@@ -106,29 +104,7 @@ func Temperature(t0, alpha float64, n, total int) float64 {
 	return t0 * (1 - frac) / (1 + alpha*frac)
 }
 
-// Run anneals from init. neighbor proposes a candidate derived from the
-// current state (returning ok=false for unproductive moves, which are
-// skipped); cost evaluates a state, with +Inf marking infeasible candidates.
-// Run returns the best state seen. States must be value-like: neighbor must
-// not mutate its argument.
-func Run[S any](cfg Config, init S, cost func(S) float64,
-	neighbor func(S, *rand.Rand) (S, bool)) (S, float64, Stats) {
-	return RunCtx(context.Background(), cfg, init, cost, neighbor)
-}
-
 // cancelCheckEvery is how many iterations pass between context polls: rare
 // enough to stay off the hot path, frequent enough that cancellation lands
 // within a handful of schedule evaluations.
 const cancelCheckEvery = 32
-
-// RunCtx is Run with cooperative cancellation: when ctx is canceled the loop
-// stops within cancelCheckEvery iterations and returns the best state seen so
-// far. Callers that must distinguish a canceled run from a converged one
-// check ctx.Err() after RunCtx returns (the annealer itself never fails).
-//
-// RunCtx is the clone-per-candidate adapter over RunMovesCtx; both draw the
-// same rng sequence under the same Config.
-func RunCtx[S any](ctx context.Context, cfg Config, init S, cost func(S) float64,
-	neighbor func(S, *rand.Rand) (S, bool)) (S, float64, Stats) {
-	return RunMovesCtx[S](ctx, cfg, &cloneMoves[S]{cur: init, cost: cost, neighbor: neighbor})
-}

@@ -34,12 +34,52 @@ func TestTemperatureSchedule(t *testing.T) {
 	}
 }
 
+// funcMoves is a test-local MoveState over a value-like state: neighbor
+// proposes a fresh candidate from the current state and cost evaluates it.
+type funcMoves[S any] struct {
+	cur, cand S
+	cost      func(S) float64
+	neighbor  func(S, *rand.Rand) (S, bool)
+}
+
+func (m *funcMoves[S]) InitCost() float64 { return m.cost(m.cur) }
+
+func (m *funcMoves[S]) Propose(rng *rand.Rand) (float64, bool) {
+	cand, ok := m.neighbor(m.cur, rng)
+	if !ok {
+		return 0, false
+	}
+	m.cand = cand
+	return m.cost(cand), true
+}
+
+func (m *funcMoves[S]) Accept()     { m.cur = m.cand }
+func (m *funcMoves[S]) Reject()     {}
+func (m *funcMoves[S]) Snapshot() S { return m.cur }
+
+// anneal runs one RunMovesCtx chain over a funcMoves state.
+func anneal[S any](ctx context.Context, cfg Config, init S, cost func(S) float64,
+	neighbor func(S, *rand.Rand) (S, bool)) (S, float64, Stats) {
+	return RunMovesCtx[S](ctx, cfg, &funcMoves[S]{cur: init, cost: cost, neighbor: neighbor})
+}
+
+// annealPortfolio runs RunMovesPortfolioCtx with one funcMoves per chain,
+// each starting from init.
+func annealPortfolio[S any](ctx context.Context, cfg Config, pf PortfolioConfig, init S,
+	cost func(S) float64, neighbor func(S, *rand.Rand) (S, bool)) (S, float64, PortfolioStats) {
+	return RunMovesPortfolioCtx(ctx, cfg, pf, func(int) MoveState[S] {
+		return &funcMoves[S]{cur: init, cost: cost, neighbor: neighbor}
+	})
+}
+
+var bg = context.Background()
+
 func TestRunFindsQuadraticMinimum(t *testing.T) {
 	cost := func(x float64) float64 { return (x - 7) * (x - 7) }
 	neighbor := func(x float64, rng *rand.Rand) (float64, bool) {
 		return x + rng.NormFloat64(), true
 	}
-	best, bc, st := Run(DefaultConfig(5000, 1), 100.0, cost, neighbor)
+	best, bc, st := anneal(bg, DefaultConfig(5000, 1), 100.0, cost, neighbor)
 	if math.Abs(best-7) > 0.5 {
 		t.Fatalf("best = %g, want ~7 (cost %g)", best, bc)
 	}
@@ -53,12 +93,12 @@ func TestRunDeterministicForSeed(t *testing.T) {
 	neighbor := func(x int, rng *rand.Rand) (int, bool) {
 		return x + rng.Intn(7) - 3, true
 	}
-	a, ac, _ := Run(DefaultConfig(2000, 99), 0, cost, neighbor)
-	b, bc, _ := Run(DefaultConfig(2000, 99), 0, cost, neighbor)
+	a, ac, _ := anneal(bg, DefaultConfig(2000, 99), 0, cost, neighbor)
+	b, bc, _ := anneal(bg, DefaultConfig(2000, 99), 0, cost, neighbor)
 	if a != b || ac != bc {
 		t.Fatalf("same seed diverged: %d/%g vs %d/%g", a, ac, b, bc)
 	}
-	c, _, _ := Run(DefaultConfig(2000, 100), 0, cost, neighbor)
+	c, _, _ := anneal(bg, DefaultConfig(2000, 100), 0, cost, neighbor)
 	_ = c // different seed may or may not differ; just must not crash
 }
 
@@ -74,7 +114,7 @@ func TestRunEscapesInfeasibleStart(t *testing.T) {
 	neighbor := func(x int, rng *rand.Rand) (int, bool) {
 		return x + rng.Intn(5) - 1, true
 	}
-	best, bc, _ := Run(DefaultConfig(3000, 7), 0, cost, neighbor)
+	best, bc, _ := anneal(bg, DefaultConfig(3000, 7), 0, cost, neighbor)
 	if math.IsInf(bc, 1) {
 		t.Fatalf("never escaped infeasible region: best=%d", best)
 	}
@@ -88,7 +128,7 @@ func TestRunNeverReturnsWorseThanInit(t *testing.T) {
 	neighbor := func(x float64, rng *rand.Rand) (float64, bool) {
 		return x + rng.Float64()*10, true // only worsening moves
 	}
-	_, bc, _ := Run(DefaultConfig(500, 3), 2.0, cost, neighbor)
+	_, bc, _ := anneal(bg, DefaultConfig(500, 3), 2.0, cost, neighbor)
 	if bc > 4.0 {
 		t.Fatalf("best cost %g worse than init 4.0", bc)
 	}
@@ -98,7 +138,7 @@ func TestRunSkipsRejectedNeighbors(t *testing.T) {
 	calls := 0
 	cost := func(x int) float64 { calls++; return float64(x) }
 	neighbor := func(x int, rng *rand.Rand) (int, bool) { return x, false }
-	_, _, st := Run(DefaultConfig(100, 1), 5, cost, neighbor)
+	_, _, st := anneal(bg, DefaultConfig(100, 1), 5, cost, neighbor)
 	if st.Accepted != 0 {
 		t.Fatalf("accepted moves with no valid neighbors: %+v", st)
 	}
@@ -117,7 +157,7 @@ func TestRunDeadlineImproveOnly(t *testing.T) {
 		return x + rng.Float64() - 0.3, true
 	}
 	start := time.Now()
-	_, _, st := Run(cfg, 100.0, cost, neighbor)
+	_, _, st := anneal(bg, cfg, 100.0, cost, neighbor)
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("deadline ignored")
 	}
@@ -136,7 +176,7 @@ func TestRunCtxCancellation(t *testing.T) {
 	// Pre-canceled: stops at the first check, before any move.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	best, _, st := RunCtx(ctx, DefaultConfig(1<<20, 1), 0, cost, neighbor)
+	best, _, st := anneal(ctx, DefaultConfig(1<<20, 1), 0, cost, neighbor)
 	if st.Iterations != 0 {
 		t.Fatalf("pre-canceled run iterated %d times", st.Iterations)
 	}
@@ -156,7 +196,7 @@ func TestRunCtxCancellation(t *testing.T) {
 		}
 		return s - 1, true
 	}
-	_, _, st = RunCtx(ctx, DefaultConfig(1<<20, 1), 0, cost, cancelAt)
+	_, _, st = anneal(ctx, DefaultConfig(1<<20, 1), 0, cost, cancelAt)
 	if st.Iterations >= 10+2*cancelCheckEvery {
 		t.Fatalf("cancellation took %d iterations to land", st.Iterations)
 	}
@@ -164,10 +204,10 @@ func TestRunCtxCancellation(t *testing.T) {
 		t.Fatalf("run stopped before cancel: %d iterations", st.Iterations)
 	}
 
-	// RunPortfolioCtx shares the context across chains: every chain stops.
+	// The portfolio shares the context across chains: every chain stops.
 	ctx, cancel = context.WithCancel(context.Background())
 	cancel()
-	_, _, pst := RunPortfolioCtx(ctx, DefaultConfig(1<<20, 1),
+	_, _, pst := annealPortfolio(ctx, DefaultConfig(1<<20, 1),
 		PortfolioConfig{Chains: 4, Workers: 2}, 0, cost, neighbor)
 	if pst.Total.Iterations != 0 {
 		t.Fatalf("canceled portfolio iterated %d times", pst.Total.Iterations)

@@ -2,12 +2,13 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"sort"
 	"testing"
 	"time"
 
-	"soma/internal/exp"
+	"soma/internal/engine"
 	"soma/internal/report"
 	"soma/internal/soma"
 	"soma/internal/workload"
@@ -44,7 +45,7 @@ func TestScenarioJobEndToEnd(t *testing.T) {
 	if got.Result.Scenario == nil || len(got.Result.Scenario.Components) != 2 {
 		t.Fatalf("scenario section missing or malformed: %+v", got.Result.Scenario)
 	}
-	if got.Result.Workload.Model != exp.ScenarioModelName("multi-tenant-cnn") {
+	if got.Result.Workload.Model != engine.ScenarioModelName("multi-tenant-cnn") {
 		t.Fatalf("workload model %q", got.Result.Workload.Model)
 	}
 
@@ -59,8 +60,8 @@ func TestScenarioJobEndToEnd(t *testing.T) {
 	par.Seed = 5
 	par.Beta1, par.Beta2 = 2, 1
 	par.Stage2MaxIters = 1 << 20
-	want, err := exp.RunScenario(exp.ScenarioRun{Scenario: sc, Platform: "edge",
-		Obj: soma.EDP(), Par: par})
+	want, err := engine.Run(context.Background(), engine.Request{Scenario: &sc,
+		Platform: "edge", Objective: soma.EDP(), Params: par}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

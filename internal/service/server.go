@@ -210,24 +210,13 @@ func (s *Server) runJob(id string) {
 	s.countJob(in.req.Backend, err)
 	switch {
 	case err == nil:
-		// The job table serves JSON only: drop the Raw artifact sections
-		// (graphs, schedules, encodings) so retained results cost payload
-		// scalars, not whole schedule object trees. Telemetry goes with
-		// them: it is wall-clock measurement, and dropping it keeps a
-		// fixed-seed job's stored payload byte-identical to `soma -json`
-		// (the wall times still reach /metrics and the job's trace).
-		// Convergence goes the same way: the trajectory has its own
-		// endpoint (GET /v1/jobs/{id}/convergence), and its samples carry
-		// cache-warmth-dependent incremental counters that would break the
-		// stored payload's byte-identity guarantee.
-		res.Raw, res.Telemetry, res.Convergence = nil, nil, nil
-		if res.Scenario != nil {
-			for i := range res.Scenario.Components {
-				if iso := res.Scenario.Components[i].Isolated; iso != nil {
-					iso.Raw, iso.Telemetry = nil, nil
-				}
-			}
-		}
+		// The job table serves JSON only and stores the deterministic
+		// payload: no Raw artifact trees, so retained results cost payload
+		// scalars; no wall-clock Telemetry (it still reaches /metrics and
+		// the job's trace); no Convergence (it has its own endpoint, GET
+		// /v1/jobs/{id}/convergence). A fixed-seed job's stored payload is
+		// thereby byte-identical to `soma -json`.
+		res = res.Deterministic()
 		s.store.finish(id, StateDone, "", func(j *Job) { j.Result = res })
 	case errors.Is(err, context.Canceled) || ctx.Err() != nil:
 		s.store.finish(id, StateCanceled, "canceled", nil)
@@ -561,9 +550,9 @@ func hwInfo(name string, cfg hw.Config) HWInfo {
 }
 
 func (s *Server) handleHW(w http.ResponseWriter, _ *http.Request) {
-	infos := make([]HWInfo, 0, len(exp.Platforms()))
-	for _, name := range exp.Platforms() {
-		cfg, err := exp.Platform(name)
+	infos := make([]HWInfo, 0, len(hw.Platforms()))
+	for _, name := range hw.Platforms() {
+		cfg, err := hw.Platform(name)
 		if err != nil {
 			continue
 		}
@@ -578,10 +567,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		writeBodyError(w, err)
 		return
 	}
 	in, err := req.normalize()
@@ -590,6 +579,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.enqueue(w, r, s.store.Add(req, in))
+}
+
+// writeBodyError answers a submission whose body failed to read or decode:
+// 413 when it exceeds cluster.MaxBodyBytes, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", cluster.MaxBodyBytes))
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 }
 
 // enqueue pushes a freshly added job onto the worker queue and writes the
@@ -624,9 +625,9 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
 	}
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		writeBodyError(w, err)
 		return
 	}
 	sw, err := dse.ParseSweep(body)

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"soma/internal/exp"
+	"soma/internal/hw"
 	"soma/internal/models"
 	"soma/internal/report"
 	"soma/internal/soma"
@@ -124,7 +124,7 @@ func TestEndToEndDeterminism(t *testing.T) {
 	}
 
 	// The same run through the library path (what cmd/soma -json prints).
-	cfg, err := exp.Platform("edge")
+	cfg, err := hw.Platform("edge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +267,10 @@ func TestRegistryEndpoints(t *testing.T) {
 		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/hw", nil, &body); code != http.StatusOK {
 			t.Fatalf("status %d", code)
 		}
-		if len(body.HW) != len(exp.Platforms()) {
-			t.Fatalf("hw = %+v, want %d entries", body.HW, len(exp.Platforms()))
+		if len(body.HW) != len(hw.Platforms()) {
+			t.Fatalf("hw = %+v, want %d entries", body.HW, len(hw.Platforms()))
 		}
-		for i, name := range exp.Platforms() {
+		for i, name := range hw.Platforms() {
 			info := body.HW[i]
 			if info.Name != name {
 				t.Errorf("hw[%d] = %q, want %q", i, info.Name, name)

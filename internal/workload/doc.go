@@ -17,6 +17,6 @@
 // and reporting.
 //
 // A small library of built-in scenarios ships with the package (Builtin /
-// Builtins / BuiltinNames); the soma CLI's -scenario flag, exp.RunScenario
-// and the somad /v1/scenarios endpoint all resolve names through it.
+// Builtins / BuiltinNames); the soma CLI's -scenario flag, dse sweeps and the
+// somad /v1/scenarios endpoint all resolve names through it.
 package workload

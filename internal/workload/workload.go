@@ -144,7 +144,8 @@ type Span struct {
 	Last      graph.LayerID
 	// Graph is the component's isolated model graph as built during
 	// composition, so callers scheduling the components stand-alone (the
-	// per-model baselines of exp.RunScenario) need not rebuild it.
+	// per-model baselines of an engine.Run scenario request) need not
+	// rebuild it.
 	Graph *graph.Graph
 	// Layers counts the component's compute layers (excluding Inputs).
 	Layers int
