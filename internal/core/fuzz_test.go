@@ -13,7 +13,8 @@ import (
 // global dependencies) and the initial tiling number (1, 2 or 4); every
 // following 3-byte group is one operator (see fuzzMutate). Neither the operators nor Parse
 // may panic, the operators must keep the encoding structurally legal, and
-// every accepted schedule must compute its layers in a valid order.
+// every accepted schedule must compute its layers in a valid order and
+// gate each reload on exactly its source layer's stores.
 func FuzzParse(f *testing.F) {
 	var zoo []*graph.Graph
 	for _, name := range []string{"mobilenetv2", "gpt2s-prefill"} {
@@ -57,6 +58,9 @@ func FuzzParse(f *testing.F) {
 		}
 		if !g.IsValidOrder(visit) {
 			t.Fatalf("tile sequence visits layers in an invalid order: %v", visit)
+		}
+		if err := checkAfterStores(s); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -37,6 +37,13 @@ func (e *Encoding) CanonicalKey() string {
 func (s *Schedule) CanonicalKey() string {
 	b := []byte(s.Enc.CanonicalKey())
 	b = binary.AppendUvarint(b, uint64(len(s.Order)))
+	return string(s.AppendDLSAKey(b))
+}
+
+// AppendDLSAKey appends the DLSA part of CanonicalKey - the part after the
+// encoding key and the order length, the only part a DLSA move changes - to
+// b. Stage-2 search keeps the rest in a buffer and appends this per move.
+func (s *Schedule) AppendDLSAKey(b []byte) []byte {
 	for _, id := range s.Order {
 		b = binary.AppendUvarint(b, uint64(id))
 	}
@@ -51,5 +58,5 @@ func (s *Schedule) CanonicalKey() string {
 			b = binary.AppendUvarint(b, uint64(t.End))
 		}
 	}
-	return string(b)
+	return b
 }

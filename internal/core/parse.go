@@ -91,7 +91,12 @@ type Tensor struct {
 	End int
 
 	// AfterStores lists store-tensor IDs that must complete before this
-	// load may begin (the producer's data must reach DRAM first).
+	// load may begin (the producer's data must reach DRAM first). It is
+	// exactly the store IDs of the Source layer, in ID order, and empty
+	// for weights and graph inputs. The simulator relies on this: a load
+	// stalls iff the Source layer's last store in the DRAM Tensor Order
+	// has not committed. Loads of one Source share the slice; never
+	// modify it.
 	AfterStores []int
 }
 

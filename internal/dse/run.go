@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -97,7 +98,11 @@ func (b *Batch) Started(pos int) {
 // a remote executor's fallback stays within the spec's bound however many
 // leases it runs locally. Solves start in the given order; a point aborted
 // by ctx is not delivered. Local returns ctx's cancellation cause, if any.
+// A panicking solve stops the call: the points still running abort, and
+// Local returns the panic as an *engine.PanicError.
 func (b *Batch) Local(ctx context.Context, pos []int, deliver func(pos int, row Row) bool) error {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	queueWait := b.Obs.Registry().Histogram("dse_queue_wait_seconds",
 		"Time sweep points wait for a worker slot.")
 	enqueued := time.Now()
@@ -111,6 +116,11 @@ func (b *Batch) Local(ctx context.Context, pos []int, deliver func(pos int, row 
 		go func(p int) {
 			defer wg.Done()
 			defer func() { <-b.sem }()
+			defer func() {
+				if v := recover(); v != nil {
+					cancel(&engine.PanicError{Value: v, Stack: debug.Stack()})
+				}
+			}()
 			// Commit completed rows even if cancellation raced in right
 			// after the solve finished - the journal keeps every point
 			// that was actually paid for. Aborted points (neither result

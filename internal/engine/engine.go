@@ -174,6 +174,16 @@ type Backend interface {
 	Solve(ctx context.Context, req Request, h *Hooks) (*report.Result, error)
 }
 
+// PanicError is a panic recovered from a solve. The job or sweep it ran in
+// fails with the panic value as its error; Stack is the panicking
+// goroutine's stack, for the log.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+
 // Describer is an optional Backend extension providing the one-line
 // description served by registry listings (somad GET /v1/backends).
 type Describer interface {

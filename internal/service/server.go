@@ -10,6 +10,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -188,7 +189,8 @@ func (s *Server) worker() {
 
 // runJob executes one job end to end and records its terminal state. The
 // engine's progress stream is buffered on the job's event log, which the
-// GET /v1/jobs/{id}/events SSE endpoint serves live.
+// GET /v1/jobs/{id}/events SSE endpoint serves live. A panic fails the job
+// (see fail), and the worker goes on serving.
 func (s *Server) runJob(id string) {
 	ctx, cancel := context.WithCancel(s.base)
 	defer cancel()
@@ -199,6 +201,17 @@ func (s *Server) runJob(id string) {
 	if !ok {
 		return
 	}
+	kind := in.req.Backend
+	if in.sweep != nil {
+		kind = "sweep"
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			err := &engine.PanicError{Value: v, Stack: debug.Stack()}
+			s.countJob(kind, err)
+			s.fail(ctx, id, err)
+		}
+	}()
 	hooks := &engine.Hooks{Event: func(e engine.Event) { s.store.appendEvent(id, e) }}
 	o := s.jobObs(id)
 	if in.sweep != nil {
@@ -207,17 +220,30 @@ func (s *Server) runJob(id string) {
 	}
 	in.req.Journal, _, _ = s.store.Convergence(id)
 	res, err := s.execute(ctx, in, hooks, o)
-	s.countJob(in.req.Backend, err)
+	s.countJob(kind, err)
+	if err != nil {
+		s.fail(ctx, id, err)
+		return
+	}
+	// The job table serves JSON only and stores the deterministic payload:
+	// no Raw artifact trees, so retained results cost payload scalars; no
+	// wall-clock Telemetry (it still reaches /metrics and the job's trace);
+	// no Convergence (it has its own endpoint, GET
+	// /v1/jobs/{id}/convergence). A fixed-seed job's stored payload is
+	// thereby byte-identical to `soma -json`.
+	res = res.Deterministic()
+	s.store.finish(id, StateDone, "", func(j *Job) { j.Result = res })
+}
+
+// fail records the terminal state of a job that ended with err: canceled
+// when its context was, failed otherwise. A recovered panic fails the job
+// with the panic value as its error and writes the stack to the log.
+func (s *Server) fail(ctx context.Context, id string, err error) {
+	var pe *engine.PanicError
 	switch {
-	case err == nil:
-		// The job table serves JSON only and stores the deterministic
-		// payload: no Raw artifact trees, so retained results cost payload
-		// scalars; no wall-clock Telemetry (it still reaches /metrics and
-		// the job's trace); no Convergence (it has its own endpoint, GET
-		// /v1/jobs/{id}/convergence). A fixed-seed job's stored payload is
-		// thereby byte-identical to `soma -json`.
-		res = res.Deterministic()
-		s.store.finish(id, StateDone, "", func(j *Job) { j.Result = res })
+	case errors.As(err, &pe):
+		log.Printf("somad: job %s: %v\n%s", id, err, pe.Stack)
+		s.store.finish(id, StateFailed, err.Error(), nil)
 	case errors.Is(err, context.Canceled) || ctx.Err() != nil:
 		s.store.finish(id, StateCanceled, "canceled", nil)
 	default:
@@ -235,15 +261,12 @@ func (s *Server) runJob(id string) {
 func (s *Server) runSweepJob(ctx context.Context, id string, sw dse.Sweep, hooks *engine.Hooks, o *obs.Obs) {
 	out, err := dse.Run(ctx, sw, dse.Options{Cache: s.cache, Hooks: hooks, Obs: o, Executor: s.sweepExec})
 	s.countJob("sweep", err)
-	switch {
-	case err == nil:
-		out.Scrub()
-		s.store.finish(id, StateDone, "", func(j *Job) { j.SweepOut = out })
-	case errors.Is(err, context.Canceled) || ctx.Err() != nil:
-		s.store.finish(id, StateCanceled, "canceled", nil)
-	default:
-		s.store.finish(id, StateFailed, err.Error(), nil)
+	if err != nil {
+		s.fail(ctx, id, err)
+		return
 	}
+	out.Scrub()
+	s.store.finish(id, StateDone, "", func(j *Job) { j.SweepOut = out })
 }
 
 // execute performs the search through the engine - the same flow as

@@ -35,6 +35,14 @@ import (
 // Accept or Reject. Rejected moves roll back in O(moved range); accepted
 // moves splice the scratch suffix into the cached state. An Incremental is
 // NOT safe for concurrent use - portfolio chains each own one.
+//
+// A load's wait on its producer's stores is one check: Parse gives every
+// load with AfterStores exactly the stores of its Source layer, and stores
+// ordered before the load never delay it (see Evaluate), so the load stalls
+// iff the layer's last store in the live order has not committed. The
+// evaluator keeps that last store per layer: a store's order move updates
+// it in O(1), or in O(stores of the layer) when it carries the last store
+// earlier, and Reject restores it.
 type Incremental struct {
 	s   *core.Schedule
 	cs  *coresched.Scheduler
@@ -48,6 +56,11 @@ type Incremental struct {
 	blockers [][]int // tile seq -> gating tensor IDs (len n+1)
 	usage    []int64 // buffer occupancy per tile seq
 	posAcc   []int   // accepted order position of each tensor ID
+	// lastStore is, per layer, the ID of its store that comes last in the
+	// live order (-1 without stores); layerStores[l] lists layer l's store
+	// IDs.
+	lastStore   []int
+	layerStores [][]int
 
 	// Cached simulation of the accepted schedule. accValid means the arrays
 	// and checkpoints describe a completed, deadlock-free merge.
@@ -96,9 +109,10 @@ const ckptStride = 32
 // pendingMove describes the single in-flight proposal.
 type pendingMove struct {
 	kind     moveKind
-	id       int // tensor (start/end moves)
+	id       int // moved tensor
 	from, to int // order positions (order moves)
-	old, new int // start/end values
+	old, new int // start/end values; old is also the layer's last store
+	// before a store's order move
 }
 
 type moveKind int
@@ -182,8 +196,17 @@ func NewIncremental(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*In
 		scrStamp:     make([]int64, m),
 	}
 	inc.blockers = buildBlockers(s, n)
+	inc.lastStore = make([]int, len(s.G.Layers))
+	inc.layerStores = make([][]int, len(s.G.Layers))
+	for l := range inc.lastStore {
+		inc.lastStore[l] = -1
+	}
 	for p, id := range s.Order {
 		inc.posAcc[id] = p
+		if t := &s.Tensors[id]; !t.Kind.IsLoad() {
+			inc.lastStore[t.Layer] = id
+			inc.layerStores[t.Layer] = append(inc.layerStores[t.Layer], id)
+		}
 	}
 	return inc, nil
 }
@@ -225,8 +248,42 @@ func (inc *Incremental) MoveTensor(from, to int) bool {
 	if !inc.s.MoveTensor(from, to) {
 		return false
 	}
-	inc.pending = pendingMove{kind: moveOrder, from: from, to: to}
+	id := inc.s.Order[to]
+	inc.pending = pendingMove{kind: moveOrder, id: id, from: from, to: to}
+	if t := &inc.s.Tensors[id]; !t.Kind.IsLoad() {
+		last := inc.lastStore[t.Layer]
+		inc.pending.old = last
+		switch {
+		case last == id && to < from:
+			// The last store moved earlier: another may now be last.
+			for _, st := range inc.layerStores[t.Layer] {
+				if inc.livePos(st) > inc.livePos(last) {
+					last = st
+				}
+			}
+		case last != id && to > inc.livePos(last):
+			last = id
+		}
+		inc.lastStore[t.Layer] = last
+	}
 	return true
+}
+
+// livePos is the order position of tensor id under the pending order move:
+// the rotation puts the moved tensor at to, shifts the span between from and
+// to by one and keeps every other position.
+func (inc *Incremental) livePos(id int) int {
+	pm := &inc.pending
+	p := inc.posAcc[id]
+	switch {
+	case id == pm.id:
+		return pm.to
+	case pm.from < pm.to && p > pm.from && p <= pm.to:
+		return p - 1
+	case pm.to < pm.from && p >= pm.to && p < pm.from:
+		return p + 1
+	}
+	return p
 }
 
 // SetStart proposes jittering a load's Living Duration start. Returns false
@@ -466,21 +523,11 @@ func (inc *Incremental) resim(ck mergeState) error {
 				if i < t.Start {
 					break // needs more compute progress
 				}
+				if len(t.AfterStores) > 0 && !committed(inc.lastStore[t.Source]) {
+					break // a producer store is still ahead in the order
+				}
 				if t.Start > 0 {
 					depTime = tileEnd(t.Start - 1)
-				}
-				stalled := false
-				for _, st := range t.AfterStores {
-					if !committed(st) {
-						stalled = true
-						break
-					}
-					if te := tensorEnd(st); te > depTime {
-						depTime = te
-					}
-				}
-				if stalled {
-					break
 				}
 			} else {
 				if i <= t.Producer {
@@ -595,6 +642,9 @@ func (inc *Incremental) Reject() {
 		panic("sim: Reject without a pending move")
 	case moveOrder:
 		rotateOrder(inc.s.Order, inc.pending.to, inc.pending.from)
+		if t := &inc.s.Tensors[inc.pending.id]; !t.Kind.IsLoad() {
+			inc.lastStore[t.Layer] = inc.pending.old
+		}
 	case moveStart:
 		t := &inc.s.Tensors[inc.pending.id]
 		if inc.pending.new < inc.pending.old {

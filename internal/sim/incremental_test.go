@@ -62,6 +62,88 @@ func proposeRandomMove(inc *Incremental, rng *rand.Rand) bool {
 	}
 }
 
+// proposeStoreMove exercises the evaluator's per-layer last-store
+// bookkeeping around the reload load: it moves the last (in order) of the
+// stores load waits on to an earlier position, at most back to the first of
+// them; or another of those stores just past the last; or load itself to
+// a later position, at most just past the last store. Returns false when
+// the move is illegal.
+func proposeStoreMove(inc *Incremental, rng *rand.Rand, load int) bool {
+	stores := inc.Schedule().Tensors[load].AfterStores
+	if len(stores) == 0 {
+		return false
+	}
+	first, last := stores[0], stores[0]
+	for _, st := range stores {
+		if inc.PosOf(st) < inc.PosOf(first) {
+			first = st
+		}
+		if inc.PosOf(st) > inc.PosOf(last) {
+			last = st
+		}
+	}
+	firstPos, lastPos := inc.PosOf(first), inc.PosOf(last)
+	span := func(lo, hi int) int { // a random position in [lo, hi]
+		hi = min(hi, len(inc.Schedule().Order)-1)
+		if hi < lo {
+			return lo
+		}
+		return lo + rng.Intn(hi-lo+1)
+	}
+	switch rng.Intn(3) {
+	case 0:
+		return inc.MoveTensor(lastPos, span(firstPos, lastPos-1))
+	case 1:
+		st := stores[rng.Intn(len(stores))]
+		return inc.MoveTensor(inc.PosOf(st), span(lastPos, lastPos+1))
+	default:
+		return inc.MoveTensor(inc.PosOf(load), span(inc.PosOf(load)+1, lastPos+1))
+	}
+}
+
+// interleaveReload sets up an order in which the last-store bookkeeping
+// decides a reload's stall. It picks a random reload of s that waits on
+// several stores, lets it start at tile 0, and moves it and those stores
+// into one block at the last store's position: the stores in their order
+// with the reload after a random one but the last. The stores' Living
+// Durations end with the execution, so they gate no tile and moves inside
+// the block cannot deadlock the merge for any other reason. It returns the
+// reload's ID.
+func interleaveReload(s *core.Schedule, rng *rand.Rand) int {
+	for {
+		t := &s.Tensors[rng.Intn(len(s.Tensors))]
+		if len(t.AfterStores) < 3 {
+			continue
+		}
+		s.SetStart(t.ID, 0)
+		inBlock := map[int]bool{t.ID: true}
+		for _, st := range t.AfterStores {
+			s.SetEnd(st, s.NumTiles())
+			inBlock[st] = true
+		}
+		after := rng.Intn(len(t.AfterStores) - 1)
+		var order, block []int
+		for _, id := range s.Order {
+			if !inBlock[id] {
+				order = append(order, id)
+				continue
+			}
+			if id == t.ID {
+				continue
+			}
+			block = append(block, id)
+			if len(block) == after+1 {
+				block = append(block, t.ID)
+			}
+			if len(block) == len(t.AfterStores)+1 {
+				order = append(order, block...)
+			}
+		}
+		copy(s.Order, order)
+		return t.ID
+	}
+}
+
 // diffHarness drives moves random moves through an Incremental over s,
 // checking after every proposal that the incremental metrics equal a full
 // sim.Evaluate of the (mutated) schedule, and after every reject that the
@@ -183,6 +265,29 @@ func TestIncrementalDifferentialZoo(t *testing.T) {
 			diffHarness(t, s, coresched.New(c.cfg), int64(len(c.model)), c.moves, true)
 		})
 	}
+	// Reloads of the prefill cut's tiled consumers each wait on all 8
+	// stores of their producer.
+	t.Run("gpt2s-prefill-2blk", func(t *testing.T) {
+		diffHarness(t, prefillCut(t, 8), coresched.New(hw.Edge()), 15, 200, true)
+	})
+	// A legal order hides that bookkeeping (every store precedes its
+	// reloads). So each episode starts one reload at tile 0 and puts it
+	// among its producer's stores, where the layer's last store decides
+	// whether it stalls, then mostly moves those stores.
+	t.Run("gpt2s-prefill-2blk-store-moves", func(t *testing.T) {
+		cs := coresched.New(hw.Edge())
+		rng := rand.New(rand.NewSource(16))
+		for ep := 0; ep < 12; ep++ {
+			s := prefillCut(t, 8)
+			load := interleaveReload(s, rng)
+			refWalk(t, s, cs, int64(ep), 40, func(inc *Incremental, rng *rand.Rand) bool {
+				if rng.Intn(4) == 0 {
+					return proposeRandomMove(inc, rng)
+				}
+				return proposeStoreMove(inc, rng, load)
+			})
+		}
+	})
 }
 
 // TestIncrementalDeadlockAgreement: driving the order into a deadlocking

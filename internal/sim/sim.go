@@ -103,6 +103,15 @@ func (m *Metrics) Cost(n, mm float64) float64 {
 }
 
 // Evaluate replays the schedule on the scheduler's hardware configuration.
+//
+// A load waits for its producer's stores (Tensor.AfterStores) without
+// scanning them. The DRAM channel is serial and in order, so every store
+// ordered before the load has committed when the load is reached, and ends
+// no later than dramFree: the stores never delay the load's start. What is
+// left is the stall of a load whose producer layer still has a store ordered
+// after it - an invalid order that deadlocks. Since AfterStores holds all
+// stores of the load's Source layer, that is one comparison against the
+// layer's last store position.
 func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics, error) {
 	cfg := cs.Config()
 	n := s.NumTiles()
@@ -122,8 +131,18 @@ func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics,
 	tileDur := tc.Dur
 	coreEnergy, computeBusy := tc.CoreEnergy, tc.ComputeBusy
 
-	// Which tensors gate which tile.
+	// Which tensors gate which tile, and where each layer's last store
+	// sits in the DRAM Tensor Order.
 	blockers := buildBlockers(s, n)
+	lastStore := make([]int, len(s.G.Layers))
+	for l := range lastStore {
+		lastStore[l] = -1
+	}
+	for p, id := range s.Order {
+		if t := &s.Tensors[id]; !t.Kind.IsLoad() {
+			lastStore[t.Layer] = p
+		}
+	}
 
 	tileEnd := make([]float64, n)
 	tensorEnd := make([]float64, mTensors)
@@ -147,21 +166,11 @@ func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics,
 				if i < t.Start {
 					break // needs more compute progress
 				}
+				if len(t.AfterStores) > 0 && lastStore[t.Source] > j {
+					break // a producer store is still ahead in the order
+				}
 				if t.Start > 0 {
 					depTime = tileEnd[t.Start-1]
-				}
-				stalled := false
-				for _, st := range t.AfterStores {
-					if !committed[st] {
-						stalled = true
-						break
-					}
-					if tensorEnd[st] > depTime {
-						depTime = tensorEnd[st]
-					}
-				}
-				if stalled {
-					break
 				}
 			} else {
 				if i <= t.Producer {

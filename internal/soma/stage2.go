@@ -2,6 +2,7 @@ package soma
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"time"
@@ -75,6 +76,9 @@ type stage2Moves struct {
 	picker *sizePicker
 	inc    *sim.Incremental
 	budget int64
+	// keyPrefix is the fixed head of every key - scope, encoding key and
+	// order length - and keyBuf the buffer key() builds each key in.
+	keyPrefix, keyBuf []byte
 	// kind names the operator the last productive Propose drew, for the
 	// convergence journal's per-kind tallies (sa.MoveKinder).
 	kind string
@@ -89,14 +93,22 @@ func newStage2Moves(e *Explorer, s *core.Schedule, picker *sizePicker, tc *sim.T
 		// parse-derived schedule cannot produce.
 		panic("soma: stage-2 incremental evaluator: " + err.Error())
 	}
-	return &stage2Moves{e: e, picker: picker, inc: inc, budget: e.Cfg.GBufBytes}
+	prefix := append([]byte(e.Scope), s.Enc.CanonicalKey()...)
+	prefix = binary.AppendUvarint(prefix, uint64(len(s.Order)))
+	return &stage2Moves{e: e, picker: picker, inc: inc, budget: e.Cfg.GBufBytes,
+		keyPrefix: prefix}
 }
 
 // key is the evaluation-cache key of the live schedule - the same bytes
-// Cache.Evaluate derives, so stage-2 points stay interchangeable with every
-// other cache user (the final winner re-evaluation, the somad daemon).
+// Cache.Evaluate derives (sim.Key of the scoped CanonicalKey), so stage-2
+// points stay interchangeable with every other cache user (the final winner
+// re-evaluation, the somad daemon). Only the DLSA part is re-encoded per
+// move, into a reused buffer.
 func (ms *stage2Moves) key() string {
-	return sim.Key(ms.e.Scope+ms.inc.Schedule().CanonicalKey(), ms.budget)
+	b := append(ms.keyBuf[:0], ms.keyPrefix...)
+	b = ms.inc.Schedule().AppendDLSAKey(b)
+	ms.keyBuf = binary.AppendVarint(b, ms.budget)
+	return string(ms.keyBuf)
 }
 
 // objective folds metrics into the annealing cost (+Inf for deadlocked or
