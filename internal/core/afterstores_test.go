@@ -66,9 +66,6 @@ func TestAfterStoresIsSourceStoreWindow(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(si + 1)))
 			cur := DefaultEncoding(st.g, st.tiles)
 			steps, checked := 150, 0
-			if testing.Short() {
-				steps = 30
-			}
 			for step := 0; step <= steps; step++ {
 				cand := cur
 				if step > 0 {

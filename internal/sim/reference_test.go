@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"soma/internal/core"
@@ -232,11 +233,7 @@ func TestReferenceLegalWalks(t *testing.T) {
 			if !c.s.OrderValid() {
 				t.Fatal("parsed order is invalid")
 			}
-			moves := 60
-			if testing.Short() {
-				moves = 15
-			}
-			refWalk(t, c.s, coresched.New(c.cfg), int64(i+1), moves, proposeRandomMove)
+			refWalk(t, c.s, coresched.New(c.cfg), int64(i+1), 60, proposeRandomMove)
 		})
 	}
 }
@@ -247,17 +244,18 @@ func TestReferenceLegalWalks(t *testing.T) {
 // returns false when s has no reload.
 func misorder(s *core.Schedule, rng *rand.Rand, k int) bool {
 	var gated []int
-	for p, id := range s.Order {
+	for id := range s.Tensors {
 		if len(s.Tensors[id].AfterStores) > 0 {
-			gated = append(gated, p)
+			gated = append(gated, id)
 		}
 	}
 	if len(gated) == 0 {
 		return false
 	}
 	for ; k > 0; k-- {
-		from := gated[rng.Intn(len(gated))]
-		s.SetStart(s.Order[from], 0)
+		id := gated[rng.Intn(len(gated))]
+		from := slices.Index(s.Order, id)
+		s.SetStart(id, 0)
 		rotateOrder(s.Order, from, rng.Intn(from+1))
 	}
 	return true
