@@ -7,7 +7,11 @@ import "fmt"
 // ahead of its first use, every store drains during the following tile, and
 // the DRAM Tensor Order interleaves "store what tile t produced" right after
 // "prefetch what tile t+1 needs".
-func (s *Schedule) ApplyDoubleBuffer() {
+func (s *Schedule) ApplyDoubleBuffer() { s.applyDoubleBuffer(nil) }
+
+// applyDoubleBuffer is ApplyDoubleBuffer with its sort's working storage
+// taken from scratch; it returns the storage for reuse.
+func (s *Schedule) applyDoubleBuffer(scratch []int) []int {
 	n := s.NumTiles()
 	for i := range s.Tensors {
 		t := &s.Tensors[i]
@@ -33,20 +37,22 @@ func (s *Schedule) ApplyDoubleBuffer() {
 		}
 		return 2*t.Producer + 1
 	}
-	start := make([]int, 2*n+1)
+	scratch = resize(scratch, 2*n+1+len(s.Order))
+	start, sorted := scratch[:2*n+1], scratch[2*n+1:]
+	clear(start)
 	for _, id := range s.Order {
 		start[key(id)+1]++
 	}
 	for k := 1; k < len(start); k++ {
 		start[k] += start[k-1]
 	}
-	sorted := make([]int, len(s.Order))
 	for _, id := range s.Order {
 		k := key(id)
 		sorted[start[k]] = id
 		start[k]++
 	}
 	copy(s.Order, sorted)
+	return scratch
 }
 
 // OrderValid reports whether the DRAM Tensor Order is a permutation that
@@ -111,10 +117,11 @@ func (s *Schedule) MoveTensor(from, to int) bool {
 	// Fast legality: a load may not move before its latest AfterStore; a
 	// store may not move after its earliest dependent load.
 	if to < from && len(t.AfterStores) > 0 {
-		// AfterStores lists are short (a load waits on at most a few
-		// stores), so a direct scan beats building a set: this runs on
-		// every order proposal of the stage-2 hot loop and must not
-		// allocate.
+		// A direct scan, which must not allocate: this runs on every
+		// order proposal of the stage-2 hot loop. It is not cheap on
+		// prefill, where a reload's list holds every store of its
+		// Source layer; the ROADMAP's AfterStores item replaces the
+		// lists with one store window per layer.
 		for p := to; p < from; p++ {
 			cand := s.Order[p]
 			for _, st := range t.AfterStores {

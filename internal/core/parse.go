@@ -158,39 +158,101 @@ type layerInfo struct {
 // Parse lowers an encoding into a Schedule, or fails when the encoding is
 // illegal (bad order/cuts, or a global dependency inside a multi-tile FLG).
 // The resulting schedule carries the classical double-buffer DLSA; callers
-// explore alternatives via the DLSA methods.
+// explore alternatives via the DLSA methods. Parse is an Arena parse into
+// fresh storage.
+func Parse(g *graph.Graph, e *Encoding) (*Schedule, error) {
+	var a Arena
+	s, err := a.Parse(g, e, nil)
+	if err != nil {
+		return nil, err
+	}
+	c := *s // leaves the arena's bookkeeping to the collector
+	return &c, nil
+}
+
+// Arena is reusable parse storage. The stage-1 annealer keeps nothing of a
+// cache-missing candidate but its Metrics, so each of its chains parses
+// every miss into one Arena and reuses the tile, tensor, order, on-chip and
+// per-layer buffers of the previous parse. An Arena is not safe for
+// concurrent use.
+type Arena struct {
+	s        Schedule
+	flgs     []flgEntry
+	memoized bool // flgs came from a memo, costs included
+	flgStart []int
+	info     []layerInfo
+	seqs     []int
+	// storeIDs[i] == i: loads' AfterStores are windows of it, and the
+	// identity survives reuse, so it is only ever extended.
+	storeIDs []int
+	// scratch backs ApplyDoubleBuffer's counting sort, key the memo's
+	// lookup key.
+	scratch []int
+	key     []byte
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. Reused elements keep their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Parse lowers e like the package-level Parse, into the arena's storage:
+// the returned schedule, and every slice it holds, is only valid until the
+// next Parse on a. With a non-nil memo (built for g), FLG plans come from
+// the memo, and TileCosts reports the parsed tiles' memoized costs.
 //
 // The stage-1 annealer parses every cache-missing candidate, so Parse keeps
 // its bookkeeping in dense LayerID-indexed slices and sizes every output
-// once: its allocations grow with the FLG count, not with the tile count.
-func Parse(g *graph.Graph, e *Encoding) (*Schedule, error) {
+// once: into fresh storage, its allocations grow with the FLG count, not
+// with the tile count; into a warm arena with a warm memo it allocates only
+// in Encoding.Check.
+func (a *Arena) Parse(g *graph.Graph, e *Encoding, memo *FLGMemo) (*Schedule, error) {
+	if memo != nil && memo.g != g {
+		panic("core: FLG memo built for another graph")
+	}
 	if err := e.Check(g); err != nil {
 		return nil, err
 	}
-	s := &Schedule{G: g, Enc: e}
+	s := &a.s // every field is set below
+	s.G, s.Enc = g, e
+	a.memoized = memo != nil
 
 	// Tiling plans. FLGs run in order, each enumerated tile-major, so tile
 	// t of the li-th layer of FLG f has seq flgStart[f] + t*len(FLG) + li.
 	nf := e.NumFLGs()
-	plans := make([]*tiling.Plan, nf)
-	flgStart := make([]int, nf+1)
-	for f := range plans {
-		plan, err := tiling.New(g, e.FLGLayers(f), e.Tile[f])
-		if err != nil {
+	a.flgs = resize(a.flgs, nf)
+	flgStart := resize(a.flgStart, nf+1)
+	a.flgStart = flgStart
+	flgStart[0] = 0
+	for f := range a.flgs {
+		if memo != nil {
+			a.flgs[f] = *memo.get(e.FLGLayers(f), e.Tile[f], &a.key)
+		} else {
+			a.flgs[f] = planFLG(g, e.FLGLayers(f), e.Tile[f])
+		}
+		plan := a.flgs[f].plan
+		if err := a.flgs[f].err; err != nil {
 			return nil, fmt.Errorf("core: FLG %d: %w", f, err)
 		}
-		plans[f] = plan
 		flgStart[f+1] = flgStart[f] + plan.Tiles*len(plan.Layers)
 	}
 	n := flgStart[nf]
 	eb := int64(g.ElemBytes)
 
 	// The global tile sequence and each layer's tile seqs.
-	info := make([]layerInfo, len(g.Layers))
-	seqs := make([]int, n)
-	s.Tiles = make([]Tile, n)
+	info := resize(a.info, len(g.Layers))
+	a.info = info
+	clear(info)
+	seqs := resize(a.seqs, n)
+	a.seqs = seqs
+	s.Tiles = resize(s.Tiles, n)
 	lg := 0
-	for f, plan := range plans {
+	for f := range a.flgs {
+		plan := a.flgs[f].plan
 		if f > 0 && e.IsDRAM[f-1] {
 			lg++
 		}
@@ -258,16 +320,19 @@ func Parse(g *graph.Graph, e *Encoding) (*Schedule, error) {
 			}
 		}
 	}
-	s.Tensors = make([]Tensor, 0, nStores+nLoads)
-	s.OnChip = make([]Interval, 0, nOnChip)
+	s.Tensors = resize(s.Tensors, nStores+nLoads)[:0]
+	s.OnChip = resize(s.OnChip, nOnChip)[:0]
 
 	// Stores first (loads reference them through AfterStores), one per
 	// tile of each stored layer. Their IDs therefore count up from 0 and a
 	// layer's store IDs form a contiguous window of one shared list.
-	storeIDs := make([]int, nStores)
-	for i := range storeIDs {
-		storeIDs[i] = i
+	if len(a.storeIDs) < nStores {
+		a.storeIDs = make([]int, nStores)
+		for i := range a.storeIDs {
+			a.storeIDs[i] = i
+		}
 	}
+	storeIDs := a.storeIDs
 	for _, id := range e.Order {
 		li := &info[id]
 		if !li.store {
@@ -419,45 +484,67 @@ func Parse(g *graph.Graph, e *Encoding) (*Schedule, error) {
 		}
 	}
 
-	s.Order = make([]int, len(s.Tensors))
+	s.Order = resize(s.Order, len(s.Tensors))
 	for i := range s.Order {
 		s.Order[i] = i
 	}
-	s.ApplyDoubleBuffer()
+	a.scratch = s.applyDoubleBuffer(a.scratch)
 	return s, nil
+}
+
+// TileCosts copies the memoized compute time and energy of every tile of
+// the last parse, in seq order, into dur and energy (each of its tile
+// count). It reports false, copying nothing, when the parse took no costs
+// from a memo.
+func (a *Arena) TileCosts(dur, energy []float64) bool {
+	if !a.memoized {
+		return false
+	}
+	for f := range a.flgs {
+		copy(dur[a.flgStart[f]:], a.flgs[f].dur)
+		copy(energy[a.flgStart[f]:], a.flgs[f].energy)
+	}
+	return true
 }
 
 // TileRequest builds the core-array scheduler request of tile i.
 func (s *Schedule) TileRequest(i int) coresched.Request {
 	tl := &s.Tiles[i]
-	l := s.G.Layer(tl.Layer)
-	eb := int64(s.G.ElemBytes)
-	regionElems := tl.Region.Elems(l.Out.C)
+	return tileRequest(s.G, tl.Layer, tl.Region)
+}
+
+// tileRequest builds the core-array scheduler request of the tile computing
+// region of layer id: it depends on nothing else, which is what lets an
+// FLGMemo cost an FLG's tiles once.
+func tileRequest(g *graph.Graph, id graph.LayerID, region tiling.Region) coresched.Request {
+	l := g.Layer(id)
+	eb := int64(g.ElemBytes)
+	regionElems := region.Elems(l.Out.C)
 	fullElems := l.Out.Elems()
 	ops := int64(float64(l.Ops) * float64(regionElems) / float64(fullElems))
 
 	var inBytes int64
 	inC := 1
 	for di, d := range l.Deps {
-		p := s.G.Layer(d.Producer)
+		p := g.Layer(d.Producer)
 		if di == 0 {
 			inC = p.Out.C
 		}
 		if d.Global {
-			inBytes += p.Out.Bytes(s.G.ElemBytes) *
-				int64(tl.Region.N1-tl.Region.N0) / int64(l.Out.N)
+			inBytes += p.Out.Bytes(g.ElemBytes) *
+				int64(region.N1-region.N0) / int64(l.Out.N)
 			continue
 		}
-		r := tiling.InputRegion(l, d.Producer, s.G, tl.Region)
+		r := tiling.InputRegion(l, d.Producer, g, region)
 		inBytes += r.Elems(p.Out.C) * eb
 	}
 	wBytes := l.WeightBytes
 	if l.WeightsPerSample {
-		wBytes = wBytes * int64(tl.Region.N1-tl.Region.N0) / int64(l.Out.N)
+		wBytes = wBytes * int64(region.N1-region.N0) / int64(l.Out.N)
 	}
 	return coresched.Request{
 		Kind:     l.Kind,
-		OutElems: tl.Region.Elems(1),
+		OutElems: region.Elems(1),
 		OutC:     l.Out.C,
 		InC:      inC,
 		KH:       l.K.KH, KW: l.K.KW,
@@ -465,15 +552,20 @@ func (s *Schedule) TileRequest(i int) coresched.Request {
 		OutBytes:    regionElems * eb,
 		WeightBytes: wBytes,
 		Ops:         ops,
-		ElemBytes:   s.G.ElemBytes,
+		ElemBytes:   g.ElemBytes,
 	}
 }
 
 // BufferUsage returns the buffer occupancy at each tile seq, combining the
 // static on-chip intervals with the Living Durations of the DRAM tensors.
-func (s *Schedule) BufferUsage() []int64 {
+func (s *Schedule) BufferUsage() []int64 { return s.BufferUsageInto(nil) }
+
+// BufferUsageInto is BufferUsage computed in buf's storage when its
+// capacity exceeds the tile count.
+func (s *Schedule) BufferUsageInto(buf []int64) []int64 {
 	n := s.NumTiles()
-	diff := make([]int64, n+1)
+	diff := resize(buf, n+1)
+	clear(diff)
 	addIv := func(lo, hi int, b int64) {
 		if lo < 0 {
 			lo = 0
@@ -502,13 +594,13 @@ func (s *Schedule) BufferUsage() []int64 {
 			addIv(t.Producer, hi, t.Bytes)
 		}
 	}
-	usage := make([]int64, n)
+	// Prefix sums in place: usage at seq i is the sum of diff[0..i].
 	var acc int64
 	for i := 0; i < n; i++ {
 		acc += diff[i]
-		usage[i] = acc
+		diff[i] = acc
 	}
-	return usage
+	return diff[:n]
 }
 
 // PeakBuffer returns the maximum buffer occupancy over the execution.

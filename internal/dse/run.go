@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -118,7 +117,7 @@ func (b *Batch) Local(ctx context.Context, pos []int, deliver func(pos int, row 
 			defer func() { <-b.sem }()
 			defer func() {
 				if v := recover(); v != nil {
-					cancel(&engine.PanicError{Value: v, Stack: debug.Stack()})
+					cancel(engine.Recovered(v))
 				}
 			}()
 			// Commit completed rows even if cancellation raced in right

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"soma/internal/models"
 	"soma/internal/obs"
 	"soma/internal/report"
+	"soma/internal/sa"
 	"soma/internal/sim"
 	"soma/internal/soma"
 	"soma/internal/workload"
@@ -183,6 +185,17 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
+
+// Recovered wraps a value a deferred recover returned. The stack is the
+// current goroutine's, which a deferred call still runs on, unless the
+// value is a panic a portfolio chain raised on its own goroutine: then it
+// is that chain's.
+func Recovered(v any) *PanicError {
+	if cp, ok := v.(*sa.ChainPanic); ok {
+		return &PanicError{Value: v, Stack: cp.Stack}
+	}
+	return &PanicError{Value: v, Stack: debug.Stack()}
+}
 
 // Describer is an optional Backend extension providing the one-line
 // description served by registry listings (somad GET /v1/backends).

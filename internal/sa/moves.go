@@ -2,8 +2,10 @@ package sa
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -190,6 +192,10 @@ func RunMovesCtx[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, fl
 // worker goroutines. ctx is shared by every chain, so canceling it stops the
 // whole portfolio within cancelCheckEvery iterations per chain; the best
 // state seen across the chains that did run is still returned.
+//
+// A chain that panics cancels the others; once they have returned, the
+// lowest-index panicking chain's panic is raised again on the caller's
+// goroutine as a *ChainPanic, so the caller's own recovery sees it.
 func RunMovesPortfolioCtx[S any](ctx context.Context, cfg Config, pf PortfolioConfig,
 	newState func(chain int) MoveState[S]) (S, float64, PortfolioStats) {
 
@@ -212,6 +218,9 @@ func RunMovesPortfolioCtx[S any](ctx context.Context, cfg Config, pf PortfolioCo
 		st   Stats
 	}
 	results := make([]outcome, pf.Chains)
+	panics := make([]*ChainPanic, pf.Chains)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, pf.Workers)
 	for c := 0; c < pf.Chains; c++ {
@@ -231,11 +240,22 @@ func RunMovesPortfolioCtx[S any](ctx context.Context, cfg Config, pf PortfolioCo
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
+			defer func() {
+				if v := recover(); v != nil {
+					panics[c] = &ChainPanic{Chain: c, Value: v, Stack: debug.Stack()}
+					cancel()
+				}
+			}()
 			best, bc, st := RunMovesCtx(ctx, chainCfg, newState(c))
 			results[c] = outcome{best: best, cost: bc, st: st}
 		}(c, chainCfg)
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 
 	ps := PortfolioStats{Chains: pf.Chains, Workers: pf.Workers,
 		PerChain: make([]Stats, pf.Chains)}
@@ -253,4 +273,17 @@ func RunMovesPortfolioCtx[S any](ctx context.Context, cfg Config, pf PortfolioCo
 	ps.BestChain = winner
 	ps.Total.BestIter = results[winner].st.BestIter
 	return results[winner].best, results[winner].cost, ps
+}
+
+// ChainPanic is the value RunMovesPortfolioCtx panics with when one of its
+// chain goroutines panicked: the chain, its panic value and the stack of
+// the goroutine that panicked.
+type ChainPanic struct {
+	Chain int
+	Value any
+	Stack []byte
+}
+
+func (p *ChainPanic) Error() string {
+	return fmt.Sprintf("sa: portfolio chain %d: %v", p.Chain, p.Value)
 }

@@ -3,6 +3,7 @@ package sa
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -94,4 +95,44 @@ func TestPortfolioZeroValueIsSerialRun(t *testing.T) {
 	if st.Chains != 1 || st.Workers != 1 || st.BestChain != 0 {
 		t.Fatalf("normalized dimensions wrong: %+v", st)
 	}
+}
+
+// panicky is a MoveState whose chain panics on its third proposal.
+type panicky struct{ moves int }
+
+func (p *panicky) InitCost() float64 { return 1 }
+func (p *panicky) Propose(*rand.Rand) (float64, bool) {
+	if p.moves++; p.moves == 3 {
+		panic("bad move")
+	}
+	return 1, true
+}
+func (p *panicky) Accept()       {}
+func (p *panicky) Reject()       {}
+func (p *panicky) Snapshot() int { return 0 }
+
+// TestPortfolioChainPanicReachesCaller: a panic in a chain goroutine is
+// raised again on the caller's goroutine, with the chain and its stack,
+// instead of killing the process.
+func TestPortfolioChainPanicReachesCaller(t *testing.T) {
+	defer func() {
+		p, ok := recover().(*ChainPanic)
+		if !ok {
+			t.Fatalf("recovered %v, want a *ChainPanic", p)
+		}
+		if p.Chain != 1 || p.Value != "bad move" || !strings.Contains(string(p.Stack), "(*panicky).Propose") {
+			t.Fatalf("chain %d, value %v, stack:\n%s", p.Chain, p.Value, p.Stack)
+		}
+		if want := "sa: portfolio chain 1: bad move"; p.Error() != want {
+			t.Fatalf("Error() = %q, want %q", p.Error(), want)
+		}
+	}()
+	RunMovesPortfolioCtx(bg, portfolioCfg(), PortfolioConfig{Chains: 2, Workers: 2},
+		func(c int) MoveState[int] {
+			if c == 1 {
+				return &panicky{}
+			}
+			return &funcMoves[int]{cur: 0, cost: rugged, neighbor: ruggedNeighbor}
+		})
+	t.Fatal("the chain's panic did not reach the caller")
 }

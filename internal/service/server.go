@@ -10,7 +10,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -207,7 +206,7 @@ func (s *Server) runJob(id string) {
 	}
 	defer func() {
 		if v := recover(); v != nil {
-			err := &engine.PanicError{Value: v, Stack: debug.Stack()}
+			err := engine.Recovered(v)
 			s.countJob(kind, err)
 			s.fail(ctx, id, err)
 		}

@@ -53,7 +53,7 @@ type Incremental struct {
 	n, m int // tiles, tensors
 
 	// Structures maintained for the live schedule across moves.
-	blockers [][]int // tile seq -> gating tensor IDs (len n+1)
+	blockers [][]int // tile seq -> gating tensor IDs (len n+1): blockers rows
 	usage    []int64 // buffer occupancy per tile seq
 	posAcc   []int   // accepted order position of each tensor ID
 	// lastStore is, per layer, the ID of its store that comes last in the
@@ -195,7 +195,12 @@ func NewIncremental(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*In
 		scrTensorEnd: make([]float64, m),
 		scrStamp:     make([]int64, m),
 	}
-	inc.blockers = buildBlockers(s, n)
+	var csr blockers
+	csr.build(s, n)
+	inc.blockers = make([][]int, n+1)
+	for i := range inc.blockers {
+		inc.blockers[i] = csr.row(i)
+	}
 	inc.lastStore = make([]int, len(s.G.Layers))
 	inc.layerStores = make([][]int, len(s.G.Layers))
 	for l := range inc.lastStore {
@@ -209,23 +214,6 @@ func NewIncremental(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*In
 		}
 	}
 	return inc, nil
-}
-
-// buildBlockers maps each tile seq to the tensor IDs gating it: loads gate
-// their first consuming tile, stores gate the tile at their Living Duration
-// end. Evaluate derives it per call, the incremental evaluator once per
-// owned schedule.
-func buildBlockers(s *core.Schedule, n int) [][]int {
-	blockers := make([][]int, n+1)
-	for i := range s.Tensors {
-		t := &s.Tensors[i]
-		if t.Kind.IsLoad() {
-			blockers[t.FirstUse] = append(blockers[t.FirstUse], t.ID)
-		} else if t.End < n {
-			blockers[t.End] = append(blockers[t.End], t.ID)
-		}
-	}
-	return blockers
 }
 
 // Schedule returns the live schedule the evaluator owns.

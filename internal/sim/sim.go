@@ -50,14 +50,32 @@ type TileCosts struct {
 
 // PrecomputeTileCosts evaluates every tile of the schedule once.
 func PrecomputeTileCosts(s *core.Schedule, cs *coresched.Scheduler) *TileCosts {
-	tc := &TileCosts{Dur: make([]float64, s.NumTiles())}
-	for i := range tc.Dur {
-		r := cs.Evaluate(s.TileRequest(i))
-		tc.Dur[i] = r.TimeNS
-		tc.CoreEnergy += r.EnergyPJ
-		tc.ComputeBusy += r.TimeNS
-	}
+	tc := new(TileCosts)
+	tc.fill(s, cs, nil, nil)
 	return tc
+}
+
+// fill computes s's tile costs into tc, reusing tc.Dur and energy (per-tile
+// energy, returned for reuse) as storage. The costs come from pa, the arena
+// s was parsed into, when its parse took them from an FLG memo, and from cs
+// otherwise. Either way CoreEnergy and ComputeBusy are summed tile by tile
+// in seq order: the float addition order is what keeps both bit-identical
+// between the two sources.
+func (tc *TileCosts) fill(s *core.Schedule, cs *coresched.Scheduler, pa *core.Arena, energy []float64) []float64 {
+	n := s.NumTiles()
+	tc.Dur, energy = resize(tc.Dur, n), resize(energy, n)
+	if pa == nil || !pa.TileCosts(tc.Dur, energy) {
+		for i := range tc.Dur {
+			r := cs.Evaluate(s.TileRequest(i))
+			tc.Dur[i], energy[i] = r.TimeNS, r.EnergyPJ
+		}
+	}
+	tc.CoreEnergy, tc.ComputeBusy = 0, 0
+	for i, d := range tc.Dur {
+		tc.CoreEnergy += energy[i]
+		tc.ComputeBusy += d
+	}
+	return energy
 }
 
 // Metrics is the evaluation result.
@@ -113,6 +131,36 @@ func (m *Metrics) Cost(n, mm float64) float64 {
 // stores of the load's Source layer, that is one comparison against the
 // layer's last store position.
 func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics, error) {
+	var b evalBuffers
+	return b.evaluate(s, cs, nil, opt)
+}
+
+// evalBuffers is Evaluate's working storage. Evaluate runs on fresh
+// buffers; an Arena keeps one set and reuses it for every evaluation.
+type evalBuffers struct {
+	tc        TileCosts
+	energy    []float64
+	blockers  blockers
+	lastStore []int
+	tileEnd   []float64
+	tensorEnd []float64
+	committed []bool
+	usage     []int64
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. Reused elements keep their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// evaluate is Evaluate in b's storage; pa is the arena s was parsed into,
+// or nil. Traced times are the buffers themselves, so only fresh buffers
+// may trace.
+func (b *evalBuffers) evaluate(s *core.Schedule, cs *coresched.Scheduler, pa *core.Arena, opt Options) (*Metrics, error) {
 	cfg := cs.Config()
 	n := s.NumTiles()
 	mTensors := len(s.Tensors)
@@ -124,7 +172,8 @@ func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics,
 	// (or the caller's precomputed cache).
 	tc := opt.TileCosts
 	if tc == nil {
-		tc = PrecomputeTileCosts(s, cs)
+		tc = &b.tc
+		b.energy = tc.fill(s, cs, pa, b.energy)
 	} else if len(tc.Dur) != n {
 		return nil, fmt.Errorf("sim: tile-cost cache covers %d tiles, schedule has %d", len(tc.Dur), n)
 	}
@@ -133,8 +182,9 @@ func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics,
 
 	// Which tensors gate which tile, and where each layer's last store
 	// sits in the DRAM Tensor Order.
-	blockers := buildBlockers(s, n)
-	lastStore := make([]int, len(s.G.Layers))
+	b.blockers.build(s, n)
+	lastStore := resize(b.lastStore, len(s.G.Layers))
+	b.lastStore = lastStore
 	for l := range lastStore {
 		lastStore[l] = -1
 	}
@@ -144,9 +194,13 @@ func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics,
 		}
 	}
 
-	tileEnd := make([]float64, n)
-	tensorEnd := make([]float64, mTensors)
-	committed := make([]bool, mTensors)
+	// Every tensorEnd read is of a committed tensor, every tileEnd read of
+	// a committed tile, so only the commit flags need clearing.
+	tileEnd := resize(b.tileEnd, n)
+	tensorEnd := resize(b.tensorEnd, mTensors)
+	committed := resize(b.committed, mTensors)
+	b.tileEnd, b.tensorEnd, b.committed = tileEnd, tensorEnd, committed
+	clear(committed)
 	var tileStart, tensorStart []float64
 	if opt.Trace {
 		tileStart = make([]float64, n)
@@ -195,7 +249,7 @@ func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics,
 		if i < n {
 			ready := true
 			var depTime float64
-			for _, tid := range blockers[i] {
+			for _, tid := range b.blockers.row(i) {
 				if !committed[tid] {
 					ready = false
 					break
@@ -221,7 +275,8 @@ func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics,
 		}
 	}
 
-	m := finishMetrics(cfg, s, opt.BufferBudget, s.BufferUsage(), tileDur,
+	b.usage = s.BufferUsageInto(b.usage)
+	m := finishMetrics(cfg, s, opt.BufferBudget, b.usage, tileDur,
 		coreEnergy, computeBusy, computeFree, dramFree, dramBusy, dramBytes)
 	if opt.Trace {
 		m.TileStart, m.TileEnd = tileStart, tileEnd
@@ -229,6 +284,51 @@ func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics,
 	}
 	return m, nil
 }
+
+// blockers maps each tile seq to the tensor IDs gating it, flat: tile i
+// waits for ids[off[i]:off[i+1]], in ID order. Loads gate their first
+// consuming tile, stores the tile at their Living Duration end (none when
+// that is the end of the execution). Rows run over seqs 0..n, the last one
+// empty, so a store's End may move to any seq.
+type blockers struct{ off, ids []int }
+
+// build fills b for s's tensors, reusing b's storage.
+func (b *blockers) build(s *core.Schedule, n int) {
+	gate := func(t *core.Tensor) int {
+		switch {
+		case t.Kind.IsLoad():
+			return t.FirstUse
+		case t.End < n:
+			return t.End
+		}
+		return -1
+	}
+	// Count row g's gates into off[g+2]. After the prefix sum off[g+1] is
+	// where row g starts, and the fill advances it to where the row ends:
+	// row g+1's start.
+	off := resize(b.off, n+2)
+	clear(off)
+	for i := range s.Tensors {
+		if g := gate(&s.Tensors[i]); g >= 0 {
+			off[g+2]++
+		}
+	}
+	for k := 2; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	ids := resize(b.ids, off[n+1])
+	for i := range s.Tensors {
+		if g := gate(&s.Tensors[i]); g >= 0 {
+			ids[off[g+1]] = i
+			off[g+1]++
+		}
+	}
+	b.off, b.ids = off, ids
+}
+
+// row returns tile seq i's gating tensors. Its capacity ends with the row,
+// so appending to it never overwrites the next one.
+func (b *blockers) row(i int) []int { return b.ids[b.off[i]:b.off[i+1]:b.off[i+1]] }
 
 // finishMetrics folds a completed merge (final resource frontiers, DRAM
 // occupancy) and the schedule's buffer-usage profile into the full metric

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"soma/internal/core"
 	"soma/internal/coresched"
@@ -191,6 +192,10 @@ type Explorer struct {
 	// stage1WallNS/stage2WallNS accumulate per-stage wall time across the
 	// allocator loop; RunContext folds them into the Result.
 	stage1WallNS, stage2WallNS int64
+	// memo holds the FLG plans and tile costs of every stage-1 parse
+	// (see flgMemo).
+	memoMu sync.Mutex
+	memo   *core.FLGMemo
 }
 
 // New builds an explorer. The core-array scheduler cache and the evaluation

@@ -38,28 +38,6 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 		iters = e.Par.Stage1MaxIters
 	}
 
-	// Keyed on the encoding so cache hits skip the parse as well as the
-	// evaluation. Every revisited LFA point - re-proposed moves, the
-	// shared initial solution of a portfolio, the winner's re-evaluation
-	// below - costs one map lookup.
-	evalEnc := func(enc *core.Encoding) (*sim.Metrics, error) {
-		return sim.Memoize(e.Cache, sim.Key(e.Scope+encKeyPrefix+enc.CanonicalKey(), budget),
-			func() (*sim.Metrics, error) {
-				s, err := core.Parse(e.G, enc)
-				if err != nil {
-					return nil, err
-				}
-				return sim.Evaluate(s, e.CS, sim.Options{BufferBudget: budget})
-			})
-	}
-	costEnc := func(enc *core.Encoding) float64 {
-		m, err := evalEnc(enc)
-		if err != nil || !m.BufferOK {
-			return math.Inf(1)
-		}
-		return m.Cost(e.Obj.N, e.Obj.M)
-	}
-
 	cfg := sa.Config{T0: e.Par.T0, Alpha: e.Par.Alpha, Iters: iters, Seed: seed,
 		Telemetry: sa.NewTelemetry(e.Reg, "stage1")}
 	pf := e.portfolio()
@@ -71,7 +49,7 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 			// mutating), so every chain may start from the shared init; each
 			// adapter instance is still private to its chain. The rng draw
 			// order is exactly the historical clone interface's.
-			return &lfaMoves{e: e, cur: init, cost: costEnc}
+			return &lfaMoves{e: e, budget: budget, cur: init}
 		})
 	if err := ctx.Err(); err != nil {
 		return nil, StageResult{}, err
@@ -79,7 +57,8 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 	if math.IsInf(bestCost, 1) {
 		return nil, StageResult{}, ErrNoFeasible
 	}
-	m, err := evalEnc(best)
+	var arena *sim.Arena
+	m, err := e.evalEnc(best, budget, &arena)
 	if err != nil {
 		return nil, StageResult{}, err
 	}
@@ -91,6 +70,33 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 	return best, StageResult{Metrics: m, Cost: c, Stats: stats}, nil
 }
 
+// evalEnc evaluates an encoding under a stage-1 budget. It is keyed on the
+// encoding so cache hits skip the parse as well as the evaluation: every
+// revisited LFA point - re-proposed moves, the shared initial solution of a
+// portfolio, the winner's re-evaluation - costs one map lookup. A miss
+// parses and evaluates in *arena, the calling chain's, which it builds on
+// first use: a chain whose lookups all hit allocates none.
+func (e *Explorer) evalEnc(enc *core.Encoding, budget int64, arena **sim.Arena) (*sim.Metrics, error) {
+	return sim.Memoize(e.Cache, sim.Key(e.Scope+encKeyPrefix+enc.CanonicalKey(), budget),
+		func() (*sim.Metrics, error) {
+			if *arena == nil {
+				*arena = sim.NewArena(e.G, e.CS, e.flgMemo())
+			}
+			return (*arena).Evaluate(enc, sim.Options{BufferBudget: budget})
+		})
+}
+
+// flgMemo returns the FLG memo the explorer's stage-1 chains share across
+// allocator iterations, building it on first use.
+func (e *Explorer) flgMemo() *core.FLGMemo {
+	e.memoMu.Lock()
+	defer e.memoMu.Unlock()
+	if e.memo == nil {
+		e.memo = core.NewFLGMemo(e.G, e.CS, core.DefaultFLGMemoBytes)
+	}
+	return e.memo
+}
+
 // lfaMoves adapts the stage-1 clone-per-candidate mutator to the move-aware
 // annealer, tagging each productive proposal with its operator kind for the
 // convergence journal. Its rng draw sequence is exactly the historical clone
@@ -98,9 +104,20 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 // so fixed-seed results are byte-stable across the switch.
 type lfaMoves struct {
 	e         *Explorer
+	budget    int64
 	cur, cand *core.Encoding
-	cost      func(*core.Encoding) float64
-	kind      string
+	// arena is the chain's parse/evaluate storage for cache misses.
+	arena *sim.Arena
+	kind  string
+}
+
+// cost scores an encoding, +Inf when it is illegal or over budget.
+func (m *lfaMoves) cost(enc *core.Encoding) float64 {
+	met, err := m.e.evalEnc(enc, m.budget, &m.arena)
+	if err != nil || !met.BufferOK {
+		return math.Inf(1)
+	}
+	return met.Cost(m.e.Obj.N, m.e.Obj.M)
 }
 
 func (m *lfaMoves) InitCost() float64 { return m.cost(m.cur) }
