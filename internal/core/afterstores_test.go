@@ -11,9 +11,11 @@ import (
 )
 
 // checkAfterStores checks the invariant the simulator's reload gate relies
-// on: every load of a stored layer's output waits on exactly that layer's
-// store IDs (AfterStores is its Source layer's store window, in ID order),
-// and weight loads and loads of graph inputs wait on none.
+// on: each layer's store window Stores[l] holds exactly its store IDs, and
+// every load of a stored layer's output waits on exactly that layer's
+// stores (WaitsOn is its Source layer's window), while weight loads and
+// loads of graph inputs wait on none. The expected lists are rebuilt by
+// scanning the tensors, the way Parse once attached them to each load.
 func checkAfterStores(s *Schedule) error {
 	stores := make([][]int, len(s.G.Layers))
 	for i := range s.Tensors {
@@ -21,21 +23,36 @@ func checkAfterStores(s *Schedule) error {
 			stores[t.Layer] = append(stores[t.Layer], t.ID)
 		}
 	}
+	if len(s.Stores) != len(s.G.Layers) {
+		return fmt.Errorf("%d store windows for %d layers", len(s.Stores), len(s.G.Layers))
+	}
+	for l, w := range s.Stores {
+		if got := windowIDs(w); !slices.Equal(got, stores[l]) {
+			return fmt.Errorf("layer %d: store window %v, want stores %v", l, got, stores[l])
+		}
+	}
 	for i := range s.Tensors {
 		t := &s.Tensors[i]
-		if !t.Kind.IsLoad() {
-			continue
-		}
 		var want []int
-		if t.Kind != LoadWeight && s.G.Layer(t.Source).Kind != graph.Input {
+		if t.Kind == LoadIfmap && s.G.Layer(t.Source).Kind != graph.Input {
 			want = stores[t.Source]
 		}
-		if !slices.Equal(t.AfterStores, want) {
-			return fmt.Errorf("load %d (%v of layer %d, source %d) waits on stores %v, want %v",
-				t.ID, t.Kind, t.Layer, t.Source, t.AfterStores, want)
+		if got := windowIDs(s.WaitsOn(t)); !slices.Equal(got, want) {
+			return fmt.Errorf("tensor %d (%v of layer %d, source %d) waits on stores %v, want %v",
+				t.ID, t.Kind, t.Layer, t.Source, got, want)
 		}
 	}
 	return nil
+}
+
+// windowIDs lists the IDs of w in order, nil when it is empty: the list a
+// load carried before store windows replaced the lists.
+func windowIDs(w IDRange) []int {
+	var ids []int
+	for id := w.Lo; id < w.Hi; id++ {
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 // TestAfterStoresIsSourceStoreWindow pins that invariant on the zoo, on

@@ -217,14 +217,8 @@ func TestParseFig4CrossLGDependency(t *testing.T) {
 	}
 	for _, ts := range s.Tensors {
 		if ts.Kind == LoadIfmap && ts.Layer == ids["C"] {
-			found := false
-			for _, st := range ts.AfterStores {
-				if st == bStore {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("IC load %d missing AfterStores on OB", ts.ID)
+			if !s.WaitsOn(&ts).Has(bStore) {
+				t.Fatalf("IC load %d does not wait on OB", ts.ID)
 			}
 		}
 	}

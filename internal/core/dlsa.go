@@ -66,18 +66,23 @@ func (s *Schedule) OrderValid() bool {
 	for i := range pos {
 		pos[i] = -1
 	}
+	// A load must follow its Source layer's last store.
+	lastStore := make([]int, len(s.Stores))
+	for i := range lastStore {
+		lastStore[i] = -1
+	}
 	for i, id := range s.Order {
 		if id < 0 || id >= len(s.Tensors) || pos[id] != -1 {
 			return false
 		}
 		pos[id] = i
+		if t := &s.Tensors[id]; t.Kind == StoreOfmap {
+			lastStore[t.Layer] = i
+		}
 	}
 	for i := range s.Tensors {
-		t := &s.Tensors[i]
-		for _, st := range t.AfterStores {
-			if pos[st] > pos[t.ID] {
-				return false
-			}
+		if t := &s.Tensors[i]; t.Kind == LoadIfmap && lastStore[t.Source] > pos[i] {
+			return false
 		}
 	}
 	return true
@@ -114,30 +119,25 @@ func (s *Schedule) MoveTensor(from, to int) bool {
 	}
 	id := s.Order[from]
 	t := &s.Tensors[id]
-	// Fast legality: a load may not move before its latest AfterStore; a
-	// store may not move after its earliest dependent load.
-	if to < from && len(t.AfterStores) > 0 {
-		// A direct scan, which must not allocate: this runs on every
-		// order proposal of the stage-2 hot loop. It is not cheap on
-		// prefill, where a reload's list holds every store of its
-		// Source layer; the ROADMAP's AfterStores item replaces the
-		// lists with one store window per layer.
-		for p := to; p < from; p++ {
-			cand := s.Order[p]
-			for _, st := range t.AfterStores {
-				if st == cand {
+	// A load may not pass a store of its Source layer, and a store may not
+	// pass a load of its layer's output. The loads waiting on a store are
+	// those whose Source is its layer, and a load's stores are one ID
+	// window, so either check is one comparison per tensor of the moved
+	// range. This runs on every order proposal of the stage-2 hot loop and
+	// must not allocate.
+	switch {
+	case to < from:
+		if w := s.WaitsOn(t); w.Lo < w.Hi {
+			for _, c := range s.Order[to:from] {
+				if w.Has(c) {
 					return false
 				}
 			}
 		}
-	}
-	if to > from && t.Kind == StoreOfmap {
-		for p := from + 1; p <= to; p++ {
-			cand := &s.Tensors[s.Order[p]]
-			for _, st := range cand.AfterStores {
-				if st == id {
-					return false
-				}
+	case t.Kind == StoreOfmap:
+		for _, c := range s.Order[from+1 : to+1] {
+			if s.Tensors[c].Source == t.Layer {
+				return false
 			}
 		}
 	}

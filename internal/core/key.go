@@ -2,31 +2,44 @@ package core
 
 import "encoding/binary"
 
+// AppendKeyInt appends v's encoding in a canonical key, an unsigned varint,
+// to b. It is the keys' one integer encoder: the from-scratch keys below
+// and the in-place edits of a live stage-2 key (sim.Incremental.Key) both
+// encode through it.
+func AppendKeyInt(b []byte, v int) []byte { return binary.AppendUvarint(b, uint64(v)) }
+
 // CanonicalKey serializes the four LFA attributes into a compact,
 // deterministic byte string. Two encodings describe the same point of the
 // scheduling space iff their keys are equal, which makes the key usable as a
 // memoization key for schedule evaluation (see sim.Cache).
 func (e *Encoding) CanonicalKey() string {
+	return string(e.appendKey(make([]byte, 0, e.keyCap())))
+}
+
+// keyCap is a capacity that typically holds the encoding's key.
+func (e *Encoding) keyCap() int { return 2*(len(e.Order)+2*len(e.FLCs)+len(e.Tile)) + 8 }
+
+// appendKey appends CanonicalKey to b.
+func (e *Encoding) appendKey(b []byte) []byte {
 	// Varint encoding keeps typical keys well under one byte per field
 	// value; the leading lengths make the concatenation prefix-free.
-	b := make([]byte, 0, 2*(len(e.Order)+2*len(e.FLCs)+len(e.Tile))+8)
-	b = binary.AppendUvarint(b, uint64(len(e.Order)))
+	b = AppendKeyInt(b, len(e.Order))
 	for _, id := range e.Order {
-		b = binary.AppendUvarint(b, uint64(id))
+		b = AppendKeyInt(b, int(id))
 	}
-	b = binary.AppendUvarint(b, uint64(len(e.FLCs)))
+	b = AppendKeyInt(b, len(e.FLCs))
 	for i, c := range e.FLCs {
-		v := uint64(c) << 1
+		v := c << 1
 		if e.IsDRAM[i] {
 			v |= 1
 		}
-		b = binary.AppendUvarint(b, v)
+		b = AppendKeyInt(b, v)
 	}
-	b = binary.AppendUvarint(b, uint64(len(e.Tile)))
+	b = AppendKeyInt(b, len(e.Tile))
 	for _, t := range e.Tile {
-		b = binary.AppendUvarint(b, uint64(t))
+		b = AppendKeyInt(b, t)
 	}
-	return string(b)
+	return b
 }
 
 // CanonicalKey serializes the schedule's complete scheduling decision - the
@@ -35,28 +48,38 @@ func (e *Encoding) CanonicalKey() string {
 // deterministically from these by Parse, so equal keys imply identical
 // evaluation results.
 func (s *Schedule) CanonicalKey() string {
-	b := []byte(s.Enc.CanonicalKey())
-	b = binary.AppendUvarint(b, uint64(len(s.Order)))
-	return string(s.AppendDLSAKey(b))
+	b := make([]byte, 0, s.Enc.keyCap()+4*len(s.Order)+8)
+	return string(s.AppendCanonicalKey(b, nil, nil))
 }
 
-// AppendDLSAKey appends the DLSA part of CanonicalKey - the part after the
-// encoding key and the order length, the only part a DLSA move changes - to
-// b. Stage-2 search keeps the rest in a buffer and appends this per move.
-func (s *Schedule) AppendDLSAKey(b []byte) []byte {
-	for _, id := range s.Order {
-		b = binary.AppendUvarint(b, uint64(id))
+// AppendCanonicalKey appends CanonicalKey to b. With non-nil orderAt and
+// durAt (one entry per tensor each) it records where in b each order
+// position's tensor ID and each tensor's Living Duration are encoded, so a
+// caller can edit the key in place after a DLSA move.
+func (s *Schedule) AppendCanonicalKey(b []byte, orderAt, durAt []int) []byte {
+	b = s.Enc.appendKey(b)
+	b = AppendKeyInt(b, len(s.Order))
+	for p, id := range s.Order {
+		if orderAt != nil {
+			orderAt[p] = len(b)
+		}
+		b = AppendKeyInt(b, id)
 	}
 	for i := range s.Tensors {
-		t := &s.Tensors[i]
-		// Start is the adjustable field of loads, End of stores; the
-		// other one is fixed by the parse, so one varint per tensor
-		// suffices.
-		if t.Kind.IsLoad() {
-			b = binary.AppendUvarint(b, uint64(t.Start))
-		} else {
-			b = binary.AppendUvarint(b, uint64(t.End))
+		if durAt != nil {
+			durAt[i] = len(b)
 		}
+		b = AppendKeyInt(b, s.Tensors[i].Living())
 	}
 	return b
+}
+
+// Living returns the tensor's adjustable Living Duration field: Start for
+// loads, End for stores. The other one is fixed by the parse, so it is the
+// one value per tensor a canonical key holds.
+func (t *Tensor) Living() int {
+	if t.Kind.IsLoad() {
+		return t.Start
+	}
+	return t.End
 }

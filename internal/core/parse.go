@@ -89,16 +89,13 @@ type Tensor struct {
 	// until the transfer finished. End == nTiles means "by the end of
 	// the execution".
 	End int
-
-	// AfterStores lists store-tensor IDs that must complete before this
-	// load may begin (the producer's data must reach DRAM first). It is
-	// exactly the store IDs of the Source layer, in ID order, and empty
-	// for weights and graph inputs. The simulator relies on this: a load
-	// stalls iff the Source layer's last store in the DRAM Tensor Order
-	// has not committed. Loads of one Source share the slice; never
-	// modify it.
-	AfterStores []int
 }
+
+// IDRange is the half-open tensor ID window [Lo, Hi).
+type IDRange struct{ Lo, Hi int }
+
+// Has reports whether id lies in the window.
+func (r IDRange) Has(id int) bool { return uint(id-r.Lo) < uint(r.Hi-r.Lo) }
 
 // Interval is an on-chip buffer occupation over tile seqs [Lo, Hi).
 type Interval struct {
@@ -121,19 +118,33 @@ type Schedule struct {
 	// OnChip are the static on-chip fmap intervals (same-FLG tile slabs
 	// and cross-FLG aggregates).
 	OnChip []Interval
+	// Stores is indexed by LayerID: Parse emits each layer's stores
+	// consecutively, so Stores[l] holds exactly the IDs of layer l's
+	// store tensors, and is empty for a layer that stores nothing.
+	Stores []IDRange
+}
+
+// WaitsOn returns the stores load t must wait for - its producer's data
+// must reach DRAM first: every store of its Source layer. The window is
+// empty for stores, weight loads and loads of graph inputs. The simulator
+// relies on this: a load stalls iff the Source layer's last store in the
+// DRAM Tensor Order has not committed.
+func (s *Schedule) WaitsOn(t *Tensor) IDRange {
+	if t.Kind != LoadIfmap {
+		return IDRange{}
+	}
+	return s.Stores[t.Source]
 }
 
 // NumTiles returns the compute-sequence length.
 func (s *Schedule) NumTiles() int { return len(s.Tiles) }
 
-// Clone deep-copies the schedule (tiles and intervals are immutable between
-// DLSA moves, so they are shared; tensors and order are copied).
+// Clone deep-copies the schedule (tiles, intervals and store windows are
+// immutable between DLSA moves, so they are shared; tensors and order are
+// copied).
 func (s *Schedule) Clone() *Schedule {
 	c := *s
 	c.Tensors = append([]Tensor(nil), s.Tensors...)
-	for i := range c.Tensors {
-		c.Tensors[i].AfterStores = s.Tensors[i].AfterStores // immutable
-	}
 	c.Order = append([]int(nil), s.Order...)
 	return &c
 }
@@ -142,10 +153,9 @@ func (s *Schedule) Clone() *Schedule {
 // layers keep the zero value).
 type layerInfo struct {
 	flg, lg int
-	// tiles lists the layer's tile seqs in order; stores lists its store
-	// tensor IDs, nil when it has none. Both are windows of arrays shared
-	// by all layers.
-	tiles, stores []int
+	// tiles lists the layer's tile seqs in order, a window of an array
+	// shared by all layers.
+	tiles []int
 	// store marks an ofmap written back to DRAM: a consumer sits in
 	// another LG, or the layer is a network output.
 	store bool
@@ -182,9 +192,6 @@ type Arena struct {
 	flgStart []int
 	info     []layerInfo
 	seqs     []int
-	// storeIDs[i] == i: loads' AfterStores are windows of it, and the
-	// identity survives reuse, so it is only ever extended.
-	storeIDs []int
 	// scratch backs ApplyDoubleBuffer's counting sort, key the memo's
 	// lookup key.
 	scratch []int
@@ -323,16 +330,10 @@ func (a *Arena) Parse(g *graph.Graph, e *Encoding, memo *FLGMemo) (*Schedule, er
 	s.Tensors = resize(s.Tensors, nStores+nLoads)[:0]
 	s.OnChip = resize(s.OnChip, nOnChip)[:0]
 
-	// Stores first (loads reference them through AfterStores), one per
-	// tile of each stored layer. Their IDs therefore count up from 0 and a
-	// layer's store IDs form a contiguous window of one shared list.
-	if len(a.storeIDs) < nStores {
-		a.storeIDs = make([]int, nStores)
-		for i := range a.storeIDs {
-			a.storeIDs[i] = i
-		}
-	}
-	storeIDs := a.storeIDs
+	// Stores first, one per tile of each stored layer, so a layer's store
+	// IDs form the contiguous window Stores[id].
+	s.Stores = resize(s.Stores, len(g.Layers))
+	clear(s.Stores)
 	for _, id := range e.Order {
 		li := &info[id]
 		if !li.store {
@@ -354,9 +355,7 @@ func (a *Arena) Parse(g *graph.Graph, e *Encoding, memo *FLGMemo) (*Schedule, er
 				Start: seq, End: n,
 			})
 		}
-		if hi := len(s.Tensors); hi > lo {
-			li.stores = storeIDs[lo:hi:hi]
-		}
+		s.Stores[id] = IDRange{lo, len(s.Tensors)}
 	}
 
 	// Weight loads: one resident tensor per weighted layer, released at
@@ -417,7 +416,6 @@ func (a *Arena) Parse(g *graph.Graph, e *Encoding, memo *FLGMemo) (*Schedule, er
 						Source: d.Producer, Bytes: full,
 						FirstUse: myTiles[0], Release: myTiles[len(myTiles)-1] + 1,
 						Producer: -1, Start: myTiles[0],
-						AfterStores: pi.stores,
 					})
 					continue
 				}
@@ -432,7 +430,6 @@ func (a *Arena) Parse(g *graph.Graph, e *Encoding, memo *FLGMemo) (*Schedule, er
 						Source: d.Producer, Bytes: bytes,
 						FirstUse: seq, Release: seq + 1,
 						Producer: -1, Start: seq,
-						AfterStores: pi.stores,
 					})
 				}
 			case fromDRAM:
@@ -448,7 +445,6 @@ func (a *Arena) Parse(g *graph.Graph, e *Encoding, memo *FLGMemo) (*Schedule, er
 						Source: d.Producer, Bytes: bytes,
 						FirstUse: seq, Release: seq + 1,
 						Producer: -1, Start: seq,
-						AfterStores: pi.stores,
 					})
 				}
 			case pi.flg == li.flg:
@@ -472,7 +468,7 @@ func (a *Arena) Parse(g *graph.Graph, e *Encoding, memo *FLGMemo) (*Schedule, er
 	// already persists through a store's OnChipHi extension.
 	for _, id := range e.Order {
 		li := &info[id]
-		if len(li.stores) > 0 || li.flgHi == 0 {
+		if w := s.Stores[id]; w.Lo < w.Hi || li.flgHi == 0 {
 			continue
 		}
 		outC := g.Layer(id).Out.C

@@ -114,8 +114,8 @@ func goldenMaxTiles(g *graph.Graph, e *Encoding, f int) int {
 }
 
 // scheduleHash digests everything Parse produces: the tile sequence, every
-// tensor field (AfterStores distinguishes nil from empty), the DRAM Tensor
-// Order and the on-chip intervals.
+// tensor field with the stores it waits on, the DRAM Tensor Order and the
+// on-chip intervals.
 func scheduleHash(s *Schedule) []byte {
 	h := sha256.New()
 	put := func(vs ...int64) {
@@ -139,12 +139,15 @@ func scheduleHash(s *Schedule) []byte {
 		put(int64(x.ID), int64(x.Kind), int64(x.Layer), int64(x.Source), x.Bytes,
 			int64(x.FirstUse), int64(x.Release), int64(x.Producer), int64(x.OnChipHi),
 			int64(x.Start), int64(x.End))
-		if x.AfterStores == nil {
+		// The store list each load carried before store windows:
+		// nil (hashed as -1) when the window is empty.
+		after := windowIDs(s.WaitsOn(&x))
+		if after == nil {
 			put(-1)
 		} else {
-			put(int64(len(x.AfterStores)))
+			put(int64(len(after)))
 		}
-		for _, id := range x.AfterStores {
+		for _, id := range after {
 			put(int64(id))
 		}
 	}

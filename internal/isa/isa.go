@@ -211,7 +211,8 @@ func Generate(s *core.Schedule, gbufBytes int64) (*Program, error) {
 				if t.Start > 0 {
 					deps = append(deps, tileInstr[t.Start-1])
 				}
-				for _, st := range t.AfterStores {
+				w := s.WaitsOn(t)
+				for st := w.Lo; st < w.Hi; st++ {
 					deps = append(deps, tensorInstr[st])
 				}
 			case core.StoreOfmap:

@@ -217,8 +217,11 @@ func (c *Cache) Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options)
 // than building the schedule use it with Memoize directly - stage 1 keys on
 // the encoding and skips the parse entirely on a hit.
 func Key(canonical string, budget int64) string {
-	return string(binary.AppendVarint([]byte(canonical), budget))
+	return string(appendBudget([]byte(canonical), budget))
 }
+
+// appendBudget appends Key's encoding of the buffer budget to b.
+func appendBudget(b []byte, budget int64) []byte { return binary.AppendVarint(b, budget) }
 
 // Memoize returns the cached evaluation for key, or runs eval and stores its
 // result. The returned Metrics points to a private copy, so callers may not

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -36,13 +37,16 @@ import (
 // moves splice the scratch suffix into the cached state. An Incremental is
 // NOT safe for concurrent use - portfolio chains each own one.
 //
-// A load's wait on its producer's stores is one check: Parse gives every
-// load with AfterStores exactly the stores of its Source layer, and stores
-// ordered before the load never delay it (see Evaluate), so the load stalls
-// iff the layer's last store in the live order has not committed. The
-// evaluator keeps that last store per layer: a store's order move updates
-// it in O(1), or in O(stores of the layer) when it carries the last store
+// A load's wait on its producer's stores is one check: a reload waits on
+// every store of its Source layer (Schedule.WaitsOn), and stores ordered
+// before the load never delay it (see Evaluate), so the load stalls iff the
+// layer's last store in the live order has not committed. The evaluator
+// keeps that last store per layer: a store's order move updates it in
+// O(1), or in O(stores of the layer) when it carries the last store
 // earlier, and Reject restores it.
+//
+// Key keeps the live schedule's evaluation-cache key the same way: built on
+// its first call, then edited in place by each move and its undo.
 type Incremental struct {
 	s   *core.Schedule
 	cs  *coresched.Scheduler
@@ -57,10 +61,9 @@ type Incremental struct {
 	usage    []int64 // buffer occupancy per tile seq
 	posAcc   []int   // accepted order position of each tensor ID
 	// lastStore is, per layer, the ID of its store that comes last in the
-	// live order (-1 without stores); layerStores[l] lists layer l's store
-	// IDs.
-	lastStore   []int
-	layerStores [][]int
+	// live order (-1 without stores).
+	lastStore []int
+	key       liveKey
 
 	// Cached simulation of the accepted schedule. accValid means the arrays
 	// and checkpoints describe a completed, deadlock-free merge.
@@ -202,7 +205,6 @@ func NewIncremental(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*In
 		inc.blockers[i] = csr.row(i)
 	}
 	inc.lastStore = make([]int, len(s.G.Layers))
-	inc.layerStores = make([][]int, len(s.G.Layers))
 	for l := range inc.lastStore {
 		inc.lastStore[l] = -1
 	}
@@ -210,10 +212,89 @@ func NewIncremental(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*In
 		inc.posAcc[id] = p
 		if t := &s.Tensors[id]; !t.Kind.IsLoad() {
 			inc.lastStore[t.Layer] = id
-			inc.layerStores[t.Layer] = append(inc.layerStores[t.Layer], id)
 		}
 	}
 	return inc, nil
+}
+
+// Key returns the evaluation-cache key of the live schedule, pending move
+// included: the bytes of Key(CacheScope+Schedule().CanonicalKey(),
+// BufferBudget), so incremental proposals share cache entries with every
+// other cache user. The first call encodes the schedule; from then on each
+// move and each Reject edits the key in place: an order move shifts the
+// bytes of the positions it rotates, a jitter rewrites one Living Duration
+// and shifts the key's tail only when its encoding changes length.
+func (inc *Incremental) Key() string {
+	k := &inc.key
+	if k.b == nil {
+		k.orderAt, k.durAt = make([]int, inc.m+1), make([]int, inc.m+1)
+		k.b = inc.s.AppendCanonicalKey([]byte(inc.opt.CacheScope), k.orderAt[:inc.m], k.durAt[:inc.m])
+		k.durAt[inc.m] = len(k.b)
+		k.orderAt[inc.m] = k.durAt[0]
+		k.b = appendBudget(k.b, inc.opt.BufferBudget)
+	}
+	return string(k.b)
+}
+
+// liveKey is Key's state: the key bytes once built (nil before), the
+// offset in them of each order position's encoding, and of each tensor's
+// Living Duration encoding. The extra last entries are the offsets of the
+// Living Durations and of the budget: where each section ends.
+type liveKey struct {
+	b              []byte
+	orderAt, durAt []int
+}
+
+// syncMove mirrors in the key the rotation that moved the tensor at order
+// position from to position to. The tensor's encoding moves from one end
+// of the span to the other and the bytes between shift by its length, so
+// the span keeps its byte length and only the offsets inside it change.
+func (k *liveKey) syncMove(order []int, from, to int) {
+	if k.b == nil {
+		return
+	}
+	var buf [binary.MaxVarintLen64]byte
+	enc := core.AppendKeyInt(buf[:0], order[to])
+	n, at := len(enc), k.orderAt
+	if from < to {
+		lo, hi := at[from], at[to+1]
+		copy(k.b[lo:], k.b[lo+n:hi])
+		for p := from; p < to; p++ {
+			at[p] = at[p+1] - n
+		}
+		at[to] = hi - n
+		copy(k.b[hi-n:], enc)
+	} else {
+		lo, hi := at[to], at[from+1]
+		copy(k.b[lo+n:], k.b[lo:hi-n])
+		for p := from; p > to; p-- {
+			at[p] = at[p-1] + n
+		}
+		copy(k.b[lo:], enc)
+	}
+}
+
+// syncDur re-encodes tensor id's Living Duration v, shifting the rest of
+// the key when the encoding changes length.
+func (k *liveKey) syncDur(id, v int) {
+	if k.b == nil {
+		return
+	}
+	var buf [binary.MaxVarintLen64]byte
+	enc := core.AppendKeyInt(buf[:0], v)
+	at, tail := k.durAt[id], k.durAt[id+1]
+	if d := len(enc) - (tail - at); d != 0 {
+		n := len(k.b)
+		if d > 0 {
+			k.b = append(k.b, enc[:d]...) // room only; overwritten below
+		}
+		copy(k.b[tail+d:], k.b[tail:n])
+		k.b = k.b[:n+d]
+		for i := id + 1; i < len(k.durAt); i++ {
+			k.durAt[i] += d
+		}
+	}
+	copy(k.b[at:], enc)
 }
 
 // Schedule returns the live schedule the evaluator owns.
@@ -236,6 +317,7 @@ func (inc *Incremental) MoveTensor(from, to int) bool {
 	if !inc.s.MoveTensor(from, to) {
 		return false
 	}
+	inc.key.syncMove(inc.s.Order, from, to)
 	id := inc.s.Order[to]
 	inc.pending = pendingMove{kind: moveOrder, id: id, from: from, to: to}
 	if t := &inc.s.Tensors[id]; !t.Kind.IsLoad() {
@@ -244,7 +326,8 @@ func (inc *Incremental) MoveTensor(from, to int) bool {
 		switch {
 		case last == id && to < from:
 			// The last store moved earlier: another may now be last.
-			for _, st := range inc.layerStores[t.Layer] {
+			w := inc.s.Stores[t.Layer]
+			for st := w.Lo; st < w.Hi; st++ {
 				if inc.livePos(st) > inc.livePos(last) {
 					last = st
 				}
@@ -288,6 +371,7 @@ func (inc *Incremental) SetStart(id, start int) bool {
 	if !inc.s.SetStart(id, start) || t.Start == old {
 		return false
 	}
+	inc.key.syncDur(id, t.Start)
 	// The load occupies [Start, Release); shift the occupancy delta.
 	if t.Start < old {
 		inc.rangeAdd(t.Start, old, t.Bytes)
@@ -312,6 +396,7 @@ func (inc *Incremental) SetEnd(id, end int) bool {
 	if !inc.s.SetEnd(id, end) || t.End == old {
 		return false
 	}
+	inc.key.syncDur(id, t.End)
 	// The store occupies [Producer, max(End, OnChipHi)).
 	oldHi, newHi := old, t.End
 	if t.OnChipHi > oldHi {
@@ -511,8 +596,10 @@ func (inc *Incremental) resim(ck mergeState) error {
 				if i < t.Start {
 					break // needs more compute progress
 				}
-				if len(t.AfterStores) > 0 && !committed(inc.lastStore[t.Source]) {
-					break // a producer store is still ahead in the order
+				if t.Kind == core.LoadIfmap {
+					if st := inc.lastStore[t.Source]; st >= 0 && !committed(st) {
+						break // a producer store is still ahead in the order
+					}
 				}
 				if t.Start > 0 {
 					depTime = tileEnd(t.Start - 1)
@@ -557,8 +644,7 @@ func (inc *Incremental) resim(ck mergeState) error {
 		if !advanced {
 			inc.propEnd = mergeState{i: i, j: j, computeFree: computeFree,
 				dramFree: dramFree, dramBusy: dramBusy, dramBytes: dramBytes}
-			return fmt.Errorf("%w: stuck at tile %d/%d, tensor %d/%d",
-				ErrDeadlock, i, n, j, m)
+			return &deadlockError{i, n, j, m}
 		}
 	}
 	inc.propEnd = mergeState{i: i, j: j, computeFree: computeFree,
@@ -630,6 +716,7 @@ func (inc *Incremental) Reject() {
 		panic("sim: Reject without a pending move")
 	case moveOrder:
 		rotateOrder(inc.s.Order, inc.pending.to, inc.pending.from)
+		inc.key.syncMove(inc.s.Order, inc.pending.to, inc.pending.from)
 		if t := &inc.s.Tensors[inc.pending.id]; !t.Kind.IsLoad() {
 			inc.lastStore[t.Layer] = inc.pending.old
 		}
@@ -641,6 +728,7 @@ func (inc *Incremental) Reject() {
 			inc.rangeAdd(inc.pending.old, inc.pending.new, t.Bytes)
 		}
 		t.Start = inc.pending.old
+		inc.key.syncDur(inc.pending.id, t.Start)
 	case moveEnd:
 		t := &inc.s.Tensors[inc.pending.id]
 		oldHi, newHi := inc.pending.old, inc.pending.new
@@ -662,6 +750,7 @@ func (inc *Incremental) Reject() {
 			inc.blockers[inc.pending.old] = append(inc.blockers[inc.pending.old], inc.pending.id)
 		}
 		t.End = inc.pending.old
+		inc.key.syncDur(inc.pending.id, t.End)
 	}
 	inc.pending = pendingMove{}
 	inc.propEvaluated = false

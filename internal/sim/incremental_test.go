@@ -69,7 +69,7 @@ func proposeRandomMove(inc *Incremental, rng *rand.Rand) bool {
 // a later position, at most just past the last store. Returns false when
 // the move is illegal.
 func proposeStoreMove(inc *Incremental, rng *rand.Rand, load int) bool {
-	stores := inc.Schedule().Tensors[load].AfterStores
+	stores := afterStores(inc.Schedule())[load]
 	if len(stores) == 0 {
 		return false
 	}
@@ -110,18 +110,20 @@ func proposeStoreMove(inc *Incremental, rng *rand.Rand, load int) bool {
 // the block cannot deadlock the merge for any other reason. It returns the
 // reload's ID.
 func interleaveReload(s *core.Schedule, rng *rand.Rand) int {
+	all := afterStores(s)
 	for {
 		t := &s.Tensors[rng.Intn(len(s.Tensors))]
-		if len(t.AfterStores) < 3 {
+		stores := all[t.ID]
+		if len(stores) < 3 {
 			continue
 		}
 		s.SetStart(t.ID, 0)
 		inBlock := map[int]bool{t.ID: true}
-		for _, st := range t.AfterStores {
+		for _, st := range stores {
 			s.SetEnd(st, s.NumTiles())
 			inBlock[st] = true
 		}
-		after := rng.Intn(len(t.AfterStores) - 1)
+		after := rng.Intn(len(stores) - 1)
 		var order, block []int
 		for _, id := range s.Order {
 			if !inBlock[id] {
@@ -135,7 +137,7 @@ func interleaveReload(s *core.Schedule, rng *rand.Rand) int {
 			if len(block) == after+1 {
 				block = append(block, t.ID)
 			}
-			if len(block) == len(t.AfterStores)+1 {
+			if len(block) == len(stores)+1 {
 				order = append(order, block...)
 			}
 		}
@@ -307,8 +309,9 @@ func TestIncrementalDeadlockAgreement(t *testing.T) {
 	// swapping the raw order and rebuilding the evaluator - the incremental
 	// evaluator must then report the same deadlock as Evaluate.
 	var loadPos = -1
+	after := afterStores(s)
 	for p, id := range s.Order {
-		if len(s.Tensors[id].AfterStores) > 0 {
+		if len(after[id]) > 0 {
 			loadPos = p
 			break
 		}
@@ -316,7 +319,7 @@ func TestIncrementalDeadlockAgreement(t *testing.T) {
 	if loadPos < 0 {
 		t.Skip("no dependent reload in this schedule")
 	}
-	dep := s.Tensors[s.Order[loadPos]].AfterStores[0]
+	dep := after[s.Order[loadPos]][0]
 	depPos := -1
 	for p, id := range s.Order {
 		if id == dep {

@@ -9,6 +9,7 @@ import (
 
 	"soma/internal/core"
 	"soma/internal/coresched"
+	"soma/internal/graph"
 	"soma/internal/hw"
 	"soma/internal/models"
 )
@@ -17,7 +18,8 @@ import (
 // resources, written from the schedule's semantics rather than from
 // Evaluate: one event per step, the DRAM tensor next in order before the
 // tile next in sequence, each readiness check re-derived from the commit
-// flags. A load waits for every one of its AfterStores and starts no
+// flags. A load waits for every store of its Source layer (listed by
+// afterStores, not read from the schedule's store windows) and starts no
 // earlier than the latest of their ends; no checkpoints, scratch or
 // last-store shortcut. The commit times form a fixed point that does not
 // depend on the interleaving, so Evaluate and Incremental must reproduce
@@ -30,6 +32,7 @@ func referenceEvaluate(s *core.Schedule, cs *coresched.Scheduler, budget int64) 
 	tileStart, tileEnd := make([]float64, n), make([]float64, n)
 	tensorStart, tensorEnd := make([]float64, m), make([]float64, m)
 	tileDone, tensorDone := make([]bool, n), make([]bool, m)
+	after := afterStores(s)
 
 	// gates[i] lists the tensors tile i waits for: the loads it is the
 	// first consumer of and the stores whose Living Duration ends at it.
@@ -56,7 +59,7 @@ func referenceEvaluate(s *core.Schedule, cs *coresched.Scheduler, budget int64) 
 				if t.Start > 0 {
 					dep = tileEnd[t.Start-1]
 				}
-				for _, st := range t.AfterStores {
+				for _, st := range after[t.ID] {
 					ready = ready && tensorDone[st]
 					dep = math.Max(dep, tensorEnd[st])
 				}
@@ -238,14 +241,35 @@ func TestReferenceLegalWalks(t *testing.T) {
 	}
 }
 
-// misorder pulls k random reloads (loads with AfterStores) of s to random
+// afterStores lists, per tensor ID, the stores each load waits on: every
+// store of its Source layer in ID order, found by scanning the tensors. It
+// is empty for stores, weights and loads of graph inputs (whose Source has
+// no stores). These are the per-load lists Parse once attached to the
+// tensors; the tests keep them as a reference the store windows must match.
+func afterStores(s *core.Schedule) [][]int {
+	stores := make(map[graph.LayerID][]int)
+	for id := range s.Tensors {
+		if t := &s.Tensors[id]; t.Kind == core.StoreOfmap {
+			stores[t.Layer] = append(stores[t.Layer], id)
+		}
+	}
+	after := make([][]int, len(s.Tensors))
+	for id := range s.Tensors {
+		if t := &s.Tensors[id]; t.Kind == core.LoadIfmap {
+			after[id] = stores[t.Source]
+		}
+	}
+	return after
+}
+
+// misorder pulls k random reloads (loads waiting on stores) of s to random
 // earlier order positions, past some or all of their producer's stores,
 // and lets them start at tile 0: only the store gate holds them back. It
 // returns false when s has no reload.
 func misorder(s *core.Schedule, rng *rand.Rand, k int) bool {
 	var gated []int
-	for id := range s.Tensors {
-		if len(s.Tensors[id].AfterStores) > 0 {
+	for id, after := range afterStores(s) {
+		if len(after) > 0 {
 			gated = append(gated, id)
 		}
 	}
@@ -275,6 +299,76 @@ func TestReferenceInvalidOrders(t *testing.T) {
 				t.Skip("rotations kept the order valid")
 			}
 			refWalk(t, c.s, coresched.New(c.cfg), int64(i+1), 40, proposeRandomMove)
+		})
+	}
+}
+
+// referenceMoveLegal is Schedule.MoveTensor's legality rule written as the
+// list scan it used to be: a load may not move before any store it waits
+// on, and a store may not move after any load that waits on it.
+func referenceMoveLegal(s *core.Schedule, after [][]int, from, to int) bool {
+	n := len(s.Order)
+	if from < 0 || from >= n || to < 0 || to >= n || from == to {
+		return false
+	}
+	id := s.Order[from]
+	if to < from {
+		for p := to; p < from; p++ {
+			if slices.Contains(after[id], s.Order[p]) {
+				return false
+			}
+		}
+	}
+	if to > from && s.Tensors[id].Kind == core.StoreOfmap {
+		for p := from + 1; p <= to; p++ {
+			if slices.Contains(after[s.Order[p]], id) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestMoveTensorMatchesListReference: on random moves over the small net,
+// the zoo and the prefill cut - from the parsed order, and from orders
+// misorder scrambled - MoveTensor accepts exactly the moves the list scan
+// accepts, applies each as a rotation and leaves the order alone otherwise.
+func TestMoveTensorMatchesListReference(t *testing.T) {
+	for i, c := range refCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.s
+			after := afterStores(s)
+			rng := rand.New(rand.NewSource(int64(i + 1)))
+			n := len(s.Order)
+			var legal, illegal int
+			for step := 0; step < 3000; step++ {
+				if step%1000 == 500 {
+					misorder(s, rng, 3)
+				}
+				from := rng.Intn(n)
+				to := from + rng.Intn(65) - 32 // short moves as often as long ones
+				if rng.Intn(2) == 0 {
+					to = rng.Intn(n)
+				}
+				want := referenceMoveLegal(s, after, from, to)
+				before := slices.Clone(s.Order)
+				if got := s.MoveTensor(from, to); got != want {
+					t.Fatalf("step %d: MoveTensor(%d, %d) of tensor %d = %v, list scan says %v",
+						step, from, to, before[from], got, want)
+				}
+				if want {
+					rotateOrder(before, from, to)
+					legal++
+				} else if from != to && to >= 0 && to < n {
+					illegal++
+				}
+				if !slices.Equal(s.Order, before) {
+					t.Fatalf("step %d: MoveTensor(%d, %d) left order %v, want %v", step, from, to, s.Order, before)
+				}
+			}
+			if legal == 0 || illegal == 0 && slices.ContainsFunc(after, func(a []int) bool { return len(a) > 0 }) {
+				t.Fatalf("%d legal and %d illegal moves: the walk does not exercise both", legal, illegal)
+			}
 		})
 	}
 }

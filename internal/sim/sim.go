@@ -15,6 +15,17 @@ import (
 // producing store).
 var ErrDeadlock = errors.New("sim: schedule deadlocks")
 
+// deadlockError is ErrDeadlock with the tile and tensor the merge got stuck
+// at, out of n tiles and m tensors. It formats its text only when asked:
+// stage 2 proposes deadlocking moves all the time and rarely prints one.
+type deadlockError struct{ i, n, j, m int }
+
+func (e *deadlockError) Error() string {
+	return fmt.Sprintf("%v: stuck at tile %d/%d, tensor %d/%d", ErrDeadlock, e.i, e.n, e.j, e.m)
+}
+
+func (e *deadlockError) Unwrap() error { return ErrDeadlock }
+
 // Options tunes one evaluation.
 type Options struct {
 	// BufferBudget overrides the hardware GBUF capacity for feasibility
@@ -122,14 +133,14 @@ func (m *Metrics) Cost(n, mm float64) float64 {
 
 // Evaluate replays the schedule on the scheduler's hardware configuration.
 //
-// A load waits for its producer's stores (Tensor.AfterStores) without
+// A load waits for its producer's stores (Schedule.WaitsOn) without
 // scanning them. The DRAM channel is serial and in order, so every store
 // ordered before the load has committed when the load is reached, and ends
 // no later than dramFree: the stores never delay the load's start. What is
 // left is the stall of a load whose producer layer still has a store ordered
-// after it - an invalid order that deadlocks. Since AfterStores holds all
-// stores of the load's Source layer, that is one comparison against the
-// layer's last store position.
+// after it - an invalid order that deadlocks. Since a reload waits on every
+// store of its Source layer, that is one comparison against the layer's
+// last store position.
 func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics, error) {
 	var b evalBuffers
 	return b.evaluate(s, cs, nil, opt)
@@ -220,7 +231,7 @@ func (b *evalBuffers) evaluate(s *core.Schedule, cs *coresched.Scheduler, pa *co
 				if i < t.Start {
 					break // needs more compute progress
 				}
-				if len(t.AfterStores) > 0 && lastStore[t.Source] > j {
+				if t.Kind == core.LoadIfmap && lastStore[t.Source] > j {
 					break // a producer store is still ahead in the order
 				}
 				if t.Start > 0 {
@@ -270,8 +281,7 @@ func (b *evalBuffers) evaluate(s *core.Schedule, cs *coresched.Scheduler, pa *co
 			}
 		}
 		if !advanced {
-			return &Metrics{}, fmt.Errorf("%w: stuck at tile %d/%d, tensor %d/%d",
-				ErrDeadlock, i, n, j, mTensors)
+			return &Metrics{}, &deadlockError{i, n, j, mTensors}
 		}
 	}
 

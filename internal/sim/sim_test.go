@@ -151,9 +151,10 @@ func TestDeadlockDetection(t *testing.T) {
 	// Force an illegal order: put a load that depends on a store before
 	// that store by raw manipulation (MoveTensor would refuse).
 	var loadPos, storePos = -1, -1
+	after := afterStores(s)
 	for pos, id := range s.Order {
 		ts := &s.Tensors[id]
-		if ts.Kind == core.LoadIfmap && len(ts.AfterStores) > 0 && loadPos == -1 {
+		if ts.Kind == core.LoadIfmap && len(after[id]) > 0 && loadPos == -1 {
 			loadPos = pos
 		}
 		if ts.Kind == core.StoreOfmap && storePos == -1 {

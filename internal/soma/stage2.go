@@ -2,7 +2,6 @@ package soma
 
 import (
 	"context"
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"time"
@@ -75,10 +74,6 @@ type stage2Moves struct {
 	e      *Explorer
 	picker *sizePicker
 	inc    *sim.Incremental
-	budget int64
-	// keyPrefix is the fixed head of every key - scope, encoding key and
-	// order length - and keyBuf the buffer key() builds each key in.
-	keyPrefix, keyBuf []byte
 	// kind names the operator the last productive Propose drew, for the
 	// convergence journal's per-kind tallies (sa.MoveKinder).
 	kind string
@@ -93,22 +88,7 @@ func newStage2Moves(e *Explorer, s *core.Schedule, picker *sizePicker, tc *sim.T
 		// parse-derived schedule cannot produce.
 		panic("soma: stage-2 incremental evaluator: " + err.Error())
 	}
-	prefix := append([]byte(e.Scope), s.Enc.CanonicalKey()...)
-	prefix = binary.AppendUvarint(prefix, uint64(len(s.Order)))
-	return &stage2Moves{e: e, picker: picker, inc: inc, budget: e.Cfg.GBufBytes,
-		keyPrefix: prefix}
-}
-
-// key is the evaluation-cache key of the live schedule - the same bytes
-// Cache.Evaluate derives (sim.Key of the scoped CanonicalKey), so stage-2
-// points stay interchangeable with every other cache user (the final winner
-// re-evaluation, the somad daemon). Only the DLSA part is re-encoded per
-// move, into a reused buffer.
-func (ms *stage2Moves) key() string {
-	b := append(ms.keyBuf[:0], ms.keyPrefix...)
-	b = ms.inc.Schedule().AppendDLSAKey(b)
-	ms.keyBuf = binary.AppendVarint(b, ms.budget)
-	return string(ms.keyBuf)
+	return &stage2Moves{e: e, picker: picker, inc: inc}
 }
 
 // objective folds metrics into the annealing cost (+Inf for deadlocked or
@@ -121,7 +101,7 @@ func (ms *stage2Moves) objective(m *sim.Metrics, err error) float64 {
 }
 
 func (ms *stage2Moves) InitCost() float64 {
-	m, err := sim.Memoize(ms.e.Cache, ms.key(), ms.inc.Metrics)
+	m, err := sim.Memoize(ms.e.Cache, ms.inc.Key(), ms.inc.Metrics)
 	return ms.objective(m, err)
 }
 
@@ -162,7 +142,7 @@ func (ms *stage2Moves) Propose(rng *rand.Rand) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	m, err := sim.Memoize(ms.e.Cache, ms.key(), ms.inc.EvaluateProposal)
+	m, err := sim.Memoize(ms.e.Cache, ms.inc.Key(), ms.inc.EvaluateProposal)
 	return ms.objective(m, err), true
 }
 
