@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -329,12 +328,18 @@ func snapshotTable(snap BenchSnapshot) *report.Table {
 	return t
 }
 
+// fracSlack is how far, in absolute terms, a model's resumed and
+// re-simulated event fractions may move the wrong way before the snapshot
+// check fails.
+const fracSlack = 0.02
+
 // checkSnapshot compares a fresh measurement against the committed snapshot
-// and returns an error describing every regression. The gated quantities are
-// machine-portable: allocs/move is deterministic for a given build, and the
-// incremental-vs-full speedup is a same-machine ratio, so neither depends on
-// how fast the CI runner happens to be. Absolute ns/move is reported but not
-// gated (docs/performance.md discusses the rules).
+// and returns an error describing every regression. Every gated quantity is
+// machine-portable: allocs/move and the resumed and re-simulated event
+// fractions are deterministic for a given build, and the 3x floor is a
+// same-machine ratio, so none depends on how fast the CI runner happens to
+// be. Absolute ns/move is reported but not gated (docs/performance.md
+// discusses the rules).
 func checkSnapshot(fresh BenchSnapshot, path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -351,21 +356,12 @@ func checkSnapshot(fresh BenchSnapshot, path string) error {
 
 	var fails []string
 	bestSpeedup := 0.0
-	var logFresh, logBase float64
-	compared := 0
 	for _, e := range fresh.Models {
 		w, ok := base[e.Model]
 		if !ok {
 			continue // model added after the snapshot: nothing to compare
 		}
-		if e.Speedup > bestSpeedup {
-			bestSpeedup = e.Speedup
-		}
-		if e.Speedup > 0 && w.Speedup > 0 {
-			logFresh += math.Log(e.Speedup)
-			logBase += math.Log(w.Speedup)
-			compared++
-		}
+		bestSpeedup = max(bestSpeedup, e.Speedup)
 		// >20% allocs/move regression per model (plus one alloc of
 		// absolute slack: the committed counts are small integers, and a
 		// counter artifact must not fail CI on 20% of 2 allocs).
@@ -380,20 +376,20 @@ func checkSnapshot(fresh BenchSnapshot, path string) error {
 				"%s: full allocs/move %.1f exceeds committed %.1f by >20%%",
 				e.Model, e.FullAllocsPerMove, w.FullAllocsPerMove))
 		}
-	}
-	// >20% ns/move regression, measured as the geometric-mean speedup
-	// ratio across the zoo: a hot-path regression slows every model, while
-	// per-model timing noise is independent and averages out (single-model
-	// deviations are +-15% run to run; the geomean holds within a few
-	// percent). Using the same-run incremental-vs-full ratio also keeps
-	// the gate machine-portable - a slow runner cannot fail a healthy
-	// build.
-	if compared > 0 {
-		gmFresh := math.Exp(logFresh / float64(compared))
-		gmBase := math.Exp(logBase / float64(compared))
-		if gmFresh < gmBase*0.8 {
+		// The incremental path's own work: how often a proposal resumes
+		// from a checkpoint, and what share of the merge it re-simulates.
+		// Both are deterministic for the fixed-seed move count, so unlike
+		// a timing ratio they neither flake on a slow runner nor move when
+		// the full path gets faster.
+		if e.ResumedFrac < w.ResumedFrac-fracSlack {
 			fails = append(fails, fmt.Sprintf(
-				"geomean speedup %.2fx is >20%% below committed %.2fx", gmFresh, gmBase))
+				"%s: resumed fraction %.3f fell below committed %.3f",
+				e.Model, e.ResumedFrac, w.ResumedFrac))
+		}
+		if e.EventsFrac > w.EventsFrac+fracSlack {
+			fails = append(fails, fmt.Sprintf(
+				"%s: re-simulated event fraction %.3f rose above committed %.3f",
+				e.Model, e.EventsFrac, w.EventsFrac))
 		}
 	}
 	// The PR's acceptance floor stays enforced: at least one zoo model must

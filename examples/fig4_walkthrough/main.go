@@ -68,7 +68,7 @@ func main() {
 	fmt.Println("COMPUTE row (the paper's A1 A2 B C1 E1 D1 C2 E2 D2):")
 	for _, tl := range s.Tiles {
 		fmt.Printf("  %d: %s%d  FLG%d LG%d  region %v\n",
-			tl.Seq, g.Layer(tl.Layer).Name, tl.Index+1, tl.FLG, tl.LG, tl.Region)
+			tl.Seq, g.Layer(tl.Layer).Name, tl.Index+1, tl.FLG, tl.LG, s.Region(tl.Seq))
 	}
 
 	fmt.Printf("\nDRAM tensors (%d, the paper's example has 13) in DRAM Tensor Order:\n", len(s.Tensors))

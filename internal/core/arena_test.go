@@ -75,7 +75,7 @@ func TestArenaParseMatchesParse(t *testing.T) {
 						t.Fatalf("step %d (memo %v): arena parse %s, Parse %s", step, m != nil, got, want)
 					}
 					if err == nil && m != nil {
-						checkMemoCosts(t, &a, s, cs)
+						checkMemoCosts(t, &a, m, s, cs)
 					}
 				}
 				if want[0] != 'e' {
@@ -86,21 +86,29 @@ func TestArenaParseMatchesParse(t *testing.T) {
 	}
 }
 
-// checkMemoCosts compares the arena's memoized tile costs with the
-// scheduler's cost of each tile of s.
-func checkMemoCosts(t *testing.T, a *Arena, s *Schedule, cs *coresched.Scheduler) {
+// checkMemoCosts lowers s's encoding again with memo and compares each
+// walked tile's memoized costs with the scheduler's cost of that tile of s.
+func checkMemoCosts(t *testing.T, a *Arena, memo *FLGMemo, s *Schedule, cs *coresched.Scheduler) {
 	t.Helper()
-	n := s.NumTiles()
-	dur, energy := make([]float64, n), make([]float64, n)
-	if !a.TileCosts(dur, energy) {
-		t.Fatal("a memoized parse reports no tile costs")
-	}
-	for i := range dur {
+	type cost struct{ dur, energy float64 }
+	want := make([]cost, s.NumTiles())
+	for i := range want {
 		r := cs.Evaluate(s.TileRequest(i))
-		if dur[i] != r.TimeNS || energy[i] != r.EnergyPJ {
+		want[i] = cost{r.TimeNS, r.EnergyPJ}
+	}
+	if err := a.Lower(s.G, s.Enc, memo); err != nil {
+		t.Fatal(err)
+	}
+	walked := 0
+	for st := a.Next(); st != nil; st = a.Next() {
+		if w := want[st.Tile.Seq]; st.Dur != w.dur || st.Energy != w.energy {
 			t.Fatalf("tile %d: memo cost (%v ns, %v pJ), scheduler (%v ns, %v pJ)",
-				i, dur[i], energy[i], r.TimeNS, r.EnergyPJ)
+				st.Tile.Seq, st.Dur, st.Energy, w.dur, w.energy)
 		}
+		walked++
+	}
+	if walked != len(want) {
+		t.Fatalf("walked %d tiles, schedule has %d", walked, len(want))
 	}
 }
 
@@ -129,7 +137,7 @@ func TestFLGMemoBounded(t *testing.T) {
 			t.Fatalf("step %d: memoized parse %s, Parse %s", step, got, want)
 		}
 		if err == nil {
-			checkMemoCosts(t, &a, s, cs)
+			checkMemoCosts(t, &a, memo, s, cs)
 			cur = cand
 		}
 		if st := memo.Stats(); st.Bytes > budget {

@@ -2,59 +2,6 @@ package core
 
 import "fmt"
 
-// ApplyDoubleBuffer installs the classical double-buffer DLSA the paper uses
-// as the baseline strategy (Sec. III-B): every load is prefetched one tile
-// ahead of its first use, every store drains during the following tile, and
-// the DRAM Tensor Order interleaves "store what tile t produced" right after
-// "prefetch what tile t+1 needs".
-func (s *Schedule) ApplyDoubleBuffer() { s.applyDoubleBuffer(nil) }
-
-// applyDoubleBuffer is ApplyDoubleBuffer with its sort's working storage
-// taken from scratch; it returns the storage for reuse.
-func (s *Schedule) applyDoubleBuffer(scratch []int) []int {
-	n := s.NumTiles()
-	for i := range s.Tensors {
-		t := &s.Tensors[i]
-		if t.Kind.IsLoad() {
-			t.Start = t.FirstUse - 1
-			if t.Start < 0 {
-				t.Start = 0
-			}
-		} else {
-			t.End = t.Producer + 2
-			if t.End > n {
-				t.End = n
-			}
-		}
-	}
-	// Stores of tile t sort just before loads first used by tile t+1, so
-	// producer stores always precede their dependent reloads. The keys lie
-	// in [0, 2n), so a stable counting sort orders them in linear time.
-	key := func(id int) int {
-		t := &s.Tensors[id]
-		if t.Kind.IsLoad() {
-			return 2 * t.FirstUse
-		}
-		return 2*t.Producer + 1
-	}
-	scratch = resize(scratch, 2*n+1+len(s.Order))
-	start, sorted := scratch[:2*n+1], scratch[2*n+1:]
-	clear(start)
-	for _, id := range s.Order {
-		start[key(id)+1]++
-	}
-	for k := 1; k < len(start); k++ {
-		start[k] += start[k-1]
-	}
-	for _, id := range s.Order {
-		k := key(id)
-		sorted[start[k]] = id
-		start[k]++
-	}
-	copy(s.Order, sorted)
-	return scratch
-}
-
 // OrderValid reports whether the DRAM Tensor Order is a permutation that
 // places every producer store before the loads that re-read its data
 // (violations deadlock the serial DRAM channel).

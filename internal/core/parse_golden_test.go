@@ -131,8 +131,8 @@ func scheduleHash(s *Schedule) []byte {
 	put(int64(len(s.Tiles)))
 	for _, tl := range s.Tiles {
 		put(int64(tl.Seq), int64(tl.Layer), int64(tl.FLG), int64(tl.LG), int64(tl.Index))
-		region(tl.Region)
-		region(tl.Own)
+		region(s.Region(tl.Seq))
+		region(s.Own(tl.Seq))
 	}
 	put(int64(len(s.Tensors)))
 	for _, x := range s.Tensors {

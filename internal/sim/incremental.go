@@ -462,7 +462,7 @@ func (inc *Incremental) Metrics() (*Metrics, error) {
 	if inc.accErr != nil {
 		return &Metrics{}, inc.accErr
 	}
-	return finishMetrics(inc.cfg, inc.s, inc.opt.BufferBudget, inc.usage, inc.tc.Dur,
+	return finishMetrics(inc.cfg, inc.s.G, inc.opt.BufferBudget, inc.usage, inc.tc.Dur,
 		inc.tc.CoreEnergy, inc.tc.ComputeBusy,
 		inc.accEnd.computeFree, inc.accEnd.dramFree, inc.accEnd.dramBusy, inc.accEnd.dramBytes), nil
 }
@@ -502,7 +502,7 @@ func (inc *Incremental) EvaluateProposal() (*Metrics, error) {
 	if err != nil {
 		return &Metrics{}, err
 	}
-	return finishMetrics(inc.cfg, inc.s, inc.opt.BufferBudget, inc.usage, inc.tc.Dur,
+	return finishMetrics(inc.cfg, inc.s.G, inc.opt.BufferBudget, inc.usage, inc.tc.Dur,
 		inc.tc.CoreEnergy, inc.tc.ComputeBusy,
 		inc.propEnd.computeFree, inc.propEnd.dramFree, inc.propEnd.dramBusy, inc.propEnd.dramBytes), nil
 }

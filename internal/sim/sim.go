@@ -7,6 +7,7 @@ import (
 
 	"soma/internal/core"
 	"soma/internal/coresched"
+	"soma/internal/graph"
 	"soma/internal/hw"
 )
 
@@ -59,34 +60,18 @@ type TileCosts struct {
 	ComputeBusy float64
 }
 
-// PrecomputeTileCosts evaluates every tile of the schedule once.
+// PrecomputeTileCosts evaluates every tile of the schedule once. CoreEnergy
+// and ComputeBusy are summed tile by tile in seq order, as the stage-1
+// Arena sums them: the float addition order keeps both bit-identical.
 func PrecomputeTileCosts(s *core.Schedule, cs *coresched.Scheduler) *TileCosts {
-	tc := new(TileCosts)
-	tc.fill(s, cs, nil, nil)
+	tc := &TileCosts{Dur: make([]float64, s.NumTiles())}
+	for i := range tc.Dur {
+		r := cs.Evaluate(s.TileRequest(i))
+		tc.Dur[i] = r.TimeNS
+		tc.CoreEnergy += r.EnergyPJ
+		tc.ComputeBusy += r.TimeNS
+	}
 	return tc
-}
-
-// fill computes s's tile costs into tc, reusing tc.Dur and energy (per-tile
-// energy, returned for reuse) as storage. The costs come from pa, the arena
-// s was parsed into, when its parse took them from an FLG memo, and from cs
-// otherwise. Either way CoreEnergy and ComputeBusy are summed tile by tile
-// in seq order: the float addition order is what keeps both bit-identical
-// between the two sources.
-func (tc *TileCosts) fill(s *core.Schedule, cs *coresched.Scheduler, pa *core.Arena, energy []float64) []float64 {
-	n := s.NumTiles()
-	tc.Dur, energy = resize(tc.Dur, n), resize(energy, n)
-	if pa == nil || !pa.TileCosts(tc.Dur, energy) {
-		for i := range tc.Dur {
-			r := cs.Evaluate(s.TileRequest(i))
-			tc.Dur[i], energy[i] = r.TimeNS, r.EnergyPJ
-		}
-	}
-	tc.CoreEnergy, tc.ComputeBusy = 0, 0
-	for i, d := range tc.Dur {
-		tc.CoreEnergy += energy[i]
-		tc.ComputeBusy += d
-	}
-	return energy
 }
 
 // Metrics is the evaluation result.
@@ -142,36 +127,6 @@ func (m *Metrics) Cost(n, mm float64) float64 {
 // store of its Source layer, that is one comparison against the layer's
 // last store position.
 func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics, error) {
-	var b evalBuffers
-	return b.evaluate(s, cs, nil, opt)
-}
-
-// evalBuffers is Evaluate's working storage. Evaluate runs on fresh
-// buffers; an Arena keeps one set and reuses it for every evaluation.
-type evalBuffers struct {
-	tc        TileCosts
-	energy    []float64
-	blockers  blockers
-	lastStore []int
-	tileEnd   []float64
-	tensorEnd []float64
-	committed []bool
-	usage     []int64
-}
-
-// resize returns s with length n, reusing its storage when it is large
-// enough. Reused elements keep their old values.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// evaluate is Evaluate in b's storage; pa is the arena s was parsed into,
-// or nil. Traced times are the buffers themselves, so only fresh buffers
-// may trace.
-func (b *evalBuffers) evaluate(s *core.Schedule, cs *coresched.Scheduler, pa *core.Arena, opt Options) (*Metrics, error) {
 	cfg := cs.Config()
 	n := s.NumTiles()
 	mTensors := len(s.Tensors)
@@ -183,8 +138,7 @@ func (b *evalBuffers) evaluate(s *core.Schedule, cs *coresched.Scheduler, pa *co
 	// (or the caller's precomputed cache).
 	tc := opt.TileCosts
 	if tc == nil {
-		tc = &b.tc
-		b.energy = tc.fill(s, cs, pa, b.energy)
+		tc = PrecomputeTileCosts(s, cs)
 	} else if len(tc.Dur) != n {
 		return nil, fmt.Errorf("sim: tile-cost cache covers %d tiles, schedule has %d", len(tc.Dur), n)
 	}
@@ -193,9 +147,9 @@ func (b *evalBuffers) evaluate(s *core.Schedule, cs *coresched.Scheduler, pa *co
 
 	// Which tensors gate which tile, and where each layer's last store
 	// sits in the DRAM Tensor Order.
-	b.blockers.build(s, n)
-	lastStore := resize(b.lastStore, len(s.G.Layers))
-	b.lastStore = lastStore
+	var gates blockers
+	gates.build(s, n)
+	lastStore := make([]int, len(s.G.Layers))
 	for l := range lastStore {
 		lastStore[l] = -1
 	}
@@ -205,13 +159,9 @@ func (b *evalBuffers) evaluate(s *core.Schedule, cs *coresched.Scheduler, pa *co
 		}
 	}
 
-	// Every tensorEnd read is of a committed tensor, every tileEnd read of
-	// a committed tile, so only the commit flags need clearing.
-	tileEnd := resize(b.tileEnd, n)
-	tensorEnd := resize(b.tensorEnd, mTensors)
-	committed := resize(b.committed, mTensors)
-	b.tileEnd, b.tensorEnd, b.committed = tileEnd, tensorEnd, committed
-	clear(committed)
+	tileEnd := make([]float64, n)
+	tensorEnd := make([]float64, mTensors)
+	committed := make([]bool, mTensors)
 	var tileStart, tensorStart []float64
 	if opt.Trace {
 		tileStart = make([]float64, n)
@@ -260,7 +210,7 @@ func (b *evalBuffers) evaluate(s *core.Schedule, cs *coresched.Scheduler, pa *co
 		if i < n {
 			ready := true
 			var depTime float64
-			for _, tid := range b.blockers.row(i) {
+			for _, tid := range gates.row(i) {
 				if !committed[tid] {
 					ready = false
 					break
@@ -285,14 +235,22 @@ func (b *evalBuffers) evaluate(s *core.Schedule, cs *coresched.Scheduler, pa *co
 		}
 	}
 
-	b.usage = s.BufferUsageInto(b.usage)
-	m := finishMetrics(cfg, s, opt.BufferBudget, b.usage, tileDur,
+	m := finishMetrics(cfg, s.G, opt.BufferBudget, s.BufferUsage(), tileDur,
 		coreEnergy, computeBusy, computeFree, dramFree, dramBusy, dramBytes)
 	if opt.Trace {
 		m.TileStart, m.TileEnd = tileStart, tileEnd
 		m.TensorStart, m.TensorEnd = tensorStart, tensorEnd
 	}
 	return m, nil
+}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. Reused elements keep their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // blockers maps each tile seq to the tensor IDs gating it, flat: tile i
@@ -345,7 +303,7 @@ func (b *blockers) row(i int) []int { return b.ids[b.off[i]:b.off[i+1]:b.off[i+1
 // set. Both Evaluate and the Incremental evaluator feed it identical inputs
 // through identical float operations in the same order, so their Metrics are
 // bit-for-bit equal - the property the differential tests pin down.
-func finishMetrics(cfg hw.Config, s *core.Schedule, budget int64, usage []int64,
+func finishMetrics(cfg hw.Config, g *graph.Graph, budget int64, usage []int64,
 	tileDur []float64, coreEnergy, computeBusy, computeFree, dramFree, dramBusy float64,
 	dramBytes int64) *Metrics {
 
@@ -370,7 +328,7 @@ func finishMetrics(cfg hw.Config, s *core.Schedule, budget int64, usage []int64,
 	dramEnergy := float64(dramBytes) * (en.DRAMPerByte + en.GBufPerByte)
 	total := coreEnergy + dramEnergy + en.StaticPerNS*latency
 
-	ops := float64(s.G.TotalOps())
+	ops := float64(g.TotalOps())
 	peakRate := cfg.PeakOpsPerNS()
 	theoLat := maxf(computeBusy, dramBusy)
 

@@ -192,8 +192,8 @@ type Explorer struct {
 	// stage1WallNS/stage2WallNS accumulate per-stage wall time across the
 	// allocator loop; RunContext folds them into the Result.
 	stage1WallNS, stage2WallNS int64
-	// memo holds the FLG plans and tile costs of every stage-1 parse
-	// (see flgMemo).
+	// memo holds the FLG plans, slab sizes and tile costs of every stage-1
+	// miss (see flgMemo).
 	memoMu sync.Mutex
 	memo   *core.FLGMemo
 }

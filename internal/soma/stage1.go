@@ -71,11 +71,11 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 }
 
 // evalEnc evaluates an encoding under a stage-1 budget. It is keyed on the
-// encoding so cache hits skip the parse as well as the evaluation: every
-// revisited LFA point - re-proposed moves, the shared initial solution of a
-// portfolio, the winner's re-evaluation - costs one map lookup. A miss
-// parses and evaluates in *arena, the calling chain's, which it builds on
-// first use: a chain whose lookups all hit allocates none.
+// encoding so cache hits skip the lowering as well as the evaluation:
+// every revisited LFA point - re-proposed moves, the shared initial solution
+// of a portfolio, the winner's re-evaluation - costs one map lookup. A miss
+// is evaluated in *arena, the calling chain's, which it builds on first
+// use: a chain whose lookups all hit allocates none.
 func (e *Explorer) evalEnc(enc *core.Encoding, budget int64, arena **sim.Arena) (*sim.Metrics, error) {
 	return sim.Memoize(e.Cache, sim.Key(e.Scope+encKeyPrefix+enc.CanonicalKey(), budget),
 		func() (*sim.Metrics, error) {
@@ -106,7 +106,7 @@ type lfaMoves struct {
 	e         *Explorer
 	budget    int64
 	cur, cand *core.Encoding
-	// arena is the chain's parse/evaluate storage for cache misses.
+	// arena is the chain's evaluation storage for cache misses.
 	arena *sim.Arena
 	kind  string
 }
