@@ -188,12 +188,12 @@ func BenchmarkEvalCacheHit(b *testing.B) {
 	s := resnetSchedule(b)
 	cs := coresched.New(hw.Edge())
 	cache := sim.NewCache(0)
-	if _, err := cache.Evaluate(s, cs, sim.Options{}); err != nil {
+	if _, err := sim.CachedEvaluate(cache, s, cs, sim.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cache.Evaluate(s, cs, sim.Options{}); err != nil {
+		if _, err := sim.CachedEvaluate(cache, s, cs, sim.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -119,12 +119,16 @@ func (e *Explorer) RunContext(ctx context.Context) (*Result, error) {
 // coccoMoves is the baseline's sa.MoveState. Every Cocco operator is
 // structural - it changes the Computing Order or the DRAM cut set, which
 // re-derives the tiling and produces a different tile/tensor set - so no
-// incremental delta applies: each proposal parses and fully evaluates a
-// cloned encoding (the move-aware contract's documented fallback), and
-// Accept/Reject just swap or drop the clone.
+// incremental delta applies: each proposal scores a cloned encoding whole,
+// and Accept/Reject just swap or drop the clone. Cocco's DLSA is the
+// double-buffer one, so the scoring is a sim.Arena's one-pass fold, with no
+// schedule built, exactly as stage 1 of SoMa scores its candidates.
 type coccoMoves struct {
 	e         *Explorer
 	cur, cand *core.Encoding
+	// arena scores every candidate; built on first use (the search is one
+	// chain).
+	arena *sim.Arena
 	// kind names the operator the last productive Propose drew
 	// (sa.MoveKinder, for the convergence journal).
 	kind string
@@ -146,14 +150,13 @@ func (ms *coccoMoves) Reject()                  {}
 func (ms *coccoMoves) Snapshot() *core.Encoding { return ms.cur }
 func (ms *coccoMoves) MoveKind() string         { return ms.kind }
 
-// cost parses and fully evaluates one encoding (+Inf when illegal,
-// deadlocked, or over budget).
+// cost scores one encoding (+Inf when illegal or over budget). It equals
+// the cost of sim.Evaluate on the parsed encoding bit for bit.
 func (ms *coccoMoves) cost(enc *core.Encoding) float64 {
-	s, err := core.Parse(ms.e.G, enc)
-	if err != nil {
-		return math.Inf(1)
+	if ms.arena == nil {
+		ms.arena = sim.NewArena(ms.e.G, ms.e.CS, nil)
 	}
-	m, err := sim.Evaluate(s, ms.e.CS, sim.Options{})
+	m, err := ms.arena.Evaluate(enc, sim.Options{})
 	if err != nil || !m.BufferOK {
 		return math.Inf(1)
 	}

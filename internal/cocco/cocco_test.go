@@ -7,6 +7,7 @@ import (
 	"soma/internal/core"
 	"soma/internal/graph"
 	"soma/internal/hw"
+	"soma/internal/models"
 	"soma/internal/soma"
 )
 
@@ -119,5 +120,49 @@ func TestSoMaBeatsOrMatchesCocco(t *testing.T) {
 	}
 	if ours.Cost > base.Cost*1.05 {
 		t.Fatalf("SoMa lost to Cocco: %g vs %g", ours.Cost, base.Cost)
+	}
+}
+
+// TestCoccoCandidateAllocs gates the allocations of scoring one candidate:
+// once the search's arena has seen a walk of candidates, scoring one again
+// allocates a fixed handful of times, however many tiles it has.
+func TestCoccoCandidateAllocs(t *testing.T) {
+	const limit = 8
+	for _, name := range []string{"mobilenetv2", "resnet50"} {
+		t.Run(name, func(t *testing.T) {
+			g, err := models.Build(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := New(g, hw.Edge(), soma.EDP(), soma.FastParams())
+			enc := core.DefaultEncoding(g, 1)
+			e.applyHeuristicTiling(enc)
+			ms := &coccoMoves{e: e, cur: enc}
+			walk := []*core.Encoding{enc}
+			rng := newRand(1)
+			for len(walk) < 100 {
+				if c, _, ok := e.mutate(walk[len(walk)-1], rng); ok {
+					walk = append(walk, c)
+				}
+			}
+			feasible := 0
+			for _, c := range walk {
+				if !math.IsInf(ms.cost(c), 1) {
+					feasible++
+				}
+			}
+			if feasible == 0 {
+				t.Fatal("no feasible candidate in the walk")
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(len(walk), func() {
+				ms.cost(walk[i%len(walk)])
+				i++
+			})
+			t.Logf("%.1f allocs per candidate (%d of %d feasible)", allocs, feasible, len(walk))
+			if allocs > limit {
+				t.Errorf("%.1f allocs per candidate, limit %d", allocs, limit)
+			}
+		})
 	}
 }

@@ -120,3 +120,12 @@ func (a *Arena) Evaluate(enc *core.Encoding, opt Options) (*Metrics, error) {
 	return finishMetrics(cfg, a.g, opt.BufferBudget, usage[:n], tileDur,
 		coreEnergy, computeBusy, computeFree, dramFree, dramBusy, dramBytes), nil
 }
+
+// resize returns s with length n, reusing its storage when it is large
+// enough. Reused elements keep their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

@@ -200,18 +200,6 @@ func (c *Cache) Put(key string, m *Metrics, err error) {
 	c.mu.Unlock()
 }
 
-// Evaluate is a memoizing sim.Evaluate. Traced evaluations bypass the cache:
-// their slices are large and the execution-graph renderer only ever runs
-// once per figure.
-func (c *Cache) Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics, error) {
-	if c == nil || opt.Trace {
-		return Evaluate(s, cs, opt)
-	}
-	return c.Memoize(Key(opt.CacheScope+s.CanonicalKey(), opt.BufferBudget), func() (*Metrics, error) {
-		return Evaluate(s, cs, opt)
-	})
-}
-
 // Key combines a canonical schedule (or encoding) key with the buffer budget
 // it is evaluated under. Callers that can compute their key more cheaply
 // than building the schedule use it with Memoize directly - stage 1 keys on

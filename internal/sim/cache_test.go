@@ -42,11 +42,11 @@ func TestCacheMatchesFreshEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.Evaluate(s, cs, Options{})
+	first, err := CachedEvaluate(c, s, cs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := c.Evaluate(s.Clone(), cs, Options{})
+	cached, err := CachedEvaluate(c, s.Clone(), cs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestCacheMatchesFreshEvaluation(t *testing.T) {
 
 	// Mutating a returned value must not poison later lookups.
 	cached.LatencyNS = -1
-	again, err := c.Evaluate(s, cs, Options{})
+	again, err := CachedEvaluate(c, s, cs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestCacheMatchesFreshEvaluation(t *testing.T) {
 func TestCacheKeyIncludesBudget(t *testing.T) {
 	s, cs := cacheTestSchedule(t)
 	c := NewCache(0)
-	full, err := c.Evaluate(s, cs, Options{})
+	full, err := CachedEvaluate(c, s, cs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny, err := c.Evaluate(s, cs, Options{BufferBudget: 1})
+	tiny, err := CachedEvaluate(c, s, cs, Options{BufferBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCacheKeyIncludesBudget(t *testing.T) {
 func TestCacheTraceBypassAndFlush(t *testing.T) {
 	s, cs := cacheTestSchedule(t)
 	c := NewCache(2)
-	if _, err := c.Evaluate(s, cs, Options{Trace: true}); err != nil {
+	if _, err := CachedEvaluate(c, s, cs, Options{Trace: true}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits+st.Misses != 0 {
@@ -106,7 +106,7 @@ func TestCacheTraceBypassAndFlush(t *testing.T) {
 	// Capacity 2 (generations of 1): three distinct keys must rotate the
 	// generations at least once and never hold more than cap entries.
 	for _, budget := range []int64{0, 1, 2} {
-		if _, err := c.Evaluate(s, cs, Options{BufferBudget: budget}); err != nil {
+		if _, err := CachedEvaluate(c, s, cs, Options{BufferBudget: budget}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +165,7 @@ func TestCacheConcurrentEvaluate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				m, err := c.Evaluate(s, cs, Options{})
+				m, err := CachedEvaluate(c, s, cs, Options{})
 				if err != nil || m.LatencyNS != want.LatencyNS {
 					t.Errorf("concurrent evaluate diverged: %v %v", m, err)
 					return
@@ -179,10 +179,12 @@ func TestCacheConcurrentEvaluate(t *testing.T) {
 	}
 }
 
+// TestNilCacheDelegates: a typed nil *Cache inside the EvalCache interface
+// evaluates uncached and counts nothing.
 func TestNilCacheDelegates(t *testing.T) {
 	s, cs := cacheTestSchedule(t)
 	var c *Cache
-	m, err := c.Evaluate(s, cs, Options{})
+	m, err := CachedEvaluate(c, s, cs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,16 +202,16 @@ func TestNilCacheDelegates(t *testing.T) {
 func TestCacheScopeSeparatesContexts(t *testing.T) {
 	s, cs := cacheTestSchedule(t)
 	c := NewCache(0)
-	if _, err := c.Evaluate(s, cs, Options{CacheScope: "resnet50|1|edge|"}); err != nil {
+	if _, err := CachedEvaluate(c, s, cs, Options{CacheScope: "resnet50|1|edge|"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Evaluate(s, cs, Options{CacheScope: "resnet50|16|edge|"}); err != nil {
+	if _, err := CachedEvaluate(c, s, cs, Options{CacheScope: "resnet50|16|edge|"}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("different scopes must not share entries: %+v", st)
 	}
-	if _, err := c.Evaluate(s, cs, Options{CacheScope: "resnet50|1|edge|"}); err != nil {
+	if _, err := CachedEvaluate(c, s, cs, Options{CacheScope: "resnet50|1|edge|"}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 {

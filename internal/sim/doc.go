@@ -15,16 +15,22 @@
 // both resources' busy times, buffer occupancy statistics and the
 // theoretical maximum utilization bound used as Fig. 6's blue diamonds.
 //
+// One merge loop implements these conditions. Evaluate runs it once from
+// event zero; Incremental, the stage-2 evaluator, keeps one schedule live
+// and after each DLSA move resumes the same loop from a checkpoint of its
+// accepted run.
+//
 // Three layers keep the annealer's evaluation volume tractable:
 //
 //   - TileCosts (PrecomputeTileCosts) caches the compute-side cost of every
 //     tile; the DLSA exploration stage never changes tiles, so thousands of
 //     candidate schedules share one precomputation.
-//   - Arena evaluates stage-1 encodings without building a schedule: under
-//     the double-buffer DLSA the merge is one pass over the tiles in seq
-//     order (core.Arena's walk), with FLG plans and tile costs from a
-//     core.FLGMemo. Its Metrics equal Evaluate's on the parsed schedule
-//     bit for bit.
+//   - Arena evaluates encodings under the double-buffer DLSA without
+//     building a schedule: stage 1 of SoMa and the Cocco baseline score
+//     their candidates with it. Under that DLSA the merge is one pass over
+//     the tiles in seq order (core.Arena's walk), with FLG plans and tile
+//     costs from a core.FLGMemo. Its Metrics equal Evaluate's on the
+//     parsed schedule bit for bit.
 //   - Cache memoizes entire evaluations keyed by the schedule's canonical
 //     encoding (core.Encoding/core.Schedule CanonicalKey) plus the buffer
 //     budget, with hit/miss counters surfaced through the run reports. The

@@ -7,7 +7,6 @@ import (
 
 	"soma/internal/core"
 	"soma/internal/coresched"
-	"soma/internal/hw"
 	"soma/internal/obs"
 )
 
@@ -16,10 +15,11 @@ import (
 // call, Incremental caches the simulation of the current (accepted) schedule
 // - the per-tile and per-tensor completion times, the DRAM-channel frontier
 // at periodic checkpoints, and the buffer-occupancy profile - and, when one
-// DLSA move perturbs the schedule, re-simulates only from the latest
-// checkpoint the move cannot have affected, splicing the cached prefix.
+// DLSA move perturbs the schedule, resumes the same merge Evaluate runs from
+// the latest checkpoint the move cannot have affected, splicing the cached
+// prefix.
 //
-// Why that is sound: the merge in Evaluate interleaves two serial resources
+// Why that is sound: the merge interleaves two serial resources
 // (compute pipeline, DRAM channel) whose commit times form a monotone fixed
 // point - the times do not depend on the interleaving the loop happened to
 // take, only on the schedule's attributes. A DLSA move changes the DRAM
@@ -37,48 +37,30 @@ import (
 // moves splice the scratch suffix into the cached state. An Incremental is
 // NOT safe for concurrent use - portfolio chains each own one.
 //
-// A load's wait on its producer's stores is one check: a reload waits on
-// every store of its Source layer (Schedule.WaitsOn), and stores ordered
-// before the load never delay it (see Evaluate), so the load stalls iff the
-// layer's last store in the live order has not committed. The evaluator
-// keeps that last store per layer: a store's order move updates it in
-// O(1), or in O(stores of the layer) when it carries the last store
-// earlier, and Reject restores it.
+// The merge reads each tensor's order position and stalls a reload until
+// its layer's last store in the order has committed (see replay). The
+// evaluator keeps both for the live order: an order move re-reads the
+// positions of the span it rotates and updates the last store in O(1), or
+// in O(stores of the layer) when it carries the last store earlier, and
+// Reject restores both.
 //
 // Key keeps the live schedule's evaluation-cache key the same way: built on
 // its first call, then edited in place by each move and its undo.
 type Incremental struct {
-	s   *core.Schedule
-	cs  *coresched.Scheduler
-	cfg hw.Config
-	opt Options
-	tc  *TileCosts
+	// The merge over the live schedule. Its gate rows, order positions and
+	// last stores follow the moves; its run arrays hold the pending
+	// proposal's suffix, and its accepted arrays the cached simulation of
+	// the accepted schedule.
+	replay
+	usage []int64 // buffer occupancy per tile seq
+	key   liveKey
 
-	n, m int // tiles, tensors
-
-	// Structures maintained for the live schedule across moves.
-	blockers [][]int // tile seq -> gating tensor IDs (len n+1): blockers rows
-	usage    []int64 // buffer occupancy per tile seq
-	posAcc   []int   // accepted order position of each tensor ID
-	// lastStore is, per layer, the ID of its store that comes last in the
-	// live order (-1 without stores).
-	lastStore []int
-	key       liveKey
-
-	// Cached simulation of the accepted schedule. accValid means the arrays
-	// and checkpoints describe a completed, deadlock-free merge.
-	accTileEnd   []float64
-	accTensorEnd []float64
-	accEnd       mergeState
-	accErr       error
-	accValid     bool
-	checkpoints  []checkpoint
-
-	// Scratch for the pending proposal's suffix.
-	scrTileEnd   []float64
-	scrTensorEnd []float64
-	scrStamp     []int64 // committed-this-proposal epoch stamps
-	epoch        int64
+	// accValid means the accepted arrays and checkpoints describe a
+	// completed, deadlock-free merge.
+	accEnd      mergeState
+	accErr      error
+	accValid    bool
+	checkpoints []checkpoint
 
 	pending       pendingMove
 	propEvaluated bool
@@ -90,14 +72,6 @@ type Incremental struct {
 	resumeJ       int
 
 	stats IncStats
-}
-
-// mergeState is the scalar simulation state between merge events.
-type mergeState struct {
-	i, j                  int
-	computeFree, dramFree float64
-	dramBusy              float64
-	dramBytes             int64
 }
 
 // checkpoint is a mergeState recorded on the accepted schedule's trajectory.
@@ -178,42 +152,12 @@ func NewIncremental(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*In
 	if opt.Trace {
 		return nil, fmt.Errorf("sim: incremental evaluator does not support tracing")
 	}
-	n, m := s.NumTiles(), len(s.Tensors)
-	if len(s.Order) != m {
-		return nil, fmt.Errorf("sim: order length %d != tensors %d", len(s.Order), m)
+	inc := &Incremental{}
+	if err := inc.init(s, cs, opt); err != nil {
+		return nil, err
 	}
-	tc := opt.TileCosts
-	if tc == nil {
-		tc = PrecomputeTileCosts(s, cs)
-	} else if len(tc.Dur) != n {
-		return nil, fmt.Errorf("sim: tile-cost cache covers %d tiles, schedule has %d", len(tc.Dur), n)
-	}
-	inc := &Incremental{
-		s: s, cs: cs, cfg: cs.Config(), opt: opt, tc: tc, n: n, m: m,
-		usage:        s.BufferUsage(),
-		posAcc:       make([]int, m),
-		accTileEnd:   make([]float64, n),
-		accTensorEnd: make([]float64, m),
-		scrTileEnd:   make([]float64, n),
-		scrTensorEnd: make([]float64, m),
-		scrStamp:     make([]int64, m),
-	}
-	var csr blockers
-	csr.build(s, n)
-	inc.blockers = make([][]int, n+1)
-	for i := range inc.blockers {
-		inc.blockers[i] = csr.row(i)
-	}
-	inc.lastStore = make([]int, len(s.G.Layers))
-	for l := range inc.lastStore {
-		inc.lastStore[l] = -1
-	}
-	for p, id := range s.Order {
-		inc.posAcc[id] = p
-		if t := &s.Tensors[id]; !t.Kind.IsLoad() {
-			inc.lastStore[t.Layer] = id
-		}
-	}
+	inc.usage = s.BufferUsage()
+	inc.accTileEnd, inc.accTensorEnd = make([]float64, inc.n), make([]float64, inc.m)
 	return inc, nil
 }
 
@@ -300,9 +244,8 @@ func (k *liveKey) syncDur(id, v int) {
 // Schedule returns the live schedule the evaluator owns.
 func (inc *Incremental) Schedule() *core.Schedule { return inc.s }
 
-// PosOf returns tensor id's current DRAM Tensor Order position. Only valid
-// between proposals (the annealer looks positions up before proposing).
-func (inc *Incremental) PosOf(id int) int { return inc.posAcc[id] }
+// PosOf returns tensor id's current DRAM Tensor Order position.
+func (inc *Incremental) PosOf(id int) int { return inc.pos[id] }
 
 // Stats returns the delta-effectiveness counters.
 func (inc *Incremental) Stats() IncStats { return inc.stats }
@@ -318,6 +261,7 @@ func (inc *Incremental) MoveTensor(from, to int) bool {
 		return false
 	}
 	inc.key.syncMove(inc.s.Order, from, to)
+	inc.syncPos(from, to)
 	id := inc.s.Order[to]
 	inc.pending = pendingMove{kind: moveOrder, id: id, from: from, to: to}
 	if t := &inc.s.Tensors[id]; !t.Kind.IsLoad() {
@@ -328,11 +272,11 @@ func (inc *Incremental) MoveTensor(from, to int) bool {
 			// The last store moved earlier: another may now be last.
 			w := inc.s.Stores[t.Layer]
 			for st := w.Lo; st < w.Hi; st++ {
-				if inc.livePos(st) > inc.livePos(last) {
+				if inc.pos[st] > inc.pos[last] {
 					last = st
 				}
 			}
-		case last != id && to > inc.livePos(last):
+		case last != id && to > inc.pos[last]:
 			last = id
 		}
 		inc.lastStore[t.Layer] = last
@@ -340,21 +284,13 @@ func (inc *Incremental) MoveTensor(from, to int) bool {
 	return true
 }
 
-// livePos is the order position of tensor id under the pending order move:
-// the rotation puts the moved tensor at to, shifts the span between from and
-// to by one and keeps every other position.
-func (inc *Incremental) livePos(id int) int {
-	pm := &inc.pending
-	p := inc.posAcc[id]
-	switch {
-	case id == pm.id:
-		return pm.to
-	case pm.from < pm.to && p > pm.from && p <= pm.to:
-		return p - 1
-	case pm.to < pm.from && p >= pm.to && p < pm.from:
-		return p + 1
+// syncPos re-reads the order positions of the span between order
+// positions a and b, the span an order move rotates.
+func (inc *Incremental) syncPos(a, b int) {
+	lo, pos := min(a, b), inc.pos
+	for k, id := range inc.s.Order[lo : max(a, b)+1] {
+		pos[id] = lo + k
 	}
-	return p
 }
 
 // SetStart proposes jittering a load's Living Duration start. Returns false
@@ -412,10 +348,10 @@ func (inc *Incremental) SetEnd(id, end int) bool {
 	}
 	// The gate moves from tile old to tile t.End (when inside the range).
 	if old < inc.n {
-		inc.removeBlocker(old, id)
+		inc.removeGate(old, id)
 	}
 	if t.End < inc.n {
-		inc.blockers[t.End] = append(inc.blockers[t.End], id)
+		inc.gates[t.End] = append(inc.gates[t.End], id)
 	}
 	inc.pending = pendingMove{kind: moveEnd, id: id, old: old, new: t.End}
 	return true
@@ -435,16 +371,16 @@ func (inc *Incremental) rangeAdd(lo, hi int, delta int64) {
 	}
 }
 
-func (inc *Incremental) removeBlocker(seq, id int) {
-	b := inc.blockers[seq]
+func (inc *Incremental) removeGate(seq, id int) {
+	b := inc.gates[seq]
 	for k, v := range b {
 		if v == id {
 			b[k] = b[len(b)-1]
-			inc.blockers[seq] = b[:len(b)-1]
+			inc.gates[seq] = b[:len(b)-1]
 			return
 		}
 	}
-	panic("sim: blocker to remove not found")
+	panic("sim: gate to remove not found")
 }
 
 // Metrics evaluates the accepted schedule (no proposal pending), simulating
@@ -462,9 +398,7 @@ func (inc *Incremental) Metrics() (*Metrics, error) {
 	if inc.accErr != nil {
 		return &Metrics{}, inc.accErr
 	}
-	return finishMetrics(inc.cfg, inc.s.G, inc.opt.BufferBudget, inc.usage, inc.tc.Dur,
-		inc.tc.CoreEnergy, inc.tc.ComputeBusy,
-		inc.accEnd.computeFree, inc.accEnd.dramFree, inc.accEnd.dramBusy, inc.accEnd.dramBytes), nil
+	return inc.metrics(inc.usage, inc.accEnd), nil
 }
 
 // EvaluateProposal evaluates the schedule with the pending move applied,
@@ -502,9 +436,7 @@ func (inc *Incremental) EvaluateProposal() (*Metrics, error) {
 	if err != nil {
 		return &Metrics{}, err
 	}
-	return finishMetrics(inc.cfg, inc.s.G, inc.opt.BufferBudget, inc.usage, inc.tc.Dur,
-		inc.tc.CoreEnergy, inc.tc.ComputeBusy,
-		inc.propEnd.computeFree, inc.propEnd.dramFree, inc.propEnd.dramBusy, inc.propEnd.dramBytes), nil
+	return inc.metrics(inc.usage, inc.propEnd), nil
 }
 
 // resumePoint picks the latest accepted checkpoint still valid under the
@@ -524,9 +456,9 @@ func (inc *Incremental) resumePoint() (checkpoint, int) {
 			maxJ = inc.pending.to
 		}
 	case moveStart:
-		maxJ = inc.posAcc[inc.pending.id]
+		maxJ = inc.pos[inc.pending.id]
 	case moveEnd:
-		maxJ = inc.posAcc[inc.pending.id]
+		maxJ = inc.pos[inc.pending.id]
 		if inc.pending.new < inc.n {
 			maxI = inc.pending.new
 		}
@@ -542,114 +474,15 @@ func (inc *Incremental) resumePoint() (checkpoint, int) {
 	return inc.checkpoints[idx], idx
 }
 
-// resim replays the merge from ck over the live schedule, reading prefix
-// state from the accepted arrays and writing the suffix into scratch. The
-// loop body mirrors Evaluate's merge exactly so the resulting times are
-// bit-identical.
+// resim resumes the merge at ck over the live schedule: the accepted
+// arrays hold the prefix, the run arrays receive the suffix and propCkpts
+// its checkpoints.
 func (inc *Incremental) resim(ck mergeState) error {
-	s := inc.s
-	n, m := inc.n, inc.m
-	tileDur := inc.tc.Dur
-	bw := inc.cfg.DRAMBandwidth
-	inc.epoch++
-	epoch := inc.epoch
 	inc.resumeI, inc.resumeJ = ck.i, ck.j
 	inc.propCkpts = inc.propCkpts[:0]
-
-	i, j := ck.i, ck.j
-	computeFree, dramFree := ck.computeFree, ck.dramFree
-	dramBusy, dramBytes := ck.dramBusy, ck.dramBytes
-	lastCk := i + j
-
-	// committed / tensorEnd / tileEnd split reads between the accepted
-	// prefix (strictly before the resume cursors, untouched by the move)
-	// and the scratch suffix written this replay.
-	committed := func(id int) bool {
-		return inc.posAcc[id] < ck.j || inc.scrStamp[id] == epoch
-	}
-	tensorEnd := func(id int) float64 {
-		if inc.posAcc[id] < ck.j {
-			return inc.accTensorEnd[id]
-		}
-		return inc.scrTensorEnd[id]
-	}
-	tileEnd := func(seq int) float64 {
-		if seq < ck.i {
-			return inc.accTileEnd[seq]
-		}
-		return inc.scrTileEnd[seq]
-	}
-
-	for i < n || j < m {
-		if i+j-lastCk >= ckptStride {
-			inc.propCkpts = append(inc.propCkpts, mergeState{
-				i: i, j: j, computeFree: computeFree, dramFree: dramFree,
-				dramBusy: dramBusy, dramBytes: dramBytes})
-			lastCk = i + j
-		}
-		advanced := false
-		// Drain every currently-ready DRAM tensor.
-		for j < m {
-			t := &s.Tensors[s.Order[j]]
-			var depTime float64
-			if t.Kind.IsLoad() {
-				if i < t.Start {
-					break // needs more compute progress
-				}
-				if t.Kind == core.LoadIfmap {
-					if st := inc.lastStore[t.Source]; st >= 0 && !committed(st) {
-						break // a producer store is still ahead in the order
-					}
-				}
-				if t.Start > 0 {
-					depTime = tileEnd(t.Start - 1)
-				}
-			} else {
-				if i <= t.Producer {
-					break // producing tile not finished
-				}
-				depTime = tileEnd(t.Producer)
-			}
-			start := maxf(dramFree, depTime)
-			dur := float64(t.Bytes) / bw
-			inc.scrTensorEnd[t.ID] = start + dur
-			inc.scrStamp[t.ID] = epoch
-			dramFree = start + dur
-			dramBusy += dur
-			dramBytes += t.Bytes
-			j++
-			advanced = true
-		}
-		// Commit the next tile if its gating tensors are done.
-		if i < n {
-			ready := true
-			var depTime float64
-			for _, tid := range inc.blockers[i] {
-				if !committed(tid) {
-					ready = false
-					break
-				}
-				if te := tensorEnd(tid); te > depTime {
-					depTime = te
-				}
-			}
-			if ready {
-				start := maxf(computeFree, depTime)
-				inc.scrTileEnd[i] = start + tileDur[i]
-				computeFree = start + tileDur[i]
-				i++
-				advanced = true
-			}
-		}
-		if !advanced {
-			inc.propEnd = mergeState{i: i, j: j, computeFree: computeFree,
-				dramFree: dramFree, dramBusy: dramBusy, dramBytes: dramBytes}
-			return &deadlockError{i, n, j, m}
-		}
-	}
-	inc.propEnd = mergeState{i: i, j: j, computeFree: computeFree,
-		dramFree: dramFree, dramBusy: dramBusy, dramBytes: dramBytes}
-	return nil
+	var err error
+	inc.propEnd, err = inc.run(ck, &inc.propCkpts)
+	return err
 }
 
 // Accept commits the pending move: the live schedule keeps it, and - when
@@ -660,15 +493,6 @@ func (inc *Incremental) resim(ck mergeState) error {
 func (inc *Incremental) Accept() {
 	if inc.pending.kind == moveNone {
 		panic("sim: Accept without a pending move")
-	}
-	if inc.pending.kind == moveOrder {
-		lo, hi := inc.pending.from, inc.pending.to
-		if hi < lo {
-			lo, hi = hi, lo
-		}
-		for p := lo; p <= hi; p++ {
-			inc.posAcc[inc.s.Order[p]] = p
-		}
 	}
 	if inc.propEvaluated {
 		inc.mergeScratch(inc.propErr)
@@ -691,10 +515,10 @@ func (inc *Incremental) mergeScratch(err error) {
 		inc.checkpoints = inc.checkpoints[:0]
 		return
 	}
-	copy(inc.accTileEnd[inc.resumeI:], inc.scrTileEnd[inc.resumeI:])
+	copy(inc.accTileEnd[inc.resumeI:], inc.tileEnd[inc.resumeI:])
 	for p := inc.resumeJ; p < inc.m; p++ {
 		id := inc.s.Order[p]
-		inc.accTensorEnd[id] = inc.scrTensorEnd[id]
+		inc.accTensorEnd[id] = inc.tensorEnd[id]
 	}
 	if inc.propResumeIdx < 0 {
 		inc.checkpoints = inc.checkpoints[:0]
@@ -717,6 +541,7 @@ func (inc *Incremental) Reject() {
 	case moveOrder:
 		rotateOrder(inc.s.Order, inc.pending.to, inc.pending.from)
 		inc.key.syncMove(inc.s.Order, inc.pending.to, inc.pending.from)
+		inc.syncPos(inc.pending.to, inc.pending.from)
 		if t := &inc.s.Tensors[inc.pending.id]; !t.Kind.IsLoad() {
 			inc.lastStore[t.Layer] = inc.pending.old
 		}
@@ -744,10 +569,10 @@ func (inc *Incremental) Reject() {
 			inc.rangeAdd(newHi, oldHi, t.Bytes)
 		}
 		if inc.pending.new < inc.n {
-			inc.removeBlocker(inc.pending.new, inc.pending.id)
+			inc.removeGate(inc.pending.new, inc.pending.id)
 		}
 		if inc.pending.old < inc.n {
-			inc.blockers[inc.pending.old] = append(inc.blockers[inc.pending.old], inc.pending.id)
+			inc.gates[inc.pending.old] = append(inc.gates[inc.pending.old], inc.pending.id)
 		}
 		t.End = inc.pending.old
 		inc.key.syncDur(inc.pending.id, t.End)

@@ -88,10 +88,13 @@ func TestIncrementalKey(t *testing.T) {
 
 // FuzzIncrementalKey decodes a sequence of DLSA operations over the prefill
 // cut at 4 tiles per layer and checks after each that Key equals the
-// from-scratch cache key. The first byte k delays the first Key call until
-// after operation k%8, so the key may be built mid-proposal. Every
-// following 5-byte group is one operation: its first byte picks it, the
-// next two 16-bit values a and b are its arguments.
+// from-scratch cache key. Every evaluated proposal, and the accepted state
+// after every accept, must also equal the reference merge, errors
+// included: the merge resumes from checkpoints the operations pick. The
+// first byte k delays the first Key call until after operation k%8, so the
+// key may be built mid-proposal. Every following 5-byte group is one
+// operation: its first byte picks it, the next two 16-bit values a and b
+// are its arguments.
 //
 //   - 0: move the tensor at order position a to position b;
 //   - 1: set tensor a's Living Duration to b modulo the tile count + 1
@@ -111,6 +114,24 @@ func FuzzIncrementalKey(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		check := func(op int, what string, m *Metrics, err error) {
+			t.Helper()
+			rm, rerr := referenceEvaluate(s, cs, opt.BufferBudget)
+			if d := sameResult(m, err, rm, rerr); d != "" {
+				t.Fatalf("operation %d, %s: %s", op, what, d)
+			}
+		}
+		accept := func(op int) {
+			t.Helper()
+			inc.Accept()
+			m, err := inc.Metrics()
+			check(op, "accepted state", m, err)
+		}
+		evaluate := func(op int) {
+			t.Helper()
+			m, err := inc.EvaluateProposal()
+			check(op, "proposal", m, err)
+		}
 		build := 0
 		if len(data) > 0 {
 			build, data = int(data[0]%8), data[1:]
@@ -125,7 +146,7 @@ func FuzzIncrementalKey(f *testing.F) {
 			data = data[5:]
 			if pending && code%4 < 2 {
 				if code&4 != 0 {
-					inc.Accept()
+					accept(op)
 				} else {
 					inc.Reject()
 				}
@@ -144,9 +165,9 @@ func FuzzIncrementalKey(f *testing.F) {
 			case 2:
 				if pending {
 					if code&4 != 0 {
-						inc.EvaluateProposal()
+						evaluate(op)
 					}
-					inc.Accept()
+					accept(op)
 				}
 				pending = false
 			case 3:

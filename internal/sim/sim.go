@@ -116,152 +116,114 @@ func (m *Metrics) Cost(n, mm float64) float64 {
 	return math.Pow(m.EnergyPJ, n) * math.Pow(m.LatencyNS, mm)
 }
 
-// Evaluate replays the schedule on the scheduler's hardware configuration.
-//
-// A load waits for its producer's stores (Schedule.WaitsOn) without
-// scanning them. The DRAM channel is serial and in order, so every store
-// ordered before the load has committed when the load is reached, and ends
-// no later than dramFree: the stores never delay the load's start. What is
-// left is the stall of a load whose producer layer still has a store ordered
-// after it - an invalid order that deadlocks. Since a reload waits on every
-// store of its Source layer, that is one comparison against the layer's
-// last store position.
+// Evaluate replays the schedule on the scheduler's hardware configuration:
+// one run of the merge from event zero, recording start times only under
+// Options.Trace.
 func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics, error) {
-	cfg := cs.Config()
-	n := s.NumTiles()
-	mTensors := len(s.Tensors)
-	if len(s.Order) != mTensors {
-		return nil, fmt.Errorf("sim: order length %d != tensors %d", len(s.Order), mTensors)
+	var r replay
+	if err := r.init(s, cs, opt); err != nil {
+		return nil, err
 	}
-
-	// Per-tile durations and energies through the core-array scheduler
-	// (or the caller's precomputed cache).
-	tc := opt.TileCosts
-	if tc == nil {
-		tc = PrecomputeTileCosts(s, cs)
-	} else if len(tc.Dur) != n {
-		return nil, fmt.Errorf("sim: tile-cost cache covers %d tiles, schedule has %d", len(tc.Dur), n)
-	}
-	tileDur := tc.Dur
-	coreEnergy, computeBusy := tc.CoreEnergy, tc.ComputeBusy
-
-	// Which tensors gate which tile, and where each layer's last store
-	// sits in the DRAM Tensor Order.
-	var gates blockers
-	gates.build(s, n)
-	lastStore := make([]int, len(s.G.Layers))
-	for l := range lastStore {
-		lastStore[l] = -1
-	}
-	for p, id := range s.Order {
-		if t := &s.Tensors[id]; !t.Kind.IsLoad() {
-			lastStore[t.Layer] = p
-		}
-	}
-
-	tileEnd := make([]float64, n)
-	tensorEnd := make([]float64, mTensors)
-	committed := make([]bool, mTensors)
-	var tileStart, tensorStart []float64
 	if opt.Trace {
-		tileStart = make([]float64, n)
-		tensorStart = make([]float64, mTensors)
+		r.tileStart, r.tensorStart = make([]float64, r.n), make([]float64, r.m)
 	}
-
-	var computeFree, dramFree, dramBusy float64
-	var dramBytes int64
-	i, j := 0, 0
-	for i < n || j < mTensors {
-		advanced := false
-		// Drain every currently-ready DRAM tensor.
-		for j < mTensors {
-			t := &s.Tensors[s.Order[j]]
-			var depTime float64
-			if t.Kind.IsLoad() {
-				if i < t.Start {
-					break // needs more compute progress
-				}
-				if t.Kind == core.LoadIfmap && lastStore[t.Source] > j {
-					break // a producer store is still ahead in the order
-				}
-				if t.Start > 0 {
-					depTime = tileEnd[t.Start-1]
-				}
-			} else {
-				if i <= t.Producer {
-					break // producing tile not finished
-				}
-				depTime = tileEnd[t.Producer]
-			}
-			start := maxf(dramFree, depTime)
-			dur := float64(t.Bytes) / cfg.DRAMBandwidth
-			tensorEnd[t.ID] = start + dur
-			committed[t.ID] = true
-			if opt.Trace {
-				tensorStart[t.ID] = start
-			}
-			dramFree = start + dur
-			dramBusy += dur
-			dramBytes += t.Bytes
-			j++
-			advanced = true
-		}
-		// Commit the next tile if its gating tensors are done.
-		if i < n {
-			ready := true
-			var depTime float64
-			for _, tid := range gates.row(i) {
-				if !committed[tid] {
-					ready = false
-					break
-				}
-				if tensorEnd[tid] > depTime {
-					depTime = tensorEnd[tid]
-				}
-			}
-			if ready {
-				start := maxf(computeFree, depTime)
-				tileEnd[i] = start + tileDur[i]
-				if opt.Trace {
-					tileStart[i] = start
-				}
-				computeFree = tileEnd[i]
-				i++
-				advanced = true
-			}
-		}
-		if !advanced {
-			return &Metrics{}, &deadlockError{i, n, j, mTensors}
-		}
+	end, err := r.run(mergeState{}, nil)
+	if err != nil {
+		return &Metrics{}, err
 	}
-
-	m := finishMetrics(cfg, s.G, opt.BufferBudget, s.BufferUsage(), tileDur,
-		coreEnergy, computeBusy, computeFree, dramFree, dramBusy, dramBytes)
+	m := r.metrics(s.BufferUsage(), end)
 	if opt.Trace {
-		m.TileStart, m.TileEnd = tileStart, tileEnd
-		m.TensorStart, m.TensorEnd = tensorStart, tensorEnd
+		m.TileStart, m.TileEnd = r.tileStart, r.tileEnd
+		m.TensorStart, m.TensorEnd = r.tensorStart, r.tensorEnd
 	}
 	return m, nil
 }
 
-// resize returns s with length n, reusing its storage when it is large
-// enough. Reused elements keep their old values.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+// replay is the merge of the two serial resources over a schedule: the DRAM
+// channel executes the tensors in DRAM Tensor Order, the compute pipeline the
+// tiles in seq order. Evaluate runs it once from event zero; Incremental
+// keeps one for its live schedule and resumes it from checkpoints of the
+// accepted run.
+//
+// The channel commits the tensors in order, so a tensor has committed iff
+// its order position is below the order cursor. A load waits for its
+// producer's stores (Schedule.WaitsOn) without scanning them: every store
+// ordered before the load has committed when the load is reached and ends
+// no later than the channel frees up, so those stores never delay the
+// load's start. What is left is the stall of a load whose producer layer
+// still has a store ordered after it - an invalid order that deadlocks.
+// Since a reload waits on every store of its Source layer, that is one
+// check of the layer's last store.
+type replay struct {
+	s    *core.Schedule
+	cfg  hw.Config
+	opt  Options
+	tc   *TileCosts
+	n, m int // tiles, tensors
+
+	// gates[i] lists the tensor IDs gating tile seq i (n+1 rows, the last
+	// one empty, so a store's End may move to any seq). pos is each
+	// tensor's order position, and lastStore, per layer, the ID of its
+	// store that comes last in the order (-1 without stores).
+	gates     [][]int
+	pos       []int
+	lastStore []int
+
+	// The completion times a run writes. Start times are recorded only
+	// when non-nil.
+	tileEnd, tensorEnd     []float64
+	tileStart, tensorStart []float64
+
+	// The accepted run a resumed run continues (Incremental only): the
+	// tiles and tensors before the resume point read their times here.
+	accTileEnd, accTensorEnd []float64
 }
 
-// blockers maps each tile seq to the tensor IDs gating it, flat: tile i
-// waits for ids[off[i]:off[i+1]], in ID order. Loads gate their first
-// consuming tile, stores the tile at their Living Duration end (none when
-// that is the end of the execution). Rows run over seqs 0..n, the last one
-// empty, so a store's End may move to any seq.
-type blockers struct{ off, ids []int }
+// mergeState is the scalar state of a merge between events: the tile and
+// order cursors, both resources' frontiers and the DRAM occupancy so far.
+type mergeState struct {
+	i, j                  int
+	computeFree, dramFree float64
+	dramBusy              float64
+	dramBytes             int64
+}
 
-// build fills b for s's tensors, reusing b's storage.
-func (b *blockers) build(s *core.Schedule, n int) {
+// init checks s against opt, precomputes its tile costs when opt has none,
+// and builds the gate rows, the order positions, the last stores and the
+// run arrays.
+func (r *replay) init(s *core.Schedule, cs *coresched.Scheduler, opt Options) error {
+	n, m := s.NumTiles(), len(s.Tensors)
+	if len(s.Order) != m {
+		return fmt.Errorf("sim: order length %d != tensors %d", len(s.Order), m)
+	}
+	tc := opt.TileCosts
+	if tc == nil {
+		tc = PrecomputeTileCosts(s, cs)
+	} else if len(tc.Dur) != n {
+		return fmt.Errorf("sim: tile-cost cache covers %d tiles, schedule has %d", len(tc.Dur), n)
+	}
+	pos, lastStore := make([]int, m), make([]int, len(s.G.Layers))
+	for l := range lastStore {
+		lastStore[l] = -1
+	}
+	for p, id := range s.Order {
+		pos[id] = p
+		if t := &s.Tensors[id]; !t.Kind.IsLoad() {
+			lastStore[t.Layer] = id
+		}
+	}
+	*r = replay{s: s, cfg: cs.Config(), opt: opt, tc: tc, n: n, m: m,
+		gates: gateRows(s, n), pos: pos, lastStore: lastStore,
+		tileEnd: make([]float64, n), tensorEnd: make([]float64, m)}
+	return nil
+}
+
+// gateRows maps each tile seq 0..n to the tensor IDs gating it, in ID
+// order: loads gate their first consuming tile, stores the tile at their
+// Living Duration end (none when that is the end of the execution). The
+// rows share one array, and each row's capacity ends with it, so appending
+// to a row never overwrites the next one.
+func gateRows(s *core.Schedule, n int) [][]int {
 	gate := func(t *core.Tensor) int {
 		switch {
 		case t.Kind.IsLoad():
@@ -274,8 +236,7 @@ func (b *blockers) build(s *core.Schedule, n int) {
 	// Count row g's gates into off[g+2]. After the prefix sum off[g+1] is
 	// where row g starts, and the fill advances it to where the row ends:
 	// row g+1's start.
-	off := resize(b.off, n+2)
-	clear(off)
+	off := make([]int, n+2)
 	for i := range s.Tensors {
 		if g := gate(&s.Tensors[i]); g >= 0 {
 			off[g+2]++
@@ -284,25 +245,141 @@ func (b *blockers) build(s *core.Schedule, n int) {
 	for k := 2; k < len(off); k++ {
 		off[k] += off[k-1]
 	}
-	ids := resize(b.ids, off[n+1])
+	ids := make([]int, off[n+1])
 	for i := range s.Tensors {
 		if g := gate(&s.Tensors[i]); g >= 0 {
 			ids[off[g+1]] = i
 			off[g+1]++
 		}
 	}
-	b.off, b.ids = off, ids
+	rows := make([][]int, n+1)
+	for i := range rows {
+		rows[i] = ids[off[i]:off[i+1]:off[i+1]]
+	}
+	return rows
 }
 
-// row returns tile seq i's gating tensors. Its capacity ends with the row,
-// so appending to it never overwrites the next one.
-func (b *blockers) row(i int) []int { return b.ids[b.off[i]:b.off[i+1]:b.off[i+1]] }
+// run merges from state ck to the end of the schedule and returns the final
+// state, or the state where neither resource can advance with a deadlock
+// error. Tile seqs before ck.i and tensors at order positions before ck.j
+// belong to the accepted run; a run from event zero reads only its own
+// times. When ckpts is non-nil, the state every ckptStride events is
+// appended to it.
+func (r *replay) run(ck mergeState, ckpts *[]checkpoint) (mergeState, error) {
+	s := r.s
+	n, m := r.n, r.m
+	tileDur := r.tc.Dur
+	bw := r.cfg.DRAMBandwidth
+
+	i, j := ck.i, ck.j
+	computeFree, dramFree := ck.computeFree, ck.dramFree
+	dramBusy, dramBytes := ck.dramBusy, ck.dramBytes
+	lastCk := i + j
+
+	tensorEnd := func(id int) float64 {
+		if r.pos[id] < ck.j {
+			return r.accTensorEnd[id]
+		}
+		return r.tensorEnd[id]
+	}
+	tileEnd := func(seq int) float64 {
+		if seq < ck.i {
+			return r.accTileEnd[seq]
+		}
+		return r.tileEnd[seq]
+	}
+
+	for i < n || j < m {
+		if ckpts != nil && i+j-lastCk >= ckptStride {
+			*ckpts = append(*ckpts, mergeState{
+				i: i, j: j, computeFree: computeFree, dramFree: dramFree,
+				dramBusy: dramBusy, dramBytes: dramBytes})
+			lastCk = i + j
+		}
+		advanced := false
+		// Drain every currently-ready DRAM tensor.
+		for j < m {
+			t := &s.Tensors[s.Order[j]]
+			var depTime float64
+			if t.Kind.IsLoad() {
+				if i < t.Start {
+					break // needs more compute progress
+				}
+				if t.Kind == core.LoadIfmap {
+					if st := r.lastStore[t.Source]; st >= 0 && r.pos[st] > j {
+						break // a producer store is still ahead in the order
+					}
+				}
+				if t.Start > 0 {
+					depTime = tileEnd(t.Start - 1)
+				}
+			} else {
+				if i <= t.Producer {
+					break // producing tile not finished
+				}
+				depTime = tileEnd(t.Producer)
+			}
+			start := maxf(dramFree, depTime)
+			dur := float64(t.Bytes) / bw
+			r.tensorEnd[t.ID] = start + dur
+			if r.tensorStart != nil {
+				r.tensorStart[t.ID] = start
+			}
+			dramFree = start + dur
+			dramBusy += dur
+			dramBytes += t.Bytes
+			j++
+			advanced = true
+		}
+		// Commit the next tile if its gating tensors are done.
+		if i < n {
+			ready := true
+			var depTime float64
+			for _, id := range r.gates[i] {
+				if r.pos[id] >= j {
+					ready = false
+					break
+				}
+				if te := tensorEnd(id); te > depTime {
+					depTime = te
+				}
+			}
+			if ready {
+				start := maxf(computeFree, depTime)
+				r.tileEnd[i] = start + tileDur[i]
+				if r.tileStart != nil {
+					r.tileStart[i] = start
+				}
+				computeFree = start + tileDur[i]
+				i++
+				advanced = true
+			}
+		}
+		if !advanced {
+			break
+		}
+	}
+	end := mergeState{i: i, j: j, computeFree: computeFree, dramFree: dramFree,
+		dramBusy: dramBusy, dramBytes: dramBytes}
+	if i < n || j < m {
+		return end, &deadlockError{i, n, j, m}
+	}
+	return end, nil
+}
+
+// metrics folds a completed run ending at end, with the schedule's
+// buffer-usage profile usage, into the full metric set.
+func (r *replay) metrics(usage []int64, end mergeState) *Metrics {
+	return finishMetrics(r.cfg, r.s.G, r.opt.BufferBudget, usage, r.tc.Dur,
+		r.tc.CoreEnergy, r.tc.ComputeBusy, end.computeFree, end.dramFree, end.dramBusy, end.dramBytes)
+}
 
 // finishMetrics folds a completed merge (final resource frontiers, DRAM
 // occupancy) and the schedule's buffer-usage profile into the full metric
-// set. Both Evaluate and the Incremental evaluator feed it identical inputs
-// through identical float operations in the same order, so their Metrics are
-// bit-for-bit equal - the property the differential tests pin down.
+// set. Evaluate, the Incremental evaluator and the Arena feed it identical
+// inputs through identical float operations in the same order, so their
+// Metrics are bit-for-bit equal - the property the differential tests pin
+// down.
 func finishMetrics(cfg hw.Config, g *graph.Graph, budget int64, usage []int64,
 	tileDur []float64, coreEnergy, computeBusy, computeFree, dramFree, dramBusy float64,
 	dramBytes int64) *Metrics {

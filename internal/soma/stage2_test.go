@@ -11,7 +11,7 @@ import (
 
 // TestStage2KeyMatchesCacheKey: the key stage 2 memoizes under - its
 // incremental evaluator's live key, under the explorer's scope and budget -
-// equals the key Cache.Evaluate derives from the scoped CanonicalKey, after
+// equals the key CachedEvaluate derives from the scoped CanonicalKey, after
 // every move of a random stage-2 walk with accepts and rejects. The sim
 // package checks the live key past one-byte varints.
 func TestStage2KeyMatchesCacheKey(t *testing.T) {
