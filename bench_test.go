@@ -11,6 +11,7 @@ import (
 	"soma/internal/cocco"
 	"soma/internal/core"
 	"soma/internal/coresched"
+	"soma/internal/dse"
 	"soma/internal/engine"
 	"soma/internal/exp"
 	"soma/internal/graph"
@@ -56,29 +57,23 @@ func BenchmarkFig3Scatter(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6Overall regenerates one Fig. 6 bar group (Cocco vs Ours_1 vs
-// Ours_2) on ResNet-50, edge, batch 1.
-func BenchmarkFig6Overall(b *testing.B) {
-	c := exp.Case{Platform: "edge", Workload: "resnet50", Batch: 1}
+// BenchmarkFig6BarGroup regenerates one Fig. 6 bar group (Cocco vs Ours_1
+// vs Ours_2) and its Sec. VI-B1 fusion statistics (tile counts, LGs, FLGs)
+// on ResNet-50, edge, batch 1.
+func BenchmarkFig6BarGroup(b *testing.B) {
+	par := fastPar()
+	sw := dse.Sweep{Platforms: []string{"edge"}, Models: []string{"resnet50"}, Params: &par}
 	for i := 0; i < b.N; i++ {
-		r := exp.RunPair(c, fastPar())
+		pairs, err := exp.Pairs(context.Background(), sw, dse.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := exp.BarGroup(pairs[0])
 		if r.Err != nil {
 			b.Fatal(r.Err)
 		}
 		if r.Ours2.LatencyNS > r.Cocco.LatencyNS {
 			b.Fatal("SoMa lost to Cocco on its best-case workload")
-		}
-	}
-}
-
-// BenchmarkFig6Stats regenerates the Sec. VI-B1 fusion statistics for one
-// case (tile counts, LGs, FLGs).
-func BenchmarkFig6Stats(b *testing.B) {
-	c := exp.Case{Platform: "edge", Workload: "resnet50", Batch: 1}
-	for i := 0; i < b.N; i++ {
-		r := exp.RunPair(c, fastPar())
-		if r.Err != nil {
-			b.Fatal(r.Err)
 		}
 		if r.Cocco.Tiles <= r.Ours2.Tiles {
 			b.Fatal("Cocco must over-tile relative to SoMa")

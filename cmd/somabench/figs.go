@@ -4,13 +4,15 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"sync/atomic"
+	"strings"
 
+	"soma/internal/dse"
 	"soma/internal/engine"
 	"soma/internal/exp"
 	"soma/internal/hw"
 	"soma/internal/models"
 	"soma/internal/report"
+	"soma/internal/sim"
 	"soma/internal/soma"
 	"soma/internal/trace"
 )
@@ -92,20 +94,25 @@ func countAxisHuggers(pts []exp.ScatterPoint) int {
 
 // fig6 reproduces the overall comparison and prints the Sec. VI-B summary.
 func (h *harness) fig6(batches []int) error {
-	var cases []exp.Case
-	for _, pf := range []string{"edge", "cloud"} {
-		for _, w := range exp.Workloads(pf) {
-			for _, b := range batches {
-				cases = append(cases, exp.Case{Platform: pf, Workload: w, Batch: b})
-			}
+	// One cache for both platform sweeps gives the hit rate across cases;
+	// the hooks report each finished sweep point on stderr.
+	cache := sim.NewCache(0)
+	var done, total int
+	progress := &engine.Hooks{Event: func(e engine.Event) {
+		switch e.Kind {
+		case "sweep-start":
+			done, total = 0, e.Iter
+		case "point-done", "point-error":
+			done++
+			fmt.Fprintf(os.Stderr, "[fig6 %d/%d] %s %s\n", done, total, e.Component,
+				strings.TrimPrefix(e.Kind, "point-"))
 		}
+	}}
+	results, err := exp.Fig6(context.Background(), []string{"edge", "cloud"}, batches, h.par, h.workers,
+		dse.Options{Cache: cache, Hooks: progress})
+	if err != nil {
+		return err
 	}
-	var done atomic.Int32
-	results := exp.ParallelMap(cases, h.workers, func(c exp.Case) exp.PairResult {
-		r := exp.RunPair(c, h.par)
-		fmt.Fprintf(os.Stderr, "[fig6 %d/%d] %s done\n", done.Add(1), len(cases), c)
-		return r
-	})
 
 	t := report.New("Fig.6: overall comparison (energy normalized to Cocco)",
 		"case", "scheme", "norm-energy", "core-E", "dram-E", "util", "theo-max", "avg-buf", "latency")
@@ -129,12 +136,8 @@ func (h *harness) fig6(batches []int) error {
 		return err
 	}
 
-	var cacheHits, cacheMisses int64
-	for _, r := range results {
-		cacheHits += r.Cache.Hits
-		cacheMisses += r.Cache.Misses
-	}
-	fmt.Printf("eval cache across cases: %s hit rate\n", report.HitRate(cacheHits, cacheMisses))
+	st := cache.Stats()
+	fmt.Printf("eval cache across cases: %s hit rate\n", report.HitRate(st.Hits, st.Misses))
 
 	gm := exp.Summarize(results)
 	s := report.New("Sec.VI-B summary (geometric means over valid cases)",
@@ -213,13 +216,10 @@ func (h *harness) fig8(c exp.Case) error {
 
 // stats reproduces the Sec. VI-B1 fusion statistics.
 func (h *harness) stats(batches []int) error {
-	var cases []exp.Case
-	for _, w := range exp.Workloads("edge") {
-		for _, b := range batches {
-			cases = append(cases, exp.Case{Platform: "edge", Workload: w, Batch: b})
-		}
+	results, err := exp.Fig6(context.Background(), []string{"edge"}, batches, h.par, h.workers, dse.Options{})
+	if err != nil {
+		return err
 	}
-	results := exp.Fig6(cases, h.par, h.workers)
 	var cTiles, sTiles, cLGs, sLGs, sFLGs, n float64
 	t := report.New("Sec.VI-B1: fusion structure, Cocco vs SoMa (edge)",
 		"case", "cocco-tiles", "soma-tiles", "cocco-LGs", "soma-LGs", "soma-FLGs")

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"soma/internal/exp"
@@ -53,6 +54,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	bs, err := parseBatches(*batches)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "somabench:", err)
+		os.Exit(2)
+	}
 	par.Seed = *seed
 	par.Chains = *chains
 	par.Workers = *chainWorkers
@@ -64,13 +70,13 @@ func main() {
 	case "fig3":
 		err = h.fig3()
 	case "fig6":
-		err = h.fig6(parseBatches(*batches))
+		err = h.fig6(bs)
 	case "fig7":
 		err = h.fig7(*workload, *batch)
 	case "fig8":
 		err = h.fig8(exp.Case{Platform: *platform, Workload: *workload, Batch: *batch})
 	case "stats":
-		err = h.stats(parseBatches(*batches))
+		err = h.stats(bs)
 	case "llm":
 		err = h.llm()
 	case "ablate":
@@ -114,21 +120,21 @@ func params(profile string) (soma.Params, error) {
 	}
 }
 
-func parseBatches(s string) []int {
+// parseBatches parses the -batches list: positive integers separated by
+// commas, or "" for the paper's sweep (exp.Batches).
+func parseBatches(s string) ([]int, error) {
 	if s == "" {
-		return exp.Batches
+		return exp.Batches, nil
 	}
 	var out []int
 	for _, f := range strings.Split(s, ",") {
-		var b int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &b); err == nil && b > 0 {
-			out = append(out, b)
+		b, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || b <= 0 {
+			return nil, fmt.Errorf("-batches: %q is not a positive integer", f)
 		}
+		out = append(out, b)
 	}
-	if len(out) == 0 {
-		return exp.Batches
-	}
-	return out
+	return out, nil
 }
 
 type harness struct {

@@ -7,14 +7,17 @@ import (
 )
 
 func TestParseBatches(t *testing.T) {
-	if got := parseBatches(""); len(got) != len(exp.Batches) {
-		t.Fatalf("default batches = %v", got)
+	if got, err := parseBatches(""); err != nil || len(got) != len(exp.Batches) {
+		t.Fatalf("default batches = %v, %v", got, err)
 	}
-	if got := parseBatches("1, 8,64"); len(got) != 3 || got[1] != 8 {
-		t.Fatalf("parsed = %v", got)
+	if got, err := parseBatches("1, 8,64"); err != nil || len(got) != 3 || got[1] != 8 {
+		t.Fatalf("parsed = %v, %v", got, err)
 	}
-	if got := parseBatches("junk,-2"); len(got) != len(exp.Batches) {
-		t.Fatalf("invalid input should fall back: %v", got)
+	// Malformed entries are rejected instead of truncated or dropped.
+	for _, bad := range []string{"junk,-2", "1e2", "16.5", "0", "4,", " "} {
+		if got, err := parseBatches(bad); err == nil {
+			t.Errorf("parseBatches(%q) = %v, want an error", bad, got)
+		}
 	}
 }
 

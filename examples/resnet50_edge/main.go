@@ -14,6 +14,7 @@ import (
 
 	"soma/internal/core"
 	"soma/internal/engine"
+	"soma/internal/report"
 	"soma/internal/sim"
 	"soma/internal/soma"
 )
@@ -22,16 +23,20 @@ func main() {
 	batch := flag.Int("batch", 1, "batch size")
 	flag.Parse()
 
-	// One request, two backends: engine.Compare runs the baseline and SoMa
-	// on the identical problem (the somad API and the soma CLI route every
-	// search through the same engine.Run).
+	// One request, two backends: the baseline and SoMa solve the identical
+	// problem (the somad API and the soma CLI route every search through
+	// the same engine.Run).
 	req := engine.Request{Model: "resnet50", Batch: *batch, Platform: "edge",
 		Params: soma.DefaultParams()}
-	results, err := engine.Compare(context.Background(), req, "cocco", "soma")
-	if err != nil {
-		log.Fatal(err)
+	solve := func(backend string) *report.Result {
+		req.Backend = backend
+		res, err := engine.Run(context.Background(), req, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	base, ours := results[0], results[1]
+	base, ours := solve("cocco"), solve("soma")
 
 	describe("Cocco (baseline)", base.Raw.Schedule, base.Raw.Metrics)
 	s1, err := core.Parse(ours.Raw.Graph, ours.Raw.Encoding)

@@ -220,53 +220,64 @@ func TestSharedCacheReuseAcrossGridPoints(t *testing.T) {
 // TestConvergenceRows: a sweep with the convergence field set carries the
 // per-point diagnostics summary on every row, serial and parallel journals
 // stay byte-identical, and the full Result.Convergence section never
-// persists (its samples are cache-warmth-dependent).
+// persists (its samples are cache-warmth-dependent). On a multi-backend grid
+// every row's diagnostics are its own backend's: the winner stage is that
+// backend's.
 func TestConvergenceRows(t *testing.T) {
 	sweep := func(workers int) Sweep {
 		sw := fastSweep(workers)
 		sw.Convergence = true
 		return sw
 	}
-	dir := t.TempDir()
-	paths := map[int]string{1: filepath.Join(dir, "serial.jsonl"), 4: filepath.Join(dir, "par.jsonl")}
-	outs := map[int]*Outcome{}
-	for workers, path := range paths {
-		out, err := Run(context.Background(), sweep(workers), Options{Journal: path})
+	wantStage := map[string]string{"soma": "stage2", "cocco": "cocco"}
+	for _, backends := range [][]string{nil, {"soma", "cocco"}} {
+		dir := t.TempDir()
+		paths := map[int]string{1: filepath.Join(dir, "serial.jsonl"), 4: filepath.Join(dir, "par.jsonl")}
+		outs := map[int]*Outcome{}
+		for workers, path := range paths {
+			sw := sweep(workers)
+			sw.Backends = backends
+			out, err := Run(context.Background(), sw, Options{Journal: path})
+			if err != nil {
+				t.Fatalf("backends %v workers=%d: %v", backends, workers, err)
+			}
+			outs[workers] = out
+		}
+		for workers, out := range outs {
+			for i, r := range out.Rows {
+				if r.Convergence == nil {
+					t.Fatalf("workers=%d row %d has no diagnostics", workers, i)
+				}
+				if r.Convergence.Stage != wantStage[r.Point.Backend] {
+					t.Fatalf("workers=%d row %d (%s): winner stage %q, want %q",
+						workers, i, r.Point.Label(), r.Convergence.Stage, wantStage[r.Point.Backend])
+				}
+				if r.Convergence.FinalBest != r.Result.Cost {
+					t.Fatalf("workers=%d row %d: diagnostics FinalBest %g != cost %g",
+						workers, i, r.Convergence.FinalBest, r.Result.Cost)
+				}
+				if r.Convergence.TotalMoves <= 0 {
+					t.Fatalf("workers=%d row %d: empty diagnostics %+v", workers, i, r.Convergence)
+				}
+				if s := r.Scrubbed(); s.Result.Convergence != nil {
+					t.Fatalf("workers=%d row %d: scrubbed row kept full convergence section", workers, i)
+				}
+			}
+		}
+		serial, err := os.ReadFile(paths[1])
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		outs[workers] = out
-	}
-	for workers, out := range outs {
-		for i, r := range out.Rows {
-			if r.Convergence == nil {
-				t.Fatalf("workers=%d row %d has no diagnostics", workers, i)
-			}
-			if r.Convergence.FinalBest != r.Result.Cost {
-				t.Fatalf("workers=%d row %d: diagnostics FinalBest %g != cost %g",
-					workers, i, r.Convergence.FinalBest, r.Result.Cost)
-			}
-			if r.Convergence.TotalMoves <= 0 {
-				t.Fatalf("workers=%d row %d: empty diagnostics %+v", workers, i, r.Convergence)
-			}
-			if s := r.Scrubbed(); s.Result.Convergence != nil {
-				t.Fatalf("workers=%d row %d: scrubbed row kept full convergence section", workers, i)
-			}
+		par, err := os.ReadFile(paths[4])
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	serial, err := os.ReadFile(paths[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := os.ReadFile(paths[4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(serial) != string(par) {
-		t.Fatal("convergence journal differs between serial and parallel runs")
-	}
-	if !strings.Contains(string(serial), `"convergence":{"stage":`) {
-		t.Fatal("journal rows carry no convergence diagnostics")
+		if string(serial) != string(par) {
+			t.Fatalf("backends %v: convergence journal differs between serial and parallel runs", backends)
+		}
+		if !strings.Contains(string(serial), `"convergence":{"stage":`) {
+			t.Fatal("journal rows carry no convergence diagnostics")
+		}
 	}
 
 	// The digest must distinguish convergence sweeps from plain ones, so a

@@ -83,35 +83,6 @@ func TestJournalDeterministicForSeed(t *testing.T) {
 	}
 }
 
-// TestCompareAttachesPerBackendJournals: Compare gives each backend a fresh
-// journal, so both results carry their own diagnostics.
-func TestCompareAttachesPerBackendJournals(t *testing.T) {
-	req := Request{Model: "mobilenetv2", Platform: "edge", Params: fastPar(3),
-		Journal: obs.NewJournal()}
-	results, err := Compare(context.Background(), req, "soma", "cocco")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2", len(results))
-	}
-	for i, want := range []string{"stage2", "cocco"} {
-		conv := results[i].Convergence
-		if conv == nil || conv.Diagnostics == nil {
-			t.Fatalf("result %d carries no convergence diagnostics", i)
-		}
-		if conv.Diagnostics.Stage != want {
-			t.Errorf("result %d winner stage = %q, want %q", i, conv.Diagnostics.Stage, want)
-		}
-	}
-	// The request's own journal must not have accumulated both backends.
-	for _, cs := range obs.BuildConvergence(req.Journal).Series {
-		if cs.Stage == "cocco" {
-			t.Error("backends shared one journal in Compare")
-		}
-	}
-}
-
 func marshalConv(t *testing.T, rep *obs.ConvergenceReport) []byte {
 	t.Helper()
 	b, err := json.Marshal(rep)

@@ -341,24 +341,3 @@ func ConvergenceStages(backend string) []string {
 	}
 	return []string{"stage2", "stage1"}
 }
-
-// Compare runs several backends on one Request (its Backend field is
-// overridden per run), returning results in backend order. Backends run
-// sequentially, so a fixed seed yields the same results as N separate Run
-// calls; an error on any backend aborts the comparison. When req.Journal is
-// set, each backend gets its own fresh journal, so every result carries its
-// own Convergence section - side-by-side search diagnostics for tournaments.
-func Compare(ctx context.Context, req Request, backends ...string) ([]*report.Result, error) {
-	out := make([]*report.Result, 0, len(backends))
-	for _, name := range backends {
-		r := req
-		r.Backend = name
-		r.Journal = req.Journal.Fresh()
-		res, err := Run(ctx, r, nil)
-		if err != nil {
-			return nil, fmt.Errorf("engine: backend %s: %w", name, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}

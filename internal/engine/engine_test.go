@@ -286,35 +286,6 @@ func TestSolveCancellation(t *testing.T) {
 	}
 }
 
-// TestCompare: one request over both backends matches two individual runs.
-func TestCompare(t *testing.T) {
-	req := Request{Model: "mobilenetv2", Platform: "edge", Params: fastPar(5)}
-	both, err := Compare(context.Background(), req, "cocco", "soma")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(both) != 2 {
-		t.Fatalf("Compare returned %d results", len(both))
-	}
-	if both[0].Framework != "cocco" || both[1].Framework != "soma" {
-		t.Fatalf("frameworks = %q, %q", both[0].Framework, both[1].Framework)
-	}
-	for i, name := range []string{"cocco", "soma"} {
-		r := req
-		r.Backend = name
-		single, err := Run(context.Background(), r, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if single.Cost != both[i].Cost || single.EncodingKey != both[i].EncodingKey {
-			t.Errorf("%s: Compare diverged from Run", name)
-		}
-	}
-	if _, err := Compare(context.Background(), req, "soma", "nope"); err == nil {
-		t.Fatal("Compare with unknown backend must error")
-	}
-}
-
 // TestSharedCacheConfigIsolation: two shared-cache requests naming the same
 // (model, batch, platform) but carrying different hardware overrides must
 // not reuse each other's evaluations - each must match its private-cache

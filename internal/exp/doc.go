@@ -4,15 +4,16 @@
 // top-level README's paper-artifact map lists which command regenerates
 // which figure.
 //
-// Since the engine refactor the package contains no search plumbing of its
-// own: comparison experiments (RunPair, Fig6) run engine.Compare, and
-// everything grid-shaped - the Fig. 7 bandwidth x buffer heatmap, the
-// Fig. 8 backend comparison, ObjectiveSweep and SeedSweep - is a thin
-// adapter over the dse sweep runner (internal/dse), which supplies the
-// worker pool, shared evaluation cache, and mid-grid cancellation. What
-// remains here is figure-specific shaping: pairing backend rows into bar
-// groups, geometric-mean summaries (Summarize), the Fig. 3 scatter
-// construction, and the Fig. 7 insight statistics (AnalyzeDSE).
+// The package contains no search plumbing of its own and starts no
+// goroutines: every multi-point experiment is a thin adapter over the dse
+// sweep runner (internal/dse), which supplies the worker pool, shared
+// evaluation cache, panic containment and mid-grid cancellation. Fig. 6 and
+// Fig. 8 run each case on the cocco and soma backends as one 2-backend
+// sweep (Pairs); the Fig. 7 bandwidth x buffer heatmap, ObjectiveSweep and
+// SeedSweep sweep their own axes. What remains here is figure-specific
+// shaping: pairing backend rows into bar groups (BarGroup), geometric-mean
+// summaries (Summarize), the Fig. 3 scatter construction, and the Fig. 7
+// insight statistics (AnalyzeDSE).
 //
 // Registry exposes the shared model/platform/scenario/backend catalog behind
 // `soma -list` and the somad registry endpoints.

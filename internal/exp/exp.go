@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"soma/internal/core"
 	"soma/internal/coresched"
@@ -13,7 +11,6 @@ import (
 	"soma/internal/engine"
 	"soma/internal/graph"
 	"soma/internal/hw"
-	"soma/internal/report"
 	"soma/internal/sim"
 	"soma/internal/soma"
 )
@@ -87,77 +84,67 @@ type PairResult struct {
 	Cocco Row
 	Ours1 Row
 	Ours2 Row
-	// Cache is the SoMa run's evaluation-cache counter snapshot.
-	Cache sim.CacheStats
 	Err   error
 }
 
-// searchCache reconstructs the evaluation-cache counter snapshot a payload
-// reports.
-func searchCache(s *report.Search) sim.CacheStats {
-	if s == nil {
-		return sim.CacheStats{}
+// Pairs solves sw on the cocco and soma backends as one dse sweep and
+// returns each case's two rows, {cocco, soma}, in case order. The backend
+// axis expands outermost, so with n cases row i pairs with row i+n. The rows
+// keep Result.Raw for figure callers.
+func Pairs(ctx context.Context, sw dse.Sweep, opt dse.Options) ([][2]dse.Row, error) {
+	sw.Backends = []string{"cocco", "soma"}
+	res, err := dse.Run(ctx, sw, opt)
+	if err != nil {
+		return nil, err
 	}
-	st := sim.CacheStats{Hits: s.CacheHits, Misses: s.CacheMisses,
-		Entries: s.CacheEntries, Flushes: s.CacheGenerations}
-	st.Rate = st.HitRate()
-	return st
+	n := len(res.Rows) / 2
+	out := make([][2]dse.Row, n)
+	for i := range out {
+		out[i] = [2]dse.Row{res.Rows[i], res.Rows[i+n]}
+	}
+	return out, nil
 }
 
-// RunPair runs the baseline and both SoMa stages on one case: one
-// engine.Request compared across the cocco and soma backends (one Fig. 6
-// bar group).
-func RunPair(c Case, par soma.Params) PairResult {
-	out := PairResult{Case: c}
-	req := engine.Request{Model: c.Workload, Batch: c.Batch, Platform: c.Platform,
-		Objective: soma.EDP(), Params: par}
-	results, err := engine.Compare(context.Background(), req, "cocco", "soma")
-	if err != nil {
-		out.Err = fmt.Errorf("%s: %w", c, err)
-		return out
+// BarGroup shapes one case's {cocco, soma} rows into a Fig. 6 bar group.
+// Ours_1 is the stage-1 metrics of the SoMa run; its structure counts come
+// from the stage-2 schedule, since stage 2 explores only the DLSA and tiles,
+// tensors, LGs, FLGs and DRAM bytes do not depend on it.
+func BarGroup(p [2]dse.Row) PairResult {
+	pt := p[1].Point
+	out := PairResult{Case: Case{Platform: pt.Platform, Workload: pt.Model, Batch: pt.Batch}}
+	for _, r := range p {
+		if r.Err != "" {
+			out.Err = fmt.Errorf("%s: backend %s: %s", out.Case, r.Point.Backend, r.Err)
+			return out
+		}
 	}
-	base, ours := results[0], results[1]
-	out.Cocco = rowFromMetrics("cocco", base.Raw.Metrics, base.Raw.Schedule)
-	out.Cache = searchCache(ours.Search)
-	// Stage 1 metrics come from re-parsing the winning encoding with the
-	// heuristic double-buffer DLSA (what "Ours_1" shows in Fig. 6).
-	s1sched, err := core.Parse(ours.Raw.Graph, ours.Raw.Encoding)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	out.Ours1 = rowFromMetrics("ours1", ours.Raw.Stage1Metrics, s1sched)
-	out.Ours2 = rowFromMetrics("ours2", ours.Raw.Metrics, ours.Raw.Schedule)
+	base, ours := p[0].Result.Raw, p[1].Result.Raw
+	out.Cocco = rowFromMetrics("cocco", base.Metrics, base.Schedule)
+	out.Ours1 = rowFromMetrics("ours1", ours.Stage1Metrics, ours.Schedule)
+	out.Ours2 = rowFromMetrics("ours2", ours.Metrics, ours.Schedule)
 	return out
 }
 
-// ParallelMap runs fn over all cases using up to workers goroutines,
-// preserving input order in the result.
-func ParallelMap[T any](items []T, workers int, fn func(T) PairResult) []PairResult {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+// Fig6 runs the overall comparison: every workload of each platform (GPT-2
+// Small on edge, XL on cloud) at every batch size, one Pairs sweep per
+// platform. Both sweeps share opt.Cache (a fresh one when nil), so the
+// caller can read the hit rate across cases from it.
+func Fig6(ctx context.Context, platforms []string, batches []int, par soma.Params, workers int, opt dse.Options) ([]PairResult, error) {
+	if opt.Cache == nil {
+		opt.Cache = sim.NewCache(0)
 	}
-	out := make([]PairResult, len(items))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range items {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[i] = fn(items[i])
-		}(i)
+	var out []PairResult
+	for _, pf := range platforms {
+		pairs, err := Pairs(ctx, dse.Sweep{Name: "fig6-" + pf, Platforms: []string{pf},
+			Models: Workloads(pf), Batches: batches, Params: &par, Workers: workers}, opt)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range pairs {
+			out = append(out, BarGroup(p))
+		}
 	}
-	wg.Wait()
-	return out
-}
-
-// Fig6 runs the overall comparison on the given cases.
-func Fig6(cases []Case, par soma.Params, workers int) []PairResult {
-	return ParallelMap(cases, workers, func(c Case) PairResult {
-		return RunPair(c, par)
-	})
+	return out, nil
 }
 
 // GeoMeans summarizes Fig. 6 results the way Sec. VI-B reports them:
@@ -376,36 +363,26 @@ type TracePair struct {
 	MCocco, M1, M2      *sim.Metrics
 }
 
-// Fig8 produces the three traced schedules for one case: a two-point dse
-// sweep over the backend axis (Cocco and SoMa on the same cell), then traced
-// re-evaluations of the three schedules.
+// Fig8 produces the three traced schedules for one case: the case's Pairs
+// (Cocco and SoMa on the same cell), then the stage-1 parse of the SoMa
+// encoding and traced re-evaluations of the three schedules.
 func Fig8(ctx context.Context, c Case, par soma.Params) (*TracePair, error) {
 	cfg, err := hw.Platform(c.Platform)
 	if err != nil {
 		return nil, err
 	}
 	cs := coresched.New(cfg)
-	res, err := dse.Run(ctx, dse.Sweep{
-		Name:      "fig8",
-		Backends:  []string{"cocco", "soma"},
-		Platforms: []string{c.Platform}, Models: []string{c.Workload},
-		Batches: []int{c.Batch}, Params: &par,
-	}, dse.Options{})
+	pairs, err := Pairs(ctx, dse.Sweep{Name: "fig8", Platforms: []string{c.Platform},
+		Models: []string{c.Workload}, Batches: []int{c.Batch}, Params: &par}, dse.Options{})
 	if err != nil {
 		return nil, err
 	}
-	var base, ours *report.Result
-	for _, row := range res.Rows {
+	for _, row := range pairs[0] {
 		if row.Err != "" {
 			return nil, fmt.Errorf("%s: %s", row.Point.Label(), row.Err)
 		}
-		switch row.Point.Backend {
-		case "cocco":
-			base = row.Result
-		case "soma":
-			ours = row.Result
-		}
 	}
+	base, ours := pairs[0][0].Result, pairs[0][1].Result
 	s1, err := core.Parse(ours.Raw.Graph, ours.Raw.Encoding)
 	if err != nil {
 		return nil, err

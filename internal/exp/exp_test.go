@@ -1,9 +1,13 @@
 package exp
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"soma/internal/core"
+	"soma/internal/dse"
 	"soma/internal/hw"
 	"soma/internal/models"
 	"soma/internal/soma"
@@ -29,11 +33,61 @@ func TestWorkloadsPairing(t *testing.T) {
 	}
 }
 
-func TestRunPairProducesOrderedRows(t *testing.T) {
-	r := RunPair(Case{Platform: "edge", Workload: "resnet50", Batch: 1}, soma.FastParams())
-	if r.Err != nil {
-		t.Fatalf("RunPair: %v", r.Err)
+// TestPairs: the 2-backend sweep pairs each case's cocco and soma rows in
+// case order, identically for any worker count, and the bar groups carry
+// the paper's headline results.
+func TestPairs(t *testing.T) {
+	par := soma.FastParams()
+	sweep := func(workers int) dse.Sweep {
+		return dse.Sweep{Platforms: []string{"edge"}, Models: []string{"resnet50", "mobilenetv2"},
+			Batches: []int{1, 2}, Params: &par, Workers: workers}
 	}
+	want := []Case{{"edge", "resnet50", 1}, {"edge", "resnet50", 2},
+		{"edge", "mobilenetv2", 1}, {"edge", "mobilenetv2", 2}}
+	var groups [][]PairResult
+	for _, workers := range []int{1, 3} {
+		pairs, err := Pairs(context.Background(), sweep(workers), dse.Options{})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(pairs) != len(want) {
+			t.Fatalf("workers=%d: %d pairs, want %d", workers, len(pairs), len(want))
+		}
+		var rs []PairResult
+		for i, p := range pairs {
+			for j, backend := range []string{"cocco", "soma"} {
+				pt := p[j].Point
+				if pt.Backend != backend || (Case{pt.Platform, pt.Model, pt.Batch}) != want[i] {
+					t.Fatalf("workers=%d pair %d row %d = %s, want %s on %s", workers, i, j, pt.Label(), backend, want[i])
+				}
+			}
+			r := BarGroup(p)
+			if r.Err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, r.Case, r.Err)
+			}
+			if r.Case != want[i] {
+				t.Fatalf("workers=%d pair %d case = %s, want %s", workers, i, r.Case, want[i])
+			}
+			// Ours_1's structure counts are the stage-1 schedule's.
+			raw := p[1].Result.Raw
+			s1, err := core.Parse(raw.Graph, raw.Encoding)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := s1.Summarize()
+			if r.Ours1.Tiles != st.Tiles || r.Ours1.Tensors != st.Tensors || r.Ours1.LGs != st.LGs ||
+				r.Ours1.FLGs != st.FLGs || r.Ours1.DRAMBytes != st.DRAMBytes {
+				t.Fatalf("%s: Ours_1 counts %+v differ from the stage-1 parse %+v", r.Case, r.Ours1, st)
+			}
+			rs = append(rs, r)
+		}
+		groups = append(groups, rs)
+	}
+	if !reflect.DeepEqual(groups[0], groups[1]) {
+		t.Fatal("bar groups differ between 1 and 3 workers")
+	}
+
+	r := groups[0][0] // edge/resnet50/b1
 	if r.Cocco.Scheme != "cocco" || r.Ours1.Scheme != "ours1" || r.Ours2.Scheme != "ours2" {
 		t.Fatalf("schemes: %s %s %s", r.Cocco.Scheme, r.Ours1.Scheme, r.Ours2.Scheme)
 	}
@@ -54,14 +108,15 @@ func TestRunPairProducesOrderedRows(t *testing.T) {
 	}
 }
 
-func TestRunPairUnknownWorkload(t *testing.T) {
-	r := RunPair(Case{Platform: "edge", Workload: "nope", Batch: 1}, soma.FastParams())
-	if r.Err == nil {
-		t.Fatal("unknown workload must error")
-	}
-	r = RunPair(Case{Platform: "nope", Workload: "resnet50", Batch: 1}, soma.FastParams())
-	if r.Err == nil {
-		t.Fatal("unknown platform must error")
+func TestPairsUnknownWorkload(t *testing.T) {
+	par := soma.FastParams()
+	for _, sw := range []dse.Sweep{
+		{Platforms: []string{"edge"}, Models: []string{"nope"}, Params: &par},
+		{Platforms: []string{"nope"}, Models: []string{"resnet50"}, Params: &par},
+	} {
+		if _, err := Pairs(context.Background(), sw, dse.Options{}); err == nil {
+			t.Fatalf("%v/%v must error", sw.Platforms, sw.Models)
+		}
 	}
 }
 
@@ -158,21 +213,5 @@ func TestSpreadEdgeCases(t *testing.T) {
 	pts := []ScatterPoint{{NormOps: 1, NormDRAM: 0}, {NormOps: 0, NormDRAM: 1}}
 	if Spread(pts) != 1 {
 		t.Fatalf("spread = %g", Spread(pts))
-	}
-}
-
-func TestParallelMapPreservesOrder(t *testing.T) {
-	cases := []Case{
-		{Platform: "edge", Workload: "a", Batch: 1},
-		{Platform: "edge", Workload: "b", Batch: 2},
-		{Platform: "edge", Workload: "c", Batch: 3},
-	}
-	out := ParallelMap(cases, 2, func(c Case) PairResult {
-		return PairResult{Case: c}
-	})
-	for i := range cases {
-		if out[i].Case != cases[i] {
-			t.Fatalf("order not preserved: %v", out)
-		}
 	}
 }

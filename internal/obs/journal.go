@@ -56,16 +56,6 @@ func NewJournalWith(stride, capSamples int) *Journal {
 		index: make(map[seriesKey]*Series)}
 }
 
-// Fresh returns a new empty journal with the same stride and cap, or nil for
-// a nil receiver. engine.Compare uses it to give every backend of a
-// tournament its own journal.
-func (j *Journal) Fresh() *Journal {
-	if j == nil {
-		return nil
-	}
-	return NewJournalWith(j.stride, j.max)
-}
-
 // Series returns the (created-on-first-use) series for one annealing chain,
 // identified by stage label ("stage1", "stage2", "cocco"), allocator
 // iteration and chain index. Returns nil on a nil journal.

@@ -12,9 +12,6 @@ import (
 // and a nil journal builds a nil report - the "journal off" path.
 func TestJournalNilSafety(t *testing.T) {
 	var j *Journal
-	if j.Fresh() != nil {
-		t.Error("nil journal Fresh non-nil")
-	}
 	s := j.Series("stage1", 0, 0)
 	if s != nil {
 		t.Fatal("nil journal handed out a series")
@@ -302,21 +299,5 @@ func TestJournalConcurrent(t *testing.T) {
 	}
 	if rep.Diagnostics.Chains != G {
 		t.Errorf("Chains = %d, want %d", rep.Diagnostics.Chains, G)
-	}
-}
-
-// TestFreshKeepsShape: Fresh clones stride and cap but no data.
-func TestFreshKeepsShape(t *testing.T) {
-	j := NewJournalWith(5, 16)
-	j.Series("stage1", 0, 0).Record(Sample{Move: 0})
-	f := j.Fresh()
-	if f == j {
-		t.Fatal("Fresh returned the same journal")
-	}
-	if len(f.snapshotSeries()) != 0 {
-		t.Error("Fresh carried data over")
-	}
-	if s := f.Series("x", 0, 0); s.SampleStride() != 5 {
-		t.Errorf("Fresh stride = %d, want 5", s.SampleStride())
 	}
 }
