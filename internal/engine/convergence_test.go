@@ -83,6 +83,39 @@ func TestJournalDeterministicForSeed(t *testing.T) {
 	}
 }
 
+// TestCompareAttachesPerBackendJournals: one request run over both backends,
+// each run with its own fresh journal (as a multi-backend dse grid runs its
+// points), gives every result its own backend's diagnostics, and no journal
+// records another backend's search.
+func TestCompareAttachesPerBackendJournals(t *testing.T) {
+	req := Request{Model: "mobilenetv2", Platform: "edge", Params: fastPar(3)}
+	for _, backend := range []string{"soma", "cocco"} {
+		r := req
+		r.Backend = backend
+		r.Journal = obs.NewJournal()
+		res, err := Run(context.Background(), r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conv := res.Convergence
+		if conv == nil || conv.Diagnostics == nil {
+			t.Fatalf("%s result carries no convergence diagnostics", backend)
+		}
+		if want := ConvergenceStages(backend)[0]; conv.Diagnostics.Stage != want {
+			t.Errorf("%s winner stage = %q, want %q", backend, conv.Diagnostics.Stage, want)
+		}
+		own := map[string]bool{}
+		for _, stage := range ConvergenceStages(backend) {
+			own[stage] = true
+		}
+		for _, cs := range obs.BuildConvergence(r.Journal).Series {
+			if !own[cs.Stage] {
+				t.Errorf("%s journal recorded a %s series", backend, cs.Stage)
+			}
+		}
+	}
+}
+
 func marshalConv(t *testing.T, rep *obs.ConvergenceReport) []byte {
 	t.Helper()
 	b, err := json.Marshal(rep)

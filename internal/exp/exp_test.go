@@ -33,10 +33,10 @@ func TestWorkloadsPairing(t *testing.T) {
 	}
 }
 
-// TestPairs: the 2-backend sweep pairs each case's cocco and soma rows in
-// case order, identically for any worker count, and the bar groups carry
-// the paper's headline results.
-func TestPairs(t *testing.T) {
+// TestParallelMapPreservesOrder: Pairs runs its cases on the dse worker
+// pool and still pairs each case's cocco and soma rows in case order,
+// identically for any worker count.
+func TestParallelMapPreservesOrder(t *testing.T) {
 	par := soma.FastParams()
 	sweep := func(workers int) dse.Sweep {
 		return dse.Sweep{Platforms: []string{"edge"}, Models: []string{"resnet50", "mobilenetv2"},
@@ -68,17 +68,6 @@ func TestPairs(t *testing.T) {
 			if r.Case != want[i] {
 				t.Fatalf("workers=%d pair %d case = %s, want %s", workers, i, r.Case, want[i])
 			}
-			// Ours_1's structure counts are the stage-1 schedule's.
-			raw := p[1].Result.Raw
-			s1, err := core.Parse(raw.Graph, raw.Encoding)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := s1.Summarize()
-			if r.Ours1.Tiles != st.Tiles || r.Ours1.Tensors != st.Tensors || r.Ours1.LGs != st.LGs ||
-				r.Ours1.FLGs != st.FLGs || r.Ours1.DRAMBytes != st.DRAMBytes {
-				t.Fatalf("%s: Ours_1 counts %+v differ from the stage-1 parse %+v", r.Case, r.Ours1, st)
-			}
 			rs = append(rs, r)
 		}
 		groups = append(groups, rs)
@@ -86,8 +75,38 @@ func TestPairs(t *testing.T) {
 	if !reflect.DeepEqual(groups[0], groups[1]) {
 		t.Fatal("bar groups differ between 1 and 3 workers")
 	}
+}
 
-	r := groups[0][0] // edge/resnet50/b1
+// TestRunPairProducesOrderedRows: one case's bar group carries the three
+// schemes in order, Ours_1's structure counts are the stage-1 schedule's,
+// and the paper's headline results hold.
+func TestRunPairProducesOrderedRows(t *testing.T) {
+	par := soma.FastParams()
+	pairs, err := Pairs(context.Background(), dse.Sweep{Platforms: []string{"edge"},
+		Models: []string{"resnet50"}, Batches: []int{1}, Params: &par}, dse.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pairs) != 1 {
+		t.Fatalf("%d pairs, want 1", len(pairs))
+	}
+	r := BarGroup(pairs[0])
+	if r.Err != nil {
+		t.Fatalf("%s: %v", r.Case, r.Err)
+	}
+	if want := (Case{"edge", "resnet50", 1}); r.Case != want {
+		t.Fatalf("case = %s, want %s", r.Case, want)
+	}
+	raw := pairs[0][1].Result.Raw
+	s1, err := core.Parse(raw.Graph, raw.Encoding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s1.Summarize()
+	if r.Ours1.Tiles != st.Tiles || r.Ours1.Tensors != st.Tensors || r.Ours1.LGs != st.LGs ||
+		r.Ours1.FLGs != st.FLGs || r.Ours1.DRAMBytes != st.DRAMBytes {
+		t.Fatalf("Ours_1 counts %+v differ from the stage-1 parse %+v", r.Ours1, st)
+	}
 	if r.Cocco.Scheme != "cocco" || r.Ours1.Scheme != "ours1" || r.Ours2.Scheme != "ours2" {
 		t.Fatalf("schemes: %s %s %s", r.Cocco.Scheme, r.Ours1.Scheme, r.Ours2.Scheme)
 	}
