@@ -3,8 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 
 	"soma/internal/cluster"
@@ -12,7 +10,6 @@ import (
 	"soma/internal/engine"
 	"soma/internal/obs"
 	"soma/internal/report"
-	"soma/internal/sim"
 )
 
 // runSweep is the -sweep flow: parse the declarative grid spec, execute it
@@ -45,8 +42,7 @@ func runSweep(path, journal string, jsonOut, adaptive bool, budget int, clusterW
 	}
 	opt := dse.Options{Journal: journal, Hooks: hooks, Obs: o}
 	if len(clusterWorkers) > 0 {
-		stop := useCluster(&opt, clusterWorkers)
-		defer stop()
+		useCluster(&opt, clusterWorkers)
 	}
 	out, err := dse.Run(context.Background(), sw, opt)
 	if err != nil {
@@ -66,29 +62,12 @@ func runSweep(path, journal string, jsonOut, adaptive bool, budget int, clusterW
 }
 
 // useCluster points opt at the given somad workers: a cluster executor
-// leases the points, and an ephemeral loopback listener serves the sweep's
-// cache as the workers' remote L2. Unreachable workers degrade to plain local
-// execution inside the executor. The returned func stops the listener.
-func useCluster(opt *dse.Options, workers []string) (stop func()) {
-	opt.Cache = sim.NewCache(0)
-	copt := cluster.Options{Workers: workers, Logf: func(format string, args ...any) {
+// leases the points, and each worker evaluates on its own cache.
+// Unreachable workers degrade to plain local execution inside the executor.
+func useCluster(opt *dse.Options, workers []string) {
+	opt.Executor = cluster.New(cluster.Options{Workers: workers, Logf: func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}}
-	stop = func() {}
-	// The L2 listener binds loopback: local workers (the 1-coordinator +
-	// N-worker quickstart) share evaluations through it, remote workers
-	// simply run L1-only - their Remote clients trip the breaker and the
-	// sweep proceeds unshared, never unfinished.
-	if ln, err := net.Listen("tcp", "127.0.0.1:0"); err == nil {
-		mux := http.NewServeMux()
-		cluster.NewCacheServer(opt.Cache).Mount(mux)
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		stop = func() { srv.Close() }
-		copt.CacheURL = "http://" + ln.Addr().String()
-	}
-	opt.Executor = cluster.New(copt)
-	return stop
+	}})
 }
 
 func printSweepReport(out *dse.Outcome) {

@@ -15,9 +15,7 @@
 //
 //	somad -addr 127.0.0.1:8871 -worker
 //	somad -addr 127.0.0.1:8872 -worker
-//	somad -addr 127.0.0.1:8844 \
-//	  -cluster-workers 127.0.0.1:8871,127.0.0.1:8872 \
-//	  -advertise http://127.0.0.1:8844
+//	somad -addr 127.0.0.1:8844 -workers 127.0.0.1:8871,127.0.0.1:8872
 //
 //	curl -s localhost:8080/healthz
 //	curl -s -X POST localhost:8080/v1/jobs \
@@ -65,7 +63,6 @@ func main() {
 	maxJobs := flag.Int("max-jobs", 0, "job-table retention bound; oldest finished jobs are evicted beyond it (0 = default)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 	worker := flag.Bool("worker", false, "serve cluster lease execution (this somad computes sweep points for a remote coordinator)")
-	advertise := flag.String("advertise", "", "this coordinator's reachable base URL, used by workers as their remote evaluation-cache tier")
 	flag.Parse()
 
 	// -workers is overloaded the same way soma's is: a plain integer sizes
@@ -89,7 +86,6 @@ func main() {
 		MaxJobs:        *maxJobs,
 		ClusterWorker:  *worker,
 		ClusterWorkers: workerList,
-		Advertise:      *advertise,
 	})
 	srv := newServer(*addr, svc.Handler())
 

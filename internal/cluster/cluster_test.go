@@ -139,16 +139,9 @@ func TestShardedJournalByteIdentical(t *testing.T) {
 
 	w1, w2 := startWorker(t), startWorker(t)
 
-	// Coordinator-hosted L2 backed by the coordinator cache.
 	cache := sim.NewCache(0)
-	cmux := http.NewServeMux()
-	NewCacheServer(cache).Mount(cmux)
-	csrv := httptest.NewServer(cmux)
-	defer csrv.Close()
-
 	path := filepath.Join(t.TempDir(), "sharded.jsonl")
 	opt := fastOptions(w1.URL, w2.URL)
-	opt.CacheURL = csrv.URL
 	out, o, err := shard(t, fastSweep(), opt, dse.Options{Cache: cache, Journal: path})
 	if err != nil {
 		t.Fatal(err)
@@ -274,79 +267,9 @@ func TestNormalizeWorkerURL(t *testing.T) {
 	}
 }
 
-// TestTieredCache: L1 answers repeats, successes propagate to the remote L2
-// (write-behind), a second node's tier hits the shared L2, and error entries
-// stay local.
-func TestTieredCache(t *testing.T) {
-	backing := sim.NewCache(0)
-	mux := http.NewServeMux()
-	srv := NewCacheServer(backing)
-	srv.Mount(mux)
-	hsrv := httptest.NewServer(mux)
-	defer hsrv.Close()
-
-	tier1 := &Tiered{L1: sim.NewCache(0), L2: NewRemote(hsrv.URL, nil)}
-	defer tier1.L2.Close()
-
-	m := &sim.Metrics{LatencyNS: 42}
-	tier1.Put("k1", m, nil)
-	if got, err, ok := tier1.Get("k1"); !ok || err != nil || got.LatencyNS != 42 {
-		t.Fatalf("tier1 L1 get = %v, %v, %v", got, err, ok)
-	}
-
-	// Write-behind is async: wait for the put to land on the server.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, _, ok := backing.Get("k1"); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("write-behind put never reached the cache server")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	// A fresh node (empty L1) hits the shared L2 and promotes into L1.
-	tier2 := &Tiered{L1: sim.NewCache(0), L2: NewRemote(hsrv.URL, nil)}
-	defer tier2.L2.Close()
-	if got, err, ok := tier2.Get("k1"); !ok || err != nil || got.LatencyNS != 42 {
-		t.Fatalf("tier2 remote get = %v, %v, %v", got, err, ok)
-	}
-	if got, _, ok := tier2.L1.Get("k1"); !ok || got.LatencyNS != 42 {
-		t.Fatal("remote hit was not promoted into L1")
-	}
-
-	// Error entries stay worker-local.
-	tier1.Put("bad", nil, context.DeadlineExceeded)
-	time.Sleep(50 * time.Millisecond)
-	if _, _, ok := backing.Get("bad"); ok {
-		t.Fatal("error entry crossed the wire")
-	}
-	if _, err, ok := tier1.L1.Get("bad"); !ok || err == nil {
-		t.Fatal("error entry missing from L1")
-	}
-}
-
-// TestRemoteBreaker: a dead cache server must not block evaluation - gets
-// degrade to misses after the breaker opens.
-func TestRemoteBreaker(t *testing.T) {
-	rem := NewRemote("http://127.0.0.1:1", nil)
-	defer rem.Close()
-	if _, _, ok := rem.Get("k"); ok {
-		t.Fatal("dead remote reported a hit")
-	}
-	if !rem.tripped() {
-		t.Fatal("transport error did not open the breaker")
-	}
-	// While open, gets return instantly as misses.
-	start := time.Now()
-	if _, _, ok := rem.Get("k"); ok {
-		t.Fatal("tripped remote reported a hit")
-	}
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("tripped get took %v, want instant", d)
-	}
-}
+// wrappedCache is a sim.EvalCache that is not a *sim.Cache, so sim.Memoize
+// can only reach it through the interface.
+type wrappedCache struct{ *sim.Cache }
 
 // TestMemoizeThroughInterface: the free sim.Memoize must work for any tier,
 // including a typed-nil concrete cache hiding in the interface.
@@ -360,7 +283,7 @@ func TestMemoizeThroughInterface(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("calls = %d", calls)
 	}
-	tier := &Tiered{L1: sim.NewCache(0)}
+	tier := wrappedCache{sim.NewCache(0)}
 	sim.Memoize(tier, "k", eval)
 	sim.Memoize(tier, "k", eval)
 	if calls != 2 {
@@ -371,41 +294,51 @@ func TestMemoizeThroughInterface(t *testing.T) {
 	}
 }
 
-// TestRequestBodiesBounded: every cluster endpoint decodes at most
-// MaxBodyBytes. A cache put the size of the largest measured real one is
-// served; one past the bound gets a 4xx, as does an oversized lease.
+// TestRequestBodiesBounded: the lease endpoint decodes at most MaxBodyBytes.
+// A body the size of the largest measured real lease is decoded and judged
+// on its content; one past the bound gets 413.
 func TestRequestBodiesBounded(t *testing.T) {
 	mux := http.NewServeMux()
-	NewCacheServer(sim.NewCache(0)).Mount(mux)
 	NewWorker(nil).Mount(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	post := func(path string, body []byte) int {
+	post := func(body []byte) int {
 		t.Helper()
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		resp, err := http.Post(srv.URL+PathLease, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	put := func(keyBytes int) []byte {
-		body, err := json.Marshal(CachePutRequest{Key: bytes.Repeat([]byte{0xfe}, keyBytes),
-			Metrics: &sim.Metrics{LatencyNS: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
+	// A 4096-seed spec with all its indices, padded to exactly 101,821
+	// bytes. Its digest is wrong on purpose, so the worker rejects it with
+	// 400 after decoding instead of running 4096 points.
+	const realLease = 101821
+	sw := fastSweep()
+	sw.GBufMB = []int64{2}
+	sw.Seeds = make([]int64, 4096)
+	req := LeaseRequest{Spec: sw, SpecSHA256: "mismatch", Indices: make([]int, 4096)}
+	for i := range sw.Seeds {
+		sw.Seeds[i], req.Indices[i] = int64(i+1), i
 	}
-	if code := post(PathCachePut, put(209030)); code != http.StatusOK {
-		t.Fatalf("legitimate cache put got %d", code)
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := post(PathCachePut, put(MaxBodyBytes)); code < 400 || code >= 500 {
-		t.Fatalf("oversized cache put got %d, want 4xx", code)
+	if len(body) > realLease {
+		t.Fatalf("unpadded lease is %d bytes, over %d", len(body), realLease)
+	}
+	req.LeaseID = string(bytes.Repeat([]byte("x"), realLease-len(body)))
+	if body, err = json.Marshal(req); err != nil || len(body) != realLease {
+		t.Fatalf("padded lease is %d bytes (%v), want %d", len(body), err, realLease)
+	}
+	if code := post(body); code != http.StatusBadRequest {
+		t.Fatalf("real-sized lease got %d, want 400 (digest mismatch)", code)
 	}
 	huge := append([]byte(`{"lease_id":"`), bytes.Repeat([]byte("x"), MaxBodyBytes)...)
-	if code := post(PathLease, append(huge, `"}`...)); code < 400 || code >= 500 {
-		t.Fatalf("oversized lease got %d, want 4xx", code)
+	if code := post(append(huge, `"}`...)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized lease got %d, want 413", code)
 	}
 }

@@ -19,11 +19,6 @@ type Options struct {
 	// to "http://host:port"). Empty, or none reachable at a batch's
 	// initial probe, degrades that batch to the local pool.
 	Workers []string
-	// CacheURL is the remote-cache base URL handed to workers in every
-	// lease ("" disables the L2 tier). It should advertise a CacheServer
-	// backed by the sweep's dse.Options.Cache, which local fallback
-	// evaluations also use.
-	CacheURL string
 	// Client performs lease and ping calls; nil gets a private default.
 	Client *http.Client
 	// Logf, when non-nil, receives coordinator lifecycle lines (worker
@@ -490,7 +485,7 @@ func (c *coord) doLease(ctx context.Context, n *node, l *lease) ([]dse.Row, erro
 	var resp LeaseResponse
 	err := postJSON(tctx, c.opt.Client, n.url+PathLease, LeaseRequest{
 		LeaseID: l.id, Spec: c.b.Sweep, SpecSHA256: c.b.Digest,
-		Indices: l.indices, CacheURL: c.opt.CacheURL, Fidelity: c.b.Fidelity}, &resp)
+		Indices: l.indices, Fidelity: c.b.Fidelity}, &resp)
 	if err != nil {
 		if cause := context.Cause(ctx); cause != nil && ctx.Err() != nil {
 			return nil, cause

@@ -20,10 +20,9 @@
 // cluster flag never makes a sweep fail that would have succeeded
 // single-process.
 //
-// Caching: workers evaluate through a Tiered cache - a worker-local
-// sim.Cache L1 in front of a coordinator-hosted remote L2 (CacheServer /
-// Remote) - so schedule evaluations shared between grid points are computed
-// once cluster-wide instead of once per worker. The tier implements
-// sim.EvalCache, the same interface dse, engine, service and soma consume
-// in-process.
+// Caching: each worker evaluates on its own process-lifetime sim.Cache, as
+// the local pool does, and the coordinator's local fallback uses the
+// sweep's dse.Options.Cache. No cache is shared over the network: on the
+// Fig. 7 grid a coordinator-hosted tier answered under 1% of worker
+// lookups and its round trips made the sharded sweep about 12x slower.
 package cluster

@@ -9,16 +9,12 @@ import (
 	"net/http"
 
 	"soma/internal/dse"
-	"soma/internal/sim"
 )
 
-// Endpoint paths. Workers mount PathPing and PathLease (see Worker.Mount);
-// coordinators host PathCacheGet and PathCachePut (see CacheServer.Mount).
+// Endpoint paths. Workers mount PathPing and PathLease (see Worker.Mount).
 const (
-	PathPing     = "/v1/cluster/ping"
-	PathLease    = "/v1/cluster/lease"
-	PathCacheGet = "/v1/cluster/cache/get"
-	PathCachePut = "/v1/cluster/cache/put"
+	PathPing  = "/v1/cluster/ping"
+	PathLease = "/v1/cluster/lease"
 )
 
 // LeaseRequest asks a worker to compute a subset of a sweep's expanded grid.
@@ -35,9 +31,6 @@ type LeaseRequest struct {
 	SpecSHA256 string `json:"spec_sha256"`
 	// Indices are the canonical-expansion point indices to compute.
 	Indices []int `json:"indices"`
-	// CacheURL, when set, is the coordinator's remote evaluation-cache
-	// base URL; the worker evaluates through a local-L1/remote-L2 tier.
-	CacheURL string `json:"cache_url,omitempty"`
 	// Fidelity is the adaptive rung the lease belongs to
 	// (dse.FidelityProbe / dse.FidelityFull; "" for exhaustive sweeps).
 	// Workers solve probe leases at dse.ProbeParams fidelity and stamp the
@@ -55,24 +48,6 @@ type LeaseResponse struct {
 type PingResponse struct {
 	OK           bool  `json:"ok"`
 	LeasesServed int64 `json:"leases_served"`
-}
-
-// Cache wire types. Keys travel as []byte (base64 in JSON) because sim.Key
-// embeds varint bytes that are not valid UTF-8 and would be mangled by JSON
-// string encoding. Error entries never cross the wire: failures are cheap to
-// recompute and stay in the worker-local L1.
-type CacheGetRequest struct {
-	Key []byte `json:"key"`
-}
-
-type CacheGetResponse struct {
-	Found   bool         `json:"found"`
-	Metrics *sim.Metrics `json:"metrics,omitempty"`
-}
-
-type CachePutRequest struct {
-	Key     []byte       `json:"key"`
-	Metrics *sim.Metrics `json:"metrics"`
 }
 
 // postJSON round-trips one JSON request/response pair, treating any non-200

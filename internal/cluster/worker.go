@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,29 +15,23 @@ import (
 
 // Worker serves lease execution: a somad started with -worker mounts one on
 // its mux. Workers are stateless between leases (every lease carries its
-// full spec), but keep a process-lifetime L1 evaluation cache - engine cache
+// full spec), but keep a process-lifetime evaluation cache - engine cache
 // scopes already namespace keys per (workload, batch, platform, hw) context,
-// so entries are shareable across leases and sweeps - plus one Remote client
-// per coordinator cache URL.
+// so entries are shareable across leases and sweeps.
 type Worker struct {
 	// Obs receives worker telemetry (cluster_worker_* plus everything the
 	// solvers emit). Nil disables it.
 	Obs *obs.Obs
-	// Client performs remote-cache calls; nil gets a private default.
-	Client *http.Client
 
-	l1 *sim.Cache
-
-	mu      sync.Mutex
-	remotes map[string]*Remote
+	cache *sim.Cache
 
 	leases atomic.Int64
 }
 
-// NewWorker builds a worker with a fresh L1 cache.
+// NewWorker builds a worker with a fresh evaluation cache.
 func NewWorker(o *obs.Obs) *Worker {
-	w := &Worker{Obs: o, l1: sim.NewCache(0), remotes: make(map[string]*Remote)}
-	w.l1.ExportMetrics(o.Registry())
+	w := &Worker{Obs: o, cache: sim.NewCache(0)}
+	w.cache.ExportMetrics(o.Registry())
 	return w
 }
 
@@ -50,23 +43,6 @@ func (w *Worker) Mount(mux *http.ServeMux) {
 
 func (w *Worker) handlePing(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, PingResponse{OK: true, LeasesServed: w.leases.Load()})
-}
-
-// tier returns the evaluation cache for a lease: the shared L1, fronted by a
-// Remote L2 when the coordinator advertised one.
-func (w *Worker) tier(cacheURL string) sim.EvalCache {
-	if cacheURL == "" {
-		return w.l1
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	rem, ok := w.remotes[cacheURL]
-	if !ok {
-		rem = NewRemote(cacheURL, w.Client)
-		rem.ExportMetrics(w.Obs.Registry())
-		w.remotes[cacheURL] = rem
-	}
-	return &Tiered{L1: w.l1, L2: rem}
 }
 
 func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
@@ -95,7 +71,7 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	reg := w.Obs.Registry()
 	start := time.Now()
 	rows, err := dse.RunPoints(r.Context(), req.Spec, req.Indices, req.Fidelity,
-		dse.Options{Cache: w.tier(req.CacheURL), Obs: w.Obs})
+		dse.Options{Cache: w.cache, Obs: w.Obs})
 	if err != nil {
 		reg.Counter("cluster_worker_leases_total", "Leases served by outcome.",
 			"outcome", "error").Inc()
@@ -115,12 +91,10 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, LeaseResponse{LeaseID: req.LeaseID, Rows: rows})
 }
 
-// MaxBodyBytes bounds every cluster request body (lease, cache get, cache
-// put) and somad's job and sweep submissions. Measured sizes: the largest sim.Key a fast-profile gpt2xl-prefill
-// solve on the cloud platform PUTs is 209,030 bytes, a 279,247-byte
-// cache-put body once base64-encoded; a lease carrying a 4096-point spec
-// (4096 listed seeds, full params) plus all 4096 indices is 101,821 bytes.
-// 4 MiB leaves 15x headroom over the larger of the two.
+// MaxBodyBytes bounds every cluster lease body and somad's job and sweep
+// submissions. The largest lease measured - a 4096-point spec (4096 listed
+// seeds, full params) plus all 4096 indices - is 101,821 bytes; 4 MiB
+// leaves about 40x headroom over it.
 const MaxBodyBytes = 4 << 20
 
 // decodeBody parses one JSON request body of at most MaxBodyBytes,

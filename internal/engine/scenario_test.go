@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"soma/internal/report"
+	"soma/internal/sim"
 	"soma/internal/soma"
 	"soma/internal/workload"
 )
@@ -104,5 +105,36 @@ func TestRunScenarioDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(serial, render(2, 1)) {
 		t.Fatal("scenario result changed between identical runs")
+	}
+}
+
+// TestScenarioCacheCountersPartitionSharedCache: every sub-run of a scenario
+// reports only its own traffic on the shared cache, so the composed run's
+// and the components' hits and misses add up to the cache's own counters.
+func TestScenarioCacheCountersPartitionSharedCache(t *testing.T) {
+	sc, err := workload.Builtin("multi-tenant-cnn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := sim.NewCache(0)
+	res, err := Run(context.Background(), Request{Scenario: &sc, Platform: "edge",
+		Objective: soma.EDP(), Params: scenarioPar(), Cache: cache}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := res.Search.CacheHits, res.Search.CacheMisses
+	last := res.Search
+	for _, c := range res.Scenario.Components {
+		hits += c.Isolated.Search.CacheHits
+		misses += c.Isolated.Search.CacheMisses
+		last = c.Isolated.Search
+	}
+	st := cache.Stats()
+	if hits != st.Hits || misses != st.Misses {
+		t.Fatalf("sub-runs report %d hits / %d misses, the cache counted %d / %d",
+			hits, misses, st.Hits, st.Misses)
+	}
+	if last.CacheEntries != st.Entries {
+		t.Fatalf("last sub-run reports %d entries, the cache holds %d", last.CacheEntries, st.Entries)
 	}
 }

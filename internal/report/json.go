@@ -189,9 +189,14 @@ type Search struct {
 	CacheMisses      int64   `json:"cache_misses"`
 	CacheEntries     int     `json:"cache_entries"`
 	CacheGenerations int64   `json:"cache_generations"`
+	// CacheHits, CacheMisses and CacheGenerations count this run's own
+	// cache traffic; CacheEntries is the cache's size when the run ended.
+	// On a private cache all four are deterministic for a fixed seed. On a
+	// shared cache (a warm somad, a sweep) they depend on what earlier or
+	// concurrent runs left in it.
+	//
 	// CacheHitRate is CacheHits / (CacheHits + CacheMisses), precomputed
 	// so -json consumers need not derive it (0 when the cache was unused).
-	// Deterministic for a fixed seed, like the counters it is built from.
 	CacheHitRate float64 `json:"cache_hit_rate"`
 }
 

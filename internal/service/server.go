@@ -49,9 +49,10 @@ type Config struct {
 	// are sharded across them through internal/cluster instead of running
 	// in-process (somad -workers).
 	ClusterWorkers []string
-	// Advertise is this coordinator's externally reachable base URL; when
-	// set alongside ClusterWorkers, workers use it as their remote
-	// evaluation-cache L2 (backed by the shared in-process cache).
+	// Advertise has no effect: cluster workers evaluate on their own
+	// caches, and no coordinator URL is handed to them. The field remains
+	// only for the benchmark harness under bench/, which still sets it;
+	// nothing else may.
 	Advertise string
 }
 
@@ -85,11 +86,9 @@ type Server struct {
 
 	// clusterWorker serves lease execution when cfg.ClusterWorker. When
 	// this somad coordinates sweeps for remote workers, sweepExec leases
-	// their points and the cache server exposes the shared evaluation
-	// cache as the cluster L2.
+	// their points.
 	clusterWorker *cluster.Worker
 	sweepExec     dse.Executor
-	cacheServer   *cluster.CacheServer
 
 	// base is canceled by Stop/Shutdown, stopping workers and running
 	// jobs; draining additionally rejects new submits with 503.
@@ -122,15 +121,9 @@ func New(cfg Config) *Server {
 		s.clusterWorker = cluster.NewWorker(&obs.Obs{Reg: s.reg})
 	}
 	if len(cfg.ClusterWorkers) > 0 {
-		s.cacheServer = cluster.NewCacheServer(s.cache)
-		s.cacheServer.ExportMetrics(s.reg)
 		// Sharded execution; each sweep degrades to the local pool by
 		// itself when no worker answers the initial probe.
-		copt := cluster.Options{Workers: cfg.ClusterWorkers, Logf: log.Printf}
-		if cfg.Advertise != "" {
-			copt.CacheURL = cluster.NormalizeWorkerURL(cfg.Advertise)
-		}
-		s.sweepExec = cluster.New(copt)
+		s.sweepExec = cluster.New(cluster.Options{Workers: cfg.ClusterWorkers, Logf: log.Printf})
 	}
 	s.routes()
 	for i := 0; i < cfg.Workers; i++ {
@@ -339,9 +332,6 @@ func (s *Server) routes() {
 	mux.HandleFunc("GET /debug/dash", s.handleDash)
 	if s.clusterWorker != nil {
 		s.clusterWorker.Mount(mux)
-	}
-	if s.cacheServer != nil {
-		s.cacheServer.Mount(mux)
 	}
 	s.mux = mux
 }

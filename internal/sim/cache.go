@@ -12,16 +12,16 @@ import (
 
 // EvalCache is the pluggable evaluation-cache tier: anything that can
 // memoize (key -> evaluation outcome) pairs. The in-process Cache is the
-// default implementation; internal/cluster adds a worker-local L1 in front
-// of a coordinator-hosted remote L2, and the interface leaves room for
-// persistent on-disk tiers. dse, engine, service and soma all consume this
-// interface rather than the concrete Cache.
+// only production implementation - every path, cluster workers included,
+// evaluates on one - and the interface stays so benchmarks and tests can
+// substitute instrumented tiers. dse, engine, service and soma all consume
+// this interface rather than the concrete Cache.
 //
 // Semantics every implementation must honor:
 //
 //   - Get returns a private copy the caller may mutate freely.
-//   - Put may drop entries (bounded tiers, best-effort remote tiers); a
-//     cache is an accelerator, never a source of truth.
+//   - Put may drop entries (bounded tiers); a cache is an accelerator,
+//     never a source of truth.
 //   - Evaluations are deterministic per key, so two racing Puts for one key
 //     always store equal values - implementations may keep either.
 //   - All methods are safe for concurrent use.
@@ -36,30 +36,20 @@ type EvalCache interface {
 	Stats() CacheStats
 }
 
-// MetricsExporter is an optional EvalCache extension: tiers that can expose
-// their counters as pull gauges implement it, and ExportCacheMetrics wires
-// them to a registry. The concrete Cache and the cluster tiered cache both
-// implement it.
-type MetricsExporter interface {
-	ExportMetrics(reg *obs.Registry)
-}
-
-// ExportCacheMetrics registers c's counters on reg when the tier supports it.
-// Safe on a nil cache or registry.
+// ExportCacheMetrics registers c's counters on reg when c is a *Cache;
+// other tiers export nothing. Safe on a nil cache or registry.
 func ExportCacheMetrics(c EvalCache, reg *obs.Registry) {
-	if e, ok := c.(MetricsExporter); ok {
-		e.ExportMetrics(reg)
+	if cc, ok := c.(*Cache); ok {
+		cc.ExportMetrics(reg)
 	}
 }
 
 // Memoize returns the cached evaluation for key from any EvalCache tier, or
-// runs eval and stores its result. A nil cache runs eval uncached. The
-// concrete *Cache keeps its single-lock fast path (which also covers typed
-// nil *Cache values hiding inside the interface).
+// runs eval and stores its result: Get, then on a miss eval and Put. A nil
+// cache runs eval uncached; a typed-nil *Cache always misses and stores
+// nothing. Concurrent misses on one key each run eval, and Put keeps the
+// first insert.
 func Memoize(c EvalCache, key string, eval func() (*Metrics, error)) (*Metrics, error) {
-	if cc, ok := c.(*Cache); ok {
-		return cc.Memoize(key, eval)
-	}
 	if c == nil {
 		return eval()
 	}
@@ -105,7 +95,7 @@ type Cache struct {
 
 	// Counters are atomics, not mu-guarded fields: Stats is polled by
 	// observers (somad /v1/stats, progress reporting) while portfolio
-	// workers hammer Memoize, and counting outside the critical section
+	// workers hammer Get and Put, and counting outside the critical section
 	// keeps the stats exact even on the paths that bypass the maps.
 	hits, misses, flushes atomic.Int64
 }
@@ -181,10 +171,10 @@ func (c *Cache) Get(key string) (*Metrics, error, bool) {
 	return &m, e.err, true
 }
 
-// Put implements EvalCache. Like Memoize's insert path it keeps the first
-// entry when two workers race on one key - results are deterministic, so
-// either copy is right, and re-inserting must not count toward generation
-// fill or trigger a spurious flush. Safe on a nil cache (no-op).
+// Put implements EvalCache. It keeps the first entry when two workers race
+// on one key - results are deterministic, so either copy is right, and
+// re-inserting must not count toward generation fill or trigger a spurious
+// flush. Safe on a nil cache (no-op).
 func (c *Cache) Put(key string, m *Metrics, err error) {
 	if c == nil {
 		return
@@ -210,40 +200,6 @@ func Key(canonical string, budget int64) string {
 
 // appendBudget appends Key's encoding of the buffer budget to b.
 func appendBudget(b []byte, budget int64) []byte { return binary.AppendVarint(b, budget) }
-
-// Memoize returns the cached evaluation for key, or runs eval and stores its
-// result. The returned Metrics points to a private copy, so callers may not
-// corrupt the cache by mutating it.
-func (c *Cache) Memoize(key string, eval func() (*Metrics, error)) (*Metrics, error) {
-	if c == nil {
-		return eval()
-	}
-	c.mu.Lock()
-	if e, ok := c.lookup(key); ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		m := e.m
-		return &m, e.err
-	}
-	c.mu.Unlock()
-	c.misses.Add(1)
-
-	m, err := eval()
-	e := cacheEntry{err: err}
-	if m != nil {
-		e.m = *m
-	}
-	c.mu.Lock()
-	// Concurrent workers can miss the same key together (each then runs
-	// its own eval - results are deterministic, so any copy is the right
-	// one). Keep the first insert: re-inserting the same key must not
-	// count toward generation fill or trigger a spurious flush.
-	if _, ok := c.lookup(key); !ok {
-		c.insert(key, e)
-	}
-	c.mu.Unlock()
-	return m, err
-}
 
 // CacheStats is a point-in-time counter snapshot. report.HitRate formats the
 // counters as a rate for run reports; somad serves them raw on /v1/stats.

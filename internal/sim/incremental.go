@@ -403,7 +403,7 @@ func (inc *Incremental) Metrics() (*Metrics, error) {
 
 // EvaluateProposal evaluates the schedule with the pending move applied,
 // re-simulating only from the latest checkpoint the move cannot affect. Its
-// signature matches Cache.Memoize's eval callback, so stage-2 search keeps
+// signature matches sim.Memoize's eval callback, so stage-2 search keeps
 // its memoization (and cache accounting) unchanged while every miss costs a
 // suffix instead of a full replay.
 func (inc *Incremental) EvaluateProposal() (*Metrics, error) {

@@ -137,7 +137,10 @@ type Result struct {
 	AllocIters int
 	// Stage1Budget is the winning stage-1 buffer budget.
 	Stage1Budget int64
-	// Cache is the evaluation-cache counter snapshot for the whole run.
+	// Cache is this run's evaluation-cache traffic: Hits, Misses and
+	// Flushes count what the counters grew by during RunContext (a shared
+	// cache's earlier traffic is not this run's), Entries is the cache's
+	// size at the end.
 	Cache sim.CacheStats
 	// Stage1WallNS/Stage2WallNS are the wall-clock nanoseconds spent in
 	// each stage summed over every allocator iteration (filled by
@@ -157,7 +160,7 @@ type Explorer struct {
 	// allocator iterations (the core-array scheduler keeps its own
 	// per-tile cache underneath). Any sim.EvalCache tier works - soma.New
 	// installs a private in-process sim.Cache, the somad daemon shares one
-	// across jobs, and cluster workers plug in a tiered local+remote cache.
+	// across jobs, and each cluster worker keeps one for its lifetime.
 	Cache sim.EvalCache
 	// Scope namespaces this explorer's cache keys. Canonical keys only
 	// identify a schedule within one (graph, hardware) pair, so anyone
@@ -253,9 +256,18 @@ func (e *Explorer) RunContext(ctx context.Context) (*Result, error) {
 	e.stage1WallNS, e.stage2WallNS = 0, 0
 	allocIters := e.Reg.Counter("soma_alloc_iters_total",
 		"Buffer Allocator iterations executed.")
+	var before sim.CacheStats
+	if e.Cache != nil {
+		before = e.Cache.Stats()
+	}
 	finish := func(r *Result) *Result {
 		if e.Cache != nil {
-			r.Cache = e.Cache.Stats()
+			st := e.Cache.Stats()
+			st.Hits -= before.Hits
+			st.Misses -= before.Misses
+			st.Flushes -= before.Flushes
+			st.Rate = st.HitRate()
+			r.Cache = st
 		}
 		r.Stage1WallNS, r.Stage2WallNS = e.stage1WallNS, e.stage2WallNS
 		allocIters.Add(int64(r.AllocIters))
