@@ -50,7 +50,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	par, err := params(*profile)
+	par, err := soma.ProfileParams(*profile)
 	if err != nil {
 		fatal(err)
 	}
@@ -105,19 +105,6 @@ func usage() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "somabench:", err)
 	os.Exit(1)
-}
-
-func params(profile string) (soma.Params, error) {
-	switch profile {
-	case "fast":
-		return soma.FastParams(), nil
-	case "default":
-		return soma.DefaultParams(), nil
-	case "paper":
-		return soma.PaperParams(), nil
-	default:
-		return soma.Params{}, fmt.Errorf("unknown profile %q", profile)
-	}
 }
 
 // parseBatches parses the -batches list: positive integers separated by

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"soma/internal/exp"
+	"soma/internal/soma"
 )
 
 func TestParseBatches(t *testing.T) {
@@ -21,14 +22,16 @@ func TestParseBatches(t *testing.T) {
 	}
 }
 
+// TestParams: every profile -profile names resolves, and an unknown name is
+// an error.
 func TestParams(t *testing.T) {
 	for _, p := range []string{"fast", "default", "paper"} {
-		par, err := params(p)
+		par, err := soma.ProfileParams(p)
 		if err != nil || par.Beta1 <= 0 {
 			t.Fatalf("profile %s: %+v %v", p, par, err)
 		}
 	}
-	if _, err := params("turbo"); err == nil {
+	if _, err := soma.ProfileParams("turbo"); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
 }

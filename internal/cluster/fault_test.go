@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -48,6 +49,10 @@ func (f *faulty) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case f.delay > 0:
 			f.delay--
 			f.mu.Unlock()
+			// Read the body first: until it is drained net/http does not
+			// watch the connection, so the request context would not be
+			// canceled when the coordinator drops it.
+			_, _ = io.Copy(io.Discard, r.Body)
 			select { // stall until the coordinator's lease timeout fires
 			case <-r.Context().Done():
 			case <-time.After(30 * time.Second):

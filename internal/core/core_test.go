@@ -81,13 +81,6 @@ func TestEncodingGroupAccessors(t *testing.T) {
 	if e.FLGOfPos(0) != 0 || e.FLGOfPos(1) != 1 || e.FLGOfPos(4) != 2 {
 		t.Fatalf("FLGOfPos: %d %d %d", e.FLGOfPos(0), e.FLGOfPos(1), e.FLGOfPos(4))
 	}
-	// Positions 0..1 (A,B) are LG0; positions 2..4 (C,E,D) are LG1.
-	if e.LGOfPos(0) != 0 || e.LGOfPos(1) != 0 || e.LGOfPos(2) != 1 || e.LGOfPos(4) != 1 {
-		t.Fatalf("LGOfPos: %d %d %d %d", e.LGOfPos(0), e.LGOfPos(1), e.LGOfPos(2), e.LGOfPos(4))
-	}
-	if cuts := e.DRAMCutPositions(); len(cuts) != 1 || cuts[0] != 2 {
-		t.Fatalf("DRAMCutPositions = %v", cuts)
-	}
 	if !strings.Contains(e.String(), "||") || !strings.Contains(e.String(), "|") {
 		t.Fatalf("String = %q", e.String())
 	}

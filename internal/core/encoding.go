@@ -105,28 +105,6 @@ func (e *Encoding) FLGOfPos(p int) int {
 	return sort.SearchInts(e.FLCs, p+1)
 }
 
-// LGOfPos returns the LG index containing order position p.
-func (e *Encoding) LGOfPos(p int) int {
-	lg := 0
-	for i, c := range e.FLCs {
-		if c <= p && e.IsDRAM[i] {
-			lg++
-		}
-	}
-	return lg
-}
-
-// DRAMCutPositions returns the positions of the DRAM cuts in order.
-func (e *Encoding) DRAMCutPositions() []int {
-	var out []int
-	for i, c := range e.FLCs {
-		if e.IsDRAM[i] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Check verifies the structural legality of the encoding against a graph:
 // the order is a valid Computing Order, cuts are sorted, in range and
 // consistent, and tiling numbers are positive. Fusion-semantic legality

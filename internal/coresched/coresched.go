@@ -76,13 +76,6 @@ func New(cfg hw.Config) *Scheduler {
 // Config returns the hardware this scheduler models.
 func (s *Scheduler) Config() hw.Config { return s.cfg }
 
-// CacheSize reports the number of memoised tile shapes (test/metrics hook).
-func (s *Scheduler) CacheSize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cache)
-}
-
 // Evaluate returns the cost of one tile, searching core partitions for
 // PE-array kinds and using the vector-unit model otherwise.
 func (s *Scheduler) Evaluate(r Request) Result {

@@ -44,11 +44,19 @@ func TestEvaluatePositiveAndConsistent(t *testing.T) {
 func TestMemoisation(t *testing.T) {
 	s := New(hw.Edge())
 	req := convReq(28*28, 128, 128)
+	entries := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.cache)
+	}
 	a := s.Evaluate(req)
-	if s.CacheSize() != 1 {
-		t.Fatalf("cache size = %d", s.CacheSize())
+	if n := entries(); n != 1 {
+		t.Fatalf("cache size after first call = %d", n)
 	}
 	b := s.Evaluate(req)
+	if n := entries(); n != 1 {
+		t.Fatalf("cache size after repeat call = %d", n)
+	}
 	if a != b {
 		t.Fatal("memoised result differs")
 	}

@@ -227,7 +227,7 @@ func promote(probes []Row, ad Adaptive, seed int64) (promoted []int, explored in
 // outcome assembles the final adaptive outcome: one row per grid point in
 // canonical index order - the full-fidelity row where the point was
 // promoted, its probe row otherwise - so every exhaustive aggregate (Best,
-// CostVsBufferFront, BestPerAxis, convergence scrubbing) works unchanged.
+// CostVsBufferFront, convergence scrubbing) works unchanged.
 func (a *adaptiveRun) outcome(resumed int) *Outcome {
 	rows := make([]Row, len(a.pts))
 	copy(rows, a.probes)

@@ -17,8 +17,8 @@
 // cache counters that depend on warmth and interleaving).
 //
 // Results are typed report.Result rows plus aggregates: the lowest-cost
-// point, per-axis bests, and Pareto fronts such as cost vs buffer size (the
-// Fig. 7 "how much buffer is this cost reduction worth" question).
+// point and Pareto fronts such as cost vs buffer size (the Fig. 7 "how much
+// buffer is this cost reduction worth" question).
 //
 // Every sweep surface routes here: `soma -sweep <file.json>` in the CLI,
 // POST /v1/sweeps in the somad daemon (with SSE progress), and the

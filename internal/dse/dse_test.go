@@ -205,19 +205,6 @@ func TestFront(t *testing.T) {
 	}
 }
 
-func TestBestPerAxis(t *testing.T) {
-	rows := []Row{
-		{Point: Point{Platform: "edge"}, Result: &report.Result{Cost: 5}},
-		{Point: Point{Platform: "edge"}, Result: &report.Result{Cost: 3}},
-		{Point: Point{Platform: "cloud"}, Result: &report.Result{Cost: 9}},
-		{Point: Point{Platform: "cloud"}, Err: "boom"},
-	}
-	best := BestPerAxis(rows, func(p Point) string { return p.Platform })
-	if best["edge"] != 1 || best["cloud"] != 2 {
-		t.Fatalf("best = %v", best)
-	}
-}
-
 func TestScrubbed(t *testing.T) {
 	r := Row{Result: &report.Result{
 		Cost: 7,

@@ -58,22 +58,3 @@ func CostVsBufferFront(rows []Row) []int {
 		func(r Row) float64 { return float64(r.Result.Hardware.GBufBytes) },
 		func(r Row) float64 { return r.Result.Cost })
 }
-
-// BestPerAxis groups successful rows by an axis key and keeps the
-// lowest-cost row of each group, returned as a key -> row-index map. It is
-// the "collapse everything but one axis" aggregate behind per-platform and
-// per-model summary tables.
-func BestPerAxis(rows []Row, key func(Point) string) map[string]int {
-	best := map[string]int{}
-	for i, r := range rows {
-		if r.Err != "" || r.Result == nil {
-			continue
-		}
-		k := key(r.Point)
-		j, ok := best[k]
-		if !ok || r.Result.Cost < rows[j].Result.Cost {
-			best[k] = i
-		}
-	}
-	return best
-}

@@ -89,10 +89,8 @@ func TestFrontPropertyRandomized(t *testing.T) {
 			}
 		}
 
-		// (c) Order invariance of the selected value pairs, and of the
-		// per-axis best costs.
+		// (c) Order invariance of the selected value pairs.
 		want := frontValues(rows, front)
-		wantBest := bestCosts(rows)
 		for p := 0; p < 5; p++ {
 			perm := append([]Row(nil), rows...)
 			rng.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
@@ -108,61 +106,6 @@ func TestFrontPropertyRandomized(t *testing.T) {
 					t.Fatalf("trial %d: front values changed under permutation at %d: %v vs %v",
 						trial, i, got[i], want[i])
 				}
-			}
-			if gotBest := bestCosts(perm); !equalMaps(gotBest, wantBest) {
-				t.Fatalf("trial %d: BestPerAxis changed under permutation: %v vs %v",
-					trial, gotBest, wantBest)
-			}
-		}
-	}
-}
-
-// bestCosts is BestPerAxis projected onto costs (cost ties may pick a
-// different row index under permutation, never a different cost).
-func bestCosts(rows []Row) map[string]float64 {
-	best := BestPerAxis(rows, func(p Point) string { return p.Model })
-	out := make(map[string]float64, len(best))
-	for k, i := range best {
-		out[k] = rows[i].Result.Cost
-	}
-	return out
-}
-
-func equalMaps(a, b map[string]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// TestBestPerAxisDominanceCorrect: the kept row of each group really is the
-// group's minimum cost.
-func TestBestPerAxisDominanceCorrect(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		rows := randomRows(rng, 1+rng.Intn(20))
-		best := BestPerAxis(rows, func(p Point) string { return p.Model })
-		for _, r := range rows {
-			if r.Err != "" || r.Result == nil {
-				continue
-			}
-			j, ok := best[r.Point.Model]
-			if !ok {
-				t.Fatalf("trial %d: successful row's group %q missing", trial, r.Point.Model)
-			}
-			if rows[j].Result.Cost > r.Result.Cost {
-				t.Fatalf("trial %d: group %q kept cost %g, found %g",
-					trial, r.Point.Model, rows[j].Result.Cost, r.Result.Cost)
-			}
-		}
-		for k, j := range best {
-			if rows[j].Err != "" || rows[j].Result == nil || rows[j].Point.Model != k {
-				t.Fatalf("trial %d: group %q maps to a bad row", trial, k)
 			}
 		}
 	}

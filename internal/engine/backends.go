@@ -71,7 +71,7 @@ func solveSoma(ctx context.Context, in solveInputs) (*report.Result, error) {
 		ex.Cache = in.cache
 		ex.Scope = in.scope
 	}
-	ex.Progress = progressTap(in.hooks, "soma", in.component, ex.Cache)
+	ex.Progress = progressTap(in.hooks, "soma", in.component)
 	ex.Reg = in.obs.Registry()
 	ex.Track = in.track
 	ex.Journal = in.journal
@@ -112,7 +112,7 @@ func (coccoBackend) Solve(ctx context.Context, req Request, h *Hooks) (*report.R
 	ex := cocco.New(g, cfg, req.Objective, req.Params)
 	// Cocco evaluates uncached (its single annealing chain rarely revisits
 	// states), so a shared Request.Cache has nothing to scope here.
-	ex.Progress = progressTap(h, "cocco", "", nil)
+	ex.Progress = progressTap(h, "cocco", "")
 	ex.Reg = req.Obs.Registry()
 	ex.Track = req.track()
 	ex.Journal = req.Journal

@@ -15,8 +15,10 @@ import (
 //   - "stage": an annealing stage is starting (Stage, AllocIter, Budget)
 //   - "improve": a portfolio chain improved its incumbent (Stage, Chain,
 //     Iter, Cost)
-//   - "stage-done": the stage finished with its best Cost
-//   - "cache": an evaluation-cache counter snapshot (after each stage)
+//   - "stage-done": the stage finished with its best Cost (-1 when it found
+//     nothing feasible)
+//   - "cache": the cache counters' growth since the run started (after each
+//     stage)
 //   - "done": the request finished; Cost is the final objective value
 //   - "error": the request failed or was canceled; Err has the reason
 //
@@ -44,7 +46,10 @@ type Event struct {
 	Chain int     `json:"chain,omitempty"`
 	Iter  int     `json:"iter,omitempty"`
 	Cost  float64 `json:"cost,omitempty"`
-	// Cache is the evaluation-cache snapshot ("cache" events only).
+	// Cache is the growth of the evaluation cache's hits, misses and
+	// flushes since the run started ("cache" events only), including
+	// lookups by concurrent runs sharing the cache; Entries is its current
+	// size.
 	Cache *sim.CacheStats `json:"cache,omitempty"`
 	// Err is the failure reason ("error" events only).
 	Err string `json:"error,omitempty"`
@@ -81,10 +86,10 @@ func (h *Hooks) Emit(e Event) {
 }
 
 // progressTap adapts a solver's Progress callback into tagged engine events,
-// following each stage completion with an evaluation-cache snapshot. A nil
-// return (no hooks installed) keeps the solver's callback plumbing off
-// entirely.
-func progressTap(h *Hooks, backend, component string, cache sim.EvalCache) func(soma.Progress) {
+// following each stage completion with the run's cache counters when the
+// solver reports them. A nil return (no hooks installed) keeps the solver's
+// callback plumbing off entirely.
+func progressTap(h *Hooks, backend, component string) func(soma.Progress) {
 	if h == nil || h.Event == nil {
 		return nil
 	}
@@ -101,9 +106,8 @@ func progressTap(h *Hooks, backend, component string, cache sim.EvalCache) func(
 			ev.Kind = "stage-done"
 		}
 		h.Emit(ev)
-		if p.Kind == "done" && cache != nil {
-			st := cache.Stats()
-			h.Emit(Event{Kind: "cache", Backend: backend, Component: component, Cache: &st})
+		if p.Cache != nil {
+			h.Emit(Event{Kind: "cache", Backend: backend, Component: component, Cache: p.Cache})
 		}
 	}
 }

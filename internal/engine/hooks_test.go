@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"soma/internal/sim"
 	"soma/internal/soma"
 	"soma/internal/workload"
 )
@@ -177,4 +178,46 @@ func TestEmitNilSafety(t *testing.T) {
 	var h *Hooks
 	h.Emit(Event{Kind: "start"}) // must not panic
 	(&Hooks{}).Emit(Event{Kind: "start"})
+}
+
+// TestHooksCacheEventsReportRunTraffic: on a shared cache warmed by an
+// earlier run, a run's "cache" events count its own traffic, not the
+// cache's lifetime totals: the last one equals the result's search counters.
+// With the Buffer Allocator on, seed 2 has an allocator iteration whose
+// stage 1 finds nothing feasible; its lookups must still be reported.
+func TestHooksCacheEventsReportRunTraffic(t *testing.T) {
+	for _, noAlloc := range []bool{true, false} {
+		par := func(seed int64) soma.Params {
+			p := fastPar(seed)
+			p.Ablate.NoAllocator = noAlloc
+			return p
+		}
+		shared := sim.NewCache(0)
+		req := Request{Model: "mobilenetv2", Platform: "edge", Params: par(1), Cache: shared}
+		if _, err := Run(context.Background(), req, nil); err != nil {
+			t.Fatal(err)
+		}
+		req.Params = par(2)
+		var last *sim.CacheStats
+		res, err := Run(context.Background(), req, &Hooks{Event: func(e Event) {
+			if e.Kind == "cache" {
+				last = e.Cache
+			}
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last == nil {
+			t.Fatalf("noAllocator=%v: no cache event streamed", noAlloc)
+		}
+		s := res.Search
+		if last.Hits != s.CacheHits || last.Misses != s.CacheMisses {
+			t.Errorf("noAllocator=%v: last cache event hits/misses %d/%d, result %d/%d",
+				noAlloc, last.Hits, last.Misses, s.CacheHits, s.CacheMisses)
+		}
+		if s.CacheHits == 0 || s.CacheMisses == 0 {
+			t.Errorf("noAllocator=%v: second run should both hit the warm cache and miss it: %d/%d",
+				noAlloc, s.CacheHits, s.CacheMisses)
+		}
+	}
 }

@@ -134,9 +134,6 @@ type Kernel struct {
 // Pointwise is the 1x1/stride-1 kernel used by layers with no spatial window.
 func Pointwise() Kernel { return Kernel{KH: 1, KW: 1, SH: 1, SW: 1} }
 
-// HasHalo reports whether fused tiles of this layer overlap on input rows.
-func (k Kernel) HasHalo() bool { return k.KH > k.SH || k.KW > k.SW }
-
 // InSpan maps an output index interval [o0,o1) to the input interval it
 // reads, along one axis with window kw, stride s, padding p, clamped to
 // [0,limit).
@@ -207,9 +204,6 @@ type Layer struct {
 	Ops int64
 }
 
-// HasWeights reports whether the layer loads parameters from DRAM.
-func (l *Layer) HasWeights() bool { return l.WeightBytes > 0 }
-
 // OutBytes is the full output footprint with the graph's element width.
 func (g *Graph) OutBytes(id LayerID) int64 {
 	return g.Layers[id].Out.Bytes(g.ElemBytes)
@@ -278,17 +272,6 @@ func (g *Graph) Consumers(id LayerID) []LayerID { return g.consumers[id] }
 // IsOutput reports whether a layer's result leaves the network (no
 // consumers). Such ofmaps must always be written back to DRAM.
 func (g *Graph) IsOutput(id LayerID) bool { return len(g.consumers[id]) == 0 }
-
-// Inputs returns the IDs of Input pseudo-layers.
-func (g *Graph) Inputs() []LayerID {
-	var in []LayerID
-	for i := range g.Layers {
-		if g.Layers[i].Kind == Input {
-			in = append(in, LayerID(i))
-		}
-	}
-	return in
-}
 
 // ComputeLayers returns the IDs of all non-Input layers in insertion order.
 func (g *Graph) ComputeLayers() []LayerID {

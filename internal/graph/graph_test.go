@@ -149,12 +149,8 @@ func TestAddAssignsIDsAndConsumers(t *testing.T) {
 
 func TestInputsAndComputeLayers(t *testing.T) {
 	g, ids := chain(t)
-	in := g.Inputs()
-	if len(in) != 1 || in[0] != ids[0] {
-		t.Fatalf("Inputs = %v", in)
-	}
 	cl := g.ComputeLayers()
-	if len(cl) != 3 {
+	if len(cl) != 3 || cl[0] != ids[1] {
 		t.Fatalf("ComputeLayers = %v", cl)
 	}
 	for _, id := range cl {

@@ -7,18 +7,6 @@ func TestPointwiseKernel(t *testing.T) {
 	if k.KH != 1 || k.KW != 1 || k.SH != 1 || k.SW != 1 {
 		t.Fatalf("Pointwise = %+v", k)
 	}
-	if k.HasHalo() {
-		t.Fatal("pointwise kernel cannot have halo")
-	}
-	if !(Kernel{KH: 3, KW: 3, SH: 1, SW: 1}).HasHalo() {
-		t.Fatal("3x3/s1 must have halo")
-	}
-	if (Kernel{KH: 2, KW: 2, SH: 2, SW: 2}).HasHalo() {
-		t.Fatal("2x2/s2 must not have halo")
-	}
-	if !(Kernel{KH: 3, KW: 1, SH: 2, SW: 1}).HasHalo() {
-		t.Fatal("asymmetric 3x1/s2x1 overlaps on H")
-	}
 }
 
 func TestHasWeightsAndOutBytes(t *testing.T) {
@@ -26,8 +14,8 @@ func TestHasWeightsAndOutBytes(t *testing.T) {
 	in := g.Add(Layer{Name: "in", Kind: Input, Out: Shape{N: 1, C: 4, H: 2, W: 2}})
 	c := g.Add(Layer{Name: "c", Kind: Conv, Deps: []Dep{{Producer: in}},
 		Out: Shape{N: 1, C: 8, H: 2, W: 2}, WeightBytes: 32, Ops: 10})
-	if !g.Layer(c).HasWeights() || g.Layer(in).HasWeights() {
-		t.Fatal("HasWeights misclassifies")
+	if g.Layer(c).WeightBytes != 32 || g.Layer(in).WeightBytes != 0 {
+		t.Fatal("weight bytes not kept per layer")
 	}
 	if g.OutBytes(c) != 8*2*2*2 {
 		t.Fatalf("OutBytes = %d", g.OutBytes(c))

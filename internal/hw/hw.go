@@ -98,11 +98,6 @@ func (c *Config) PeakOpsPerNS() float64 {
 // PeakTOPS is the headline peak rate in tera-ops/second.
 func (c *Config) PeakTOPS() float64 { return c.PeakOpsPerNS() / 1000 }
 
-// PeakVecOpsPerNS is the whole-chip peak vector rate in ops/ns.
-func (c *Config) PeakVecOpsPerNS() float64 {
-	return float64(c.Cores*c.VecLanesPerCore) * c.FreqGHz
-}
-
 // CyclesToNS converts core cycles to nanoseconds.
 func (c *Config) CyclesToNS(cycles float64) float64 { return cycles / c.FreqGHz }
 

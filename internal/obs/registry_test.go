@@ -205,7 +205,7 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var o *Obs
-	if o.Registry() != nil || o.Trace() != nil || o.Trackf("x") != nil {
+	if o.Registry() != nil || o.Trace() != nil {
 		t.Error("nil Obs handed out non-nil parts")
 	}
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -223,13 +222,4 @@ func (o *Obs) Trace() *Tracer {
 		return nil
 	}
 	return o.Tracer
-}
-
-// Trackf is shorthand for Trace().Track(fmt.Sprintf(...)); handy for
-// per-point sweep tracks. Nil-safe.
-func (o *Obs) Trackf(format string, args ...any) *Track {
-	if o == nil || o.Tracer == nil {
-		return nil
-	}
-	return o.Tracer.Track(fmt.Sprintf(format, args...))
 }

@@ -7,8 +7,6 @@
 // operator, evaluates the candidate, always accepts improvements and accepts
 // regressions with probability p = exp((c-c')/(c*T_n)), where the
 // temperature follows the paper's schedule T_n = T0*(1-n/N)/(1+alpha*n/N).
-// An optional wall-clock deadline switches the tail of the search to
-// improve-only iterations (the paper's "Y more iterations" rule).
 //
 // The engine is generic over the state type through the MoveState
 // interface: a state applies one move in place, reports its cost, and then

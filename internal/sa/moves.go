@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"soma/internal/obs"
 )
@@ -94,25 +93,9 @@ func RunMovesCtx[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, fl
 			Temperature(cfg.T0, cfg.Alpha, 0, cfg.Iters), incs))
 	}
 
-	var deadline time.Time
-	if cfg.Deadline > 0 {
-		deadline = time.Now().Add(cfg.Deadline)
-	}
-	improveOnly := false
-	post := cfg.PostIters
-
 	for n := 0; n < cfg.Iters; n++ {
 		if n%cancelCheckEvery == 0 && ctx.Err() != nil {
 			break
-		}
-		if !deadline.IsZero() && !improveOnly && n%64 == 0 && time.Now().After(deadline) {
-			improveOnly = true
-		}
-		if improveOnly {
-			if post <= 0 {
-				break
-			}
-			post--
 		}
 		st.Iterations++
 		cc, ok := ms.Propose(rng)
@@ -123,7 +106,7 @@ func RunMovesCtx[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, fl
 				accept = true
 			case math.IsInf(curCost, 1):
 				accept = !math.IsInf(cc, 1)
-			case improveOnly || math.IsInf(cc, 1):
+			case math.IsInf(cc, 1):
 				accept = false
 			default:
 				temp := Temperature(cfg.T0, cfg.Alpha, n, cfg.Iters)
@@ -181,10 +164,6 @@ func RunMovesCtx[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, fl
 // Config.Seed+c, and the winner is selected by (cost, chain index), so a
 // fixed Config.Seed yields an identical result for any Workers value -
 // parallelism is observationally equivalent to the serial sweep.
-//
-// The invariance requires Config.Deadline == 0: a wall-clock deadline makes
-// each chain's improve-only cutoff depend on when the pool scheduled it, so
-// deadline runs trade determinism for bounded time.
 //
 // newState builds chain c's private MoveState: move-aware states are
 // stateful by design (they carry spliced evaluator caches), so the chains

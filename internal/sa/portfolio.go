@@ -9,8 +9,7 @@ type PortfolioConfig struct {
 	// Chains is the number of independently seeded restarts. Chain i runs
 	// with seed Config.Seed+i, so the portfolio's outcome is a pure
 	// function of (Config, Chains) - the Workers knob only changes
-	// wall-clock time, never the returned solution (provided
-	// Config.Deadline is zero; see RunMovesPortfolioCtx).
+	// wall-clock time, never the returned solution.
 	Chains int
 	// Workers bounds the goroutines running chains concurrently.
 	Workers int

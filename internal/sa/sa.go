@@ -1,10 +1,6 @@
 package sa
 
-import (
-	"time"
-
-	"soma/internal/obs"
-)
+import "soma/internal/obs"
 
 // Config tunes one annealing run.
 type Config struct {
@@ -14,10 +10,6 @@ type Config struct {
 	Iters int
 	// Seed drives the operator selection (deterministic runs).
 	Seed int64
-	// Deadline, when positive, caps wall-clock time; after it expires the
-	// run performs PostIters improve-only iterations and stops.
-	Deadline  time.Duration
-	PostIters int
 	// OnImprove, when non-nil, is invoked after every improvement of the
 	// incumbent with the iteration index and the new best cost. It observes
 	// the search only: it must not mutate shared state, and it runs on the
@@ -78,7 +70,7 @@ func NewTelemetry(reg *obs.Registry, stage string) *Telemetry {
 
 // DefaultConfig returns the temperatures used across the experiments.
 func DefaultConfig(iters int, seed int64) Config {
-	return Config{T0: 0.25, Alpha: 4, Iters: iters, Seed: seed, PostIters: 0}
+	return Config{T0: 0.25, Alpha: 4, Iters: iters, Seed: seed}
 }
 
 // Stats summarizes a run.

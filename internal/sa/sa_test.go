@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestTemperatureSchedule(t *testing.T) {
@@ -145,26 +144,6 @@ func TestRunSkipsRejectedNeighbors(t *testing.T) {
 	if calls != 1 { // only the init evaluation
 		t.Fatalf("cost called %d times for rejected neighbors", calls)
 	}
-}
-
-func TestRunDeadlineImproveOnly(t *testing.T) {
-	cfg := DefaultConfig(1_000_000, 1)
-	cfg.Deadline = time.Millisecond
-	cfg.PostIters = 10
-	worsenings := 0
-	cost := func(x float64) float64 { return x }
-	neighbor := func(x float64, rng *rand.Rand) (float64, bool) {
-		return x + rng.Float64() - 0.3, true
-	}
-	start := time.Now()
-	_, _, st := anneal(bg, cfg, 100.0, cost, neighbor)
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("deadline ignored")
-	}
-	if st.Iterations >= 1_000_000 {
-		t.Fatal("ran the full budget despite deadline")
-	}
-	_ = worsenings
 }
 
 // TestRunCtxCancellation: a canceled context stops the annealer within

@@ -7,7 +7,6 @@ import (
 
 	"soma/internal/core"
 	"soma/internal/coresched"
-	"soma/internal/obs"
 )
 
 // Incremental is a stateful, move-aware schedule evaluator for the DLSA
@@ -109,39 +108,8 @@ type IncStats struct {
 	// EventsTotal is Proposals x (tiles + tensors): the merge events a full
 	// evaluator would have replayed. EventsSimulated is what this one did.
 	EventsTotal, EventsSimulated int64
-}
-
-// IncTelemetry mirrors IncStats (plus rollbacks) as shared registry
-// counters, so every incremental evaluator in a run - one per portfolio
-// chain - aggregates into the same sim_inc_* family. All fields may be nil
-// (obs counters are nil-safe), and a nil *IncTelemetry disables the bundle.
-// An EvaluateProposal already replays O(tiles+tensors) merge events, so its
-// handful of atomic adds is noise on the path it observes.
-type IncTelemetry struct {
-	Proposals, Resumed, Fallbacks, Rollbacks *obs.Counter
-	EventsTotal, EventsSimulated             *obs.Counter
-}
-
-// NewIncTelemetry registers the incremental evaluator's metric family on
-// reg. Nil-safe: a nil registry yields a nil IncTelemetry.
-func NewIncTelemetry(reg *obs.Registry) *IncTelemetry {
-	if reg == nil {
-		return nil
-	}
-	return &IncTelemetry{
-		Proposals: reg.Counter("sim_inc_proposals_total",
-			"Incremental-evaluator proposal evaluations."),
-		Resumed: reg.Counter("sim_inc_resumed_total",
-			"Proposals resumed from a cached checkpoint."),
-		Fallbacks: reg.Counter("sim_inc_fallbacks_total",
-			"Proposals re-simulated from scratch (no valid checkpoint)."),
-		Rollbacks: reg.Counter("sim_inc_rollbacks_total",
-			"Rejected proposals rolled back in place."),
-		EventsTotal: reg.Counter("sim_inc_events_total",
-			"Merge events a full evaluator would have replayed."),
-		EventsSimulated: reg.Counter("sim_inc_events_simulated_total",
-			"Merge events actually re-simulated."),
-	}
+	// Rollbacks is the number of Reject calls.
+	Rollbacks int64
 }
 
 // NewIncremental builds an incremental evaluator owning s. The schedule must
@@ -419,16 +387,6 @@ func (inc *Incremental) EvaluateProposal() (*Metrics, error) {
 	} else {
 		inc.stats.Fallbacks++
 	}
-	if tel := inc.opt.Telemetry; tel != nil {
-		tel.Proposals.Inc()
-		tel.EventsTotal.Add(int64(inc.n + inc.m))
-		tel.EventsSimulated.Add(int64((inc.n - ck.i) + (inc.m - ck.j)))
-		if idx >= 0 {
-			tel.Resumed.Inc()
-		} else {
-			tel.Fallbacks.Inc()
-		}
-	}
 	err := inc.resim(ck)
 	inc.propEvaluated = true
 	inc.propErr = err
@@ -580,9 +538,7 @@ func (inc *Incremental) Reject() {
 	inc.pending = pendingMove{}
 	inc.propEvaluated = false
 	inc.propErr = nil
-	if tel := inc.opt.Telemetry; tel != nil {
-		tel.Rollbacks.Inc()
-	}
+	inc.stats.Rollbacks++
 }
 
 // rotateOrder moves the element at position from to position to, shifting

@@ -46,11 +46,6 @@ type Options struct {
 	// daemon) must set a scope that identifies that context; Evaluate
 	// itself ignores the field.
 	CacheScope string
-	// Telemetry, when non-nil, lets an Incremental evaluator count its
-	// proposals/resumes/fallbacks/rollbacks into a shared obs registry.
-	// Observation only - evaluation results are unaffected. Evaluate
-	// ignores the field.
-	Telemetry *IncTelemetry
 }
 
 // TileCosts caches the compute-side evaluation of a schedule's tiles.

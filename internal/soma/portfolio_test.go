@@ -1,7 +1,6 @@
 package soma
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -23,27 +22,25 @@ func portfolioParams(chains, workers int) Params {
 }
 
 // TestPortfolioWorkerCountInvariance is the tentpole determinism guarantee:
-// with a fixed seed, the serialized best schedule is byte-identical no
-// matter how many workers execute the portfolio (ResNet-50, edge platform).
+// with a fixed seed, the best schedule's canonical key (its complete
+// scheduling decision: all six attributes) is identical no matter how many
+// workers execute the portfolio (ResNet-50, edge platform).
 func TestPortfolioWorkerCountInvariance(t *testing.T) {
 	g := models.ResNet50(1)
-	var want []byte
+	var want string
 	for _, workers := range []int{1, 8} {
 		res, err := New(g, hw.Edge(), EDP(), portfolioParams(4, workers)).Run()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		var buf bytes.Buffer
-		if err := res.Schedule.WriteScheme(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = buf.Bytes()
+		key := res.Schedule.CanonicalKey()
+		if want == "" {
+			want = key
 			continue
 		}
-		if !bytes.Equal(want, buf.Bytes()) {
-			t.Fatalf("workers=8 produced a different serialized schedule (%d vs %d bytes)",
-				len(want), buf.Len())
+		if key != want {
+			t.Fatalf("workers=8 produced a different schedule (%d vs %d key bytes)",
+				len(want), len(key))
 		}
 	}
 }

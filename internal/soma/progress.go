@@ -1,5 +1,7 @@
 package soma
 
+import "soma/internal/sim"
+
 // Progress is one solver progress callback delivered to Explorer.Progress
 // (and, with Stage "cocco", to the baseline's equivalent hook). The solver
 // reports three kinds of observations:
@@ -8,7 +10,9 @@ package soma
 //   - "improve": one portfolio chain improved its incumbent (Chain, Iter,
 //     Cost); chains run concurrently, so improve callbacks may arrive from
 //     multiple goroutines interleaved
-//   - "done": the stage finished with its final best Cost
+//   - "done": the stage finished with its final best Cost (+Inf when
+//     nothing it visited was feasible) and, with a Cache, the run's cache
+//     traffic so far
 //
 // Callbacks observe the search only - they never influence the explored
 // space or the returned result, so a fixed seed yields byte-identical
@@ -28,13 +32,22 @@ type Progress struct {
 	Chain int
 	Iter  int
 	Cost  float64
+	// Cache is the growth of the explorer's evaluation-cache counters since
+	// RunContext started ("done" events only, nil without a Cache); the
+	// Result's Cache is the same difference taken at the end of the run.
+	Cache *sim.CacheStats
 }
 
 // notify delivers a progress event if a hook is installed.
 func (e *Explorer) notify(p Progress) {
-	if e.Progress != nil {
-		e.Progress(p)
+	if e.Progress == nil {
+		return
 	}
+	if p.Kind == "done" && e.Cache != nil {
+		st := e.cacheTraffic()
+		p.Cache = &st
+	}
+	e.Progress(p)
 }
 
 // improveHook adapts the portfolio's per-chain improvement callback to a

@@ -195,6 +195,9 @@ type Explorer struct {
 	// stage1WallNS/stage2WallNS accumulate per-stage wall time across the
 	// allocator loop; RunContext folds them into the Result.
 	stage1WallNS, stage2WallNS int64
+	// cacheBase is Cache's counter snapshot taken when RunContext started;
+	// cacheTraffic reports the growth since.
+	cacheBase sim.CacheStats
 	// memo holds the FLG plans, slab sizes and tile costs of every stage-1
 	// miss (see flgMemo).
 	memoMu sync.Mutex
@@ -256,18 +259,13 @@ func (e *Explorer) RunContext(ctx context.Context) (*Result, error) {
 	e.stage1WallNS, e.stage2WallNS = 0, 0
 	allocIters := e.Reg.Counter("soma_alloc_iters_total",
 		"Buffer Allocator iterations executed.")
-	var before sim.CacheStats
+	e.cacheBase = sim.CacheStats{}
 	if e.Cache != nil {
-		before = e.Cache.Stats()
+		e.cacheBase = e.Cache.Stats()
 	}
 	finish := func(r *Result) *Result {
 		if e.Cache != nil {
-			st := e.Cache.Stats()
-			st.Hits -= before.Hits
-			st.Misses -= before.Misses
-			st.Flushes -= before.Flushes
-			st.Rate = st.HitRate()
-			r.Cache = st
+			r.Cache = e.cacheTraffic()
 		}
 		r.Stage1WallNS, r.Stage2WallNS = e.stage1WallNS, e.stage2WallNS
 		allocIters.Add(int64(r.AllocIters))
@@ -315,6 +313,18 @@ func (e *Explorer) RunContext(ctx context.Context) (*Result, error) {
 		}
 	}
 	return finish(best), nil
+}
+
+// cacheTraffic is the growth of Cache's hit, miss and flush counters since
+// RunContext started (Entries is the cache's current size). A Cache shared
+// with concurrent explorers also counts their lookups.
+func (e *Explorer) cacheTraffic() sim.CacheStats {
+	st := e.Cache.Stats()
+	st.Hits -= e.cacheBase.Hits
+	st.Misses -= e.cacheBase.Misses
+	st.Flushes -= e.cacheBase.Flushes
+	st.Rate = st.HitRate()
+	return st
 }
 
 // RunOnce performs a single two-stage exploration with the given stage-1

@@ -55,6 +55,7 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 		return nil, StageResult{}, err
 	}
 	if math.IsInf(bestCost, 1) {
+		e.notify(Progress{Stage: "stage1", Kind: "done", AllocIter: e.allocIter, Cost: bestCost})
 		return nil, StageResult{}, ErrNoFeasible
 	}
 	var arena *sim.Arena

@@ -51,15 +51,16 @@ func (e *Explorer) RunStage2(ctx context.Context, sched *core.Schedule, seed int
 	pf := e.portfolio()
 	pf.OnImprove = e.improveHook("stage2")
 	pf.Journal = e.stageJournal("stage2")
-	incTel := sim.NewIncTelemetry(e.Reg)
+	chains := make([]*stage2Moves, max(pf.Chains, 1))
 	best, bestCost, stats := sa.RunMovesPortfolioCtx[*core.Schedule](ctx, cfg, pf,
-		func(int) sa.MoveState[*core.Schedule] {
+		func(c int) sa.MoveState[*core.Schedule] {
 			// Chains perturb their own schedule clone and incremental
-			// evaluator; the tile costs, size picker, evaluation cache
-			// and telemetry counters are shared (all safe for
-			// concurrent use).
-			return newStage2Moves(e, sched.Clone(), picker, tc, incTel)
+			// evaluator; the tile costs, size picker and evaluation cache
+			// are shared (all safe for concurrent use).
+			chains[c] = newStage2Moves(e, sched.Clone(), picker, tc)
+			return chains[c]
 		})
+	e.addIncStats(chains)
 	_, m := e.cost(best, e.Cfg.GBufBytes)
 	e.notify(Progress{Stage: "stage2", Kind: "done", AllocIter: e.allocIter, Cost: bestCost})
 	return best, StageResult{Metrics: m, Cost: bestCost, Stats: stats}
@@ -79,16 +80,46 @@ type stage2Moves struct {
 	kind string
 }
 
-func newStage2Moves(e *Explorer, s *core.Schedule, picker *sizePicker, tc *sim.TileCosts,
-	tel *sim.IncTelemetry) *stage2Moves {
+func newStage2Moves(e *Explorer, s *core.Schedule, picker *sizePicker, tc *sim.TileCosts) *stage2Moves {
 	inc, err := sim.NewIncremental(s, e.CS, sim.Options{
-		BufferBudget: e.Cfg.GBufBytes, TileCosts: tc, CacheScope: e.Scope, Telemetry: tel})
+		BufferBudget: e.Cfg.GBufBytes, TileCosts: tc, CacheScope: e.Scope})
 	if err != nil {
 		// Only reachable on tile-cost/schedule shape mismatch, which a
 		// parse-derived schedule cannot produce.
 		panic("soma: stage-2 incremental evaluator: " + err.Error())
 	}
 	return &stage2Moves{e: e, picker: picker, inc: inc}
+}
+
+// addIncStats adds the finished chains' incremental-evaluator counters
+// (sim.IncStats) to the registry's sim_inc_* family. Like sa.Telemetry,
+// it adds in bulk once the chains are done, so proposals pay no atomics.
+func (e *Explorer) addIncStats(chains []*stage2Moves) {
+	if e.Reg == nil {
+		return
+	}
+	var sum sim.IncStats
+	for _, ms := range chains {
+		st := ms.inc.Stats()
+		sum.Proposals += st.Proposals
+		sum.Resumed += st.Resumed
+		sum.Fallbacks += st.Fallbacks
+		sum.Rollbacks += st.Rollbacks
+		sum.EventsTotal += st.EventsTotal
+		sum.EventsSimulated += st.EventsSimulated
+	}
+	e.Reg.Counter("sim_inc_proposals_total",
+		"Incremental-evaluator proposal evaluations.").Add(sum.Proposals)
+	e.Reg.Counter("sim_inc_resumed_total",
+		"Proposals resumed from a cached checkpoint.").Add(sum.Resumed)
+	e.Reg.Counter("sim_inc_fallbacks_total",
+		"Proposals re-simulated from scratch (no valid checkpoint).").Add(sum.Fallbacks)
+	e.Reg.Counter("sim_inc_rollbacks_total",
+		"Rejected proposals rolled back in place.").Add(sum.Rollbacks)
+	e.Reg.Counter("sim_inc_events_total",
+		"Merge events a full evaluator would have replayed.").Add(sum.EventsTotal)
+	e.Reg.Counter("sim_inc_events_simulated_total",
+		"Merge events actually re-simulated.").Add(sum.EventsSimulated)
 }
 
 // objective folds metrics into the annealing cost (+Inf for deadlocked or

@@ -1,11 +1,14 @@
 package soma
 
 import (
+	"context"
 	"testing"
 
 	"soma/internal/core"
 	"soma/internal/graph"
 	"soma/internal/hw"
+	"soma/internal/obs"
+	"soma/internal/sa"
 	"soma/internal/sim"
 )
 
@@ -22,7 +25,7 @@ func TestStage2KeyMatchesCacheKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := newStage2Moves(e, s, newSizePicker(s), sim.PrecomputeTileCosts(s, e.CS), nil)
+	ms := newStage2Moves(e, s, newSizePicker(s), sim.PrecomputeTileCosts(s, e.CS))
 	check := func(step int) {
 		t.Helper()
 		want := sim.Key(e.Scope+s.CanonicalKey(), e.Cfg.GBufBytes)
@@ -70,7 +73,7 @@ func TestStage2MoveAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ms := newStage2Moves(e, s, newSizePicker(s), sim.PrecomputeTileCosts(s, e.CS), nil)
+			ms := newStage2Moves(e, s, newSizePicker(s), sim.PrecomputeTileCosts(s, e.CS))
 			ms.InitCost()
 			rng := newRand(5)
 			propose := func() {
@@ -92,5 +95,77 @@ func TestStage2MoveAllocs(t *testing.T) {
 				t.Errorf("%.1f allocs per stage-2 proposal, limit %d", allocs, limit)
 			}
 		})
+	}
+}
+
+// TestStage2IncCounters: once a stage-2 run returns, each sim_inc_* counter
+// holds the sum of its chains' sim.IncStats. Two explorers on fresh caches
+// run the same serial fixed-seed portfolio: one through RunStage2 with a
+// registry, the other chain by chain so the test can read each chain's
+// evaluator.
+func TestStage2IncCounters(t *testing.T) {
+	g := testNet(t)
+	par := FastParams()
+	par.Chains, par.Workers = 3, 1
+	s, err := core.Parse(g, core.DefaultEncoding(g, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 11
+
+	e := New(g, hw.Edge(), EDP(), par)
+	e.Reg = obs.NewRegistry()
+	_, res := e.RunStage2(context.Background(), s.Clone(), seed)
+
+	ref := New(g, hw.Edge(), EDP(), par)
+	tc := sim.PrecomputeTileCosts(s, ref.CS)
+	chains := make([]*stage2Moves, par.Chains)
+	cfg := sa.Config{T0: par.T0, Alpha: par.Alpha,
+		Iters: min(par.Beta2*len(s.Tensors), par.Stage2MaxIters), Seed: seed + 7919}
+	_, cost, _ := sa.RunMovesPortfolioCtx[*core.Schedule](context.Background(), cfg, ref.portfolio(),
+		func(c int) sa.MoveState[*core.Schedule] {
+			chains[c] = newStage2Moves(ref, s.Clone(), newSizePicker(s), tc)
+			return chains[c]
+		})
+	if cost != res.Cost {
+		t.Fatalf("reference portfolio cost %g, RunStage2 %g", cost, res.Cost)
+	}
+	var want sim.IncStats
+	for _, ms := range chains {
+		st := ms.inc.Stats()
+		want.Proposals += st.Proposals
+		want.Resumed += st.Resumed
+		want.Fallbacks += st.Fallbacks
+		want.Rollbacks += st.Rollbacks
+		want.EventsTotal += st.EventsTotal
+		want.EventsSimulated += st.EventsSimulated
+	}
+	if want.Proposals == 0 || want.Rollbacks == 0 {
+		t.Fatalf("stage 2 made no proposals or rollbacks: %+v", want)
+	}
+	if want.Rollbacks != int64(res.Stats.Total.Rejected) {
+		t.Errorf("rollbacks %d, annealer rejections %d", want.Rollbacks, res.Stats.Total.Rejected)
+	}
+	for name, v := range map[string]int64{
+		"sim_inc_proposals_total":        want.Proposals,
+		"sim_inc_resumed_total":          want.Resumed,
+		"sim_inc_fallbacks_total":        want.Fallbacks,
+		"sim_inc_rollbacks_total":        want.Rollbacks,
+		"sim_inc_events_total":           want.EventsTotal,
+		"sim_inc_events_simulated_total": want.EventsSimulated,
+	} {
+		if got := e.Reg.Counter(name, "").Value(); got != v {
+			t.Errorf("%s = %d, chains' IncStats sum %d", name, got, v)
+		}
+	}
+
+	// Chains on several goroutines: which proposals hit the shared cache
+	// depends on scheduling, but every rejection is still one rollback.
+	par.Workers = 3
+	pe := New(g, hw.Edge(), EDP(), par)
+	pe.Reg = obs.NewRegistry()
+	_, pres := pe.RunStage2(context.Background(), s.Clone(), seed)
+	if got := pe.Reg.Counter("sim_inc_rollbacks_total", "").Value(); got != int64(pres.Stats.Total.Rejected) {
+		t.Errorf("parallel chains: %d rollbacks, annealer rejections %d", got, pres.Stats.Total.Rejected)
 	}
 }

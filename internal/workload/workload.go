@@ -162,16 +162,6 @@ type Placement struct {
 	Spans []Span
 }
 
-// Owner returns the index in Spans of the component owning layer id, or -1.
-func (p *Placement) Owner(id graph.LayerID) int {
-	for i := range p.Spans {
-		if id >= p.Spans[i].First && id <= p.Spans[i].Last {
-			return i
-		}
-	}
-	return -1
-}
-
 // order returns the components in composition order: spec order for
 // interleaved and prefill+decode (the pair's order is semantic), descending
 // weight (stable) for sequential, where higher-priority models run first.

@@ -75,19 +75,16 @@ func TestComposeValidatesAndPreservesOwnership(t *testing.T) {
 				if !strings.HasPrefix(g.Layer(id).Name, prefix) {
 					t.Fatalf("%s: layer %d named %q, want prefix %q", name, id, g.Layer(id).Name, prefix)
 				}
-				if got := pl.Owner(id); pl.Spans[got].Component.Name != span.Component.Name {
-					t.Fatalf("%s: Owner(%d) resolved to %s", name, id, pl.Spans[got].Component.Name)
-				}
 			}
 		}
 		if int(next) != g.Len() {
 			t.Fatalf("%s: spans cover %d layers, graph has %d", name, next, g.Len())
 		}
-		if pl.Owner(graph.LayerID(g.Len())) != -1 {
-			t.Fatal("Owner past the graph must be -1")
-		}
 	}
 }
+
+// inSpan reports whether layer id belongs to the component of span s.
+func inSpan(s Span, id graph.LayerID) bool { return id >= s.First && id <= s.Last }
 
 // TestSequentialBarriers: sequential arrival orders components by descending
 // weight and serializes them with ordering-only barrier edges that the
@@ -111,8 +108,8 @@ func TestSequentialBarriers(t *testing.T) {
 	for id := pl.Spans[1].First; id <= pl.Spans[1].Last; id++ {
 		for _, a := range g.Layer(id).After {
 			barriers++
-			if own := pl.Owner(a); own != 0 {
-				t.Fatalf("barrier target %d owned by span %d, want 0", a, own)
+			if !inSpan(pl.Spans[0], a) {
+				t.Fatalf("barrier target %d outside the first component", a)
 			}
 			if !g.IsOutput(a) {
 				t.Fatalf("barrier target %d is not a sink of the first component", a)
@@ -137,7 +134,7 @@ func TestSequentialBarriers(t *testing.T) {
 	swapped := append([]graph.LayerID(nil), ord...)
 	// Find the first compute layer of component 1 and move it to front.
 	for i, id := range swapped {
-		if pl.Owner(id) == 1 {
+		if inSpan(pl.Spans[1], id) {
 			copy(swapped[1:i+1], swapped[:i])
 			swapped[0] = id
 			break
@@ -163,7 +160,7 @@ func TestSequentialBarriers(t *testing.T) {
 	}
 	ordI := gi.TopoOrder()
 	for i, id := range ordI {
-		if pli.Owner(id) == 1 {
+		if inSpan(pli.Spans[1], id) {
 			copy(ordI[1:i+1], ordI[:i])
 			ordI[0] = id
 			break
