@@ -57,14 +57,22 @@ func DefaultEncoding(g *graph.Graph, minTile int) *Encoding {
 	return e
 }
 
-// Clone deep-copies the encoding (SA operators mutate copies).
+// Clone returns a deep copy of the encoding. Annealing chains do not clone
+// per proposal: they build each candidate in a reused encoding (CopyFrom).
 func (e *Encoding) Clone() *Encoding {
-	return &Encoding{
-		Order:  append([]graph.LayerID(nil), e.Order...),
-		FLCs:   append([]int(nil), e.FLCs...),
-		IsDRAM: append([]bool(nil), e.IsDRAM...),
-		Tile:   append([]int(nil), e.Tile...),
-	}
+	c := &Encoding{}
+	c.CopyFrom(e)
+	return c
+}
+
+// CopyFrom makes e a deep copy of src, reusing the capacity of e's slices,
+// so a scratch encoding that takes one candidate after another stops
+// allocating once it has held the largest.
+func (e *Encoding) CopyFrom(src *Encoding) {
+	e.Order = append(e.Order[:0], src.Order...)
+	e.FLCs = append(e.FLCs[:0], src.FLCs...)
+	e.IsDRAM = append(e.IsDRAM[:0], src.IsDRAM...)
+	e.Tile = append(e.Tile[:0], src.Tile...)
 }
 
 // NumFLGs returns the number of fine-grained layer-fusion groups.
@@ -189,20 +197,36 @@ func (e *Encoding) SetDRAM(i int, dram bool) bool {
 // MoveLayer relocates the layer at position from to position to, keeping
 // segment tilings attached to positions. Returns false (unchanged) if the
 // resulting order would violate dependencies.
+//
+// It rotates Order in place. Only the moved layer changes places relative
+// to the others, so on a valid order the move is legal iff no layer it
+// jumps over must stay on its side: moving earlier, none of them may be one
+// of its producers or barriers; moving later, none of them may consume it
+// or wait on it. On a valid order of a validated graph it accepts exactly
+// the moves after which g.IsValidOrder holds.
 func (e *Encoding) MoveLayer(g *graph.Graph, from, to int) bool {
 	n := len(e.Order)
 	if from < 0 || from >= n || to < 0 || to >= n || from == to {
 		return false
 	}
-	cand := append([]graph.LayerID(nil), e.Order...)
-	id := cand[from]
-	copy(cand[from:], cand[from+1:])
-	copy(cand[to+1:], cand[to:n-1])
-	cand[to] = id
-	if !g.IsValidOrder(cand) {
-		return false
+	id := e.Order[from]
+	if to < from {
+		l := g.Layer(id)
+		for _, x := range e.Order[to:from] {
+			if l.DependsOn(x) {
+				return false
+			}
+		}
+		copy(e.Order[to+1:from+1], e.Order[to:from])
+	} else {
+		for _, x := range e.Order[from+1 : to+1] {
+			if g.Layer(x).DependsOn(id) {
+				return false
+			}
+		}
+		copy(e.Order[from:to], e.Order[from+1:to+1])
 	}
-	e.Order = cand
+	e.Order[to] = id
 	return true
 }
 

@@ -13,14 +13,15 @@ func AppendKeyInt(b []byte, v int) []byte { return binary.AppendUvarint(b, uint6
 // scheduling space iff their keys are equal, which makes the key usable as a
 // memoization key for schedule evaluation (see sim.Cache).
 func (e *Encoding) CanonicalKey() string {
-	return string(e.appendKey(make([]byte, 0, e.keyCap())))
+	return string(e.AppendKey(make([]byte, 0, e.keyCap())))
 }
 
 // keyCap is a capacity that typically holds the encoding's key.
 func (e *Encoding) keyCap() int { return 2*(len(e.Order)+2*len(e.FLCs)+len(e.Tile)) + 8 }
 
-// appendKey appends CanonicalKey to b.
-func (e *Encoding) appendKey(b []byte) []byte {
+// AppendKey appends CanonicalKey to b, for callers that build a larger key
+// around it in a reused buffer (stage 1's cache key).
+func (e *Encoding) AppendKey(b []byte) []byte {
 	// Varint encoding keeps typical keys well under one byte per field
 	// value; the leading lengths make the concatenation prefix-free.
 	b = AppendKeyInt(b, len(e.Order))
@@ -57,7 +58,7 @@ func (s *Schedule) CanonicalKey() string {
 // position's tensor ID and each tensor's Living Duration are encoded, so a
 // caller can edit the key in place after a DLSA move.
 func (s *Schedule) AppendCanonicalKey(b []byte, orderAt, durAt []int) []byte {
-	b = s.Enc.appendKey(b)
+	b = s.Enc.AppendKey(b)
 	b = AppendKeyInt(b, len(s.Order))
 	for p, id := range s.Order {
 		if orderAt != nil {

@@ -204,6 +204,22 @@ type Layer struct {
 	Ops int64
 }
 
+// DependsOn reports whether l must follow id in a Computing Order: id
+// produces one of l's inputs or is one of its barriers.
+func (l *Layer) DependsOn(id LayerID) bool {
+	for _, d := range l.Deps {
+		if d.Producer == id {
+			return true
+		}
+	}
+	for _, a := range l.After {
+		if a == id {
+			return true
+		}
+	}
+	return false
+}
+
 // OutBytes is the full output footprint with the graph's element width.
 func (g *Graph) OutBytes(id LayerID) int64 {
 	return g.Layers[id].Out.Bytes(g.ElemBytes)
@@ -351,8 +367,8 @@ func (g *Graph) TopoOrder() []LayerID { return g.ComputeLayers() }
 // Computing Order attribute).
 func (g *Graph) IsValidOrder(ord []LayerID) bool {
 	// pos[id] is 1 + id's position in ord, 0 for layers outside it. Every
-	// encoding check and layer move runs this, so it counts the compute
-	// layers in place instead of materializing them.
+	// encoding check runs this, so it counts the compute layers in place
+	// instead of materializing them.
 	pos := make([]int, len(g.Layers))
 	for i, id := range ord {
 		if int(id) < 0 || int(id) >= len(g.Layers) || g.Layers[id].Kind == Input {

@@ -35,8 +35,10 @@ func journalSample(move int64, st Stats, bestCost, curCost, temp float64,
 // ok=false means the drawn move was unproductive, the state is unchanged,
 // and neither Accept nor Reject will be called. After ok=true, exactly one
 // of Accept/Reject follows before the next Propose. Snapshot captures the
-// current accepted state as a value the annealer may retain across further
-// moves (it is called once at init and on every incumbent improvement).
+// current accepted state (it is called once at init and on every incumbent
+// improvement). The value it returns may be a buffer the state reuses: it
+// stays valid across further moves, but only until the next Snapshot, which
+// is all the annealer keeps.
 type MoveState[S any] interface {
 	// InitCost evaluates the initial state (+Inf marks infeasible).
 	InitCost() float64
@@ -46,7 +48,8 @@ type MoveState[S any] interface {
 	Accept()
 	// Reject rolls the proposed move back.
 	Reject()
-	// Snapshot captures the accepted state for best-so-far tracking.
+	// Snapshot captures the accepted state for best-so-far tracking,
+	// valid until the next Snapshot.
 	Snapshot() S
 }
 

@@ -143,7 +143,7 @@ func (inc *Incremental) Key() string {
 		k.b = inc.s.AppendCanonicalKey([]byte(inc.opt.CacheScope), k.orderAt[:inc.m], k.durAt[:inc.m])
 		k.durAt[inc.m] = len(k.b)
 		k.orderAt[inc.m] = k.durAt[0]
-		k.b = appendBudget(k.b, inc.opt.BufferBudget)
+		k.b = AppendBudget(k.b, inc.opt.BufferBudget)
 	}
 	return string(k.b)
 }

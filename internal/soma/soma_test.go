@@ -170,7 +170,8 @@ func TestMutateLFAPreservesLegality(t *testing.T) {
 	enc := core.DefaultEncoding(g, 1)
 	rngEnc := enc
 	for i := 0; i < 300; i++ {
-		c, kind, ok := e.mutateLFAKind(rngEnc, newRand(int64(i)))
+		c := rngEnc.Clone()
+		kind, ok := e.mutateLFA(c, newRand(int64(i)))
 		if kind == "" {
 			t.Fatalf("iteration %d: unnamed operator", i)
 		}

@@ -45,11 +45,10 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 	pf.Journal = e.stageJournal("stage1")
 	best, bestCost, stats := sa.RunMovesPortfolioCtx[*core.Encoding](ctx, cfg, pf,
 		func(int) sa.MoveState[*core.Encoding] {
-			// Encodings are value-like (mutateLFAKind clones before
-			// mutating), so every chain may start from the shared init; each
-			// adapter instance is still private to its chain. The rng draw
-			// order is exactly the historical clone interface's.
-			return &lfaMoves{e: e, budget: budget, cur: init}
+			// Each chain mutates encodings it owns, so it starts from a
+			// private copy of the shared init.
+			return &lfaMoves{e: e, budget: budget, cur: init.Clone(),
+				cand: &core.Encoding{}, best: &core.Encoding{}}
 		})
 	if err := ctx.Err(); err != nil {
 		return nil, StageResult{}, err
@@ -58,8 +57,8 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 		e.notify(Progress{Stage: "stage1", Kind: "done", AllocIter: e.allocIter, Cost: bestCost})
 		return nil, StageResult{}, ErrNoFeasible
 	}
-	var arena *sim.Arena
-	m, err := e.evalEnc(best, budget, &arena)
+	var ev encEval
+	m, err := e.evalEnc(best, budget, &ev)
 	if err != nil {
 		return nil, StageResult{}, err
 	}
@@ -71,20 +70,32 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 	return best, StageResult{Metrics: m, Cost: c, Stats: stats}, nil
 }
 
+// encEval is one chain's stage-1 evaluation storage: the arena its cache
+// misses are evaluated in, built on first use, and the buffer each lookup
+// key is built in.
+type encEval struct {
+	arena *sim.Arena
+	key   []byte
+}
+
 // evalEnc evaluates an encoding under a stage-1 budget. It is keyed on the
 // encoding so cache hits skip the lowering as well as the evaluation:
 // every revisited LFA point - re-proposed moves, the shared initial solution
-// of a portfolio, the winner's re-evaluation - costs one map lookup. A miss
-// is evaluated in *arena, the calling chain's, which it builds on first
-// use: a chain whose lookups all hit allocates none.
-func (e *Explorer) evalEnc(enc *core.Encoding, budget int64, arena **sim.Arena) (*sim.Metrics, error) {
-	return sim.Memoize(e.Cache, sim.Key(e.Scope+encKeyPrefix+enc.CanonicalKey(), budget),
-		func() (*sim.Metrics, error) {
-			if *arena == nil {
-				*arena = sim.NewArena(e.G, e.CS, e.flgMemo())
-			}
-			return (*arena).Evaluate(enc, sim.Options{BufferBudget: budget})
-		})
+// of a portfolio, the winner's re-evaluation - costs one map lookup. The key,
+// sim.Key(Scope+encKeyPrefix+CanonicalKey, budget), is built in ev.key and
+// becomes a string once per lookup; a miss is evaluated in ev's arena, so a
+// chain whose lookups all hit builds none.
+func (e *Explorer) evalEnc(enc *core.Encoding, budget int64, ev *encEval) (*sim.Metrics, error) {
+	k := append(ev.key[:0], e.Scope...)
+	k = append(k, encKeyPrefix...)
+	k = sim.AppendBudget(enc.AppendKey(k), budget)
+	ev.key = k
+	return sim.Memoize(e.Cache, string(k), func() (*sim.Metrics, error) {
+		if ev.arena == nil {
+			ev.arena = sim.NewArena(e.G, e.CS, e.flgMemo())
+		}
+		return ev.arena.Evaluate(enc, sim.Options{BufferBudget: budget})
+	})
 }
 
 // flgMemo returns the FLG memo the explorer's stage-1 chains share across
@@ -98,23 +109,25 @@ func (e *Explorer) flgMemo() *core.FLGMemo {
 	return e.memo
 }
 
-// lfaMoves adapts the stage-1 clone-per-candidate mutator to the move-aware
-// annealer, tagging each productive proposal with its operator kind for the
-// convergence journal. Its rng draw sequence is exactly the historical clone
-// interface's (the operator's draws, then the annealer's acceptance draw),
-// so fixed-seed results are byte-stable across the switch.
+// lfaMoves adapts the stage-1 LFA operators to the move-aware annealer,
+// tagging each productive proposal with its operator kind for the
+// convergence journal. It owns three encodings: cur, the accepted state;
+// cand, which each Propose overwrites with cur and mutates; and best, the
+// copy Snapshot returns. Accept swaps cur and cand, so a chain allocates
+// only while its encodings grow. Only the operator draws from the rng
+// before the annealer's acceptance draw, so reusing cand changes no
+// fixed-seed result.
 type lfaMoves struct {
-	e         *Explorer
-	budget    int64
-	cur, cand *core.Encoding
-	// arena is the chain's evaluation storage for cache misses.
-	arena *sim.Arena
-	kind  string
+	e               *Explorer
+	budget          int64
+	cur, cand, best *core.Encoding
+	ev              encEval
+	kind            string
 }
 
 // cost scores an encoding, +Inf when it is illegal or over budget.
 func (m *lfaMoves) cost(enc *core.Encoding) float64 {
-	met, err := m.e.evalEnc(enc, m.budget, &m.arena)
+	met, err := m.e.evalEnc(enc, m.budget, &m.ev)
 	if err != nil || !met.BufferOK {
 		return math.Inf(1)
 	}
@@ -124,30 +137,38 @@ func (m *lfaMoves) cost(enc *core.Encoding) float64 {
 func (m *lfaMoves) InitCost() float64 { return m.cost(m.cur) }
 
 func (m *lfaMoves) Propose(rng *rand.Rand) (float64, bool) {
-	cand, kind, ok := m.e.mutateLFAKind(m.cur, rng)
+	m.cand.CopyFrom(m.cur)
+	kind, ok := m.e.mutateLFA(m.cand, rng)
 	if !ok {
 		return 0, false
 	}
-	m.cand, m.kind = cand, kind
-	return m.cost(cand), true
+	m.kind = kind
+	return m.cost(m.cand), true
 }
 
-func (m *lfaMoves) Accept()                  { m.cur = m.cand }
-func (m *lfaMoves) Reject()                  {}
-func (m *lfaMoves) Snapshot() *core.Encoding { return m.cur }
-func (m *lfaMoves) MoveKind() string         { return m.kind }
+func (m *lfaMoves) Accept() { m.cur, m.cand = m.cand, m.cur }
+func (m *lfaMoves) Reject() {}
 
-// mutateLFAKind applies one random LFA operator to a clone of enc, also
-// naming the operator drawn (the journal's per-kind accept/reject tallies).
-func (e *Explorer) mutateLFAKind(enc *core.Encoding, rng *rand.Rand) (*core.Encoding, string, bool) {
-	c := enc.Clone()
+// Snapshot copies the accepted state into the chain's best buffer; the
+// annealer keeps only the latest snapshot.
+func (m *lfaMoves) Snapshot() *core.Encoding {
+	m.best.CopyFrom(m.cur)
+	return m.best
+}
+
+func (m *lfaMoves) MoveKind() string { return m.kind }
+
+// mutateLFA applies one random LFA operator to c in place and names the
+// operator drawn (the journal's per-kind accept/reject tallies). c is
+// scratch: an unproductive draw (false) may leave it changed.
+func (e *Explorer) mutateLFA(c *core.Encoding, rng *rand.Rand) (string, bool) {
 	n := len(c.Order)
 	switch rng.Intn(5) {
 	case 0: // Change Computing Order: move a random layer somewhere legal.
-		return c, "order", c.MoveLayer(e.G, rng.Intn(n), rng.Intn(n))
+		return "order", c.MoveLayer(e.G, rng.Intn(n), rng.Intn(n))
 	case 1: // Change Tiling Number: x2 or /2 on a random FLG.
 		if e.Par.Ablate.NoTiling {
-			return c, "tile", false
+			return "tile", false
 		}
 		f := rng.Intn(c.NumFLGs())
 		if rng.Intn(2) == 0 {
@@ -155,15 +176,15 @@ func (e *Explorer) mutateLFAKind(enc *core.Encoding, rng *rand.Rand) (*core.Enco
 			// Cap at the FLG's realizable tile count to keep the
 			// space bounded.
 			if c.Tile[f] > maxTiles(e, c, f) {
-				return c, "tile", false
+				return "tile", false
 			}
 		} else {
 			if c.Tile[f] <= 1 {
-				return c, "tile", false
+				return "tile", false
 			}
 			c.Tile[f] /= 2
 		}
-		return c, "tile", true
+		return "tile", true
 	case 2: // Add an FLC at a random uncut position.
 		p := 1 + rng.Intn(n-1)
 		ok := c.AddFLC(p)
@@ -175,28 +196,27 @@ func (e *Explorer) mutateLFAKind(enc *core.Encoding, rng *rand.Rand) (*core.Enco
 				}
 			}
 		}
-		return c, "add-flc", ok
+		return "add-flc", ok
 	case 3: // Delete an FLC; the merged FLG inherits a tiling number
 		// probabilistically by layer-count ratio (paper rule).
 		if len(c.FLCs) == 0 {
-			return c, "del-flc", false
+			return "del-flc", false
 		}
 		i := rng.Intn(len(c.FLCs))
 		loA, hiA := c.FLGBounds(i)
-		loB, hiB := c.FLGBounds(i + 1)
+		_, hiB := c.FLGBounds(i + 1)
 		tile := c.Tile[i]
 		if rng.Intn(hiB-loA) >= hiA-loA {
 			tile = c.Tile[i+1]
 		}
-		_ = loB
-		return c, "del-flc", c.RemoveFLC(i, tile)
+		return "del-flc", c.RemoveFLC(i, tile)
 	default: // Add/Delete a DRAM cut (the added one must be an FLC).
 		if len(c.FLCs) == 0 || e.Par.Ablate.NoFLC {
-			return c, "dram-cut", false
+			return "dram-cut", false
 		}
 		i := rng.Intn(len(c.FLCs))
 		c.IsDRAM[i] = !c.IsDRAM[i]
-		return c, "dram-cut", true
+		return "dram-cut", true
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"soma/internal/graph"
 	"soma/internal/hw"
 	"soma/internal/models"
-	"soma/internal/sim"
 )
 
 // prefill2Blk is GPT-2 Small prefill cut to two transformer blocks.
@@ -25,8 +24,8 @@ func lfaWalk(e *Explorer, n int) []*core.Encoding {
 	cur := InitialEncoding(e.G, e.Cfg, e.Par.MinTile)
 	var walk []*core.Encoding
 	for len(walk) < n {
-		cand, _, ok := e.mutateLFAKind(cur, rng)
-		if !ok {
+		cand := cur.Clone()
+		if _, ok := e.mutateLFA(cand, rng); !ok {
 			continue
 		}
 		walk = append(walk, cand)
@@ -42,7 +41,7 @@ func lfaWalk(e *Explorer, n int) []*core.Encoding {
 // merge and metrics - allocates a fixed handful of times, on a CNN of a few
 // dozen FLGs and on a prefill cut of thousands of tiles alike.
 func TestStage1MissAllocs(t *testing.T) {
-	const limit = 8
+	const limit = 4
 	for _, c := range []struct {
 		name string
 		g    *graph.Graph
@@ -54,22 +53,53 @@ func TestStage1MissAllocs(t *testing.T) {
 			e := New(c.g, hw.Edge(), EDP(), FastParams())
 			e.Cache = nil // every evaluation misses
 			walk := lfaWalk(e, 200)
-			var arena *sim.Arena
+			var ev encEval
 			tiles := 0
 			for _, enc := range walk {
-				if _, err := e.evalEnc(enc, e.Cfg.GBufBytes, &arena); err == nil {
+				if _, err := e.evalEnc(enc, e.Cfg.GBufBytes, &ev); err == nil {
 					s, _ := core.Parse(e.G, enc)
 					tiles = max(tiles, s.NumTiles())
 				}
 			}
 			i := 0
 			allocs := testing.AllocsPerRun(len(walk), func() {
-				e.evalEnc(walk[i%len(walk)], e.Cfg.GBufBytes, &arena)
+				e.evalEnc(walk[i%len(walk)], e.Cfg.GBufBytes, &ev)
 				i++
 			})
 			t.Logf("%.1f allocs per miss (up to %d tiles)", allocs, tiles)
 			if allocs > limit {
 				t.Errorf("%.1f allocs per stage-1 miss, limit %d", allocs, limit)
+			}
+		})
+	}
+}
+
+// TestWarmStage1Allocs gates the cost of a stage-1 move on a warm cache,
+// where every proposal is a hit (a repeat job on a warm daemon): the chain
+// builds candidates and keys in reused buffers, so a move allocates at
+// most the key string and the cache's copy of the metrics.
+func TestWarmStage1Allocs(t *testing.T) {
+	const limit = 2
+	for _, name := range []string{"mobilenetv2", "resnet50", "gpt2s-decode"} {
+		t.Run(name, func(t *testing.T) {
+			e := New(mustBuild(t, name), hw.Edge(), EDP(), FastParams())
+			budget := e.Cfg.GBufBytes
+			_, res, err := e.RunStage1(context.Background(), budget, e.Par.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moves := res.Stats.Total.Iterations
+			misses := e.Cache.Stats().Misses
+			allocs := testing.AllocsPerRun(3, func() {
+				e.RunStage1(context.Background(), budget, e.Par.Seed)
+			})
+			if m := e.Cache.Stats().Misses; m != misses {
+				t.Fatalf("the repeat runs missed the warm cache %d times", m-misses)
+			}
+			perMove := allocs / float64(moves)
+			t.Logf("%.0f allocs per run, %.2f per move (%d moves)", allocs, perMove, moves)
+			if perMove > limit {
+				t.Errorf("%.2f allocs per warm stage-1 move, limit %d", perMove, limit)
 			}
 		})
 	}
