@@ -57,7 +57,7 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 		e.notify(Progress{Stage: "stage1", Kind: "done", AllocIter: e.allocIter, Cost: bestCost})
 		return nil, StageResult{}, ErrNoFeasible
 	}
-	var ev encEval
+	var ev chainEval
 	m, err := e.evalEnc(best, budget, &ev)
 	if err != nil {
 		return nil, StageResult{}, err
@@ -70,10 +70,10 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 	return best, StageResult{Metrics: m, Cost: c, Stats: stats}, nil
 }
 
-// encEval is one chain's stage-1 evaluation storage: the arena its cache
+// chainEval is one chain's stage-1 evaluation storage: the arena its cache
 // misses are evaluated in, built on first use, and the buffer each lookup
 // key is built in.
-type encEval struct {
+type chainEval struct {
 	arena *sim.Arena
 	key   []byte
 }
@@ -85,7 +85,7 @@ type encEval struct {
 // sim.Key(Scope+encKeyPrefix+CanonicalKey, budget), is built in ev.key and
 // becomes a string once per lookup; a miss is evaluated in ev's arena, so a
 // chain whose lookups all hit builds none.
-func (e *Explorer) evalEnc(enc *core.Encoding, budget int64, ev *encEval) (*sim.Metrics, error) {
+func (e *Explorer) evalEnc(enc *core.Encoding, budget int64, ev *chainEval) (*sim.Metrics, error) {
 	k := append(ev.key[:0], e.Scope...)
 	k = append(k, encKeyPrefix...)
 	k = sim.AppendBudget(enc.AppendKey(k), budget)
@@ -121,7 +121,7 @@ type lfaMoves struct {
 	e               *Explorer
 	budget          int64
 	cur, cand, best *core.Encoding
-	ev              encEval
+	ev              chainEval
 	kind            string
 }
 

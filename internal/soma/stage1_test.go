@@ -53,7 +53,7 @@ func TestStage1MissAllocs(t *testing.T) {
 			e := New(c.g, hw.Edge(), EDP(), FastParams())
 			e.Cache = nil // every evaluation misses
 			walk := lfaWalk(e, 200)
-			var ev encEval
+			var ev chainEval
 			tiles := 0
 			for _, enc := range walk {
 				if _, err := e.evalEnc(enc, e.Cfg.GBufBytes, &ev); err == nil {
