@@ -277,15 +277,15 @@ func TestMemoizeThroughInterface(t *testing.T) {
 	var typedNil *sim.Cache
 	calls := 0
 	eval := func() (*sim.Metrics, error) { calls++; return &sim.Metrics{LatencyNS: 1}, nil }
-	if m, err := sim.Memoize(typedNil, "k", eval); err != nil || m.LatencyNS != 1 {
+	if m, err := sim.Memoize(typedNil, []byte("k"), nil, eval); err != nil || m.LatencyNS != 1 {
 		t.Fatalf("typed-nil memoize = %v, %v", m, err)
 	}
 	if calls != 1 {
 		t.Fatalf("calls = %d", calls)
 	}
 	tier := wrappedCache{sim.NewCache(0)}
-	sim.Memoize(tier, "k", eval)
-	sim.Memoize(tier, "k", eval)
+	sim.Memoize(tier, []byte("k"), nil, eval)
+	sim.Memoize(tier, []byte("k"), nil, eval)
 	if calls != 2 {
 		t.Fatalf("tiered memoize ran eval %d times, want 2 (one cached)", calls-1+1)
 	}

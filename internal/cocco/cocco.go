@@ -183,6 +183,9 @@ func (e *Explorer) mutate(enc *core.Encoding, rng *rand.Rand) (*core.Encoding, s
 		ok = c.RemoveFLC(rng.Intn(len(c.FLCs)), 1)
 	default: // split an LG at a random position
 		kind = "split"
+		if n < 2 {
+			return c, kind, false // one layer: no position to split at
+		}
 		p := 1 + rng.Intn(n-1)
 		ok = c.AddFLC(p)
 		if ok {

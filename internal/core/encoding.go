@@ -119,7 +119,13 @@ func (e *Encoding) FLGOfPos(p int) int {
 // (global deps inside multi-tile FLGs, buffer capacity) is established by
 // Parse and the evaluator.
 func (e *Encoding) Check(g *graph.Graph) error {
-	if !g.IsValidOrder(e.Order) {
+	return e.check(g, make([]int, len(g.Layers)))
+}
+
+// check is Check with the order check's position table in pos, which must
+// hold len(g.Layers) ints (see graph.IsValidOrderIn).
+func (e *Encoding) check(g *graph.Graph, pos []int) error {
+	if !g.IsValidOrderIn(e.Order, pos) {
 		return fmt.Errorf("core: invalid computing order")
 	}
 	if len(e.IsDRAM) != len(e.FLCs) {

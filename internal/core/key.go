@@ -5,8 +5,15 @@ import "encoding/binary"
 // AppendKeyInt appends v's encoding in a canonical key, an unsigned varint,
 // to b. It is the keys' one integer encoder: the from-scratch keys below
 // and the in-place edits of a live stage-2 key (sim.Incremental.Key) both
-// encode through it.
-func AppendKeyInt(b []byte, v int) []byte { return binary.AppendUvarint(b, uint64(v)) }
+// encode through it. Most key values (layer IDs of small graphs, cut
+// positions, tiling numbers) fit the varint's one-byte form, which it
+// appends directly.
+func AppendKeyInt(b []byte, v int) []byte {
+	if uint(v) < 0x80 {
+		return append(b, byte(v))
+	}
+	return binary.AppendUvarint(b, uint64(v))
+}
 
 // CanonicalKey serializes the four LFA attributes into a compact,
 // deterministic byte string. Two encodings describe the same point of the

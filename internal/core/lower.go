@@ -33,8 +33,10 @@ type Arena struct {
 	i64s     []int64
 	flgStart []int
 	info     []layerInfo
-	// depNext backs the layers' depNext windows.
+	// depNext backs the layers' depNext windows; pos is the encoding
+	// check's position table.
 	depNext  []int
+	pos      []int
 	nTensors int
 	nOnChip  int
 	// key is the memo's lookup scratch, s Parse's output.
@@ -97,14 +99,15 @@ func resize[T any](s []T, n int) []T {
 // the next Lower or Parse on a.
 //
 // The stage-1 annealer lowers every cache-missing candidate, so Lower keeps
-// its bookkeeping in dense LayerID-indexed slices: with a warm arena and a
-// warm memo it allocates only in Encoding.Check.
+// its bookkeeping, the encoding check's included, in dense LayerID-indexed
+// slices: with a warm arena and a warm memo it allocates nothing.
 func (a *Arena) Lower(g *graph.Graph, e *Encoding, memo *FLGMemo) error {
 	if memo != nil && memo.g != g {
 		panic("core: FLG memo built for another graph")
 	}
 	a.flgs, a.f = a.flgs[:0], 0 // a failed Lower leaves an empty walk
-	if err := e.Check(g); err != nil {
+	a.pos = resize(a.pos, len(g.Layers))
+	if err := e.check(g, a.pos); err != nil {
 		return err
 	}
 	a.g, a.e = g, e

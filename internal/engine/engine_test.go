@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"soma/internal/graph"
 	"soma/internal/hw"
 	"soma/internal/obs"
 	"soma/internal/sim"
@@ -336,5 +338,29 @@ func TestGraphRequest(t *testing.T) {
 	}
 	if viaGraph.Cost != viaModel.Cost || viaGraph.ScheduleSHA256 != viaModel.ScheduleSHA256 {
 		t.Error("explicit-graph request diverged from the registry-model request")
+	}
+}
+
+// TestSingleLayerGraph: a graph of one compute layer leaves the cut
+// operators no position to cut at; both backends still solve it.
+func TestSingleLayerGraph(t *testing.T) {
+	g := graph.New("one-conv", 1)
+	sh := graph.Shape{N: 1, C: 16, H: 28, W: 28}
+	in := g.Add(graph.Layer{Name: "in", Kind: graph.Input, Out: sh})
+	g.Add(graph.Layer{Name: "conv", Kind: graph.Conv, Deps: []graph.Dep{{Producer: in}},
+		Out: sh, K: graph.Kernel{KH: 3, KW: 3, SH: 1, SW: 1, PH: 1, PW: 1},
+		WeightBytes: 16 * 16 * 9, Ops: 2 * 16 * 16 * 9 * 28 * 28})
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []string{"soma", "cocco"} {
+		res, err := Run(context.Background(), Request{Backend: backend, Graph: g,
+			Platform: "edge", Params: fastPar(1)}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		if !(res.Cost > 0) || math.IsInf(res.Cost, 1) {
+			t.Errorf("%s: cost %g", backend, res.Cost)
+		}
 	}
 }

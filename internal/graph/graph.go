@@ -366,10 +366,18 @@ func (g *Graph) TopoOrder() []LayerID { return g.ComputeLayers() }
 // which every dependency points leftward (the paper's legality rule for the
 // Computing Order attribute).
 func (g *Graph) IsValidOrder(ord []LayerID) bool {
+	return g.IsValidOrderIn(ord, make([]int, len(g.Layers)))
+}
+
+// IsValidOrderIn is IsValidOrder with its position table in pos, which
+// must hold len(g.Layers) ints (any contents), so a caller checking many
+// orders reuses one table.
+func (g *Graph) IsValidOrderIn(ord []LayerID, pos []int) bool {
 	// pos[id] is 1 + id's position in ord, 0 for layers outside it. Every
 	// encoding check runs this, so it counts the compute layers in place
 	// instead of materializing them.
-	pos := make([]int, len(g.Layers))
+	pos = pos[:len(g.Layers)]
+	clear(pos)
 	for i, id := range ord {
 		if int(id) < 0 || int(id) >= len(g.Layers) || g.Layers[id].Kind == Input {
 			return false

@@ -237,6 +237,13 @@ func TestIsValidOrder(t *testing.T) {
 	if g.IsValidOrder([]LayerID{ids[0], ids[1], ids[2]}) {
 		t.Fatal("order containing Input accepted")
 	}
+	// A reused position table gives the same answers whatever it holds.
+	pos := make([]int, len(g.Layers))
+	for _, ord := range [][]LayerID{good, bad, good, {ids[1], ids[1], ids[3]}, good} {
+		if got, want := g.IsValidOrderIn(ord, pos), g.IsValidOrder(ord); got != want {
+			t.Fatalf("IsValidOrderIn(%v) = %v after reuse, want %v", ord, got, want)
+		}
+	}
 }
 
 func TestIsValidOrderIndependentSwap(t *testing.T) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -17,11 +18,16 @@ import (
 // substitute instrumented tiers. dse, engine, service and soma all consume
 // this interface rather than the concrete Cache.
 //
+// Memoize looks a *Cache up through its byte-keyed path, which hashes a
+// key once and allocates nothing on a hit; other tiers see string keys,
+// converted once per Memoize.
+//
 // Semantics every implementation must honor:
 //
 //   - Get returns a private copy the caller may mutate freely.
 //   - Put may drop entries (bounded tiers); a cache is an accelerator,
-//     never a source of truth.
+//     never a source of truth. (*Cache drops one on a 64-bit hash
+//     collision.)
 //   - Evaluations are deterministic per key, so two racing Puts for one key
 //     always store equal values - implementations may keep either.
 //   - All methods are safe for concurrent use.
@@ -45,30 +51,42 @@ func ExportCacheMetrics(c EvalCache, reg *obs.Registry) {
 }
 
 // Memoize returns the cached evaluation for key from any EvalCache tier, or
-// runs eval and stores its result: Get, then on a miss eval and Put. A nil
-// cache runs eval uncached; a typed-nil *Cache always misses and stores
-// nothing. Concurrent misses on one key each run eval, and Put keeps the
-// first insert.
-func Memoize(c EvalCache, key string, eval func() (*Metrics, error)) (*Metrics, error) {
+// runs eval and stores its result: Get, then on a miss eval and Put. key
+// is the caller's buffer; it must not change until Memoize returns, and the
+// cache copies it only to insert a miss. A hit is written into dst when it
+// is non-nil, so a caller that reuses dst (a search chain scoring its
+// proposals) makes a hit allocate nothing; with a nil dst, or a tier other
+// than *Cache, a hit returns a fresh copy. A miss returns what eval
+// returned. A nil cache runs eval uncached; a typed-nil *Cache always misses
+// and stores nothing. Concurrent misses on one key each run eval, and Put
+// keeps the first insert.
+func Memoize(c EvalCache, key []byte, dst *Metrics, eval func() (*Metrics, error)) (*Metrics, error) {
 	if c == nil {
 		return eval()
 	}
-	if m, err, ok := c.Get(key); ok {
+	if cc, ok := c.(*Cache); ok {
+		return cc.memoize(key, dst, eval)
+	}
+	k := string(key)
+	if m, err, ok := c.Get(k); ok {
 		return m, err
 	}
 	m, err := eval()
-	c.Put(key, m, err)
+	c.Put(k, m, err)
 	return m, err
 }
 
-// CachedEvaluate is a memoizing Evaluate over any EvalCache tier. Traced
-// evaluations bypass the cache: their slices are large and the
-// execution-graph renderer only ever runs once per figure.
+// CachedEvaluate is a memoizing Evaluate over any EvalCache tier. Its key,
+// Key(CacheScope+CanonicalKey, BufferBudget), is built as bytes, and its
+// result is a fresh value the caller may keep. Traced evaluations bypass
+// the cache: their slices are large and the execution-graph renderer only
+// ever runs once per figure.
 func CachedEvaluate(c EvalCache, s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics, error) {
 	if c == nil || opt.Trace {
 		return Evaluate(s, cs, opt)
 	}
-	return Memoize(c, Key(opt.CacheScope+s.CanonicalKey(), opt.BufferBudget), func() (*Metrics, error) {
+	k := AppendBudget(s.AppendCanonicalKey([]byte(opt.CacheScope), nil, nil), opt.BufferBudget)
+	return Memoize(c, k, nil, func() (*Metrics, error) {
 		return Evaluate(s, cs, opt)
 	})
 }
@@ -80,6 +98,13 @@ func CachedEvaluate(c EvalCache, s *core.Schedule, cs *coresched.Scheduler, opt 
 // buffer budget, which decides feasibility) turns those repeats into map
 // lookups. A Cache is safe for concurrent use by the portfolio workers.
 //
+// A lookup hashes its key once, with maphash and a seed of the cache's
+// own, before it takes the mutex; the maps are keyed by that hash, and each
+// entry keeps its key, which a lookup compares with the one it was given.
+// An entry whose hash matches but whose key does not (a 64-bit collision)
+// is a miss, and the miss's insert replaces it. Entries never change once
+// inserted, so a hit copies its metrics after releasing the mutex.
+//
 // Eviction is generational, which makes the cache safe to embed in a
 // long-running daemon: entries live in two maps, cur and old, each holding
 // at most cap/2 entries. Inserts go to cur; when cur fills, old is dropped
@@ -90,8 +115,12 @@ func CachedEvaluate(c EvalCache, s *core.Schedule, cs *coresched.Scheduler, opt 
 // which emptied the cache at exactly the moment it was hottest.
 type Cache struct {
 	mu       sync.Mutex
-	cur, old map[string]cacheEntry
+	cur, old map[uint64]*cacheEntry
 	cap      int
+	seed     maphash.Seed
+	// mask is ANDed into every hash: all ones, except in tests that force
+	// collisions.
+	mask uint64
 
 	// Counters are atomics, not mu-guarded fields: Stats is polled by
 	// observers (somad /v1/stats, progress reporting) while portfolio
@@ -100,18 +129,22 @@ type Cache struct {
 	hits, misses, flushes atomic.Int64
 }
 
+// cacheEntry is one memoized evaluation and its key. It is immutable once
+// inserted.
 type cacheEntry struct {
+	key string
 	m   Metrics
 	err error
 }
 
 // DefaultCacheEntries bounds the cache before it flushes. An entry is a
-// Metrics value plus its key, and the key dominates on large schedules: a
-// stage-2 key holds about two varint bytes per DRAM tensor for the DRAM
-// Tensor Order and two for the Living Duration. Stage-1 winners of the
-// 2-block gpt2s prefill cut carry 1,900-2,900 tensors, so their stage-2
-// keys run 7.5-12 KB, and at 12 KB a full cache holds about 1.5 GB of keys.
-// Stage-1 keys, a few bytes per layer, stay small.
+// Metrics value plus its key, copied once when a miss is inserted, and the
+// key dominates on large schedules: a stage-2 key holds about two varint
+// bytes per DRAM tensor for the DRAM Tensor Order and two for the Living
+// Duration. Stage-1 winners of the 2-block gpt2s prefill cut carry
+// 1,900-2,900 tensors, so their stage-2 keys run 7.5-12 KB, and at 12 KB a
+// full cache holds about 1.5 GB of keys. Stage-1 keys, a few bytes per
+// layer, stay small.
 const DefaultCacheEntries = 1 << 17
 
 // NewCache creates a cache holding at most capacity entries (<= 0 selects
@@ -120,7 +153,8 @@ func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheEntries
 	}
-	return &Cache{cur: make(map[string]cacheEntry), cap: capacity}
+	return &Cache{cur: make(map[uint64]*cacheEntry), cap: capacity,
+		seed: maphash.MakeSeed(), mask: ^uint64(0)}
 }
 
 // gen is the per-generation entry bound (>= 1 so even cap 1 makes progress).
@@ -132,29 +166,84 @@ func (c *Cache) gen() int {
 	return g
 }
 
-// insert adds an entry to the current generation, rotating generations when
-// it is full. Callers hold c.mu.
-func (c *Cache) insert(key string, e cacheEntry) {
-	if _, ok := c.cur[key]; !ok && len(c.cur) >= c.gen() {
+// insert adds an entry under hash h to the current generation, rotating
+// generations when it is full. An entry of another key under h in cur is
+// replaced. Callers hold c.mu.
+func (c *Cache) insert(h uint64, e *cacheEntry) {
+	if _, ok := c.cur[h]; !ok && len(c.cur) >= c.gen() {
 		c.old = c.cur
-		c.cur = make(map[string]cacheEntry, c.gen())
+		c.cur = make(map[uint64]*cacheEntry, c.gen())
 		c.flushes.Add(1)
 	}
-	c.cur[key] = e
+	c.cur[h] = e
 }
 
-// lookup finds an entry in either generation, promoting old hits so the
-// working set survives rotation. Callers hold c.mu.
-func (c *Cache) lookup(key string) (cacheEntry, bool) {
-	if e, ok := c.cur[key]; ok {
-		return e, true
+// lookup finds key's entry under hash h in either generation, promoting
+// old hits so the working set survives rotation. An entry of another key
+// under h is a miss. Callers hold c.mu.
+func lookup[K string | []byte](c *Cache, h uint64, key K) *cacheEntry {
+	if e := c.cur[h]; e != nil && e.key == string(key) {
+		return e
 	}
-	if e, ok := c.old[key]; ok {
-		delete(c.old, key)
-		c.insert(key, e)
-		return e, true
+	if e := c.old[h]; e != nil && e.key == string(key) {
+		delete(c.old, h)
+		c.insert(h, e)
+		return e
 	}
-	return cacheEntry{}, false
+	return nil
+}
+
+// get looks key up under hash h and counts the hit or miss.
+func get[K string | []byte](c *Cache, h uint64, key K) *cacheEntry {
+	c.mu.Lock()
+	e := lookup(c, h, key)
+	c.mu.Unlock()
+	if e == nil {
+		c.misses.Add(1)
+	} else {
+		c.hits.Add(1)
+	}
+	return e
+}
+
+// memoize is Memoize on a *Cache: one hash, a lookup under the mutex, and
+// on a miss eval and an insert under the same hash.
+func (c *Cache) memoize(key []byte, dst *Metrics, eval func() (*Metrics, error)) (*Metrics, error) {
+	if c == nil {
+		return eval()
+	}
+	h := maphash.Bytes(c.seed, key) & c.mask
+	if e := get(c, h, key); e != nil {
+		if dst == nil {
+			dst = new(Metrics)
+		}
+		*dst = e.m
+		return dst, e.err
+	}
+	m, err := eval()
+	c.put(h, newEntry(string(key), m, err))
+	return m, err
+}
+
+// newEntry is the cache entry for one evaluation outcome under key.
+func newEntry(key string, m *Metrics, err error) *cacheEntry {
+	e := &cacheEntry{key: key, err: err}
+	if m != nil {
+		e.m = *m
+	}
+	return e
+}
+
+// put inserts e under hash h unless its key is already present. Two workers
+// racing on one key keep the first entry - results are deterministic, so
+// either copy is right, and re-inserting must not count toward generation
+// fill or trigger a spurious flush.
+func (c *Cache) put(h uint64, e *cacheEntry) {
+	c.mu.Lock()
+	if lookup(c, h, e.key) == nil {
+		c.insert(h, e)
+	}
+	c.mu.Unlock()
 }
 
 // Get implements EvalCache: the cached evaluation for key, counted as a hit
@@ -164,41 +253,28 @@ func (c *Cache) Get(key string) (*Metrics, error, bool) {
 	if c == nil {
 		return nil, nil, false
 	}
-	c.mu.Lock()
-	e, ok := c.lookup(key)
-	c.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
+	e := get(c, maphash.String(c.seed, key)&c.mask, key)
+	if e == nil {
 		return nil, nil, false
 	}
-	c.hits.Add(1)
 	m := e.m
 	return &m, e.err, true
 }
 
-// Put implements EvalCache. It keeps the first entry when two workers race
-// on one key - results are deterministic, so either copy is right, and
-// re-inserting must not count toward generation fill or trigger a spurious
-// flush. Safe on a nil cache (no-op).
+// Put implements EvalCache, keeping the first entry when two workers race
+// on one key. Safe on a nil cache (no-op).
 func (c *Cache) Put(key string, m *Metrics, err error) {
 	if c == nil {
 		return
 	}
-	e := cacheEntry{err: err}
-	if m != nil {
-		e.m = *m
-	}
-	c.mu.Lock()
-	if _, ok := c.lookup(key); !ok {
-		c.insert(key, e)
-	}
-	c.mu.Unlock()
+	c.put(maphash.String(c.seed, key)&c.mask, newEntry(key, m, err))
 }
 
 // Key combines a canonical schedule (or encoding) key with the buffer budget
-// it is evaluated under. Callers that can compute their key more cheaply
-// than building the schedule use it with Memoize directly - stage 1 keys on
-// the encoding and skips the parse entirely on a hit.
+// it is evaluated under. It defines the cache-key format; the lookups build
+// the same bytes in buffers with AppendBudget (CachedEvaluate, stage 1's
+// encoding keys, Incremental.Key), so stage 1 skips the parse entirely on
+// a hit.
 func Key(canonical string, budget int64) string {
 	return string(AppendBudget([]byte(canonical), budget))
 }

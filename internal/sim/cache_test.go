@@ -123,7 +123,7 @@ func TestCacheGenerationalEviction(t *testing.T) {
 	c := NewCache(4) // generations of 2
 	evals := 0
 	get := func(key string) {
-		_, _ = Memoize(c, key, func() (*Metrics, error) {
+		_, _ = Memoize(c, []byte(key), nil, func() (*Metrics, error) {
 			evals++
 			return &Metrics{}, nil
 		})
@@ -235,7 +235,7 @@ func TestCacheConcurrentSameKeyAccounting(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				key := Key("k", int64(i%keys))
-				m, err := Memoize(c, key, func() (*Metrics, error) {
+				m, err := Memoize(c, []byte(key), nil, func() (*Metrics, error) {
 					return &Metrics{LatencyNS: float64(i % keys)}, nil
 				})
 				if err != nil || m.LatencyNS != float64(i%keys) {
@@ -274,7 +274,7 @@ func TestCacheConcurrentRotation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				key := Key("rot", int64((w*rounds+i)%64))
-				if _, err := Memoize(c, key, func() (*Metrics, error) {
+				if _, err := Memoize(c, []byte(key), nil, func() (*Metrics, error) {
 					return &Metrics{LatencyNS: 1}, nil
 				}); err != nil {
 					t.Errorf("memoize: %v", err)

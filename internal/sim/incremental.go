@@ -135,8 +135,10 @@ func NewIncremental(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*In
 // other cache user. The first call encodes the schedule; from then on each
 // move and each Reject edits the key in place: an order move shifts the
 // bytes of the positions it rotates, a jitter rewrites one Living Duration
-// and shifts the key's tail only when its encoding changes length.
-func (inc *Incremental) Key() string {
+// and shifts the key's tail only when its encoding changes length. The
+// returned slice is the live key itself, valid until the next move or
+// Reject; a caller that keeps it copies it.
+func (inc *Incremental) Key() []byte {
 	k := &inc.key
 	if k.b == nil {
 		k.orderAt, k.durAt = make([]int, inc.m+1), make([]int, inc.m+1)
@@ -145,7 +147,7 @@ func (inc *Incremental) Key() string {
 		k.orderAt[inc.m] = k.durAt[0]
 		k.b = AppendBudget(k.b, inc.opt.BufferBudget)
 	}
-	return string(k.b)
+	return k.b
 }
 
 // liveKey is Key's state: the key bytes once built (nil before), the

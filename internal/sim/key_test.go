@@ -21,7 +21,7 @@ func keyOpt(s *core.Schedule, cs *coresched.Scheduler) Options {
 func checkKey(t *testing.T, inc *Incremental, opt Options, step int, what string) {
 	t.Helper()
 	want := Key(opt.CacheScope+inc.Schedule().CanonicalKey(), opt.BufferBudget)
-	if got := inc.Key(); got != want {
+	if got := string(inc.Key()); got != want {
 		t.Fatalf("step %d, after the %s: key\n%x\nwant\n%x", step, what, got, want)
 	}
 }

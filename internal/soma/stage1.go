@@ -48,7 +48,8 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 			// Each chain mutates encodings it owns, so it starts from a
 			// private copy of the shared init.
 			return &lfaMoves{e: e, budget: budget, cur: init.Clone(),
-				cand: &core.Encoding{}, best: &core.Encoding{}}
+				cand: &core.Encoding{}, best: &core.Encoding{},
+				ev: chainEval{m: new(sim.Metrics)}}
 		})
 	if err := ctx.Err(); err != nil {
 		return nil, StageResult{}, err
@@ -57,7 +58,7 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 		e.notify(Progress{Stage: "stage1", Kind: "done", AllocIter: e.allocIter, Cost: bestCost})
 		return nil, StageResult{}, ErrNoFeasible
 	}
-	var ev chainEval
+	var ev chainEval // no hit storage: the winner's metrics are retained
 	m, err := e.evalEnc(best, budget, &ev)
 	if err != nil {
 		return nil, StageResult{}, err
@@ -71,11 +72,13 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 }
 
 // chainEval is one chain's stage-1 evaluation storage: the arena its cache
-// misses are evaluated in, built on first use, and the buffer each lookup
-// key is built in.
+// misses are evaluated in, built on first use, the buffer each lookup key
+// is built in, and the metrics a cache hit is written into (nil: each hit
+// gets a fresh copy).
 type chainEval struct {
 	arena *sim.Arena
 	key   []byte
+	m     *sim.Metrics
 }
 
 // evalEnc evaluates an encoding under a stage-1 budget. It is keyed on the
@@ -83,14 +86,15 @@ type chainEval struct {
 // every revisited LFA point - re-proposed moves, the shared initial solution
 // of a portfolio, the winner's re-evaluation - costs one map lookup. The key,
 // sim.Key(Scope+encKeyPrefix+CanonicalKey, budget), is built in ev.key and
-// becomes a string once per lookup; a miss is evaluated in ev's arena, so a
-// chain whose lookups all hit builds none.
+// looked up as bytes: the cache copies it only to insert a miss. A hit is
+// written into ev.m, valid until ev's next evaluation; a miss is evaluated
+// in ev's arena, so a chain whose lookups all hit builds none.
 func (e *Explorer) evalEnc(enc *core.Encoding, budget int64, ev *chainEval) (*sim.Metrics, error) {
 	k := append(ev.key[:0], e.Scope...)
 	k = append(k, encKeyPrefix...)
 	k = sim.AppendBudget(enc.AppendKey(k), budget)
 	ev.key = k
-	return sim.Memoize(e.Cache, string(k), func() (*sim.Metrics, error) {
+	return sim.Memoize(e.Cache, k, ev.m, func() (*sim.Metrics, error) {
 		if ev.arena == nil {
 			ev.arena = sim.NewArena(e.G, e.CS, e.flgMemo())
 		}
@@ -186,6 +190,9 @@ func (e *Explorer) mutateLFA(c *core.Encoding, rng *rand.Rand) (string, bool) {
 		}
 		return "tile", true
 	case 2: // Add an FLC at a random uncut position.
+		if n < 2 {
+			return "add-flc", false // one layer: no position to cut
+		}
 		p := 1 + rng.Intn(n-1)
 		ok := c.AddFLC(p)
 		if ok && e.Par.Ablate.NoFLC {

@@ -38,10 +38,10 @@ func lfaWalk(e *Explorer, n int) []*core.Encoding {
 
 // TestStage1MissAllocs gates stage 1's allocations per cache miss: once the
 // chain's arena and the FLG memo are warm, a miss - key, parse, tile costs,
-// merge and metrics - allocates a fixed handful of times, on a CNN of a few
-// dozen FLGs and on a prefill cut of thousands of tiles alike.
+// merge and metrics - allocates only the metrics it returns, on a CNN of a
+// few dozen FLGs and on a prefill cut of thousands of tiles alike.
 func TestStage1MissAllocs(t *testing.T) {
-	const limit = 4
+	const limit = 1
 	for _, c := range []struct {
 		name string
 		g    *graph.Graph
@@ -76,10 +76,11 @@ func TestStage1MissAllocs(t *testing.T) {
 
 // TestWarmStage1Allocs gates the cost of a stage-1 move on a warm cache,
 // where every proposal is a hit (a repeat job on a warm daemon): the chain
-// builds candidates and keys in reused buffers, so a move allocates at
-// most the key string and the cache's copy of the metrics.
+// builds candidates and keys in reused buffers and each hit is written into
+// the chain's own metrics, so a move allocates nothing and a run allocates
+// only its set-up (55-65 times, 0.05-0.11 per move).
 func TestWarmStage1Allocs(t *testing.T) {
-	const limit = 2
+	const limit = 0.125
 	for _, name := range []string{"mobilenetv2", "resnet50", "gpt2s-decode"} {
 		t.Run(name, func(t *testing.T) {
 			e := New(mustBuild(t, name), hw.Edge(), EDP(), FastParams())
@@ -99,7 +100,7 @@ func TestWarmStage1Allocs(t *testing.T) {
 			perMove := allocs / float64(moves)
 			t.Logf("%.0f allocs per run, %.2f per move (%d moves)", allocs, perMove, moves)
 			if perMove > limit {
-				t.Errorf("%.2f allocs per warm stage-1 move, limit %d", perMove, limit)
+				t.Errorf("%.2f allocs per warm stage-1 move, limit %g", perMove, limit)
 			}
 		})
 	}

@@ -75,6 +75,8 @@ type stage2Moves struct {
 	e      *Explorer
 	picker *sizePicker
 	inc    *sim.Incremental
+	// m receives each cache hit; the annealer only scores it.
+	m sim.Metrics
 	// kind names the operator the last productive Propose drew, for the
 	// convergence journal's per-kind tallies (sa.MoveKinder).
 	kind string
@@ -132,7 +134,7 @@ func (ms *stage2Moves) objective(m *sim.Metrics, err error) float64 {
 }
 
 func (ms *stage2Moves) InitCost() float64 {
-	m, err := sim.Memoize(ms.e.Cache, ms.inc.Key(), ms.inc.Metrics)
+	m, err := sim.Memoize(ms.e.Cache, ms.inc.Key(), &ms.m, ms.inc.Metrics)
 	return ms.objective(m, err)
 }
 
@@ -173,7 +175,7 @@ func (ms *stage2Moves) Propose(rng *rand.Rand) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	m, err := sim.Memoize(ms.e.Cache, ms.inc.Key(), ms.inc.EvaluateProposal)
+	m, err := sim.Memoize(ms.e.Cache, ms.inc.Key(), &ms.m, ms.inc.EvaluateProposal)
 	return ms.objective(m, err), true
 }
 

@@ -29,7 +29,7 @@ func TestStage2KeyMatchesCacheKey(t *testing.T) {
 	check := func(step int) {
 		t.Helper()
 		want := sim.Key(e.Scope+s.CanonicalKey(), e.Cfg.GBufBytes)
-		if got := ms.inc.Key(); got != want {
+		if got := string(ms.inc.Key()); got != want {
 			t.Fatalf("step %d: key %x, want %x", step, got, want)
 		}
 	}
@@ -53,8 +53,9 @@ func TestStage2KeyMatchesCacheKey(t *testing.T) {
 // TestStage2MoveAllocs gates stage 2's allocations per proposal: once the
 // chain's evaluator and key are warm, a proposal - operator, key, cache
 // miss through EvaluateProposal, then reject - allocates a fixed handful of
-// times (the key string, the proposal's Metrics, the cache's copy of it
-// and, for a deadlocked proposal, its error), on a CNN of about 500
+// times (the proposal's Metrics, the cache entry holding a copy of it,
+// the entry's copy of the key and, for a deadlocked proposal, its error),
+// on a CNN of about 500
 // tensors and on a prefill cut of about 1,800 alike.
 func TestStage2MoveAllocs(t *testing.T) {
 	const limit = 4
@@ -167,5 +168,43 @@ func TestStage2IncCounters(t *testing.T) {
 	_, pres := pe.RunStage2(context.Background(), s.Clone(), seed)
 	if got := pe.Reg.Counter("sim_inc_rollbacks_total", "").Value(); got != int64(pres.Stats.Total.Rejected) {
 		t.Errorf("parallel chains: %d rollbacks, annealer rejections %d", got, pres.Stats.Total.Rejected)
+	}
+}
+
+// TestWarmStage2Allocs gates the cost of a stage-2 move on a warm cache,
+// where every proposal is a hit (a repeat job on a warm daemon): the live
+// key is edited in place and each hit is written into the chain's own
+// metrics, so a move allocates nothing and a run allocates only its
+// set-up - schedule clones, the incremental evaluator and its key, the
+// incumbent snapshots - and the winner's re-evaluation (44-55 times,
+// 0.07-0.31 per move).
+func TestWarmStage2Allocs(t *testing.T) {
+	const limit = 0.35
+	for _, name := range []string{"mobilenetv2", "resnet50", "gpt2s-decode"} {
+		t.Run(name, func(t *testing.T) {
+			e := New(mustBuild(t, name), hw.Edge(), EDP(), FastParams())
+			enc, _, err := e.RunStage1(context.Background(), e.Cfg.GBufBytes, e.Par.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := core.Parse(e.G, enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, res := e.RunStage2(context.Background(), s, e.Par.Seed)
+			moves := res.Stats.Total.Iterations
+			misses := e.Cache.Stats().Misses
+			allocs := testing.AllocsPerRun(3, func() {
+				e.RunStage2(context.Background(), s, e.Par.Seed)
+			})
+			if m := e.Cache.Stats().Misses; m != misses {
+				t.Fatalf("the repeat runs missed the warm cache %d times", m-misses)
+			}
+			perMove := allocs / float64(moves)
+			t.Logf("%.0f allocs per run, %.3f per move (%d moves)", allocs, perMove, moves)
+			if perMove > limit {
+				t.Errorf("%.3f allocs per warm stage-2 move, limit %g", perMove, limit)
+			}
+		})
 	}
 }
