@@ -31,7 +31,7 @@ func fastPar() soma.Params { return soma.FastParams() }
 func BenchmarkFig2Motivation(b *testing.B) {
 	g := models.ResNet50(1)
 	for i := 0; i < b.N; i++ {
-		res, err := cocco.New(g, hw.Edge(), soma.EDP(), fastPar()).Run()
+		res, err := cocco.Run(context.Background(), soma.New(g, hw.Edge(), soma.EDP(), fastPar()))
 		if err != nil {
 			b.Fatal(err)
 		}

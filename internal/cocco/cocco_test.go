@@ -1,7 +1,10 @@
 package cocco
 
 import (
+	"context"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"soma/internal/core"
@@ -37,7 +40,7 @@ func testNet(t testing.TB, batch int) *graph.Graph {
 
 func TestCoccoRunProducesFeasibleBaseline(t *testing.T) {
 	g := testNet(t, 1)
-	res, err := New(g, hw.Edge(), soma.EDP(), soma.FastParams()).Run()
+	res, err := Run(context.Background(), soma.New(g, hw.Edge(), soma.EDP(), soma.FastParams()))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -81,12 +84,13 @@ func TestCoccoTilingGrowsWithBatch(t *testing.T) {
 
 func TestCoccoMutationKeepsInvariant(t *testing.T) {
 	g := testNet(t, 1)
-	e := New(g, hw.Edge(), soma.EDP(), soma.FastParams())
+	e := soma.New(g, hw.Edge(), soma.EDP(), soma.FastParams())
 	enc := core.DefaultEncoding(g, 1)
-	e.applyHeuristicTiling(enc)
+	heuristicTiling(e, enc)
 	rng := newRand(3)
 	for i := 0; i < 200; i++ {
-		c, kind, ok := e.mutate(enc, rng)
+		c := enc.Clone()
+		kind, ok := mutate(e, c, rng)
 		if kind == "" {
 			t.Fatalf("iteration %d: unnamed operator", i)
 		}
@@ -110,7 +114,7 @@ func TestSoMaBeatsOrMatchesCocco(t *testing.T) {
 	// effort on a fusable CNN it must not lose by more than noise.
 	g := testNet(t, 1)
 	p := soma.DefaultParams()
-	base, err := New(g, hw.Edge(), soma.EDP(), p).Run()
+	base, err := Run(context.Background(), soma.New(g, hw.Edge(), soma.EDP(), p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,45 +127,57 @@ func TestSoMaBeatsOrMatchesCocco(t *testing.T) {
 	}
 }
 
-// TestCoccoCandidateAllocs gates the allocations of scoring one candidate:
-// once the search's arena has seen a walk of candidates, scoring one again
-// allocates a fixed handful of times, however many tiles it has.
+// TestCoccoCandidateAllocs gates the allocations of one baseline move on
+// the shared stage-1 chain, uncached as Run runs it: once the chain's arena
+// and the FLG memo have seen a walk of Cocco candidates, a move - copying
+// the candidate, scoring it, accepting or rejecting it - allocates only the
+// metrics its miss returns, however many tiles the candidate has.
 func TestCoccoCandidateAllocs(t *testing.T) {
-	const limit = 8
+	const limit = 1
 	for _, name := range []string{"mobilenetv2", "resnet50"} {
 		t.Run(name, func(t *testing.T) {
 			g, err := models.Build(name, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := New(g, hw.Edge(), soma.EDP(), soma.FastParams())
-			enc := core.DefaultEncoding(g, 1)
-			e.applyHeuristicTiling(enc)
-			ms := &coccoMoves{e: e, cur: enc}
-			walk := []*core.Encoding{enc}
+			e := soma.New(g, hw.Edge(), soma.EDP(), soma.FastParams())
+			e.Cache = nil
+			init := core.DefaultEncoding(g, 1)
+			heuristicTiling(e, init)
+			walk := []*core.Encoding{init}
 			rng := newRand(1)
 			for len(walk) < 100 {
-				if c, _, ok := e.mutate(walk[len(walk)-1], rng); ok {
+				c := walk[len(walk)-1].Clone()
+				if _, ok := mutate(e, c, rng); ok {
 					walk = append(walk, c)
 				}
 			}
-			feasible := 0
-			for _, c := range walk {
-				if !math.IsInf(ms.cost(c), 1) {
-					feasible++
+			// The chain proposes the walk twice; the mallocs between the
+			// first proposal of the second pass and the end of it are that
+			// pass's moves. One OS thread keeps other goroutines' allocations
+			// out of the count, as in testing.AllocsPerRun.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			var ms runtime.MemStats
+			var mallocs [2]uint64
+			n := 0
+			replay := func(c *core.Encoding, _ *rand.Rand) (string, bool) {
+				if n%len(walk) == 0 && n > 0 {
+					runtime.ReadMemStats(&ms)
+					mallocs[n/len(walk)-1] = ms.Mallocs
 				}
+				c.CopyFrom(walk[n%len(walk)])
+				n++
+				return "replay", true
 			}
-			if feasible == 0 {
-				t.Fatal("no feasible candidate in the walk")
+			e.Par.Beta1, e.Par.Stage1MaxIters = 1<<20, 2*len(walk)+1
+			if _, _, err := e.AnnealLFA(context.Background(), "cocco", init,
+				e.Cfg.GBufBytes, 1, replay); err != nil {
+				t.Fatal(err)
 			}
-			i := 0
-			allocs := testing.AllocsPerRun(len(walk), func() {
-				ms.cost(walk[i%len(walk)])
-				i++
-			})
-			t.Logf("%.1f allocs per candidate (%d of %d feasible)", allocs, feasible, len(walk))
+			allocs := float64(mallocs[1]-mallocs[0]) / float64(len(walk))
+			t.Logf("%.2f allocs per move", allocs)
 			if allocs > limit {
-				t.Errorf("%.1f allocs per candidate, limit %d", allocs, limit)
+				t.Errorf("%.2f allocs per move, limit %d", allocs, limit)
 			}
 		})
 	}

@@ -22,20 +22,11 @@ func (somaBackend) Describe() string {
 }
 
 func (somaBackend) Solve(ctx context.Context, req Request, h *Hooks) (*report.Result, error) {
-	req = req.normalized()
-	cfg, err := req.hwConfig()
+	in, err := req.inputs(h)
 	if err != nil {
 		return nil, err
 	}
-	g, err := req.buildGraph()
-	if err != nil {
-		return nil, err
-	}
-	return solveSoma(ctx, solveInputs{
-		g: g, cfg: cfg, spec: req.spec(), obj: req.Objective, par: req.Params,
-		cache: req.Cache, scope: req.cacheScope(),
-		hooks: h, obs: req.Obs, track: req.track(), journal: req.Journal,
-	})
+	return solveSoma(ctx, in)
 }
 
 // solveInputs bundles one soma sub-solve; the scenario orchestration reuses
@@ -61,26 +52,50 @@ type solveInputs struct {
 	journal *obs.Journal
 }
 
-// solveSoma runs one soma exploration and assembles its payload. This is the
-// single place the repo constructs a soma.Explorer outside the solver's own
-// package: cache scoping, progress wiring and payload assembly live here for
-// every caller.
-func solveSoma(ctx context.Context, in solveInputs) (*report.Result, error) {
+// inputs resolves a single-model request's graph and hardware into the
+// solve it describes.
+func (r Request) inputs(h *Hooks) (solveInputs, error) {
+	r = r.normalized()
+	cfg, err := r.hwConfig()
+	if err != nil {
+		return solveInputs{}, err
+	}
+	g, err := r.buildGraph()
+	if err != nil {
+		return solveInputs{}, err
+	}
+	return solveInputs{
+		g: g, cfg: cfg, spec: r.spec(), obj: r.Objective, par: r.Params,
+		cache: r.Cache, scope: r.cacheScope(),
+		hooks: h, obs: r.Obs, track: r.track(), journal: r.Journal,
+	}, nil
+}
+
+// explorer builds the soma.Explorer a solve runs on. This is the single
+// place the repo constructs one outside the solver's own package: cache
+// scoping and the progress, telemetry, trace and journal wiring live here
+// for both backends.
+func (in solveInputs) explorer() *soma.Explorer {
 	ex := soma.New(in.g, in.cfg, in.obj, in.par)
 	if in.cache != nil {
 		ex.Cache = in.cache
 		ex.Scope = in.scope
 	}
-	ex.Progress = progressTap(in.hooks, "soma", in.component)
+	ex.Progress = progressTap(in.hooks, in.spec.Framework, in.component)
 	ex.Reg = in.obs.Registry()
 	ex.Track = in.track
 	ex.Journal = in.journal
+	return ex
+}
+
+// solveSoma runs one soma exploration and assembles its payload.
+func solveSoma(ctx context.Context, in solveInputs) (*report.Result, error) {
 	var span *obs.Span
 	if in.component != "" {
 		// Scenario sub-runs nest their stage spans under a component span.
 		span = in.track.Start("component:"+in.component, "scenario")
 	}
-	res, err := ex.RunContext(ctx)
+	res, err := in.explorer().RunContext(ctx)
 	span.End()
 	if err != nil {
 		return nil, err
@@ -100,27 +115,15 @@ func (coccoBackend) Describe() string {
 }
 
 func (coccoBackend) Solve(ctx context.Context, req Request, h *Hooks) (*report.Result, error) {
-	req = req.normalized()
-	cfg, err := req.hwConfig()
+	in, err := req.inputs(h)
 	if err != nil {
 		return nil, err
 	}
-	g, err := req.buildGraph()
+	res, err := cocco.Run(ctx, in.explorer())
 	if err != nil {
 		return nil, err
 	}
-	ex := cocco.New(g, cfg, req.Objective, req.Params)
-	// Cocco evaluates uncached (its single annealing chain rarely revisits
-	// states), so a shared Request.Cache has nothing to scope here.
-	ex.Progress = progressTap(h, "cocco", "")
-	ex.Reg = req.Obs.Registry()
-	ex.Track = req.track()
-	ex.Journal = req.Journal
-	res, err := ex.RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	payload := report.FromCocco(req.spec(), cfg, res)
-	payload.Raw.Graph = g
+	payload := report.FromCocco(in.spec, in.cfg, res)
+	payload.Raw.Graph = in.g
 	return payload, nil
 }

@@ -143,6 +143,29 @@ func TestGoldenSingleModel(t *testing.T) {
 	}
 }
 
+// TestCoccoRunsOneChain: the baseline is one chain whatever the request's
+// portfolio knobs say, so a Chains 4, Workers 2 request gives the payload
+// of the plain one byte for byte.
+func TestCoccoRunsOneChain(t *testing.T) {
+	solve := func(chains, workers int) []byte {
+		par := fastPar(1)
+		par.Chains, par.Workers = chains, workers
+		res, err := Run(context.Background(), Request{Backend: "cocco",
+			Model: "mobilenetv2", Platform: "edge", Params: par}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := res.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	if !bytes.Equal(solve(4, 2), solve(0, 0)) {
+		t.Error("a Chains 4, Workers 2 cocco request diverged from the Chains 0 one")
+	}
+}
+
 // TestGoldenScenario pins the engine's composed-scenario payload to the
 // pre-refactor golden.
 func TestGoldenScenario(t *testing.T) {

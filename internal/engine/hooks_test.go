@@ -1,12 +1,19 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
+	"soma/internal/hw"
 	"soma/internal/sim"
 	"soma/internal/soma"
+	"soma/internal/testutil"
 	"soma/internal/workload"
 )
 
@@ -143,6 +150,48 @@ func TestHooksCoccoStream(t *testing.T) {
 		if e.Backend != "cocco" {
 			t.Errorf("event backend = %q, want cocco", e.Backend)
 		}
+	}
+}
+
+// TestHooksCoccoStreamGolden pins a fixed-seed cocco solve's whole event
+// stream - every kind, stage, allocator iteration, chain, iteration and
+// cost, one JSON event per line - to a committed golden.
+func TestHooksCoccoStreamGolden(t *testing.T) {
+	par := soma.FastParams()
+	par.Seed, par.Beta1 = 1, 2
+	events := collect(t, Request{Backend: "cocco", Model: "mobilenetv2",
+		Platform: "edge", Params: par})
+	var got bytes.Buffer
+	enc := json.NewEncoder(&got)
+	for _, e := range events {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	testutil.Golden(t, filepath.Join("testdata", "mobilenetv2-edge-cocco.hooks.golden.jsonl"), got.Bytes())
+}
+
+// TestHooksCoccoInfeasible: a cocco solve that finds nothing feasible closes
+// its stage with a stage-done event (cost -1) before the error, as a soma
+// stage 1 does.
+func TestHooksCoccoInfeasible(t *testing.T) {
+	cfg := hw.Edge().WithGBuf(4 << 10)
+	var kinds []string
+	var events []Event
+	_, err := Run(context.Background(), Request{Backend: "cocco", Model: "resnet50",
+		Platform: "edge", Config: &cfg, Params: fastPar(1)},
+		&Hooks{Event: func(e Event) { events = append(events, e) }})
+	if !errors.Is(err, soma.ErrNoFeasible) {
+		t.Fatalf("err = %v, want ErrNoFeasible", err)
+	}
+	for _, e := range events {
+		kinds = append(kinds, e.Kind)
+	}
+	if want := []string{"start", "stage", "stage-done", "error"}; !slices.Equal(kinds, want) {
+		t.Fatalf("event kinds = %v, want %v", kinds, want)
+	}
+	if done := events[2]; done.Stage != "cocco" || done.Cost != -1 {
+		t.Errorf("stage-done = %+v, want stage cocco, cost -1", done)
 	}
 }
 

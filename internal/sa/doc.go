@@ -1,7 +1,7 @@
 // Package sa is the simulated-annealing engine both exploration stages of
 // the SoMa framework share (paper Sec. V-C).
 //
-// # Serial search (RunMovesCtx)
+// # Serial search
 //
 // Starting from an initial solution, each iteration applies a random
 // operator, evaluates the candidate, always accepts improvements and accepts
@@ -13,8 +13,8 @@
 // commits or rolls it back on the acceptance draw. Stage 1 anneals
 // *core.Encoding (the Layer-Fusion-related Attributes), stage 2 anneals
 // *core.Schedule (the DRAM-Load-and-Store-related Attributes) over an
-// incremental evaluator, and the Cocco baseline reuses the same engine for
-// its fusion search.
+// incremental evaluator; the Cocco baseline is a one-chain stage 1 with its
+// own operators.
 //
 // # Portfolio search (RunMovesPortfolioCtx)
 //
@@ -26,5 +26,6 @@
 // selection rule is total, the result is a pure function of the
 // configuration: the Workers knob changes wall-clock time only, never the
 // returned schedule. This is what makes figure sweeps reproducible while
-// still scaling across cores. The zero PortfolioConfig is one serial chain.
+// still scaling across cores. The zero PortfolioConfig is one serial chain,
+// run on the caller's goroutine: it is the package's serial entry point.
 package sa

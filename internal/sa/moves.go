@@ -68,13 +68,13 @@ type IncCountSource interface {
 	IncCounts() (resumed, fallbacks int64)
 }
 
-// RunMovesCtx anneals a MoveState with the paper's acceptance rule and
+// runMovesCtx anneals a MoveState with the paper's acceptance rule and
 // cooling schedule, and returns the best state seen. It honours cooperative
 // cancellation: when ctx is canceled the loop stops within cancelCheckEvery
 // iterations and returns the best state seen so far. Callers that must
 // distinguish a canceled run from a converged one check ctx.Err() after
-// RunMovesCtx returns (the annealer itself never fails).
-func RunMovesCtx[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, float64, Stats) {
+// runMovesCtx returns (the annealer itself never fails).
+func runMovesCtx[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, float64, Stats) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	curCost := ms.InitCost()
 	best, bestCost := ms.Snapshot(), curCost
@@ -163,7 +163,7 @@ func RunMovesCtx[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, fl
 }
 
 // RunMovesPortfolioCtx anneals Chains independent chains and returns the
-// best state found across all of them. Chain c runs RunMovesCtx under seed
+// best state found across all of them. Chain c runs runMovesCtx under seed
 // Config.Seed+c, and the winner is selected by (cost, chain index), so a
 // fixed Config.Seed yields an identical result for any Workers value -
 // parallelism is observationally equivalent to the serial sweep.
@@ -183,13 +183,15 @@ func RunMovesPortfolioCtx[S any](ctx context.Context, cfg Config, pf PortfolioCo
 
 	pf = pf.normalized()
 	if pf.Chains == 1 {
+		// One chain runs on the caller's goroutine, without the pool's
+		// per-chain outcome, panic and semaphore bookkeeping.
 		if pf.OnImprove != nil {
 			cfg.OnImprove = func(iter int, c float64) { pf.OnImprove(0, iter, c) }
 		}
 		if pf.Journal != nil {
 			cfg.Journal = pf.Journal(0)
 		}
-		best, bestCost, st := RunMovesCtx(ctx, cfg, newState(0))
+		best, bestCost, st := runMovesCtx(ctx, cfg, newState(0))
 		return best, bestCost, PortfolioStats{
 			Total: st, Chains: 1, Workers: 1, PerChain: []Stats{st}}
 	}
@@ -228,7 +230,7 @@ func RunMovesPortfolioCtx[S any](ctx context.Context, cfg Config, pf PortfolioCo
 					cancel()
 				}
 			}()
-			best, bc, st := RunMovesCtx(ctx, chainCfg, newState(c))
+			best, bc, st := runMovesCtx(ctx, chainCfg, newState(c))
 			results[c] = outcome{best: best, cost: bc, st: st}
 		}(c, chainCfg)
 	}

@@ -4,7 +4,7 @@ import "soma/internal/obs"
 
 // PortfolioConfig sizes a portfolio run: Chains independent annealing chains
 // executed on at most Workers goroutines. Zero or negative values normalize
-// to 1, so the zero value is exactly one serial RunMovesCtx chain.
+// to 1, so the zero value is exactly one serial chain.
 type PortfolioConfig struct {
 	// Chains is the number of independently seeded restarts. Chain i runs
 	// with seed Config.Seed+i, so the portfolio's outcome is a pure

@@ -56,10 +56,10 @@ func (m *funcMoves[S]) Accept()     { m.cur = m.cand }
 func (m *funcMoves[S]) Reject()     {}
 func (m *funcMoves[S]) Snapshot() S { return m.cur }
 
-// anneal runs one RunMovesCtx chain over a funcMoves state.
+// anneal runs one runMovesCtx chain over a funcMoves state.
 func anneal[S any](ctx context.Context, cfg Config, init S, cost func(S) float64,
 	neighbor func(S, *rand.Rand) (S, bool)) (S, float64, Stats) {
-	return RunMovesCtx[S](ctx, cfg, &funcMoves[S]{cur: init, cost: cost, neighbor: neighbor})
+	return runMovesCtx[S](ctx, cfg, &funcMoves[S]{cur: init, cost: cost, neighbor: neighbor})
 }
 
 // annealPortfolio runs RunMovesPortfolioCtx with one funcMoves per chain,

@@ -2,9 +2,10 @@ package soma
 
 import "soma/internal/sim"
 
-// Progress is one solver progress callback delivered to Explorer.Progress
-// (and, with Stage "cocco", to the baseline's equivalent hook). The solver
-// reports three kinds of observations:
+// Progress is one solver progress callback delivered to Explorer.Progress.
+// Every AnnealLFA search reports under its stage label, so the Cocco
+// baseline, which runs on stage 1's chain, reports Stage "cocco". The
+// solver reports three kinds of observations:
 //
 //   - "start": an annealing stage is about to run (Stage, AllocIter, Budget)
 //   - "improve": one portfolio chain improved its incumbent (Chain, Iter,

@@ -24,30 +24,42 @@ const encKeyPrefix = "enc:"
 // chains and keeps the best incumbent. Canceling ctx aborts the stage with
 // ctx.Err().
 func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*core.Encoding, StageResult, error) {
-	e.notify(Progress{Stage: "stage1", Kind: "start", AllocIter: e.allocIter, Budget: budget})
+	return e.AnnealLFA(ctx, "stage1", InitialEncoding(e.G, e.Cfg, e.Par.MinTile), budget, seed, e.mutateLFA)
+}
+
+// AnnealLFA is the stage-1 search over LFA encodings, the one annealer of
+// every LFA subspace: it anneals from init under the buffer budget, drawing
+// each candidate with mutate - which applies one random operator to an
+// encoding in place and names it, reporting false for an unproductive draw -
+// and scoring it under the double-buffer DLSA. stage labels the search's
+// progress events, trace span, best-cost samples, move counters and journal
+// series. A portfolio of Params.Chains chains runs from seed, seed+1, ...;
+// each chain mutates a private copy of init. The winner's metrics are
+// re-evaluated; ErrNoFeasible reports a search that visited nothing
+// feasible, and canceling ctx aborts it with ctx.Err().
+func (e *Explorer) AnnealLFA(ctx context.Context, stage string, init *core.Encoding, budget, seed int64,
+	mutate func(*core.Encoding, *rand.Rand) (string, bool)) (*core.Encoding, StageResult, error) {
+	e.notify(Progress{Stage: stage, Kind: "start", AllocIter: e.allocIter, Budget: budget})
 	start := time.Now()
-	span := e.Track.Start("stage1", "soma").
+	span := e.Track.Start(stage, "soma").
 		Arg("alloc_iter", e.allocIter).Arg("budget", budget)
 	defer func() {
 		e.stage1WallNS += time.Since(start).Nanoseconds()
 		span.End()
 	}()
-	init := InitialEncoding(e.G, e.Cfg, e.Par.MinTile)
 	iters := e.Par.Beta1 * len(init.Order)
 	if e.Par.Stage1MaxIters > 0 && iters > e.Par.Stage1MaxIters {
 		iters = e.Par.Stage1MaxIters
 	}
 
 	cfg := sa.Config{T0: e.Par.T0, Alpha: e.Par.Alpha, Iters: iters, Seed: seed,
-		Telemetry: sa.NewTelemetry(e.Reg, "stage1")}
+		Telemetry: sa.NewTelemetry(e.Reg, stage)}
 	pf := e.portfolio()
-	pf.OnImprove = e.improveHook("stage1")
-	pf.Journal = e.stageJournal("stage1")
+	pf.OnImprove = e.improveHook(stage)
+	pf.Journal = e.stageJournal(stage)
 	best, bestCost, stats := sa.RunMovesPortfolioCtx[*core.Encoding](ctx, cfg, pf,
 		func(int) sa.MoveState[*core.Encoding] {
-			// Each chain mutates encodings it owns, so it starts from a
-			// private copy of the shared init.
-			return &lfaMoves{e: e, budget: budget, cur: init.Clone(),
+			return &lfaMoves{e: e, budget: budget, mutate: mutate, cur: init.Clone(),
 				cand: &core.Encoding{}, best: &core.Encoding{},
 				ev: chainEval{m: new(sim.Metrics)}}
 		})
@@ -55,7 +67,7 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 		return nil, StageResult{}, err
 	}
 	if math.IsInf(bestCost, 1) {
-		e.notify(Progress{Stage: "stage1", Kind: "done", AllocIter: e.allocIter, Cost: bestCost})
+		e.notify(Progress{Stage: stage, Kind: "done", AllocIter: e.allocIter, Cost: bestCost})
 		return nil, StageResult{}, ErrNoFeasible
 	}
 	var ev chainEval // no hit storage: the winner's metrics are retained
@@ -67,7 +79,7 @@ func (e *Explorer) RunStage1(ctx context.Context, budget int64, seed int64) (*co
 	if m.BufferOK {
 		c = m.Cost(e.Obj.N, e.Obj.M)
 	}
-	e.notify(Progress{Stage: "stage1", Kind: "done", AllocIter: e.allocIter, Cost: c})
+	e.notify(Progress{Stage: stage, Kind: "done", AllocIter: e.allocIter, Cost: c})
 	return best, StageResult{Metrics: m, Cost: c, Stats: stats}, nil
 }
 
@@ -113,7 +125,7 @@ func (e *Explorer) flgMemo() *core.FLGMemo {
 	return e.memo
 }
 
-// lfaMoves adapts the stage-1 LFA operators to the move-aware annealer,
+// lfaMoves adapts an LFA operator (mutate) to the move-aware annealer,
 // tagging each productive proposal with its operator kind for the
 // convergence journal. It owns three encodings: cur, the accepted state;
 // cand, which each Propose overwrites with cur and mutates; and best, the
@@ -124,6 +136,7 @@ func (e *Explorer) flgMemo() *core.FLGMemo {
 type lfaMoves struct {
 	e               *Explorer
 	budget          int64
+	mutate          func(*core.Encoding, *rand.Rand) (string, bool)
 	cur, cand, best *core.Encoding
 	ev              chainEval
 	kind            string
@@ -142,7 +155,7 @@ func (m *lfaMoves) InitCost() float64 { return m.cost(m.cur) }
 
 func (m *lfaMoves) Propose(rng *rand.Rand) (float64, bool) {
 	m.cand.CopyFrom(m.cur)
-	kind, ok := m.e.mutateLFA(m.cand, rng)
+	kind, ok := m.mutate(m.cand, rng)
 	if !ok {
 		return 0, false
 	}

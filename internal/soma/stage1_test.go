@@ -78,7 +78,7 @@ func TestStage1MissAllocs(t *testing.T) {
 // where every proposal is a hit (a repeat job on a warm daemon): the chain
 // builds candidates and keys in reused buffers and each hit is written into
 // the chain's own metrics, so a move allocates nothing and a run allocates
-// only its set-up (55-65 times, 0.05-0.11 per move).
+// only its set-up (56-66 times, 0.06-0.11 per move).
 func TestWarmStage1Allocs(t *testing.T) {
 	const limit = 0.125
 	for _, name := range []string{"mobilenetv2", "resnet50", "gpt2s-decode"} {
