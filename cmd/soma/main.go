@@ -28,9 +28,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
+	"soma/internal/cluster"
 	"soma/internal/core"
 	"soma/internal/coresched"
 	"soma/internal/engine"
@@ -88,6 +88,9 @@ func main() {
 	if *dram > 0 {
 		cfg = cfg.WithDRAM(*dram)
 	}
+	if *buf > hw.MaxGBufMB {
+		fatal(fmt.Errorf("-buf wants at most %d MB, got %d", hw.MaxGBufMB, *buf))
+	}
 	if *buf > 0 {
 		cfg = cfg.WithGBuf(*buf << 20)
 	}
@@ -99,18 +102,12 @@ func main() {
 	par.Chains = *chains
 	// -workers is overloaded: a plain integer is the portfolio worker
 	// count; anything else is a cluster worker address list (sweeps only).
-	var clusterWorkers []string
-	if n, err := strconv.Atoi(strings.TrimSpace(*workers)); err == nil {
+	n, clusterWorkers, err := cluster.ParseWorkers(*workers)
+	if err != nil {
+		fatal(err)
+	}
+	if clusterWorkers == nil {
 		par.Workers = n
-	} else {
-		for _, a := range strings.Split(*workers, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				clusterWorkers = append(clusterWorkers, a)
-			}
-		}
-		if len(clusterWorkers) == 0 {
-			fatal(fmt.Errorf("-workers wants a number or a worker address list, got %q", *workers))
-		}
 	}
 	if *beta1 > 0 {
 		par.Beta1 = *beta1

@@ -47,11 +47,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
+	"soma/internal/cluster"
 	"soma/internal/service"
 )
 
@@ -65,7 +64,7 @@ func main() {
 	worker := flag.Bool("worker", false, "serve cluster lease execution (this somad computes sweep points for a remote coordinator)")
 	flag.Parse()
 
-	poolWorkers, workerList, err := parseWorkers(*workers)
+	poolWorkers, workerList, err := cluster.ParseWorkers(*workers)
 	if err != nil {
 		fatal(err)
 	}
@@ -116,27 +115,6 @@ func main() {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
-}
-
-// parseWorkers reads the -workers flag, overloaded the same way soma's is:
-// a plain integer sizes the job worker pool (the cluster worker list is
-// empty); anything else is a comma-separated cluster worker address list,
-// which leaves the pool at one worker. A value that is neither - empty, or
-// only commas and blanks - is an error.
-func parseWorkers(v string) (int, []string, error) {
-	if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil {
-		return n, nil, nil
-	}
-	var addrs []string
-	for _, a := range strings.Split(v, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	if len(addrs) == 0 {
-		return 0, nil, fmt.Errorf("-workers wants a number or a worker address list, got %q", v)
-	}
-	return 1, addrs, nil
 }
 
 // Connection timeouts. A client gets readHeaderTimeout to deliver a

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func serialJournal(t *testing.T) []byte {
 func startWorker(t *testing.T) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	NewWorker(nil).Mount(mux)
+	NewWorker(sim.NewCache(0), nil).Mount(mux)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
@@ -299,7 +300,7 @@ func TestMemoizeThroughInterface(t *testing.T) {
 // on its content; one past the bound gets 413.
 func TestRequestBodiesBounded(t *testing.T) {
 	mux := http.NewServeMux()
-	NewWorker(nil).Mount(mux)
+	NewWorker(sim.NewCache(0), nil).Mount(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -340,5 +341,30 @@ func TestRequestBodiesBounded(t *testing.T) {
 	huge := append([]byte(`{"lease_id":"`), bytes.Repeat([]byte("x"), MaxBodyBytes)...)
 	if code := post(append(huge, `"}`...)); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized lease got %d, want 413", code)
+	}
+}
+
+// TestParseWorkers: -workers is a pool size or a cluster address list; a
+// value that is neither is rejected instead of starting a 1-worker pool.
+func TestParseWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		in    string
+		n     int
+		addrs []string
+	}{
+		{"4", 4, nil},
+		{" 2 ", 2, nil},
+		{"127.0.0.1:8871", 1, []string{"127.0.0.1:8871"}},
+		{"a:1, b:2,", 1, []string{"a:1", "b:2"}},
+	} {
+		n, addrs, err := ParseWorkers(tc.in)
+		if err != nil || n != tc.n || !slices.Equal(addrs, tc.addrs) {
+			t.Errorf("ParseWorkers(%q) = %d, %q, %v; want %d, %q", tc.in, n, addrs, err, tc.n, tc.addrs)
+		}
+	}
+	for _, in := range []string{"", ",", " , ", "  "} {
+		if _, _, err := ParseWorkers(in); err == nil {
+			t.Errorf("ParseWorkers(%q) accepted a value with neither a number nor an address", in)
+		}
 	}
 }

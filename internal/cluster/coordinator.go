@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,6 +85,27 @@ func NormalizeWorkerURL(addr string) string {
 		u = u[:len(u)-1]
 	}
 	return u
+}
+
+// ParseWorkers reads the -workers flag soma and somad share. It is
+// overloaded: a plain integer n is a worker count (returned with no cluster
+// addresses); anything else is a comma-separated cluster worker address
+// list, returned with a count of 1. A value that is neither - empty, or
+// only commas and blanks - is an error.
+func ParseWorkers(v string) (int, []string, error) {
+	if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil {
+		return n, nil, nil
+	}
+	var addrs []string
+	for _, a := range strings.Split(v, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
+		}
+	}
+	if len(addrs) == 0 {
+		return 0, nil, fmt.Errorf("-workers wants a number or a worker address list, got %q", v)
+	}
+	return 1, addrs, nil
 }
 
 // node is one worker as the coordinator sees it. alive is written by the

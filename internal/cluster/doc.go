@@ -20,9 +20,10 @@
 // cluster flag never makes a sweep fail that would have succeeded
 // single-process.
 //
-// Caching: each worker evaluates on its own process-lifetime sim.Cache, as
-// the local pool does, and the coordinator's local fallback uses the
-// sweep's dse.Options.Cache. No cache is shared over the network: on the
-// Fig. 7 grid a coordinator-hosted tier answered under 1% of worker
-// lookups and its round trips made the sharded sweep about 12x slower.
+// Caching: each worker evaluates on its somad process's lifetime
+// sim.Cache, the one that process's own jobs use, and the coordinator's
+// local fallback uses the sweep's dse.Options.Cache. No cache is shared
+// over the network: on the Fig. 7 grid a coordinator-hosted tier answered
+// under 1% of worker lookups and its round trips made the sharded sweep
+// about 12x slower.
 package cluster

@@ -16,6 +16,7 @@ import (
 
 	"soma/internal/dse"
 	"soma/internal/obs"
+	"soma/internal/sim"
 )
 
 // faulty wraps a real worker handler and injects failures on the lease path:
@@ -87,7 +88,7 @@ func (f *faulty) leases() int {
 func startFaulty(t *testing.T, f *faulty) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
-	NewWorker(nil).Mount(mux)
+	NewWorker(sim.NewCache(0), nil).Mount(mux)
 	f.inner = mux
 	srv := httptest.NewServer(f)
 	t.Cleanup(srv.Close)

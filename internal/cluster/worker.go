@@ -15,9 +15,10 @@ import (
 
 // Worker serves lease execution: a somad started with -worker mounts one on
 // its mux. Workers are stateless between leases (every lease carries its
-// full spec), but keep a process-lifetime evaluation cache - engine cache
-// scopes already namespace keys per (workload, batch, platform, hw) context,
-// so entries are shareable across leases and sweeps.
+// full spec), but evaluate on their process's lifetime evaluation cache -
+// engine cache scopes already namespace keys per (workload, batch,
+// platform, hw) context, so entries are shareable across leases, sweeps and
+// the process's own jobs.
 type Worker struct {
 	// Obs receives worker telemetry (cluster_worker_* plus everything the
 	// solvers emit). Nil disables it.
@@ -28,11 +29,10 @@ type Worker struct {
 	leases atomic.Int64
 }
 
-// NewWorker builds a worker with a fresh evaluation cache.
-func NewWorker(o *obs.Obs) *Worker {
-	w := &Worker{Obs: o, cache: sim.NewCache(0)}
-	w.cache.ExportMetrics(o.Registry())
-	return w
+// NewWorker builds a worker that evaluates every lease on cache, which the
+// caller owns and exports.
+func NewWorker(cache *sim.Cache, o *obs.Obs) *Worker {
+	return &Worker{Obs: o, cache: cache}
 }
 
 // Mount registers the worker endpoints on mux.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -479,47 +480,18 @@ func TestSetStartSetEndClamping(t *testing.T) {
 	}
 }
 
-func TestDLSASnapshotRoundTrip(t *testing.T) {
-	g, ids := fig4(t)
-	s := mustParse(t, g, fig4Encoding(ids))
-	snap := s.ExtractDLSA()
-	// Mutate, then restore.
-	s.SetStart(s.Order[0], 0)
-	s.MoveTensor(0, len(s.Order)-1)
-	if err := s.ApplyDLSA(snap); err != nil {
-		t.Fatalf("ApplyDLSA: %v", err)
-	}
-	got := s.ExtractDLSA()
-	for i := range snap.Order {
-		if got.Order[i] != snap.Order[i] {
-			t.Fatal("order not restored")
-		}
-	}
-	// Shape mismatch is rejected.
-	bad := snap
-	bad.Order = bad.Order[:1]
-	if err := s.ApplyDLSA(bad); err == nil {
-		t.Fatal("mismatched DLSA accepted")
-	}
-}
-
 func TestCloneIsolation(t *testing.T) {
 	g, ids := fig4(t)
 	s := mustParse(t, g, fig4Encoding(ids))
+	order := append([]int(nil), s.Order...)
+	tensors := append([]Tensor(nil), s.Tensors...)
 	c := s.Clone()
 	c.SetStart(c.Order[0], 0)
 	c.MoveTensor(0, 2)
-	if s.ExtractDLSA().Order[0] != s.Order[0] {
+	if !reflect.DeepEqual(s.Order, order) || !reflect.DeepEqual(s.Tensors, tensors) {
 		t.Fatal("clone mutation leaked")
 	}
-	same := true
-	orig, cl := s.ExtractDLSA(), c.ExtractDLSA()
-	for i := range orig.Order {
-		if orig.Order[i] != cl.Order[i] {
-			same = false
-		}
-	}
-	if same && orig.Start[s.Order[0]] == cl.Start[s.Order[0]] {
+	if reflect.DeepEqual(c.Order, order) && reflect.DeepEqual(c.Tensors, tensors) {
 		t.Fatal("clone did not diverge")
 	}
 }
@@ -553,13 +525,7 @@ func TestEncodingOperators(t *testing.T) {
 	if e.RemoveFLC(7, 1) {
 		t.Fatal("out-of-range removal accepted")
 	}
-	// SetDRAM toggles cut class.
-	if !e.SetDRAM(0, true) || !e.IsDRAM[0] {
-		t.Fatal("SetDRAM failed")
-	}
-	if e.SetDRAM(9, true) {
-		t.Fatal("out-of-range SetDRAM accepted")
-	}
+	e.IsDRAM[0] = true
 	if err := e.Check(g); err != nil {
 		t.Fatalf("Check after operators: %v", err)
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // OrderValid reports whether the DRAM Tensor Order is a permutation that
 // places every producer store before the loads that re-read its data
 // (violations deadlock the serial DRAM channel).
@@ -132,44 +130,4 @@ func (s *Schedule) SetEnd(id, end int) bool {
 	}
 	t.End = end
 	return true
-}
-
-// DLSA is the serialized DRAM-Load-and-Store-related attribute set: the
-// tensor order plus every adjustable Start/End. It lets explorers snapshot
-// and restore the stage-2 state cheaply.
-type DLSA struct {
-	Order []int
-	Start []int
-	End   []int
-}
-
-// ExtractDLSA snapshots the schedule's current DLSA.
-func (s *Schedule) ExtractDLSA() DLSA {
-	d := DLSA{
-		Order: append([]int(nil), s.Order...),
-		Start: make([]int, len(s.Tensors)),
-		End:   make([]int, len(s.Tensors)),
-	}
-	for i := range s.Tensors {
-		d.Start[i] = s.Tensors[i].Start
-		d.End[i] = s.Tensors[i].End
-	}
-	return d
-}
-
-// ApplyDLSA restores a snapshot taken from a schedule with the same tensor
-// set.
-func (s *Schedule) ApplyDLSA(d DLSA) error {
-	if len(d.Order) != len(s.Tensors) || len(d.Start) != len(s.Tensors) || len(d.End) != len(s.Tensors) {
-		return fmt.Errorf("core: DLSA shape mismatch (%d tensors)", len(s.Tensors))
-	}
-	s.Order = append(s.Order[:0], d.Order...)
-	for i := range s.Tensors {
-		s.Tensors[i].Start = d.Start[i]
-		s.Tensors[i].End = d.End[i]
-	}
-	if !s.OrderValid() || !s.LivingValid() {
-		return fmt.Errorf("core: DLSA snapshot is not legal for this schedule")
-	}
-	return nil
 }

@@ -43,7 +43,7 @@ func DefaultEncoding(g *graph.Graph, minTile int) *Encoding {
 	if minTile < 1 {
 		minTile = 1
 	}
-	order := g.TopoOrder()
+	order := g.ComputeLayers()
 	n := len(order)
 	e := &Encoding{Order: order}
 	for p := 1; p < n; p++ {
@@ -188,15 +188,6 @@ func (e *Encoding) RemoveFLC(i int, mergedTile int) bool {
 	}
 	e.Tile[i] = mergedTile
 	e.Tile = append(e.Tile[:i+1], e.Tile[i+2:]...)
-	return true
-}
-
-// SetDRAM marks or unmarks the i-th FLC as a DRAM cut.
-func (e *Encoding) SetDRAM(i int, dram bool) bool {
-	if i < 0 || i >= len(e.FLCs) {
-		return false
-	}
-	e.IsDRAM[i] = dram
 	return true
 }
 

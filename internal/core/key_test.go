@@ -42,9 +42,7 @@ func TestEncodingCanonicalKeyDistinguishesAttributes(t *testing.T) {
 	}
 
 	cut := base.Clone()
-	if !cut.SetDRAM(0, false) {
-		t.Fatal("SetDRAM failed")
-	}
+	cut.IsDRAM[0] = false
 	if cut.CanonicalKey() == key {
 		t.Fatal("DRAM-cut change must change the key")
 	}

@@ -30,7 +30,7 @@ func TestPerSampleWeightsSplitWithBatchTiling(t *testing.T) {
 	// Put qk in its own FLG with T=4: the batch axis splits, and the KV
 	// operand must split with it (4 loads of 1/4 size each).
 	e := &Encoding{
-		Order:  g.TopoOrder(),
+		Order:  g.ComputeLayers(),
 		FLCs:   []int{1},
 		IsDRAM: []bool{true},
 		Tile:   []int{1, 4},
@@ -61,7 +61,7 @@ func TestPerSampleWeightsSplitWithBatchTiling(t *testing.T) {
 func TestPerSampleWeightsSingleTile(t *testing.T) {
 	g, qk := decodeNet(t, 4)
 	e := &Encoding{
-		Order:  g.TopoOrder(),
+		Order:  g.ComputeLayers(),
 		FLCs:   []int{1},
 		IsDRAM: []bool{true},
 		Tile:   []int{1, 1},
@@ -84,7 +84,7 @@ func TestPerSampleWeightsSingleTile(t *testing.T) {
 func TestPerSampleTileRequestScalesWeights(t *testing.T) {
 	g, _ := decodeNet(t, 4)
 	e := &Encoding{
-		Order:  g.TopoOrder(),
+		Order:  g.ComputeLayers(),
 		FLCs:   []int{1},
 		IsDRAM: []bool{true},
 		Tile:   []int{1, 4},
@@ -104,9 +104,9 @@ func TestPerSampleTileRequestScalesWeights(t *testing.T) {
 
 func TestPerSampleWeightsReduceBufferPeak(t *testing.T) {
 	g, _ := decodeNet(t, 8)
-	coarse := mustParse(t, g, &Encoding{Order: g.TopoOrder(), FLCs: []int{1},
+	coarse := mustParse(t, g, &Encoding{Order: g.ComputeLayers(), FLCs: []int{1},
 		IsDRAM: []bool{true}, Tile: []int{1, 1}})
-	fine := mustParse(t, g, &Encoding{Order: g.TopoOrder(), FLCs: []int{1},
+	fine := mustParse(t, g, &Encoding{Order: g.ComputeLayers(), FLCs: []int{1},
 		IsDRAM: []bool{true}, Tile: []int{1, 8}})
 	if fine.PeakBuffer() >= coarse.PeakBuffer() {
 		t.Fatalf("batch tiling should shrink the cache footprint: %d >= %d",

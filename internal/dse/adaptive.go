@@ -33,10 +33,11 @@ func ProbeParams(par soma.Params) soma.Params {
 	if par.Beta2 > 1 {
 		par.Beta2 = (par.Beta2 + 3) / 4
 	}
-	if par.Stage1MaxIters > 800 {
+	// A cap <= 0 means uncapped, so it gets the probe cap too.
+	if par.Stage1MaxIters <= 0 || par.Stage1MaxIters > 800 {
 		par.Stage1MaxIters = 800
 	}
-	if par.Stage2MaxIters > 1500 {
+	if par.Stage2MaxIters <= 0 || par.Stage2MaxIters > 1500 {
 		par.Stage2MaxIters = 1500
 	}
 	par.Patience = 1

@@ -51,6 +51,12 @@ func TestProbeParamsScalesDown(t *testing.T) {
 	if p.Stage1MaxIters > 800 || p.Stage2MaxIters > 1500 {
 		t.Fatalf("iteration caps not applied: %+v", p)
 	}
+	// An uncapped (<= 0) budget is capped like a large one.
+	unc := soma.DefaultParams()
+	unc.Stage1MaxIters, unc.Stage2MaxIters = 0, -1
+	if u := ProbeParams(unc); u.Stage1MaxIters != 800 || u.Stage2MaxIters != 1500 {
+		t.Fatalf("uncapped budget left uncapped: %+v", u)
+	}
 	// Already-tiny params stay valid (never scaled to zero).
 	tiny := soma.FastParams()
 	tiny.Beta1, tiny.Beta2 = 1, 1

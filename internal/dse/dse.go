@@ -284,8 +284,8 @@ func (s Sweep) Validate() error {
 		}
 	}
 	for _, g := range s.GBufMB {
-		if g < 0 {
-			return fmt.Errorf("dse: gbuf_mb must be >= 0, got %d", g)
+		if g < 0 || g > hw.MaxGBufMB {
+			return fmt.Errorf("dse: gbuf_mb must be in [0, %d], got %d", hw.MaxGBufMB, g)
 		}
 	}
 	if a := s.Adaptive; a != nil {

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -41,6 +42,8 @@ func TestValidate(t *testing.T) {
 		{"bad batch", Sweep{Models: []string{"resnet50"}, Batches: []int{0}}, "batch must be positive"},
 		{"bad dram", Sweep{Models: []string{"resnet50"}, DRAMGBs: []float64{-1}}, "dram_gbps"},
 		{"bad gbuf", Sweep{Models: []string{"resnet50"}, GBufMB: []int64{-4}}, "gbuf_mb"},
+		{"largest gbuf", Sweep{Models: []string{"resnet50"}, GBufMB: []int64{math.MaxInt64 >> 20}}, ""},
+		{"gbuf overflows bytes", Sweep{Models: []string{"resnet50"}, GBufMB: []int64{1 << 43}}, "gbuf_mb"},
 		{"bad profile", Sweep{Models: []string{"resnet50"}, Search: &Search{Profile: "turbo"}}, "unknown profile"},
 	}
 	for _, c := range cases {

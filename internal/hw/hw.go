@@ -3,6 +3,7 @@ package hw
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Energy is the unit-energy table the evaluator multiplies traffic and work
@@ -151,6 +152,10 @@ func (c Config) WithDRAM(gbps float64) Config {
 	c.Name = fmt.Sprintf("%s-d%g", c.Name, gbps)
 	return c
 }
+
+// MaxGBufMB is the largest GBUF capacity in MiB whose byte count
+// (MiB << 20) fits an int64; a larger override wraps negative.
+const MaxGBufMB int64 = math.MaxInt64 >> 20
 
 // WithGBuf returns a copy with a different GBUF capacity in bytes.
 func (c Config) WithGBuf(bytes int64) Config {

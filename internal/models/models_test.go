@@ -87,11 +87,11 @@ func TestInceptionResNetV1(t *testing.T) {
 
 func TestRandWireDeterminismAndSeedVariation(t *testing.T) {
 	a, b := RandWire(1), RandWire(1)
-	if a.DumpLayers() != b.DumpLayers() {
+	if !reflect.DeepEqual(a.Layers, b.Layers) {
 		t.Fatal("RandWire must be deterministic for the default seed")
 	}
 	c := RandWireSeeded(1, 1234)
-	if a.DumpLayers() == c.DumpLayers() {
+	if reflect.DeepEqual(a.Layers, c.Layers) {
 		t.Fatal("different seeds should rewire the graph")
 	}
 	if err := c.Validate(); err != nil {
@@ -198,7 +198,7 @@ func TestRegistry(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s invalid: %v", n, err)
 		}
-		if !g.IsValidOrder(g.TopoOrder()) {
+		if !g.IsValidOrder(g.ComputeLayers()) {
 			t.Fatalf("%s: topo order invalid", n)
 		}
 	}

@@ -117,22 +117,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// Count returns the total number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values (0 on a nil receiver).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Value()
-}
-
 // HistogramSnapshot is the JSON-able state of one histogram series.
 type HistogramSnapshot struct {
 	// Bounds are the bucket upper bounds; Counts the per-bucket (not
@@ -399,46 +383,6 @@ type MetricSnapshot struct {
 	Type   string           `json:"type"`
 	Help   string           `json:"help,omitempty"`
 	Series []SeriesSnapshot `json:"series"`
-}
-
-// SnapshotDelta returns the per-series difference b minus a for one family:
-// what changed between two Snapshot calls. Series are matched by label
-// signature; a series present only in b is included verbatim (it appeared in
-// between), one present only in a is dropped. Histogram buckets, counts and
-// sums subtract element-wise. Tests use it instead of hand-diffing counters
-// around an operation.
-func SnapshotDelta(a, b MetricSnapshot) MetricSnapshot {
-	prev := make(map[string]SeriesSnapshot, len(a.Series))
-	for _, s := range a.Series {
-		prev[s.Labels] = s
-	}
-	out := MetricSnapshot{Name: b.Name, Type: b.Type, Help: b.Help}
-	for _, s := range b.Series {
-		p, ok := prev[s.Labels]
-		if !ok {
-			out.Series = append(out.Series, s)
-			continue
-		}
-		d := SeriesSnapshot{Labels: s.Labels, Value: s.Value - p.Value}
-		if s.Histogram != nil {
-			dh := &HistogramSnapshot{Bounds: s.Histogram.Bounds,
-				Counts: make([]int64, len(s.Histogram.Counts)),
-				Count:  s.Histogram.Count, Sum: s.Histogram.Sum}
-			copy(dh.Counts, s.Histogram.Counts)
-			if p.Histogram != nil {
-				for i := range dh.Counts {
-					if i < len(p.Histogram.Counts) {
-						dh.Counts[i] -= p.Histogram.Counts[i]
-					}
-				}
-				dh.Count -= p.Histogram.Count
-				dh.Sum -= p.Histogram.Sum
-			}
-			d.Histogram = dh
-		}
-		out.Series = append(out.Series, d)
-	}
-	return out
 }
 
 // Snapshot returns a point-in-time JSON-able view of every family, sorted

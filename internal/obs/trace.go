@@ -60,16 +60,6 @@ func (t *Tracer) appendLocked(ev traceEvent) {
 	t.events = append(t.events, ev)
 }
 
-// Dropped reports how many events were discarded after the cap was reached.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // Track returns the named track (a Perfetto row), creating it on first use.
 // Nil-safe: a nil tracer returns a nil track.
 func (t *Tracer) Track(name string) *Track {

@@ -46,7 +46,7 @@ func (m *kindedMoves) IncCounts() (r, f int64) { return m.resumed, 0 }
 // and stats with a journal attached or not, serial and portfolio alike.
 func TestJournalDoesNotPerturbRun(t *testing.T) {
 	run := func(j *obs.Journal) (int, float64, PortfolioStats) {
-		cfg := DefaultConfig(3000, 7)
+		cfg := Config{T0: 0.25, Alpha: 4, Iters: 3000, Seed: 7}
 		pf := PortfolioConfig{Chains: 3, Workers: 2}
 		if j != nil {
 			pf.Journal = func(c int) *obs.Series { return j.Series("test", 0, c) }
@@ -112,7 +112,7 @@ func TestJournalDoesNotPerturbRun(t *testing.T) {
 // series too.
 func TestJournalSingleChainSeries(t *testing.T) {
 	j := obs.NewJournalWith(8, 32)
-	cfg := DefaultConfig(500, 3)
+	cfg := Config{T0: 0.25, Alpha: 4, Iters: 500, Seed: 3}
 	pf := PortfolioConfig{Journal: func(c int) *obs.Series { return j.Series("solo", 1, c) }}
 	_, cost, _ := RunMovesPortfolioCtx(context.Background(), cfg, pf, func(int) MoveState[int] {
 		return &kindedMoves{cur: 99}

@@ -68,11 +68,6 @@ func NewTelemetry(reg *obs.Registry, stage string) *Telemetry {
 	}
 }
 
-// DefaultConfig returns the temperatures used across the experiments.
-func DefaultConfig(iters int, seed int64) Config {
-	return Config{T0: 0.25, Alpha: 4, Iters: iters, Seed: seed}
-}
-
 // Stats summarizes a run.
 type Stats struct {
 	Iterations int

@@ -78,7 +78,7 @@ func TestRunFindsQuadraticMinimum(t *testing.T) {
 	neighbor := func(x float64, rng *rand.Rand) (float64, bool) {
 		return x + rng.NormFloat64(), true
 	}
-	best, bc, st := anneal(bg, DefaultConfig(5000, 1), 100.0, cost, neighbor)
+	best, bc, st := anneal(bg, Config{T0: 0.25, Alpha: 4, Iters: 5000, Seed: 1}, 100.0, cost, neighbor)
 	if math.Abs(best-7) > 0.5 {
 		t.Fatalf("best = %g, want ~7 (cost %g)", best, bc)
 	}
@@ -92,12 +92,12 @@ func TestRunDeterministicForSeed(t *testing.T) {
 	neighbor := func(x int, rng *rand.Rand) (int, bool) {
 		return x + rng.Intn(7) - 3, true
 	}
-	a, ac, _ := anneal(bg, DefaultConfig(2000, 99), 0, cost, neighbor)
-	b, bc, _ := anneal(bg, DefaultConfig(2000, 99), 0, cost, neighbor)
+	a, ac, _ := anneal(bg, Config{T0: 0.25, Alpha: 4, Iters: 2000, Seed: 99}, 0, cost, neighbor)
+	b, bc, _ := anneal(bg, Config{T0: 0.25, Alpha: 4, Iters: 2000, Seed: 99}, 0, cost, neighbor)
 	if a != b || ac != bc {
 		t.Fatalf("same seed diverged: %d/%g vs %d/%g", a, ac, b, bc)
 	}
-	c, _, _ := anneal(bg, DefaultConfig(2000, 100), 0, cost, neighbor)
+	c, _, _ := anneal(bg, Config{T0: 0.25, Alpha: 4, Iters: 2000, Seed: 100}, 0, cost, neighbor)
 	_ = c // different seed may or may not differ; just must not crash
 }
 
@@ -113,7 +113,7 @@ func TestRunEscapesInfeasibleStart(t *testing.T) {
 	neighbor := func(x int, rng *rand.Rand) (int, bool) {
 		return x + rng.Intn(5) - 1, true
 	}
-	best, bc, _ := anneal(bg, DefaultConfig(3000, 7), 0, cost, neighbor)
+	best, bc, _ := anneal(bg, Config{T0: 0.25, Alpha: 4, Iters: 3000, Seed: 7}, 0, cost, neighbor)
 	if math.IsInf(bc, 1) {
 		t.Fatalf("never escaped infeasible region: best=%d", best)
 	}
@@ -127,7 +127,7 @@ func TestRunNeverReturnsWorseThanInit(t *testing.T) {
 	neighbor := func(x float64, rng *rand.Rand) (float64, bool) {
 		return x + rng.Float64()*10, true // only worsening moves
 	}
-	_, bc, _ := anneal(bg, DefaultConfig(500, 3), 2.0, cost, neighbor)
+	_, bc, _ := anneal(bg, Config{T0: 0.25, Alpha: 4, Iters: 500, Seed: 3}, 2.0, cost, neighbor)
 	if bc > 4.0 {
 		t.Fatalf("best cost %g worse than init 4.0", bc)
 	}
@@ -137,7 +137,7 @@ func TestRunSkipsRejectedNeighbors(t *testing.T) {
 	calls := 0
 	cost := func(x int) float64 { calls++; return float64(x) }
 	neighbor := func(x int, rng *rand.Rand) (int, bool) { return x, false }
-	_, _, st := anneal(bg, DefaultConfig(100, 1), 5, cost, neighbor)
+	_, _, st := anneal(bg, Config{T0: 0.25, Alpha: 4, Iters: 100, Seed: 1}, 5, cost, neighbor)
 	if st.Accepted != 0 {
 		t.Fatalf("accepted moves with no valid neighbors: %+v", st)
 	}
@@ -155,7 +155,7 @@ func TestRunCtxCancellation(t *testing.T) {
 	// Pre-canceled: stops at the first check, before any move.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	best, _, st := anneal(ctx, DefaultConfig(1<<20, 1), 0, cost, neighbor)
+	best, _, st := anneal(ctx, Config{T0: 0.25, Alpha: 4, Iters: 1 << 20, Seed: 1}, 0, cost, neighbor)
 	if st.Iterations != 0 {
 		t.Fatalf("pre-canceled run iterated %d times", st.Iterations)
 	}
@@ -175,7 +175,7 @@ func TestRunCtxCancellation(t *testing.T) {
 		}
 		return s - 1, true
 	}
-	_, _, st = anneal(ctx, DefaultConfig(1<<20, 1), 0, cost, cancelAt)
+	_, _, st = anneal(ctx, Config{T0: 0.25, Alpha: 4, Iters: 1 << 20, Seed: 1}, 0, cost, cancelAt)
 	if st.Iterations >= 10+2*cancelCheckEvery {
 		t.Fatalf("cancellation took %d iterations to land", st.Iterations)
 	}
@@ -186,7 +186,7 @@ func TestRunCtxCancellation(t *testing.T) {
 	// The portfolio shares the context across chains: every chain stops.
 	ctx, cancel = context.WithCancel(context.Background())
 	cancel()
-	_, _, pst := annealPortfolio(ctx, DefaultConfig(1<<20, 1),
+	_, _, pst := annealPortfolio(ctx, Config{T0: 0.25, Alpha: 4, Iters: 1 << 20, Seed: 1},
 		PortfolioConfig{Chains: 4, Workers: 2}, 0, cost, neighbor)
 	if pst.Total.Iterations != 0 {
 		t.Fatalf("canceled portfolio iterated %d times", pst.Total.Iterations)

@@ -65,15 +65,17 @@ func TestConvergenceEndpoint(t *testing.T) {
 
 	// The solve landed exactly once on the shared registry - asserted as a
 	// delta so metrics from other tests' servers can never interfere.
-	delta := obs.SnapshotDelta(before, findFamily(t, svc.reg.Snapshot(), "engine_solves_total"))
-	var ok float64
-	for _, se := range delta.Series {
-		if strings.Contains(se.Labels, `backend="soma"`) && strings.Contains(se.Labels, `outcome="ok"`) {
-			ok = se.Value
+	okSoma := func(m obs.MetricSnapshot) float64 {
+		for _, se := range m.Series {
+			if strings.Contains(se.Labels, `backend="soma"`) && strings.Contains(se.Labels, `outcome="ok"`) {
+				return se.Value
+			}
 		}
+		return 0
 	}
-	if ok != 1 {
-		t.Errorf("engine_solves_total delta = %+v, want one ok soma solve", delta.Series)
+	after := findFamily(t, svc.reg.Snapshot(), "engine_solves_total")
+	if d := okSoma(after) - okSoma(before); d != 1 {
+		t.Errorf("engine_solves_total ok soma delta = %g, want 1 (series %+v)", d, after.Series)
 	}
 
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/job-999999/convergence", nil, nil); code != http.StatusNotFound {

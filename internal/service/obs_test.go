@@ -4,8 +4,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"soma/internal/cluster"
+	"soma/internal/dse"
 )
 
 // get fetches one URL and returns (status, body).
@@ -146,5 +151,52 @@ func TestSweepTrace(t *testing.T) {
 	}
 	if st.Solves["sweep"] != 1 {
 		t.Errorf("solves %v, want sweep:1", st.Solves)
+	}
+}
+
+// TestWorkerSharesServerCache: a cluster worker evaluates its leases on the
+// process's one evaluation cache, so after a job and a lease the /metrics
+// sim_eval_cache_* family and /v1/stats report the same counters.
+func TestWorkerSharesServerCache(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, ClusterWorker: true})
+	v := submit(t, ts, smallJob(1))
+	if got := pollUntil(t, ts, v.ID, time.Minute, terminal); got.State != StateDone {
+		t.Fatalf("job ended %s: %s", got.State, got.Error)
+	}
+
+	sw := dse.Sweep{Models: []string{"mobilenetv2"}, GBufMB: []int64{4},
+		Search: &dse.Search{Profile: "fast", Seed: 2, Beta1: 2, Beta2: 1}}
+	digest, err := sw.SpecSHA256()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := cluster.LeaseRequest{LeaseID: "lease-0", Spec: sw, SpecSHA256: digest, Indices: []int{0}}
+	var lr cluster.LeaseResponse
+	if code := doJSON(t, http.MethodPost, ts.URL+cluster.PathLease, lease, &lr); code != http.StatusOK || len(lr.Rows) != 1 {
+		t.Fatalf("lease: status %d, %d rows", code, len(lr.Rows))
+	}
+
+	var st Stats
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("stats: status %d", code)
+	}
+	_, body := get(t, ts.URL+"/metrics")
+	for name, want := range map[string]int64{
+		"sim_eval_cache_hits_total":   st.Cache.Hits,
+		"sim_eval_cache_misses_total": st.Cache.Misses,
+	} {
+		got := int64(-1)
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				got = int64(f)
+			}
+		}
+		if got != want {
+			t.Errorf("/metrics %s = %d, /v1/stats says %d", name, got, want)
+		}
 	}
 }

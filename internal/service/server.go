@@ -68,8 +68,8 @@ func (c Config) normalized() Config {
 
 // Server is the scheduling service: a job store, a bounded FIFO queue
 // drained by a fixed worker pool, and one process-wide evaluation cache
-// shared by every job, so repeated (model, hw, budget) evaluations across
-// requests are map lookups instead of simulator runs.
+// shared by every job and cluster lease, so repeated (model, hw, budget)
+// evaluations across requests are map lookups instead of simulator runs.
 type Server struct {
 	cfg   Config
 	store *Store
@@ -118,7 +118,7 @@ func New(cfg Config) *Server {
 	// sim_eval_cache_* family before the first job arrives.
 	s.cache.ExportMetrics(s.reg)
 	if cfg.ClusterWorker {
-		s.clusterWorker = cluster.NewWorker(&obs.Obs{Reg: s.reg})
+		s.clusterWorker = cluster.NewWorker(s.cache, &obs.Obs{Reg: s.reg})
 	}
 	if len(cfg.ClusterWorkers) > 0 {
 		// Sharded execution; each sweep degrades to the local pool by

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"soma/internal/core"
@@ -161,7 +162,7 @@ func diffHarness(t *testing.T, s *core.Schedule, cs *coresched.Scheduler, seed i
 	rng := rand.New(rand.NewSource(seed))
 	applied := 0
 	for applied < moves {
-		before := s.ExtractDLSA()
+		before := snapshotDLSA(s)
 		if !proposeRandomMove(inc, rng) {
 			continue
 		}
@@ -189,8 +190,7 @@ func diffHarness(t *testing.T, s *core.Schedule, cs *coresched.Scheduler, seed i
 				inc.Accept()
 			} else {
 				inc.Reject()
-				after := s.ExtractDLSA()
-				if !dlsaEqual(before, after) {
+				if !reflect.DeepEqual(before, snapshotDLSA(s)) {
 					t.Fatalf("move %d: reject did not restore the schedule", applied)
 				}
 			}
@@ -212,16 +212,17 @@ func diffHarness(t *testing.T, s *core.Schedule, cs *coresched.Scheduler, seed i
 	}
 }
 
-func dlsaEqual(a, b core.DLSA) bool {
-	if len(a.Order) != len(b.Order) {
-		return false
+// dlsa is a schedule's DRAM-Load-and-Store-related attribute set: the
+// tensor order plus every load Start and store End.
+type dlsa struct{ order, start, end []int }
+
+func snapshotDLSA(s *core.Schedule) dlsa {
+	d := dlsa{order: append([]int(nil), s.Order...)}
+	for i := range s.Tensors {
+		d.start = append(d.start, s.Tensors[i].Start)
+		d.end = append(d.end, s.Tensors[i].End)
 	}
-	for i := range a.Order {
-		if a.Order[i] != b.Order[i] || a.Start[i] != b.Start[i] || a.End[i] != b.End[i] {
-			return false
-		}
-	}
-	return true
+	return d
 }
 
 // TestIncrementalDifferentialSmall: exhaustive-ish random-walk agreement on

@@ -30,7 +30,7 @@ func randomEncoding(g *graph.Graph, seed int64) *core.Encoding {
 		case 3:
 			if len(e.FLCs) > 0 {
 				i := rng.Intn(len(e.FLCs))
-				e.SetDRAM(i, !e.IsDRAM[i])
+				e.IsDRAM[i] = !e.IsDRAM[i]
 			}
 		}
 	}

@@ -36,7 +36,8 @@ type Params struct {
 	// (paper: 1000; far smaller values already converge on our sizes).
 	Beta2 int
 	// Stage1MaxIters / Stage2MaxIters cap the stage budgets so very large
-	// workloads (hundreds of layers, 10^5 tensors) stay tractable.
+	// workloads (hundreds of layers, 10^5 tensors) stay tractable. A cap
+	// <= 0 leaves its stage uncapped.
 	Stage1MaxIters int
 	Stage2MaxIters int
 	// T0 / Alpha are the annealing temperatures.

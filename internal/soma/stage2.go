@@ -37,7 +37,7 @@ func (e *Explorer) RunStage2(ctx context.Context, sched *core.Schedule, seed int
 		span.End()
 	}()
 	iters := e.Par.Beta2 * len(sched.Tensors)
-	if iters > e.Par.Stage2MaxIters {
+	if e.Par.Stage2MaxIters > 0 && iters > e.Par.Stage2MaxIters {
 		iters = e.Par.Stage2MaxIters
 	}
 	picker := newSizePicker(sched)

@@ -208,3 +208,28 @@ func TestWarmStage2Allocs(t *testing.T) {
 		})
 	}
 }
+
+// TestZeroCapsUncapped: a stage cap <= 0 leaves the stage uncapped, so each
+// stage runs its full beta x size budget instead of zero moves.
+func TestZeroCapsUncapped(t *testing.T) {
+	g := testNet(t)
+	par := FastParams()
+	par.Beta1, par.Beta2 = 3, 2
+	par.Stage1MaxIters, par.Stage2MaxIters = 0, 0
+	e := New(g, hw.Edge(), EDP(), par)
+	enc, r1, err := e.RunStage1(context.Background(), e.Cfg.GBufBytes, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := par.Beta1 * len(enc.Order); r1.Stats.Total.Iterations != want {
+		t.Errorf("stage 1 ran %d moves, want %d", r1.Stats.Total.Iterations, want)
+	}
+	s, err := core.Parse(g, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, r2 := e.RunStage2(context.Background(), s, 1)
+	if want := par.Beta2 * len(s.Tensors); r2.Stats.Total.Iterations != want {
+		t.Errorf("stage 2 ran %d moves, want %d", r2.Stats.Total.Iterations, want)
+	}
+}

@@ -56,11 +56,6 @@ func (r Region) String() string {
 	return fmt.Sprintf("[n%d:%d h%d:%d w%d:%d]", r.N0, r.N1, r.H0, r.H1, r.W0, r.W1)
 }
 
-// Full returns the region covering an entire shape.
-func Full(s graph.Shape) Region {
-	return Region{N0: 0, N1: s.N, H0: 0, H1: s.H, W0: 0, W1: s.W}
-}
-
 // Split is a factorization of the tiling number across the three divisible
 // axes.
 type Split struct{ TN, TH, TW int }
@@ -314,25 +309,9 @@ func InputRegion(c *graph.Layer, producer graph.LayerID, g *graph.Graph, out Reg
 	return Region{N0: n0, N1: n1, H0: h0, H1: h1, W0: w0, W1: w1}
 }
 
-// OverlapFactor returns computed/owned element ratio of one layer - 1.0
-// means no recomputation; larger values quantify the backtracking halo cost.
-func (p *Plan) OverlapFactor(g *graph.Graph, layerIdx int) float64 {
-	id := p.Layers[layerIdx]
-	c := g.Layer(id).Out.C
-	var comp, own int64
-	for t := 0; t < p.Tiles; t++ {
-		comp += p.Computed[layerIdx][t].Elems(c)
-		own += p.Owned[layerIdx][t].Elems(c)
-	}
-	if own == 0 {
-		return 1
-	}
-	return float64(comp) / float64(own)
-}
-
 // CoverageOK verifies that each layer's owned regions partition its output:
-// total element count matches and no two owned regions overlap. Used by
-// tests and by the notation parser's self-checks.
+// total element count matches and no two owned regions overlap. Tests use
+// it as the oracle for Plan construction.
 func (p *Plan) CoverageOK(g *graph.Graph) bool {
 	for i, id := range p.Layers {
 		s := g.Layer(id).Out

@@ -48,9 +48,6 @@ func TestRegionBasics(t *testing.T) {
 	if r.Overlap(Region{0, 1, 6, 12, 0, 8}, 1) != 1*2*8 {
 		t.Fatalf("Overlap = %d", r.Overlap(Region{0, 1, 6, 12, 0, 8}, 1))
 	}
-	if Full(sh(2, 3, 4, 5)) != (Region{0, 2, 0, 4, 0, 5}) {
-		t.Fatalf("Full = %v", Full(sh(2, 3, 4, 5)))
-	}
 }
 
 func TestChooseSplitBatchFirst(t *testing.T) {
@@ -124,6 +121,21 @@ func TestPlanCoverage(t *testing.T) {
 	}
 }
 
+// overlap returns a layer's computed/owned element ratio: 1 means no
+// recomputation, larger values measure the backtracking halo.
+func overlap(p *Plan, g *graph.Graph, layerIdx int) float64 {
+	c := g.Layer(p.Layers[layerIdx]).Out.C
+	var comp, own int64
+	for t := 0; t < p.Tiles; t++ {
+		comp += p.Computed[layerIdx][t].Elems(c)
+		own += p.Owned[layerIdx][t].Elems(c)
+	}
+	if own == 0 {
+		return 1
+	}
+	return float64(comp) / float64(own)
+}
+
 func TestPlanHaloGrowsBackwards(t *testing.T) {
 	g, ids := convChain(t)
 	p, err := New(g, ids, 4)
@@ -131,13 +143,13 @@ func TestPlanHaloGrowsBackwards(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The pool (last layer) computes exactly its owned regions.
-	fPool := p.OverlapFactor(g, 2)
+	fPool := overlap(p, g, 2)
 	if fPool != 1.0 {
 		t.Fatalf("pool overlap = %g, want 1", fPool)
 	}
 	// The 2x2/s2 pool itself creates no halo, so b computes exactly its
 	// owned regions; a, feeding a 3x3 conv, must recompute halo rows.
-	fa, fb := p.OverlapFactor(g, 0), p.OverlapFactor(g, 1)
+	fa, fb := overlap(p, g, 0), overlap(p, g, 1)
 	if fb != 1.0 {
 		t.Fatalf("b overlap = %g, want 1 (pool has no halo)", fb)
 	}
@@ -162,7 +174,7 @@ func TestPlanHaloAccumulatesThroughConvStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f0, f1, f2 := p.OverlapFactor(g, 0), p.OverlapFactor(g, 1), p.OverlapFactor(g, 2)
+	f0, f1, f2 := overlap(p, g, 0), overlap(p, g, 1), overlap(p, g, 2)
 	if !(f0 > f1 && f1 > f2 && f2 == 1.0) {
 		t.Fatalf("halo must accumulate backwards: %g %g %g", f0, f1, f2)
 	}
@@ -178,7 +190,7 @@ func TestPlanSingleTileNoHalo(t *testing.T) {
 		t.Fatalf("tiles = %d", p.Tiles)
 	}
 	for i := range ids {
-		if f := p.OverlapFactor(g, i); f != 1.0 {
+		if f := overlap(p, g, i); f != 1.0 {
 			t.Fatalf("layer %d overlap = %g with one tile", i, f)
 		}
 	}
@@ -188,9 +200,9 @@ func TestPlanFinerTilesMoreOverlap(t *testing.T) {
 	g, ids := convChain(t)
 	p2, _ := New(g, ids, 2)
 	p8, _ := New(g, ids, 8)
-	if !(p8.OverlapFactor(g, 0) > p2.OverlapFactor(g, 0)) {
+	if !(overlap(p8, g, 0) > overlap(p2, g, 0)) {
 		t.Fatalf("finer tiling must increase halo: T8=%g T2=%g",
-			p8.OverlapFactor(g, 0), p2.OverlapFactor(g, 0))
+			overlap(p8, g, 0), overlap(p2, g, 0))
 	}
 }
 
@@ -274,7 +286,7 @@ func TestPlanBatchSplitNoHalo(t *testing.T) {
 	if p.Split.TN != 4 {
 		t.Fatalf("split = %+v", p.Split)
 	}
-	if f := p.OverlapFactor(g, 0); f != 1.0 {
+	if f := overlap(p, g, 0); f != 1.0 {
 		t.Fatalf("batch split should have no halo, got %g", f)
 	}
 }
@@ -291,7 +303,7 @@ func TestPlanPropertyCoverageAndMonotoneHalo(t *testing.T) {
 			return false
 		}
 		for i := range ids {
-			if p.OverlapFactor(g, i) < 1.0 {
+			if overlap(p, g, i) < 1.0 {
 				return false
 			}
 		}

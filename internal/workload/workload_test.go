@@ -127,7 +127,7 @@ func TestSequentialBarriers(t *testing.T) {
 
 	// Moving any second-component layer before the first component's
 	// layers violates the barrier: the order must be rejected.
-	ord := g.TopoOrder()
+	ord := g.ComputeLayers()
 	if !g.IsValidOrder(ord) {
 		t.Fatal("insertion order must be a valid Computing Order")
 	}
@@ -158,7 +158,7 @@ func TestSequentialBarriers(t *testing.T) {
 			t.Fatal("interleaved composition must not add barriers")
 		}
 	}
-	ordI := gi.TopoOrder()
+	ordI := gi.ComputeLayers()
 	for i, id := range ordI {
 		if inSpan(pli.Spans[1], id) {
 			copy(ordI[1:i+1], ordI[:i])
