@@ -61,8 +61,8 @@ func BenchmarkFig3Scatter(b *testing.B) {
 // vs Ours_2) and its Sec. VI-B1 fusion statistics (tile counts, LGs, FLGs)
 // on ResNet-50, edge, batch 1.
 func BenchmarkFig6BarGroup(b *testing.B) {
-	par := fastPar()
-	sw := dse.Sweep{Platforms: []string{"edge"}, Models: []string{"resnet50"}, Params: &par}
+	sw := dse.Sweep{Platforms: []string{"edge"}, Models: []string{"resnet50"},
+		Search: &dse.Search{Profile: "fast"}}
 	for i := 0; i < b.N; i++ {
 		pairs, err := exp.Pairs(context.Background(), sw, dse.Options{})
 		if err != nil {
@@ -113,7 +113,7 @@ func BenchmarkFig7DSE(b *testing.B) {
 func BenchmarkFig8Trace(b *testing.B) {
 	c := exp.Case{Platform: "edge", Workload: "resnet50", Batch: 1}
 	for i := 0; i < b.N; i++ {
-		tp, err := exp.Fig8(context.Background(), c, fastPar())
+		tp, err := exp.Fig8(context.Background(), c, dse.Search{Profile: "fast"}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,6 +33,7 @@ import (
 	"soma/internal/cluster"
 	"soma/internal/core"
 	"soma/internal/coresched"
+	"soma/internal/dse"
 	"soma/internal/engine"
 	"soma/internal/exp"
 	"soma/internal/hw"
@@ -94,28 +95,22 @@ func main() {
 	if *buf > 0 {
 		cfg = cfg.WithGBuf(*buf << 20)
 	}
-	par, err := soma.ProfileParams(*profile)
-	if err != nil {
-		fatal(err)
-	}
-	par.Seed = *seed
-	par.Chains = *chains
 	// -workers is overloaded: a plain integer is the portfolio worker
-	// count; anything else is a cluster worker address list (sweeps only).
+	// count; anything else is a cluster worker address list (sweeps only,
+	// which take their parameters from the spec instead).
 	n, clusterWorkers, err := cluster.ParseWorkers(*workers)
 	if err != nil {
 		fatal(err)
 	}
-	if clusterWorkers == nil {
-		par.Workers = n
+	// The flags resolve by the rule somad jobs and sweep specs use.
+	par, err := dse.Search{Profile: *profile, Chains: *chains, Workers: n,
+		Beta1: *beta1, Beta2: *beta2}.Params()
+	if err != nil {
+		fatal(err)
 	}
-	if *beta1 > 0 {
-		par.Beta1 = *beta1
-	}
-	if *beta2 > 0 {
-		par.Beta2 = *beta2
-		par.Stage2MaxIters = 1 << 20
-	}
+	// -seed is used as given: 0 is seed 0, where a Search block's 0 selects
+	// the profile's seed.
+	par.Seed = *seed
 	obj := soma.Objective{N: *objN, M: *objM}
 	var hooks *engine.Hooks
 	if *progress {

@@ -42,6 +42,11 @@ func runSweep(path, journal string, jsonOut, adaptive bool, budget int, clusterW
 	}
 	opt := dse.Options{Journal: journal, Hooks: hooks, Obs: o}
 	if len(clusterWorkers) > 0 {
+		// Workers refuse leases of a grid past the served bound, so such a
+		// sweep would only ever run locally, one rejected lease at a time.
+		if err := sw.CheckServed(); err != nil {
+			fatal(fmt.Errorf("-workers: %w", err))
+		}
 		useCluster(&opt, clusterWorkers)
 	}
 	out, err := dse.Run(context.Background(), sw, opt)

@@ -108,7 +108,7 @@ func (h *harness) fig6(batches []int) error {
 				strings.TrimPrefix(e.Kind, "point-"))
 		}
 	}}
-	results, err := exp.Fig6(context.Background(), []string{"edge", "cloud"}, batches, h.par, h.workers,
+	results, err := exp.Fig6(context.Background(), []string{"edge", "cloud"}, batches, h.search, h.par.Seed, h.workers,
 		dse.Options{Cache: cache, Hooks: progress})
 	if err != nil {
 		return err
@@ -154,7 +154,7 @@ func (h *harness) fig6(batches []int) error {
 // fig7 reproduces the DSE heatmap for one workload/batch (a dse grid sweep
 // under the hood; see docs/dse.md for the standalone -sweep form).
 func (h *harness) fig7(workload string, batch int) error {
-	pts, err := exp.Fig7(context.Background(), workload, batch, h.par, h.workers)
+	pts, err := exp.Fig7(context.Background(), workload, batch, h.search, h.par.Seed, h.workers)
 	if err != nil {
 		return err
 	}
@@ -198,7 +198,7 @@ func (h *harness) fig7(workload string, batch int) error {
 
 // fig8 renders the execution-graph comparison.
 func (h *harness) fig8(c exp.Case) error {
-	tp, err := exp.Fig8(context.Background(), c, h.par)
+	tp, err := exp.Fig8(context.Background(), c, h.search, h.par.Seed)
 	if err != nil {
 		return err
 	}
@@ -216,7 +216,7 @@ func (h *harness) fig8(c exp.Case) error {
 
 // stats reproduces the Sec. VI-B1 fusion statistics.
 func (h *harness) stats(batches []int) error {
-	results, err := exp.Fig6(context.Background(), []string{"edge"}, batches, h.par, h.workers, dse.Options{})
+	results, err := exp.Fig6(context.Background(), []string{"edge"}, batches, h.search, h.par.Seed, h.workers, dse.Options{})
 	if err != nil {
 		return err
 	}

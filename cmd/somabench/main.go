@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 
+	"soma/internal/dse"
 	"soma/internal/exp"
 	"soma/internal/report"
 	"soma/internal/soma"
@@ -50,19 +51,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	par, err := soma.ProfileParams(*profile)
+	search := dse.Search{Profile: *profile, Chains: *chains, Workers: *chainWorkers}
+	par, err := search.Params()
 	if err != nil {
 		fatal(err)
 	}
+	// -seed is used as given: 0 is seed 0, where a Search block's 0 selects
+	// the profile's seed.
+	par.Seed = *seed
 	bs, err := parseBatches(*batches)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "somabench:", err)
 		os.Exit(2)
 	}
-	par.Seed = *seed
-	par.Chains = *chains
-	par.Workers = *chainWorkers
-	h := &harness{par: par, profile: *profile, workers: *workers, outDir: *outDir}
+	h := &harness{search: search, par: par, workers: *workers, outDir: *outDir}
 
 	switch cmd {
 	case "fig2":
@@ -124,9 +126,12 @@ func parseBatches(s string) ([]int, error) {
 	return out, nil
 }
 
+// harness runs the subcommands. Figures that sweep a grid pass search (and
+// par.Seed) to the dse runner; the others solve with par, resolved from the
+// same block.
 type harness struct {
+	search  dse.Search
 	par     soma.Params
-	profile string
 	workers int
 	outDir  string
 }

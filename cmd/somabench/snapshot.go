@@ -86,7 +86,7 @@ func snapshotCases() []exp.Case {
 // optionally writes the result (-snapshot-out) or compares it against a
 // committed snapshot (-check), exiting non-zero on regression.
 func (h *harness) snapshot(outFile, checkFile string) error {
-	snap := BenchSnapshot{Schema: BenchSchema, Profile: h.profile, Seed: h.par.Seed}
+	snap := BenchSnapshot{Schema: BenchSchema, Profile: h.search.Profile, Seed: h.par.Seed}
 	for _, c := range snapshotCases() {
 		e, err := h.benchCase(c)
 		if err != nil {

@@ -19,7 +19,7 @@ func (h *harness) edp(c exp.Case) error {
 		{N: 1, M: 2}, // delay-squared (latency-critical)
 		{N: 2, M: 1}, // energy-squared (battery-critical)
 	}
-	pts := exp.ObjectiveSweep(context.Background(), c, h.par, objectives)
+	pts := exp.ObjectiveSweep(context.Background(), c, h.search, h.par.Seed, objectives)
 	t := report.New(fmt.Sprintf("Objective sweep: %s", c),
 		"objective", "latency", "energy(mJ)")
 	for _, p := range pts {
@@ -38,7 +38,7 @@ func (h *harness) edp(c exp.Case) error {
 
 // seeds measures the run-to-run stability of the annealer on one case.
 func (h *harness) seeds(c exp.Case) error {
-	st, err := exp.SeedSweep(context.Background(), c, h.par, []int64{1, 2, 3, 4, 5})
+	st, err := exp.SeedSweep(context.Background(), c, h.search, []int64{1, 2, 3, 4, 5})
 	if err != nil {
 		return err
 	}

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,20 +20,17 @@ import (
 	"soma/internal/engine"
 	"soma/internal/obs"
 	"soma/internal/sim"
-	"soma/internal/soma"
 )
 
 // fastSweep is the quickest useful grid in the repo: 4 points of the fastest
 // model/profile combination, the same shape internal/dse's tests use.
 func fastSweep() dse.Sweep {
-	par := soma.FastParams()
-	par.Beta1, par.Beta2 = 2, 1
 	return dse.Sweep{
 		Name:   "cluster-test-grid",
 		Models: []string{"mobilenetv2"},
 		GBufMB: []int64{2, 4},
 		Seeds:  []int64{1, 2},
-		Params: &par,
+		Search: &dse.Search{Profile: "fast", Beta1: 2, Beta2: 1},
 	}
 }
 
@@ -341,6 +340,42 @@ func TestRequestBodiesBounded(t *testing.T) {
 	huge := append([]byte(`{"lease_id":"`), bytes.Repeat([]byte("x"), MaxBodyBytes)...)
 	if code := post(append(huge, `"}`...)); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized lease got %d, want 413", code)
+	}
+}
+
+// TestLeaseGridBound: a worker refuses a lease whose spec expands past
+// dse.MaxServedPoints with 400 before expanding it, even when the lease asks
+// for a single point and carries the right digest.
+func TestLeaseGridBound(t *testing.T) {
+	mux := http.NewServeMux()
+	NewWorker(sim.NewCache(0), nil).Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	sw := fastSweep()
+	sw.GBufMB = []int64{2}
+	sw.Seeds = make([]int64, dse.MaxServedPoints+1)
+	for i := range sw.Seeds {
+		sw.Seeds[i] = int64(i + 1)
+	}
+	digest, err := sw.SpecSHA256()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(LeaseRequest{LeaseID: "lease-0000", Spec: sw,
+		SpecSHA256: digest, Indices: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+PathLease, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	want := fmt.Sprintf("sweep expands to %d points, limit %d", dse.MaxServedPoints+1, dse.MaxServedPoints)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+		t.Fatalf("over-bound lease got %d %q, want 400 %q", resp.StatusCode, msg, want)
 	}
 }
 

@@ -27,9 +27,6 @@ type Options struct {
 	// death, reassignment, degradation).
 	Logf func(format string, args ...any)
 
-	// LeasePoints is the grid points per lease (default 1: finest-grained
-	// rebalancing and dedup).
-	LeasePoints int
 	// LeaseTimeout bounds one lease attempt (default 10m - a paper-profile
 	// point can anneal for minutes).
 	LeaseTimeout time.Duration
@@ -51,9 +48,6 @@ func (o *Options) logf(format string, args ...any) {
 }
 
 func (o *Options) defaults() {
-	if o.LeasePoints <= 0 {
-		o.LeasePoints = 1
-	}
 	if o.LeaseTimeout <= 0 {
 		o.LeaseTimeout = 10 * time.Minute
 	}
@@ -138,23 +132,22 @@ func (n *node) cancelInflight(cause error) {
 	}
 }
 
-// lease is a unit of dispatch: a deterministic chunk of the coordinator's
-// dispatch sequence. pos are sequence positions (journal-commit order),
-// indices the corresponding canonical point indices (what the worker
-// computes). For exhaustive sweeps the two are identical; for an adaptive
-// rung the sequence is the rung's own grid (all points, then the promoted
-// subset) and indices differ.
+// lease is a unit of dispatch: one point of the coordinator's dispatch
+// sequence. pos is its sequence position (journal-commit order), index the
+// corresponding canonical point index (what the worker computes). For
+// exhaustive sweeps the two are identical; for an adaptive rung the
+// sequence is the rung's own grid (all points, then the promoted subset)
+// and they differ.
 type lease struct {
-	id       string
-	pos      []int
-	indices  []int
-	attempts int
+	id         string
+	pos, index int
+	attempts   int
 }
 
 type result struct {
 	l    *lease
 	node *node // nil: local fallback execution
-	rows []dse.Row
+	row  dse.Row
 	err  error
 	wall time.Duration
 }
@@ -343,20 +336,15 @@ func (c *coord) run(ctx context.Context) error {
 		c.locals.Wait()
 	}()
 
-	// Partition deterministically: consecutive chunks of the pending
-	// positions, so lease boundaries never depend on worker behavior.
+	// One lease per pending position - the finest-grained rebalancing and
+	// dedup - so lease boundaries never depend on worker behavior.
 	var pending []*lease
-	for lo := 0; lo < len(b.Pos); lo += opt.LeasePoints {
-		pos := b.Pos[lo:min(lo+opt.LeasePoints, len(b.Pos))]
-		indices := make([]int, len(pos))
-		for j, p := range pos {
-			indices[j] = b.Seq[p]
-		}
-		id := fmt.Sprintf("lease-%04d", pos[0])
+	for _, p := range b.Pos {
+		id := fmt.Sprintf("lease-%04d", p)
 		if b.Fidelity != "" {
-			id = fmt.Sprintf("lease-%s-%04d", b.Fidelity, pos[0])
+			id = fmt.Sprintf("lease-%s-%04d", b.Fidelity, p)
 		}
-		pending = append(pending, &lease{id: id, pos: pos, indices: indices})
+		pending = append(pending, &lease{id: id, pos: p, index: b.Seq[p]})
 	}
 	left := len(pending)
 
@@ -452,10 +440,8 @@ func (c *coord) run(ctx context.Context) error {
 				res.node.fails = 0
 				b.Obs.Registry().Histogram("cluster_point_seconds",
 					"Per-point wall time of leases by worker.", "worker", res.node.url).
-					Observe(res.wall.Seconds() / float64(len(res.l.pos)))
-				for j, pos := range res.l.pos {
-					c.put(pos, res.rows[j])
-				}
+					Observe(res.wall.Seconds())
+				c.put(res.l.pos, res.row)
 				left--
 			}
 		}
@@ -472,7 +458,7 @@ func (c *coord) toLocal(ctx context.Context, l *lease, why string) {
 	c.locals.Add(1)
 	go func() {
 		defer c.locals.Done()
-		err := c.b.Local(ctx, l.pos, c.put)
+		err := c.b.Local(ctx, []int{l.pos}, c.put)
 		select {
 		case c.results <- result{l: l, err: err}:
 		case <-ctx.Done():
@@ -486,47 +472,44 @@ func (c *coord) dispatch(ctx context.Context, n *node, l *lease) {
 	c.inflight.Add(1)
 	lctx, cancel := context.WithCancelCause(ctx)
 	n.setCancel(cancel)
-	for _, pos := range l.pos {
-		c.b.Started(pos)
-	}
+	c.b.Started(l.pos)
 	go func() {
 		defer cancel(nil)
 		start := time.Now()
-		rows, err := c.doLease(lctx, n, l)
+		row, err := c.doLease(lctx, n, l)
 		select {
-		case c.results <- result{l: l, node: n, rows: rows, err: err, wall: time.Since(start)}:
+		case c.results <- result{l: l, node: n, row: row, err: err, wall: time.Since(start)}:
 		case <-ctx.Done():
 		}
 	}()
 }
 
 // doLease performs one lease HTTP round-trip and validates the response
-// shape (right row count, right indices, scrub-stable rows).
-func (c *coord) doLease(ctx context.Context, n *node, l *lease) ([]dse.Row, error) {
+// shape (one row, for the right point and fidelity).
+func (c *coord) doLease(ctx context.Context, n *node, l *lease) (dse.Row, error) {
 	tctx, cancel := context.WithTimeout(ctx, c.opt.LeaseTimeout)
 	defer cancel()
 	var resp LeaseResponse
 	err := postJSON(tctx, c.opt.Client, n.url+PathLease, LeaseRequest{
 		LeaseID: l.id, Spec: c.b.Sweep, SpecSHA256: c.b.Digest,
-		Indices: l.indices, Fidelity: c.b.Fidelity}, &resp)
+		Indices: []int{l.index}, Fidelity: c.b.Fidelity}, &resp)
 	if err != nil {
 		if cause := context.Cause(ctx); cause != nil && ctx.Err() != nil {
-			return nil, cause
+			return dse.Row{}, cause
 		}
-		return nil, err
+		return dse.Row{}, err
 	}
-	if len(resp.Rows) != len(l.indices) {
-		return nil, fmt.Errorf("cluster: %s returned %d rows, want %d", n.url, len(resp.Rows), len(l.indices))
+	if len(resp.Rows) != 1 {
+		return dse.Row{}, fmt.Errorf("cluster: %s returned %d rows, want 1", n.url, len(resp.Rows))
 	}
-	for j, idx := range l.indices {
-		if resp.Rows[j].Point.Index != idx {
-			return nil, fmt.Errorf("cluster: %s returned row for point %d at position %d (want %d)",
-				n.url, resp.Rows[j].Point.Index, j, idx)
-		}
-		if resp.Rows[j].Fidelity != c.b.Fidelity {
-			return nil, fmt.Errorf("cluster: %s returned fidelity %q rows for a %q lease (worker version skew?)",
-				n.url, resp.Rows[j].Fidelity, c.b.Fidelity)
-		}
+	row := resp.Rows[0]
+	if row.Point.Index != l.index {
+		return dse.Row{}, fmt.Errorf("cluster: %s returned a row for point %d (want %d)",
+			n.url, row.Point.Index, l.index)
 	}
-	return resp.Rows, nil
+	if row.Fidelity != c.b.Fidelity {
+		return dse.Row{}, fmt.Errorf("cluster: %s returned a fidelity %q row for a %q lease (worker version skew?)",
+			n.url, row.Fidelity, c.b.Fidelity)
+	}
+	return row, nil
 }

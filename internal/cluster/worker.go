@@ -54,6 +54,11 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 	if err := decodeBody(rw, r, &req); err != nil {
 		return
 	}
+	// Bound the grid before RunPoints expands it, as POST /v1/sweeps does.
+	if err := req.Spec.CheckServed(); err != nil {
+		http.Error(rw, "cluster: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	// Version-skew defense: recompute the digest from the spec we actually
 	// decoded. A coordinator running different expansion code would
 	// otherwise get rows for the wrong grid cells, silently.
@@ -92,8 +97,8 @@ func (w *Worker) handleLease(rw http.ResponseWriter, r *http.Request) {
 }
 
 // MaxBodyBytes bounds every cluster lease body and somad's job and sweep
-// submissions. The largest lease measured - a 4096-point spec (4096 listed
-// seeds, full params) plus all 4096 indices - is 101,821 bytes; 4 MiB
+// submissions. The largest lease - a dse.MaxServedPoints-point spec (4096
+// listed seeds) plus all 4096 indices - is at most 101,821 bytes; 4 MiB
 // leaves about 40x headroom over it.
 const MaxBodyBytes = 4 << 20
 

@@ -58,12 +58,8 @@ type Sweep struct {
 
 	// Search selects the search hyper-parameters by profile name plus
 	// per-field overrides (the JSON-friendly form, mirroring the somad
-	// job params).
+	// job params). It is the spec's only parameter block.
 	Search *Search `json:"search,omitempty"`
-	// Params overrides Search with a fully explicit parameter set; the
-	// in-process figure adapters (internal/exp) use it to pass their
-	// already-resolved soma.Params through unchanged.
-	Params *soma.Params `json:"params,omitempty"`
 
 	// Workers bounds the goroutines running grid points concurrently
 	// (<= 0 selects GOMAXPROCS-style NumCPU). Results and journal rows
@@ -193,22 +189,15 @@ func (s Search) Params() (soma.Params, error) {
 	return par, nil
 }
 
-// resolveParams turns the spec's Search/Params blocks into the soma.Params
-// every point starts from (the Seeds axis then stamps the per-point seed).
-func (s Sweep) resolveParams() (soma.Params, error) {
-	if s.Params != nil {
-		return *s.Params, nil
-	}
+// normalized fills the single-value axis defaults and resolves the Search
+// block into the soma.Params every point starts from (the Seeds axis then
+// stamps the per-point seed).
+func (s Sweep) normalized() (Sweep, soma.Params, error) {
 	var sr Search
 	if s.Search != nil {
 		sr = *s.Search
 	}
-	return sr.Params()
-}
-
-// normalized fills the single-value axis defaults.
-func (s Sweep) normalized() (Sweep, soma.Params, error) {
-	par, err := s.resolveParams()
+	par, err := sr.Params()
 	if err != nil {
 		return s, par, err
 	}
@@ -302,9 +291,23 @@ func (s Sweep) Validate() error {
 	return nil
 }
 
+// MaxServedPoints bounds the grid of a spec that arrives over HTTP - a
+// POST /v1/sweeps submission or a cluster lease - so a small body declaring
+// a huge cross product is refused before anything expands it.
+const MaxServedPoints = 4096
+
+// CheckServed refuses a spec whose grid exceeds MaxServedPoints, without
+// expanding it.
+func (s Sweep) CheckServed() error {
+	if n := s.GridSize(); n > MaxServedPoints {
+		return fmt.Errorf("sweep expands to %d points, limit %d", n, MaxServedPoints)
+	}
+	return nil
+}
+
 // GridSize returns the number of points the spec expands to, without
-// materializing them - servers bound request size with this before calling
-// Expand. The product saturates at math.MaxInt on overflow.
+// materializing them (CheckServed bounds request size with it). The product
+// saturates at math.MaxInt on overflow.
 func (s Sweep) GridSize() int {
 	s, _, err := s.normalized()
 	if err != nil {
@@ -378,11 +381,6 @@ func (s Sweep) SpecSHA256() (string, error) {
 		c := *s.Search
 		c.Workers = 0
 		s.Search = &c
-	}
-	if s.Params != nil {
-		c := *s.Params
-		c.Workers = 0
-		s.Params = &c
 	}
 	data, err := json.Marshal(s)
 	if err != nil {

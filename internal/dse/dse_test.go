@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -22,6 +23,30 @@ func TestParseSweepStrict(t *testing.T) {
 	}
 	if _, err := ParseSweep([]byte(`{`)); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+}
+
+// TestParseSweepRejectsParamsBlock: search is the spec's only parameter
+// block, so a spec carrying a whole soma.Params struct is refused like any
+// other unknown field.
+func TestParseSweepRejectsParamsBlock(t *testing.T) {
+	_, err := ParseSweep([]byte(`{"models":["mobilenetv2"],"params":{"Beta1":2,"T0":0.5}}`))
+	if err == nil || !strings.Contains(err.Error(), `"params"`) {
+		t.Fatalf("params block: err = %v, want an unknown-field error", err)
+	}
+}
+
+// TestCheckServed: the served-grid bound counts the cross product without
+// expanding it, and admits a grid of exactly MaxServedPoints.
+func TestCheckServed(t *testing.T) {
+	sw := Sweep{Models: []string{"resnet50"}, Seeds: make([]int64, MaxServedPoints)}
+	if err := sw.CheckServed(); err != nil {
+		t.Fatalf("grid of %d points refused: %v", MaxServedPoints, err)
+	}
+	sw.Batches = []int{1, 2}
+	err := sw.CheckServed()
+	if want := fmt.Sprintf("sweep expands to %d points, limit %d", 2*MaxServedPoints, MaxServedPoints); err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

@@ -10,21 +10,18 @@ import (
 
 	"soma/internal/engine"
 	"soma/internal/report"
-	"soma/internal/soma"
 )
 
 // fastSweep is a 4-point grid (2 buffer sizes x 2 seeds) on the quickest
 // model/profile combination in the repo; one full run takes well under a
 // second.
 func fastSweep(workers int) Sweep {
-	par := soma.FastParams()
-	par.Beta1, par.Beta2 = 2, 1
 	return Sweep{
 		Name:    "test-grid",
 		Models:  []string{"mobilenetv2"},
 		GBufMB:  []int64{2, 4},
 		Seeds:   []int64{1, 2},
-		Params:  &par,
+		Search:  &Search{Profile: "fast", Beta1: 2, Beta2: 1},
 		Workers: workers,
 	}
 }
@@ -178,15 +175,14 @@ func TestCancelMidSweepLeavesCleanPrefix(t *testing.T) {
 }
 
 func TestSharedCacheReuseAcrossGridPoints(t *testing.T) {
-	par := soma.FastParams()
-	par.Beta1, par.Beta2 = 2, 1
+	search := &Search{Profile: "fast", Beta1: 2, Beta2: 1}
 	objectives := []report.Objective{{N: 1, M: 1}, {N: 1, M: 2}}
 
 	// Each objective alone, private caches: the no-sharing baseline.
 	var aloneMisses, aloneHits int64
 	for _, obj := range objectives {
 		sw := Sweep{Models: []string{"mobilenetv2"}, Objectives: []report.Objective{obj},
-			Params: &par, Workers: 1}
+			Search: search, Workers: 1}
 		out, err := Run(context.Background(), sw, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +195,7 @@ func TestSharedCacheReuseAcrossGridPoints(t *testing.T) {
 	// objective-independent, so neighboring grid points must reuse each
 	// other's evaluations and the total miss count must strictly drop.
 	sw := Sweep{Models: []string{"mobilenetv2"}, Objectives: objectives,
-		Params: &par, Workers: 1}
+		Search: search, Workers: 1}
 	out, err := Run(context.Background(), sw, Options{})
 	if err != nil {
 		t.Fatal(err)

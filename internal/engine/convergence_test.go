@@ -124,3 +124,67 @@ func marshalConv(t *testing.T, rep *obs.ConvergenceReport) []byte {
 	}
 	return b
 }
+
+// TestSAMetricsReconcileWithJournal: each stage's soma_sa_* move counters
+// equal the sum of the convergence journal's final per-chain samples, over a
+// portfolio solve that runs several allocator iterations. The counters and
+// the journal both report the annealer's own tallies, so they must agree
+// exactly for any chain and worker count.
+func TestSAMetricsReconcileWithJournal(t *testing.T) {
+	par := fastPar(5)
+	par.Chains, par.Workers = 3, 2
+	o := &obs.Obs{Reg: obs.NewRegistry()}
+	req := Request{Model: "mobilenetv2", Platform: "edge", Params: par,
+		Obs: o, Journal: obs.NewJournal()}
+	res, err := Run(context.Background(), req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Search.AllocIters < 2 {
+		t.Fatalf("solve ran %d allocator iterations, want >= 2", res.Search.AllocIters)
+	}
+	type tally struct{ proposed, accepted, rejected, improved int64 }
+	want := map[string]*tally{}
+	chains := map[string]int{}
+	for _, cs := range res.Convergence.Series {
+		last := cs.Samples[len(cs.Samples)-1]
+		if want[cs.Stage] == nil {
+			want[cs.Stage] = &tally{}
+		}
+		w := want[cs.Stage]
+		w.proposed += last.Proposed
+		w.accepted += last.Accepted
+		w.rejected += last.Rejected
+		w.improved += last.Improved
+		chains[cs.Stage]++
+	}
+	counter := func(name, stage string) int64 {
+		for _, m := range o.Reg.Snapshot() {
+			if m.Name != name {
+				continue
+			}
+			for _, se := range m.Series {
+				if se.Labels == `{stage="`+stage+`"}` {
+					return int64(se.Value)
+				}
+			}
+		}
+		t.Fatalf("no %s series for stage %s", name, stage)
+		return 0
+	}
+	for _, stage := range []string{"stage1", "stage2"} {
+		w := want[stage]
+		if w == nil || chains[stage] < 2*par.Chains {
+			t.Fatalf("%s: journal holds %d series, want at least %d", stage, chains[stage], 2*par.Chains)
+		}
+		got := tally{
+			proposed: counter("soma_sa_moves_proposed_total", stage),
+			accepted: counter("soma_sa_moves_accepted_total", stage),
+			rejected: counter("soma_sa_moves_rejected_total", stage),
+			improved: counter("soma_sa_improvements_total", stage),
+		}
+		if got != *w {
+			t.Errorf("%s: counters %+v, journal sums %+v", stage, got, *w)
+		}
+	}
+}

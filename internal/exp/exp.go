@@ -127,16 +127,18 @@ func BarGroup(p [2]dse.Row) PairResult {
 
 // Fig6 runs the overall comparison: every workload of each platform (GPT-2
 // Small on edge, XL on cloud) at every batch size, one Pairs sweep per
-// platform. Both sweeps share opt.Cache (a fresh one when nil), so the
+// platform, searched with the given block and seed (used as given, 0
+// included). Both sweeps share opt.Cache (a fresh one when nil), so the
 // caller can read the hit rate across cases from it.
-func Fig6(ctx context.Context, platforms []string, batches []int, par soma.Params, workers int, opt dse.Options) ([]PairResult, error) {
+func Fig6(ctx context.Context, platforms []string, batches []int, search dse.Search, seed int64, workers int, opt dse.Options) ([]PairResult, error) {
 	if opt.Cache == nil {
 		opt.Cache = sim.NewCache(0)
 	}
 	var out []PairResult
 	for _, pf := range platforms {
 		pairs, err := Pairs(ctx, dse.Sweep{Name: "fig6-" + pf, Platforms: []string{pf},
-			Models: Workloads(pf), Batches: batches, Params: &par, Workers: workers}, opt)
+			Models: Workloads(pf), Batches: batches, Search: &search, Seeds: []int64{seed},
+			Workers: workers}, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -316,7 +318,7 @@ var (
 // one evaluation cache; ctx cancels promptly between (and within) grid
 // points. Per-cell search failures surface as the point's CoccoErr/SoMaErr,
 // exactly like the paper's infeasible heatmap corners.
-func Fig7(ctx context.Context, workload string, batch int, par soma.Params, workers int) ([]DSEPoint, error) {
+func Fig7(ctx context.Context, workload string, batch int, search dse.Search, seed int64, workers int) ([]DSEPoint, error) {
 	bufsMB := make([]int64, len(Fig7Buffers))
 	for i, b := range Fig7Buffers {
 		bufsMB[i] = b >> 20
@@ -327,7 +329,7 @@ func Fig7(ctx context.Context, workload string, batch int, par soma.Params, work
 		Platforms: []string{"edge"}, Models: []string{workload},
 		Batches: []int{batch},
 		DRAMGBs: Fig7Bandwidths, GBufMB: bufsMB,
-		Params: &par, Workers: workers,
+		Search: &search, Seeds: []int64{seed}, Workers: workers,
 	}, dse.Options{})
 	if err != nil {
 		return nil, err
@@ -366,14 +368,15 @@ type TracePair struct {
 // Fig8 produces the three traced schedules for one case: the case's Pairs
 // (Cocco and SoMa on the same cell), then the stage-1 parse of the SoMa
 // encoding and traced re-evaluations of the three schedules.
-func Fig8(ctx context.Context, c Case, par soma.Params) (*TracePair, error) {
+func Fig8(ctx context.Context, c Case, search dse.Search, seed int64) (*TracePair, error) {
 	cfg, err := hw.Platform(c.Platform)
 	if err != nil {
 		return nil, err
 	}
 	cs := coresched.New(cfg)
 	pairs, err := Pairs(ctx, dse.Sweep{Name: "fig8", Platforms: []string{c.Platform},
-		Models: []string{c.Workload}, Batches: []int{c.Batch}, Params: &par}, dse.Options{})
+		Models: []string{c.Workload}, Batches: []int{c.Batch}, Search: &search,
+		Seeds: []int64{seed}}, dse.Options{})
 	if err != nil {
 		return nil, err
 	}

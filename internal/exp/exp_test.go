@@ -37,10 +37,10 @@ func TestWorkloadsPairing(t *testing.T) {
 // pool and still pairs each case's cocco and soma rows in case order,
 // identically for any worker count.
 func TestParallelMapPreservesOrder(t *testing.T) {
-	par := soma.FastParams()
+	fast := &dse.Search{Profile: "fast"}
 	sweep := func(workers int) dse.Sweep {
 		return dse.Sweep{Platforms: []string{"edge"}, Models: []string{"resnet50", "mobilenetv2"},
-			Batches: []int{1, 2}, Params: &par, Workers: workers}
+			Batches: []int{1, 2}, Search: fast, Workers: workers}
 	}
 	want := []Case{{"edge", "resnet50", 1}, {"edge", "resnet50", 2},
 		{"edge", "mobilenetv2", 1}, {"edge", "mobilenetv2", 2}}
@@ -81,9 +81,9 @@ func TestParallelMapPreservesOrder(t *testing.T) {
 // schemes in order, Ours_1's structure counts are the stage-1 schedule's,
 // and the paper's headline results hold.
 func TestRunPairProducesOrderedRows(t *testing.T) {
-	par := soma.FastParams()
 	pairs, err := Pairs(context.Background(), dse.Sweep{Platforms: []string{"edge"},
-		Models: []string{"resnet50"}, Batches: []int{1}, Params: &par}, dse.Options{})
+		Models: []string{"resnet50"}, Batches: []int{1}, Search: &dse.Search{Profile: "fast"}},
+		dse.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +128,10 @@ func TestRunPairProducesOrderedRows(t *testing.T) {
 }
 
 func TestPairsUnknownWorkload(t *testing.T) {
-	par := soma.FastParams()
+	fast := &dse.Search{Profile: "fast"}
 	for _, sw := range []dse.Sweep{
-		{Platforms: []string{"edge"}, Models: []string{"nope"}, Params: &par},
-		{Platforms: []string{"nope"}, Models: []string{"resnet50"}, Params: &par},
+		{Platforms: []string{"edge"}, Models: []string{"nope"}, Search: fast},
+		{Platforms: []string{"nope"}, Models: []string{"resnet50"}, Search: fast},
 	} {
 		if _, err := Pairs(context.Background(), sw, dse.Options{}); err == nil {
 			t.Fatalf("%v/%v must error", sw.Platforms, sw.Models)

@@ -26,7 +26,7 @@ type ObjectivePoint struct {
 // axis shares one evaluation cache (metrics are objective-independent, so
 // neighboring exponents reuse each other's evaluations) and ctx cancels
 // mid-grid.
-func ObjectiveSweep(ctx context.Context, c Case, par soma.Params, objectives []soma.Objective) []ObjectivePoint {
+func ObjectiveSweep(ctx context.Context, c Case, search dse.Search, seed int64, objectives []soma.Objective) []ObjectivePoint {
 	out := make([]ObjectivePoint, len(objectives))
 	objs := make([]report.Objective, len(objectives))
 	for i, o := range objectives {
@@ -39,7 +39,8 @@ func ObjectiveSweep(ctx context.Context, c Case, par soma.Params, objectives []s
 		Batches:    []int{c.Batch},
 		Platforms:  []string{c.Platform},
 		Objectives: objs,
-		Params:     &par,
+		Search:     &search,
+		Seeds:      []int64{seed},
 	}, dse.Options{})
 	if err != nil {
 		for i := range out {
@@ -97,14 +98,14 @@ type SeedStats struct {
 // protocol relies on. The seed axis is a dse sweep sharing one evaluation
 // cache, so chains re-exploring states a neighboring seed already evaluated
 // hit warm entries; ctx cancels mid-grid.
-func SeedSweep(ctx context.Context, c Case, par soma.Params, seeds []int64) (SeedStats, error) {
+func SeedSweep(ctx context.Context, c Case, search dse.Search, seeds []int64) (SeedStats, error) {
 	res, err := dse.Run(ctx, dse.Sweep{
 		Name:      "seed-sweep",
 		Models:    []string{c.Workload},
 		Batches:   []int{c.Batch},
 		Platforms: []string{c.Platform},
 		Seeds:     seeds,
-		Params:    &par,
+		Search:    &search,
 	}, dse.Options{})
 	if err != nil {
 		return SeedStats{}, err

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"soma/internal/dse"
 	"soma/internal/soma"
 )
 
@@ -32,7 +33,7 @@ func TestFrontierConsistent(t *testing.T) {
 
 func TestObjectiveSweepSmall(t *testing.T) {
 	c := Case{Platform: "edge", Workload: "resnet50", Batch: 1}
-	pts := ObjectiveSweep(context.Background(), c, soma.FastParams(), []soma.Objective{
+	pts := ObjectiveSweep(context.Background(), c, dse.Search{Profile: "fast"}, 1, []soma.Objective{
 		{N: 0, M: 1}, {N: 1, M: 0}, {N: 1, M: 1},
 	})
 	if len(pts) != 3 {
@@ -55,7 +56,7 @@ func TestObjectiveSweepSmall(t *testing.T) {
 
 func TestSeedSweep(t *testing.T) {
 	c := Case{Platform: "edge", Workload: "resnet50", Batch: 1}
-	st, err := SeedSweep(context.Background(), c, soma.FastParams(), []int64{1, 2, 3})
+	st, err := SeedSweep(context.Background(), c, dse.Search{Profile: "fast"}, []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestSeedSweep(t *testing.T) {
 	if !strings.Contains(st.String(), "seeds") {
 		t.Fatalf("String = %q", st.String())
 	}
-	if _, err := SeedSweep(context.Background(), Case{Platform: "bad"}, soma.FastParams(), []int64{1}); err == nil {
+	if _, err := SeedSweep(context.Background(), Case{Platform: "bad"}, dse.Search{Profile: "fast"}, []int64{1}); err == nil {
 		t.Fatal("bad platform accepted")
 	}
 }

@@ -129,10 +129,6 @@ func runMovesCtx[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, fl
 					if cfg.OnImprove != nil {
 						cfg.OnImprove(n, bestCost)
 					}
-					if tel := cfg.Telemetry; tel != nil {
-						tel.BestCost.Set(bestCost)
-						tel.Temp.Set(Temperature(cfg.T0, cfg.Alpha, n, cfg.Iters))
-					}
 				}
 			} else {
 				st.Rejected++
@@ -151,13 +147,6 @@ func runMovesCtx[S any](ctx context.Context, cfg Config, ms MoveState[S]) (S, fl
 		jr.Finish(journalSample(int64(st.Iterations), st, bestCost, curCost,
 			Temperature(cfg.T0, cfg.Alpha, st.Iterations, cfg.Iters), incs),
 			int64(st.BestIter))
-	}
-	if tel := cfg.Telemetry; tel != nil {
-		// Bulk-add once per chain so the hot loop pays no atomics.
-		tel.Proposed.Add(int64(st.Iterations))
-		tel.Accepted.Add(int64(st.Accepted))
-		tel.Rejected.Add(int64(st.Rejected))
-		tel.Improved.Add(int64(st.Improved))
 	}
 	return best, bestCost, st
 }

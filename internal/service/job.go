@@ -146,14 +146,13 @@ func (r *Request) normalize() (in runInputs, err error) {
 }
 
 // Job is one scheduling request (or sweep) moving through the queue. All
-// fields are guarded by the Store's lock; handlers only ever see View
-// snapshots.
+// fields but the handle are guarded by the Store's lock; handlers only ever
+// see View snapshots.
 type Job struct {
 	ID    string
 	State State
 	Req   Request
-	// in holds the resolved run inputs (normalize ran at submit).
-	in runInputs
+	*handle
 
 	Result *report.Result
 	// SweepOut is the sweep-job counterpart of Result (rows scrubbed of
@@ -167,6 +166,14 @@ type Job struct {
 
 	// cancel aborts the running search; nil until a worker starts the job.
 	cancel context.CancelFunc
+}
+
+// handle is the part of a job that Add fixes for the job's lifetime: its
+// run inputs, its done channel and its observers. Store.handle hands it out,
+// and holders read it without the store's lock.
+type handle struct {
+	// in holds the resolved run inputs (normalize ran at submit).
+	in runInputs
 	// done is closed on the transition into a terminal state, so waiters
 	// (POST ?wait=1, tests) can block without polling.
 	done chan struct{}
@@ -183,6 +190,35 @@ type Job struct {
 	// the tracer, so a running job serves its live partial trajectory; the
 	// journal decimates itself to a bounded sample count per chain.
 	journal *obs.Journal
+}
+
+// end moves the job into a terminal state and wakes its waiters and event
+// readers. The caller holds the store's lock and has checked that the job
+// is live.
+func (j *Job) end(state State, errMsg string) {
+	j.State = state
+	j.Err = errMsg
+	j.Finished = time.Now()
+	j.cancel = nil
+	j.events.close()
+	close(j.done)
+}
+
+// cancelLive cancels a live job: a queued one ends canceled with errMsg, a
+// running one has its context canceled and ends once its worker notices. It
+// reports false for a terminal job. The caller holds the store's lock.
+func (j *Job) cancelLive(errMsg string) bool {
+	switch j.State {
+	case StateQueued:
+		j.end(StateCanceled, errMsg)
+	case StateRunning:
+		if j.cancel != nil {
+			j.cancel()
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // View is the JSON shape of a job served by the API. Plain jobs carry

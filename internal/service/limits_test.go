@@ -2,7 +2,9 @@ package service
 
 import (
 	"bytes"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -21,5 +23,28 @@ func TestSubmitBodiesBounded(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s with a 5 MiB body: status %d, want 413", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestSubmitTrailingDataRejected: a job or sweep body holding more than one
+// JSON value is refused with 400, and no job is queued.
+func TestSubmitTrailingDataRejected(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	for path, body := range map[string]string{
+		"/v1/jobs":   `{"model":"mobilenetv2","params":{"profile":"fast"}} trailing`,
+		"/v1/sweeps": `{"models":["mobilenetv2"],"search":{"profile":"fast"}} trailing`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "trailing data after JSON object") {
+			t.Errorf("POST %s with trailing data: %d %s, want 400 trailing data", path, resp.StatusCode, msg)
+		}
+	}
+	if n := len(svc.store.List()); n != 0 {
+		t.Fatalf("%d jobs queued, want none", n)
 	}
 }

@@ -186,13 +186,11 @@ func (s *Server) worker() {
 func (s *Server) runJob(id string) {
 	ctx, cancel := context.WithCancel(s.base)
 	defer cancel()
-	if !s.store.start(id, cancel) {
+	h, ok := s.store.start(id, cancel)
+	if !ok {
 		return // canceled while queued
 	}
-	in, ok := s.store.inputs(id)
-	if !ok {
-		return
-	}
+	in := h.in
 	kind := in.req.Backend
 	if in.sweep != nil {
 		kind = "sweep"
@@ -204,13 +202,15 @@ func (s *Server) runJob(id string) {
 			s.fail(ctx, id, err)
 		}
 	}()
-	hooks := &engine.Hooks{Event: func(e engine.Event) { s.store.appendEvent(id, e) }}
-	o := s.jobObs(id)
+	// Metrics aggregate across jobs in the process-wide registry, while
+	// traces stay per job.
+	hooks := &engine.Hooks{Event: h.events.append}
+	o := &obs.Obs{Reg: s.reg, Tracer: h.tracer}
 	if in.sweep != nil {
 		s.runSweepJob(ctx, id, *in.sweep, hooks, o)
 		return
 	}
-	in.req.Journal, _, _ = s.store.Convergence(id)
+	in.req.Journal = h.journal
 	res, err := s.execute(ctx, in, hooks, o)
 	s.countJob(kind, err)
 	if err != nil {
@@ -271,16 +271,6 @@ func (s *Server) execute(ctx context.Context, in runInputs, h *engine.Hooks, o *
 	req.Cache = s.cache
 	req.Obs = o
 	return engine.Run(ctx, req, h)
-}
-
-// jobObs bundles the process-wide registry with the job's own tracer, so
-// metrics aggregate across jobs while traces stay per job.
-func (s *Server) jobObs(id string) *obs.Obs {
-	tr, ok := s.store.Trace(id)
-	if !ok {
-		return nil
-	}
-	return &obs.Obs{Reg: s.reg, Tracer: tr}
 }
 
 // countJob records one finished job on the somad_jobs_total counter, labeled
@@ -443,16 +433,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // carry per-point diagnostics summaries in the sweep result instead.
 func (s *Server) handleConvergence(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	jnl, backend, ok := s.store.Convergence(id)
+	h, ok := s.store.handle(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job "+id)
 		return
 	}
-	if jnl == nil {
+	if h.journal == nil {
 		writeError(w, http.StatusNotFound, "no convergence journal for "+id)
 		return
 	}
-	writeJSON(w, http.StatusOK, obs.BuildConvergence(jnl, engine.ConvergenceStages(backend)...))
+	writeJSON(w, http.StatusOK, obs.BuildConvergence(h.journal, engine.ConvergenceStages(h.in.req.Backend)...))
 }
 
 // handleTrace serves a job's span trace as Chrome trace-event JSON
@@ -460,13 +450,13 @@ func (s *Server) handleConvergence(w http.ResponseWriter, r *http.Request) {
 // collected so far; queued jobs serve an empty one.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	tr, ok := s.store.Trace(id)
+	h, ok := s.store.handle(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job "+id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = tr.WriteJSON(w)
+	_ = h.tracer.WriteJSON(w)
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
@@ -493,7 +483,7 @@ func (s *Server) handleBackends(w http.ResponseWriter, _ *http.Request) {
 // failure, or DELETE-driven cancellation alike.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	log, ok := s.store.Events(id)
+	h, ok := s.store.handle(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job "+id)
 		return
@@ -511,7 +501,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	next := 0
 	for {
-		evs, closed, wait := log.since(next)
+		evs, closed, wait := h.events.since(next)
 		for _, e := range evs {
 			data, err := json.Marshal(e)
 			if err != nil {
@@ -585,6 +575,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeBodyError(w, err)
 		return
 	}
+	if dec.More() {
+		writeError(w, http.StatusBadRequest, "bad request body: trailing data after JSON object")
+		return
+	}
 	in, err := req.normalize()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -624,10 +618,6 @@ func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, v View) {
 	writeJSON(w, http.StatusAccepted, v)
 }
 
-// MaxSweepPoints bounds the grid size POST /v1/sweeps accepts: a typoed axis
-// cross product should fail fast with a 400, not occupy a worker for hours.
-const MaxSweepPoints = 4096
-
 // handleSweepSubmit is POST /v1/sweeps: the body is a dse sweep spec
 // (docs/dse.md). The expanded grid runs as one queued job on the shared
 // worker pool and evaluation cache; per-point progress streams on
@@ -647,12 +637,11 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Bound the grid before expanding it: GridSize is a cheap product, so a
-	// tiny request body declaring astronomically crossed axes gets its 400
-	// without the server ever materializing a point slice.
-	if n := sw.GridSize(); n > MaxSweepPoints {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("sweep expands to %d points, limit %d", n, MaxSweepPoints))
+	// Bound the grid before expanding it: a typoed axis cross product gets
+	// its 400 instead of occupying a worker for hours, and a tiny body
+	// declaring astronomically crossed axes never materializes a point slice.
+	if err := sw.CheckServed(); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if err := sw.Validate(); err != nil {
@@ -681,13 +670,13 @@ func (s *Server) handleSweepList(w http.ResponseWriter, _ *http.Request) {
 // If the client disconnects first, the job is canceled - the requester went
 // away, so the annealer stops mid-chain instead of burning a worker slot.
 func (s *Server) waitFor(w http.ResponseWriter, r *http.Request, id string) {
-	done, ok := s.store.Done(id)
+	h, ok := s.store.handle(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown job "+id)
 		return
 	}
 	select {
-	case <-done:
+	case <-h.done:
 		v, _ := s.store.Get(id)
 		writeJSON(w, http.StatusOK, v)
 	case <-r.Context().Done():

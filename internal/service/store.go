@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"soma/internal/engine"
 	"soma/internal/obs"
 )
 
@@ -70,18 +69,17 @@ func (st *Store) Add(req Request, in runInputs) View {
 	if in.sweep != nil {
 		kind = "sweep"
 	}
+	h := &handle{in: in, done: make(chan struct{}), events: newEventLog(),
+		tracer: obs.NewTracer()}
+	if in.sweep == nil {
+		h.journal = obs.NewJournal()
+	}
 	j := &Job{
 		ID:      fmt.Sprintf("%s-%06d", kind, st.seq),
 		State:   StateQueued,
 		Req:     req,
-		in:      in,
+		handle:  h,
 		Created: time.Now(),
-		done:    make(chan struct{}),
-		events:  newEventLog(),
-		tracer:  obs.NewTracer(),
-	}
-	if in.sweep == nil {
-		j.journal = obs.NewJournal()
 	}
 	st.jobs[j.ID] = j
 	st.order = append(st.order, j.ID)
@@ -122,35 +120,36 @@ func (st *Store) Counts() map[State]int {
 	return c
 }
 
-// Done exposes the job's completion channel (closed on the transition into a
-// terminal state); ok is false for unknown IDs.
-func (st *Store) Done(id string) (<-chan struct{}, bool) {
+// handle returns a job's fixed part (its inputs, done channel, event log,
+// tracer and journal); ok is false for unknown IDs. Evicted jobs lose it
+// together with their results.
+func (st *Store) handle(id string) (*handle, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	j, ok := st.jobs[id]
 	if !ok {
 		return nil, false
 	}
-	return j.done, true
+	return j.handle, true
 }
 
-// start transitions queued -> running and installs the cancel hook. It
-// returns false when the job was canceled while still in the queue (the
-// worker then just drops it).
-func (st *Store) start(id string, cancel context.CancelFunc) bool {
+// start transitions queued -> running, installs the cancel hook and returns
+// the job's handle. It returns false when the job was canceled while still
+// in the queue (the worker then just drops it).
+func (st *Store) start(id string, cancel context.CancelFunc) (*handle, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	j, ok := st.jobs[id]
 	if !ok || j.State != StateQueued {
-		return false
+		return nil, false
 	}
 	j.State = StateRunning
 	j.Started = time.Now()
 	j.cancel = cancel
-	return true
+	return j.handle, true
 }
 
-// finish moves a running job into a terminal state.
+// finish moves a live job into a terminal state, applying its outcome first.
 func (st *Store) finish(id string, state State, errMsg string, apply func(*Job)) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -158,15 +157,10 @@ func (st *Store) finish(id string, state State, errMsg string, apply func(*Job))
 	if !ok || j.State.Terminal() {
 		return
 	}
-	j.State = state
-	j.Err = errMsg
-	j.Finished = time.Now()
-	j.cancel = nil
 	if apply != nil {
 		apply(j)
 	}
-	j.events.close()
-	close(j.done)
+	j.end(state, errMsg)
 }
 
 // Cancel requests cancellation. A queued job is canceled immediately; a
@@ -175,30 +169,13 @@ func (st *Store) finish(id string, state State, errMsg string, apply func(*Job))
 // a terminal job is a no-op that reports conflict = true.
 func (st *Store) Cancel(id string) (v View, found, conflict bool) {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	j, ok := st.jobs[id]
 	if !ok {
-		st.mu.Unlock()
 		return View{}, false, false
 	}
-	switch j.State {
-	case StateQueued:
-		j.State = StateCanceled
-		j.Err = "canceled before start"
-		j.Finished = time.Now()
-		j.events.close()
-		close(j.done)
-	case StateRunning:
-		if j.cancel != nil {
-			j.cancel()
-		}
-	default:
-		v = j.view()
-		st.mu.Unlock()
-		return v, true, true
-	}
-	v = j.view()
-	st.mu.Unlock()
-	return v, true, false
+	conflict = !j.cancelLive("canceled before start")
+	return j.view(), true, conflict
 }
 
 // CancelAll cancels every non-terminal job: queued jobs go straight to
@@ -208,79 +185,6 @@ func (st *Store) CancelAll() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for _, j := range st.jobs {
-		switch j.State {
-		case StateQueued:
-			j.State = StateCanceled
-			j.Err = "canceled: server shutting down"
-			j.Finished = time.Now()
-			j.events.close()
-			close(j.done)
-		case StateRunning:
-			if j.cancel != nil {
-				j.cancel()
-			}
-		}
+		j.cancelLive("canceled: server shutting down")
 	}
-}
-
-// Trace exposes a job's span tracer; ok is false for unknown IDs. The tracer
-// is live from submission, so reading a running job serves the partial trace
-// collected so far.
-func (st *Store) Trace(id string) (*obs.Tracer, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	j, ok := st.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return j.tracer, true
-}
-
-// Convergence exposes a job's convergence journal and its backend name (for
-// stage-preference selection); ok is false for unknown IDs, and the journal
-// is nil for sweep jobs (their rows carry per-point diagnostics instead).
-// Like the tracer, the journal is live from submission, so reading a running
-// job serves the trajectory collected so far.
-func (st *Store) Convergence(id string) (jnl *obs.Journal, backend string, ok bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	j, found := st.jobs[id]
-	if !found {
-		return nil, "", false
-	}
-	return j.journal, j.in.req.Backend, true
-}
-
-// Events exposes a job's progress-event log; ok is false for unknown IDs.
-// Evicted jobs lose their logs together with their results.
-func (st *Store) Events(id string) (*eventLog, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	j, ok := st.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return j.events, true
-}
-
-// appendEvent records one progress event on a job's log (no-op for unknown
-// or already-terminal jobs).
-func (st *Store) appendEvent(id string, e engine.Event) {
-	st.mu.Lock()
-	j, ok := st.jobs[id]
-	st.mu.Unlock()
-	if ok {
-		j.events.append(e)
-	}
-}
-
-// inputs hands a worker the resolved run inputs (immutable after Add).
-func (st *Store) inputs(id string) (in runInputs, ok bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	j, found := st.jobs[id]
-	if !found {
-		return runInputs{}, false
-	}
-	return j.in, true
 }

@@ -64,9 +64,9 @@ func TestStoreCancelAll(t *testing.T) {
 	if v, _ := st.Get(queued.ID); v.State != StateCanceled {
 		t.Fatalf("queued job in state %q, want canceled", v.State)
 	}
-	done, _ := st.Done(queued.ID)
+	h, _ := st.handle(queued.ID)
 	select {
-	case <-done:
+	case <-h.done:
 	default:
 		t.Fatal("queued job's done channel not closed")
 	}

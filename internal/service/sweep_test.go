@@ -101,9 +101,9 @@ func TestSweepValidation(t *testing.T) {
 		{},                               // no workload
 		{"models": []string{"nope"}},     // unknown model
 		{"modles": []string{"resnet50"}}, // typoed axis
-		{"models": []string{"resnet50"}, "batches": []int{0}},                      // bad batch
-		{"models": []string{"resnet50"}, "gbuf_mb": []int64{1 << 43}},              // bytes overflow
-		{"models": []string{"resnet50"}, "seeds": make([]int64, MaxSweepPoints+1)}, // too big
+		{"models": []string{"resnet50"}, "batches": []int{0}},                           // bad batch
+		{"models": []string{"resnet50"}, "gbuf_mb": []int64{1 << 43}},                   // bytes overflow
+		{"models": []string{"resnet50"}, "seeds": make([]int64, dse.MaxServedPoints+1)}, // too big
 	}
 	for i, c := range cases {
 		var e struct{ Error string }

@@ -1,6 +1,9 @@
 package soma
 
-import "soma/internal/sim"
+import (
+	"soma/internal/sa"
+	"soma/internal/sim"
+)
 
 // Progress is one solver progress callback delivered to Explorer.Progress.
 // Every AnnealLFA search reports under its stage label, so the Cocco
@@ -52,18 +55,41 @@ func (e *Explorer) notify(p Progress) {
 }
 
 // improveHook adapts the portfolio's per-chain improvement callback to a
-// stage-tagged Progress event (and, when tracing, a best-cost counter
-// sample); it returns nil when no observer is installed so the annealer
-// skips callback plumbing entirely.
-func (e *Explorer) improveHook(stage string) func(chain, iter int, cost float64) {
-	if e.Progress == nil && e.Track == nil {
+// stage-tagged Progress event, a best-cost counter sample when tracing, and
+// the registry's soma_sa_best_cost and soma_sa_temperature gauges (the cost,
+// and cfg's cooling-schedule temperature at the improving move). It returns
+// nil when nothing observes, so the annealer skips callback plumbing
+// entirely.
+func (e *Explorer) improveHook(stage string, cfg sa.Config) func(chain, iter int, cost float64) {
+	if e.Progress == nil && e.Track == nil && e.Reg == nil {
 		return nil
 	}
+	bestCost := e.Reg.Gauge("soma_sa_best_cost",
+		"Best cost seen, sampled at each improvement.", "stage", stage)
+	temp := e.Reg.Gauge("soma_sa_temperature",
+		"Cooling-schedule temperature at the last improvement.", "stage", stage)
 	return func(chain, iter int, cost float64) {
 		if e.Progress != nil {
 			e.Progress(Progress{Stage: stage, Kind: "improve", AllocIter: e.allocIter,
 				Chain: chain, Iter: iter, Cost: cost})
 		}
 		e.Track.Counter("best_cost/"+stage, cost)
+		bestCost.Set(cost)
+		temp.Set(sa.Temperature(cfg.T0, cfg.Alpha, iter, cfg.Iters))
 	}
+}
+
+// addSAStats adds a finished stage's move counts (its portfolio's totals,
+// sa.PortfolioStats.Total) to the registry's soma_sa_* counters.
+func (e *Explorer) addSAStats(stage string, st sa.Stats) {
+	e.Reg.Counter("soma_sa_moves_proposed_total",
+		"Annealing moves proposed (including unproductive draws).", "stage", stage).
+		Add(int64(st.Iterations))
+	e.Reg.Counter("soma_sa_moves_accepted_total",
+		"Annealing moves accepted.", "stage", stage).Add(int64(st.Accepted))
+	e.Reg.Counter("soma_sa_moves_rejected_total",
+		"Annealing moves rejected by the acceptance rule.", "stage", stage).
+		Add(int64(st.Rejected))
+	e.Reg.Counter("soma_sa_improvements_total",
+		"Incumbent (best-so-far) improvements.", "stage", stage).Add(int64(st.Improved))
 }

@@ -227,18 +227,15 @@ func (e *Explorer) stageJournal(stage string) func(int) *obs.Series {
 	return func(chain int) *obs.Series { return j.Series(stage, iter, chain) }
 }
 
-// cost evaluates a schedule under a stage budget, returning +Inf for
-// infeasible or deadlocked candidates together with the metrics when
-// available.
-func (e *Explorer) cost(s *core.Schedule, budget int64) (float64, *sim.Metrics) {
-	m, err := sim.CachedEvaluate(e.Cache, s, e.CS, sim.Options{BufferBudget: budget, CacheScope: e.Scope})
-	if err != nil {
-		return math.Inf(1), nil
+// objective folds one evaluation into the annealing cost: +Inf when the
+// evaluation failed (an illegal or deadlocked schedule) or broke its buffer
+// budget, Energy^N x Delay^M otherwise. Both stages score every candidate,
+// and their winners, through it.
+func (e *Explorer) objective(m *sim.Metrics, err error) float64 {
+	if err != nil || !m.BufferOK {
+		return math.Inf(1)
 	}
-	if !m.BufferOK {
-		return math.Inf(1), m
-	}
-	return m.Cost(e.Obj.N, e.Obj.M), m
+	return m.Cost(e.Obj.N, e.Obj.M)
 }
 
 // Run executes the full Buffer Allocator loop (Sec. V-B): iteration 1 gives

@@ -48,7 +48,7 @@ func TestStage1ImprovesOnNoFusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	initCost, _ := e.cost(init, e.Cfg.GBufBytes)
+	initCost := e.objective(sim.Evaluate(init, e.CS, sim.Options{BufferBudget: e.Cfg.GBufBytes}))
 	enc, s1, err := e.RunStage1(context.Background(), e.Cfg.GBufBytes, 1)
 	if err != nil {
 		t.Fatalf("stage1: %v", err)

@@ -52,10 +52,9 @@ func (e *Explorer) AnnealLFA(ctx context.Context, stage string, init *core.Encod
 		iters = e.Par.Stage1MaxIters
 	}
 
-	cfg := sa.Config{T0: e.Par.T0, Alpha: e.Par.Alpha, Iters: iters, Seed: seed,
-		Telemetry: sa.NewTelemetry(e.Reg, stage)}
+	cfg := sa.Config{T0: e.Par.T0, Alpha: e.Par.Alpha, Iters: iters, Seed: seed}
 	pf := e.portfolio()
-	pf.OnImprove = e.improveHook(stage)
+	pf.OnImprove = e.improveHook(stage, cfg)
 	pf.Journal = e.stageJournal(stage)
 	best, bestCost, stats := sa.RunMovesPortfolioCtx[*core.Encoding](ctx, cfg, pf,
 		func(int) sa.MoveState[*core.Encoding] {
@@ -63,6 +62,7 @@ func (e *Explorer) AnnealLFA(ctx context.Context, stage string, init *core.Encod
 				cand: &core.Encoding{}, best: &core.Encoding{},
 				ev: chainEval{m: new(sim.Metrics)}}
 		})
+	e.addSAStats(stage, stats.Total)
 	if err := ctx.Err(); err != nil {
 		return nil, StageResult{}, err
 	}
@@ -75,10 +75,7 @@ func (e *Explorer) AnnealLFA(ctx context.Context, stage string, init *core.Encod
 	if err != nil {
 		return nil, StageResult{}, err
 	}
-	c := math.Inf(1)
-	if m.BufferOK {
-		c = m.Cost(e.Obj.N, e.Obj.M)
-	}
+	c := e.objective(m, nil)
 	e.notify(Progress{Stage: stage, Kind: "done", AllocIter: e.allocIter, Cost: c})
 	return best, StageResult{Metrics: m, Cost: c, Stats: stats}, nil
 }
@@ -144,11 +141,7 @@ type lfaMoves struct {
 
 // cost scores an encoding, +Inf when it is illegal or over budget.
 func (m *lfaMoves) cost(enc *core.Encoding) float64 {
-	met, err := m.e.evalEnc(enc, m.budget, &m.ev)
-	if err != nil || !met.BufferOK {
-		return math.Inf(1)
-	}
-	return met.Cost(m.e.Obj.N, m.e.Obj.M)
+	return m.e.objective(m.e.evalEnc(enc, m.budget, &m.ev))
 }
 
 func (m *lfaMoves) InitCost() float64 { return m.cost(m.cur) }

@@ -2,7 +2,6 @@ package soma
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"time"
 
@@ -46,10 +45,9 @@ func (e *Explorer) RunStage2(ctx context.Context, sched *core.Schedule, seed int
 	// and reused across every candidate DLSA; the evaluation cache then
 	// short-circuits revisited DLSA points entirely.
 	tc := sim.PrecomputeTileCosts(sched, e.CS)
-	cfg := sa.Config{T0: e.Par.T0, Alpha: e.Par.Alpha, Iters: iters, Seed: seed + 7919,
-		Telemetry: sa.NewTelemetry(e.Reg, "stage2")}
+	cfg := sa.Config{T0: e.Par.T0, Alpha: e.Par.Alpha, Iters: iters, Seed: seed + 7919}
 	pf := e.portfolio()
-	pf.OnImprove = e.improveHook("stage2")
+	pf.OnImprove = e.improveHook("stage2", cfg)
 	pf.Journal = e.stageJournal("stage2")
 	chains := make([]*stage2Moves, max(pf.Chains, 1))
 	best, bestCost, stats := sa.RunMovesPortfolioCtx[*core.Schedule](ctx, cfg, pf,
@@ -60,8 +58,14 @@ func (e *Explorer) RunStage2(ctx context.Context, sched *core.Schedule, seed int
 			chains[c] = newStage2Moves(e, sched.Clone(), picker, tc)
 			return chains[c]
 		})
+	e.addSAStats("stage2", stats.Total)
 	e.addIncStats(chains)
-	_, m := e.cost(best, e.Cfg.GBufBytes)
+	// The winner's metrics: a cache hit, since the annealer scored it.
+	m, err := sim.CachedEvaluate(e.Cache, best, e.CS,
+		sim.Options{BufferBudget: e.Cfg.GBufBytes, CacheScope: e.Scope})
+	if err != nil {
+		m = nil
+	}
 	e.notify(Progress{Stage: "stage2", Kind: "done", AllocIter: e.allocIter, Cost: bestCost})
 	return best, StageResult{Metrics: m, Cost: bestCost, Stats: stats}
 }
@@ -94,8 +98,8 @@ func newStage2Moves(e *Explorer, s *core.Schedule, picker *sizePicker, tc *sim.T
 }
 
 // addIncStats adds the finished chains' incremental-evaluator counters
-// (sim.IncStats) to the registry's sim_inc_* family. Like sa.Telemetry,
-// it adds in bulk once the chains are done, so proposals pay no atomics.
+// (sim.IncStats) to the registry's sim_inc_* family. Like addSAStats, it
+// adds in bulk once the chains are done, so proposals pay no atomics.
 func (e *Explorer) addIncStats(chains []*stage2Moves) {
 	if e.Reg == nil {
 		return
@@ -124,18 +128,8 @@ func (e *Explorer) addIncStats(chains []*stage2Moves) {
 		"Merge events actually re-simulated.").Add(sum.EventsSimulated)
 }
 
-// objective folds metrics into the annealing cost (+Inf for deadlocked or
-// budget-violating schedules), mirroring Explorer.cost.
-func (ms *stage2Moves) objective(m *sim.Metrics, err error) float64 {
-	if err != nil || !m.BufferOK {
-		return math.Inf(1)
-	}
-	return m.Cost(ms.e.Obj.N, ms.e.Obj.M)
-}
-
 func (ms *stage2Moves) InitCost() float64 {
-	m, err := sim.Memoize(ms.e.Cache, ms.inc.Key(), &ms.m, ms.inc.Metrics)
-	return ms.objective(m, err)
+	return ms.e.objective(sim.Memoize(ms.e.Cache, ms.inc.Key(), &ms.m, ms.inc.Metrics))
 }
 
 // Propose applies one random DLSA operator in place and evaluates it. The
@@ -175,8 +169,7 @@ func (ms *stage2Moves) Propose(rng *rand.Rand) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	m, err := sim.Memoize(ms.e.Cache, ms.inc.Key(), &ms.m, ms.inc.EvaluateProposal)
-	return ms.objective(m, err), true
+	return ms.e.objective(sim.Memoize(ms.e.Cache, ms.inc.Key(), &ms.m, ms.inc.EvaluateProposal)), true
 }
 
 func (ms *stage2Moves) Accept() { ms.inc.Accept() }
