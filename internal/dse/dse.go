@@ -14,6 +14,7 @@ import (
 	"soma/internal/obs"
 	"soma/internal/report"
 	"soma/internal/soma"
+	"soma/internal/strictjson"
 	"soma/internal/workload"
 )
 
@@ -150,16 +151,11 @@ type Search struct {
 
 // ParseSweep decodes a JSON sweep spec strictly (unknown fields are
 // rejected, so a typoed axis name fails loudly instead of silently sweeping
-// nothing).
+// nothing, and so is anything after the spec object).
 func ParseSweep(data []byte) (Sweep, error) {
 	var sw Sweep
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sw); err != nil {
+	if err := strictjson.Decode(bytes.NewReader(data), &sw); err != nil {
 		return Sweep{}, fmt.Errorf("dse: bad sweep spec: %w", err)
-	}
-	if dec.More() {
-		return Sweep{}, fmt.Errorf("dse: bad sweep spec: trailing data after JSON object")
 	}
 	return sw, nil
 }

@@ -24,6 +24,12 @@ func TestParseSweepStrict(t *testing.T) {
 	if _, err := ParseSweep([]byte(`{`)); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}
+	// A stray closing bracket after the object is trailing data too.
+	for _, in := range []string{`{"models":["resnet50"]}}`, `{"models":["resnet50"]}]`} {
+		if _, err := ParseSweep([]byte(in)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("ParseSweep(%s): err = %v, want trailing data", in, err)
+		}
+	}
 }
 
 // TestParseSweepRejectsParamsBlock: search is the spec's only parameter

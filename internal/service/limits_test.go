@@ -26,22 +26,25 @@ func TestSubmitBodiesBounded(t *testing.T) {
 	}
 }
 
-// TestSubmitTrailingDataRejected: a job or sweep body holding more than one
-// JSON value is refused with 400, and no job is queued.
+// TestSubmitTrailingDataRejected: a job or sweep body with anything after
+// its JSON object - more text, or a stray closing brace or bracket - is
+// refused with 400, and no job is queued.
 func TestSubmitTrailingDataRejected(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 1})
-	for path, body := range map[string]string{
-		"/v1/jobs":   `{"model":"mobilenetv2","params":{"profile":"fast"}} trailing`,
-		"/v1/sweeps": `{"models":["mobilenetv2"],"search":{"profile":"fast"}} trailing`,
+	for path, object := range map[string]string{
+		"/v1/jobs":   `{"model":"mobilenetv2","params":{"profile":"fast"}}`,
+		"/v1/sweeps": `{"models":["mobilenetv2"],"search":{"profile":"fast"}}`,
 	} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "trailing data after JSON object") {
-			t.Errorf("POST %s with trailing data: %d %s, want 400 trailing data", path, resp.StatusCode, msg)
+		for _, trailing := range []string{" trailing", "}", "]"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(object+trailing))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "trailing data after JSON object") {
+				t.Errorf("POST %s with trailing %q: %d %s, want 400 trailing data", path, trailing, resp.StatusCode, msg)
+			}
 		}
 	}
 	if n := len(svc.store.List()); n != 0 {

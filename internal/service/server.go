@@ -23,6 +23,7 @@ import (
 	"soma/internal/obs"
 	"soma/internal/report"
 	"soma/internal/sim"
+	"soma/internal/strictjson"
 	"soma/internal/workload"
 )
 
@@ -569,14 +570,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := strictjson.Decode(http.MaxBytesReader(w, r.Body, cluster.MaxBodyBytes), &req); err != nil {
 		writeBodyError(w, err)
-		return
-	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, "bad request body: trailing data after JSON object")
 		return
 	}
 	in, err := req.normalize()

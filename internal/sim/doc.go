@@ -18,7 +18,8 @@
 // One merge loop implements these conditions. Evaluate runs it once from
 // event zero; Incremental, the stage-2 evaluator, keeps one schedule live
 // and after each DLSA move resumes the same loop from a checkpoint of its
-// accepted run.
+// accepted run, stopping a Start/End move's run once its times have
+// rejoined the accepted ones.
 //
 // Three layers keep the annealer's evaluation volume tractable:
 //

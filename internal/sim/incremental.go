@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"soma/internal/core"
@@ -29,6 +30,17 @@ import (
 // suffix re-simulation from it reproduces Evaluate bit for bit. Structural
 // moves (different tile set, different tensor set) cannot be delta-ed; they
 // go through full Evaluate and a fresh Incremental.
+//
+// A duration move (SetStart / SetEnd) also stops early. The resumed run
+// compares each completion time it writes with the accepted run's; when the
+// moved tensor and the last tile whose gating the move changed have
+// committed with every time so far equal, the proposal has rejoined the
+// accepted timeline: the rest of the schedule, and every time it can read,
+// is the accepted run's, so it would end in the accepted end state (see
+// watch). The proposal's metrics are then the accepted end state's with
+// the proposal's buffer usage, and accepting it leaves the accepted times
+// as they are. Order moves reorder the DRAM occupancy sums, so they always
+// run to the end.
 //
 // The proposal workflow mirrors simulated annealing: apply exactly one move
 // (MoveTensor / SetStart / SetEnd), evaluate it (EvaluateProposal), then
@@ -65,6 +77,7 @@ type Incremental struct {
 	propEvaluated bool
 	propErr       error
 	propEnd       mergeState
+	propRejoined  bool // the run stopped where it rejoined the accepted one
 	propCkpts     []checkpoint
 	propResumeIdx int // checkpoint index resumed from; -1 = from scratch
 	resumeI       int // prefix bounds of the current proposal's resume point
@@ -104,9 +117,12 @@ const (
 type IncStats struct {
 	// Proposals is the number of EvaluateProposal calls; Resumed of those
 	// spliced a checkpointed prefix, Fallbacks re-simulated from scratch.
-	Proposals, Resumed, Fallbacks int64
+	// Rejoined of the resumed ones stopped where they rejoined the
+	// accepted run.
+	Proposals, Resumed, Fallbacks, Rejoined int64
 	// EventsTotal is Proposals x (tiles + tensors): the merge events a full
-	// evaluator would have replayed. EventsSimulated is what this one did.
+	// evaluator would have replayed. EventsSimulated counts the events the
+	// proposals' runs merged, up to the end, a deadlock or a rejoin.
 	EventsTotal, EventsSimulated int64
 	// Rollbacks is the number of Reject calls.
 	Rollbacks int64
@@ -361,7 +377,7 @@ func (inc *Incremental) Metrics() (*Metrics, error) {
 		panic("sim: Metrics with a proposal pending")
 	}
 	if !inc.accValid {
-		err := inc.resim(mergeState{})
+		err := inc.resim(mergeState{}, nil)
 		inc.propResumeIdx = -1
 		inc.mergeScratch(err)
 	}
@@ -372,7 +388,8 @@ func (inc *Incremental) Metrics() (*Metrics, error) {
 }
 
 // EvaluateProposal evaluates the schedule with the pending move applied,
-// re-simulating only from the latest checkpoint the move cannot affect. Its
+// re-simulating only from the latest checkpoint the move cannot affect, and
+// for a duration move only until it rejoins the accepted run. Its
 // signature matches sim.Memoize's eval callback, so stage-2 search keeps
 // its memoization (and cache accounting) unchanged while every miss costs a
 // suffix instead of a full replay.
@@ -381,22 +398,51 @@ func (inc *Incremental) EvaluateProposal() (*Metrics, error) {
 		panic("sim: EvaluateProposal without a pending move")
 	}
 	ck, idx := inc.resumePoint()
-	inc.stats.Proposals++
-	inc.stats.EventsTotal += int64(inc.n + inc.m)
-	inc.stats.EventsSimulated += int64((inc.n - ck.i) + (inc.m - ck.j))
+	var w *watch
 	if idx >= 0 {
-		inc.stats.Resumed++
-	} else {
-		inc.stats.Fallbacks++
+		w = inc.durationWatch()
 	}
-	err := inc.resim(ck)
+	err := inc.resim(ck, w)
 	inc.propEvaluated = true
 	inc.propErr = err
 	inc.propResumeIdx = idx
-	if err != nil {
+	st := &inc.stats
+	st.Proposals++
+	st.EventsTotal += int64(inc.n + inc.m)
+	st.EventsSimulated += int64((inc.propEnd.i - ck.i) + (inc.propEnd.j - ck.j))
+	if idx >= 0 {
+		st.Resumed++
+	} else {
+		st.Fallbacks++
+	}
+	switch {
+	case err != nil:
 		return &Metrics{}, err
+	case inc.propRejoined:
+		st.Rejoined++
+		return inc.metrics(inc.usage, inc.accEnd), nil
 	}
 	return inc.metrics(inc.usage, inc.propEnd), nil
+}
+
+// durationWatch returns the early-stop watch of the pending move, nil for
+// an order move: the moved tensor's order position and, for a store's End
+// move, the later of its old and new gate tiles inside the schedule.
+func (inc *Incremental) durationWatch() *watch {
+	mv := &inc.pending
+	w := &watch{p: inc.pos[mv.id], gate: -1}
+	switch mv.kind {
+	case moveStart:
+	case moveEnd:
+		for _, g := range [2]int{mv.old, mv.new} {
+			if g < inc.n {
+				w.gate = max(w.gate, g)
+			}
+		}
+	default:
+		return nil
+	}
+	return w
 }
 
 // resumePoint picks the latest accepted checkpoint still valid under the
@@ -434,14 +480,14 @@ func (inc *Incremental) resumePoint() (checkpoint, int) {
 	return inc.checkpoints[idx], idx
 }
 
-// resim resumes the merge at ck over the live schedule: the accepted
-// arrays hold the prefix, the run arrays receive the suffix and propCkpts
-// its checkpoints.
-func (inc *Incremental) resim(ck mergeState) error {
+// resim resumes the merge at ck over the live schedule under watch w (nil
+// for none): the accepted arrays hold the prefix, the run arrays receive
+// the suffix and propCkpts its checkpoints.
+func (inc *Incremental) resim(ck mergeState, w *watch) error {
 	inc.resumeI, inc.resumeJ = ck.i, ck.j
 	inc.propCkpts = inc.propCkpts[:0]
 	var err error
-	inc.propEnd, err = inc.run(ck, &inc.propCkpts)
+	inc.propEnd, inc.propRejoined, err = inc.run(ck, &inc.propCkpts, w)
 	return err
 }
 
@@ -467,7 +513,17 @@ func (inc *Incremental) Accept() {
 }
 
 // mergeScratch promotes the scratch suffix of the just-simulated proposal
-// into the accepted state.
+// into the accepted state. A rejoined proposal's times equal the accepted
+// ones, so only its checkpoints are spliced.
+//
+// The checkpoints kept are those before the resume point, the proposal's
+// own, and the accepted ones at or past the run's end in both cursors:
+// none after a complete run, the rest of the accepted timeline after a
+// rejoin. Each is a state the new schedule's merge can reach, one where
+// every committed tensor and tile has its own dependencies committed. An
+// accepted checkpoint past the moved load but short of the tile it now
+// waits on is not: a later proposal resumed from it could miss a deadlock
+// a full replay reports. The stop point's cursors are past both.
 func (inc *Incremental) mergeScratch(err error) {
 	if err != nil {
 		inc.accValid = false
@@ -475,18 +531,21 @@ func (inc *Incremental) mergeScratch(err error) {
 		inc.checkpoints = inc.checkpoints[:0]
 		return
 	}
-	copy(inc.accTileEnd[inc.resumeI:], inc.tileEnd[inc.resumeI:])
-	for p := inc.resumeJ; p < inc.m; p++ {
-		id := inc.s.Order[p]
-		inc.accTensorEnd[id] = inc.tensorEnd[id]
+	end := inc.propEnd
+	if !inc.propRejoined {
+		copy(inc.accTileEnd[inc.resumeI:], inc.tileEnd[inc.resumeI:])
+		for p := inc.resumeJ; p < inc.m; p++ {
+			id := inc.s.Order[p]
+			inc.accTensorEnd[id] = inc.tensorEnd[id]
+		}
+		inc.accEnd = end
 	}
-	if inc.propResumeIdx < 0 {
-		inc.checkpoints = inc.checkpoints[:0]
-	} else {
-		inc.checkpoints = inc.checkpoints[:inc.propResumeIdx+1]
-	}
-	inc.checkpoints = append(inc.checkpoints, inc.propCkpts...)
-	inc.accEnd = inc.propEnd
+	keep := inc.propResumeIdx + 1
+	tail := inc.checkpoints[keep:]
+	past := keep + sort.Search(len(tail), func(k int) bool {
+		return tail[k].i >= end.i && tail[k].j >= end.j
+	})
+	inc.checkpoints = slices.Replace(inc.checkpoints, keep, past, inc.propCkpts...)
 	inc.accErr = nil
 	inc.accValid = true
 }

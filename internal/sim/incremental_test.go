@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"soma/internal/core"
@@ -61,6 +63,19 @@ func proposeRandomMove(inc *Incremental, rng *rand.Rand) bool {
 		}
 		return inc.SetEnd(id, s.Tensors[id].End+delta)
 	}
+}
+
+// proposeWideJitter sets a random tensor's Living Duration anywhere in its
+// range: a load's Start in [0, FirstUse], a store's End up to 8 tiles past
+// its producing tile (clamped to the schedule). Returns false for a no-op.
+func proposeWideJitter(inc *Incremental, rng *rand.Rand) bool {
+	s := inc.Schedule()
+	id := rng.Intn(len(s.Tensors))
+	t := &s.Tensors[id]
+	if t.Kind.IsLoad() {
+		return inc.SetStart(id, rng.Intn(t.FirstUse+1))
+	}
+	return inc.SetEnd(id, t.Producer+1+rng.Intn(8))
 }
 
 // proposeStoreMove exercises the evaluator's per-layer last-store
@@ -273,6 +288,22 @@ func TestIncrementalDifferentialZoo(t *testing.T) {
 	t.Run("gpt2s-prefill-2blk", func(t *testing.T) {
 		diffHarness(t, prefillCut(t, 8), coresched.New(hw.Edge()), 15, 200, true)
 	})
+	// Stage-1 winners fuse layers, so compute decides some times and a
+	// jitter may change them: the early stop must notice. Half the jitters
+	// go anywhere in the tensor's range.
+	t.Run("gpt2s-prefill-2blk-fused", func(t *testing.T) {
+		g := prefillGraph()
+		cs := coresched.New(hw.Edge())
+		for seed := int64(2); seed <= 4; seed++ {
+			refWalk(t, parse(t, g, randomEncoding(g, seed)), cs, seed, 150,
+				func(inc *Incremental, rng *rand.Rand) bool {
+					if rng.Intn(2) == 0 {
+						return proposeRandomMove(inc, rng)
+					}
+					return proposeWideJitter(inc, rng)
+				})
+		}
+	})
 	// A legal order hides that bookkeeping (every store precedes its
 	// reloads). So each episode starts one reload at tile 0 and puts it
 	// among its producer's stores, where the layer's last store decides
@@ -355,4 +386,115 @@ func TestIncrementalDeadlockAgreement(t *testing.T) {
 		t.Fatalf("post-recovery metrics diverge:\nincremental %+v\nfull        %+v", im, fm)
 	}
 	inc.Accept()
+}
+
+// TestIncrementalRejoin: on a fused encoding of the prefill cut, a Start or
+// End jitter that leaves every tile and tensor completion time as it was
+// stops where it rejoins the accepted run, having merged fewer events than
+// the suffix it resumed; an order move, and a jitter that changes some
+// completion time, run to the end. Every proposal, and the accepted state
+// after accepting each rejoined one, equals the reference merge. (On the
+// unfused cut the DRAM channel decides every time, so no jitter changes
+// one.)
+func TestIncrementalRejoin(t *testing.T) {
+	g := prefillGraph()
+	s := parse(t, g, randomEncoding(g, 2))
+	cs := coresched.New(hw.Edge())
+	inc, err := NewIncremental(s, cs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, m *Metrics, err error) *Metrics {
+		t.Helper()
+		rm, rerr := referenceEvaluate(s, cs, 0)
+		if d := sameResult(m, err, rm, rerr); d != "" {
+			t.Fatalf("%s: %s", what, d)
+		}
+		return rm
+	}
+	am, aerr := inc.Metrics()
+	acc := check("start", am, aerr)
+
+	// evaluate scores the pending move and reports whether its times equal
+	// the accepted ones, whether it resumed, whether it rejoined, the events
+	// its run merged and the length of the suffix it resumed.
+	type outcome struct {
+		ok, neutral, resumed, rejoined bool
+		merged, suffix                 int64
+	}
+	evaluate := func(what string) outcome {
+		t.Helper()
+		before := inc.Stats()
+		m, err := inc.EvaluateProposal()
+		rm := check(what, m, err)
+		after := inc.Stats()
+		return outcome{
+			ok: err == nil,
+			neutral: err == nil && slices.Equal(rm.TileEnd, acc.TileEnd) &&
+				slices.Equal(rm.TensorEnd, acc.TensorEnd),
+			resumed:  after.Resumed > before.Resumed,
+			rejoined: after.Rejoined > before.Rejoined,
+			merged:   after.EventsSimulated - before.EventsSimulated,
+			suffix:   int64(inc.n - inc.resumeI + inc.m - inc.resumeJ),
+		}
+	}
+
+	var neutralStarts, neutralEnds, changing, orderMoves int
+	for p := len(s.Order) / 4; p < len(s.Order)-1; p++ {
+		id := s.Order[p]
+		tn := &s.Tensors[id]
+		// Jitter by one either way, and to the latest Start or the earliest
+		// End, which more often changes a time.
+		set, extreme := inc.SetEnd, tn.Producer+1
+		if tn.Kind.IsLoad() {
+			set, extreme = inc.SetStart, tn.FirstUse
+		}
+		for _, v := range []int{tn.Living() - 1, tn.Living() + 1, extreme} {
+			if !set(id, v) {
+				continue
+			}
+			what := fmt.Sprintf("jitter of tensor %d at order position %d to %d", id, p, v)
+			o := evaluate(what)
+			switch {
+			case !o.neutral:
+				if o.rejoined {
+					t.Fatalf("%s changes a completion time but rejoined", what)
+				}
+				if o.ok {
+					changing++
+				}
+			case o.resumed:
+				if !o.rejoined || o.merged >= o.suffix {
+					t.Fatalf("%s keeps every completion time: rejoined %v after %d of %d suffix events",
+						what, o.rejoined, o.merged, o.suffix)
+				}
+				if tn.Kind.IsLoad() {
+					neutralStarts++
+				} else {
+					neutralEnds++
+				}
+			}
+			if o.rejoined && p%2 == 0 {
+				inc.Accept()
+				m, err := inc.Metrics()
+				check(what+", accepted", m, err)
+			} else {
+				inc.Reject()
+			}
+		}
+		if inc.MoveTensor(p, p+1) {
+			what := fmt.Sprintf("order move %d -> %d", p, p+1)
+			if o := evaluate(what); o.rejoined {
+				t.Fatalf("%s rejoined", what)
+			}
+			inc.Reject()
+			orderMoves++
+		}
+	}
+	if neutralStarts == 0 || neutralEnds == 0 || changing == 0 || orderMoves == 0 {
+		t.Fatalf("timing-neutral Start jitters %d, End jitters %d, time-changing jitters %d, order moves %d: want each",
+			neutralStarts, neutralEnds, changing, orderMoves)
+	}
+	t.Logf("timing-neutral Start jitters %d, End jitters %d, time-changing jitters %d, order moves %d; %+v",
+		neutralStarts, neutralEnds, changing, orderMoves, inc.Stats())
 }

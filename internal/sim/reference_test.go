@@ -146,10 +146,15 @@ func sameResult(got *Metrics, gotErr error, want *Metrics, wantErr error) string
 // waits on all tiles' stores of its producer, the case the last-store gate
 // shortcuts.
 func prefillCut(t testing.TB, tiles int) *core.Schedule {
+	g := prefillGraph()
+	return parse(t, g, core.DefaultEncoding(g, tiles))
+}
+
+// prefillGraph is GPT-2 Small prefill cut to two transformer blocks.
+func prefillGraph() *graph.Graph {
 	cfg := models.GPT2Small()
 	cfg.Layers = 2
-	g := models.GPT2Prefill(cfg, 1)
-	return parse(t, g, core.DefaultEncoding(g, tiles))
+	return models.GPT2Prefill(cfg, 1)
 }
 
 // refCase is one schedule the reference is checked on.

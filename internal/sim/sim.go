@@ -122,7 +122,7 @@ func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics,
 	if opt.Trace {
 		r.tileStart, r.tensorStart = make([]float64, r.n), make([]float64, r.m)
 	}
-	end, err := r.run(mergeState{}, nil)
+	end, _, err := r.run(mergeState{}, nil, nil)
 	if err != nil {
 		return &Metrics{}, err
 	}
@@ -254,13 +254,28 @@ func gateRows(s *core.Schedule, n int) [][]int {
 	return rows
 }
 
+// watch arms a resumed run's early stop for a duration move (Incremental
+// only): p is the moved tensor's order position and gate the last tile seq
+// whose gating the move changed (-1 for none). The run compares every
+// completion time it writes with the accepted run's, and the first
+// difference disarms the watch. Once the order cursor has passed p and the
+// tile cursor has passed gate with the watch still armed, the rest of the
+// merge is the accepted run's: the same schedule from the cursors on,
+// reading only times equal to the accepted ones. The merge times do not
+// depend on the interleaving, so the rest would repeat the accepted times,
+// and since the move kept the DRAM order, the accepted run's DRAM sums too.
+// The run stops there and reports that the proposal rejoined.
+type watch struct{ p, gate int }
+
 // run merges from state ck to the end of the schedule and returns the final
 // state, or the state where neither resource can advance with a deadlock
 // error. Tile seqs before ck.i and tensors at order positions before ck.j
 // belong to the accepted run; a run from event zero reads only its own
 // times. When ckpts is non-nil, the state every ckptStride events is
-// appended to it.
-func (r *replay) run(ck mergeState, ckpts *[]checkpoint) (mergeState, error) {
+// appended to it. When w is non-nil, the run may stop early where it
+// rejoins the accepted run (see watch); it then returns the state it
+// stopped at and true.
+func (r *replay) run(ck mergeState, ckpts *[]checkpoint, w *watch) (mergeState, bool, error) {
 	s := r.s
 	n, m := r.n, r.m
 	tileDur := r.tc.Dur
@@ -270,6 +285,10 @@ func (r *replay) run(ck mergeState, ckpts *[]checkpoint) (mergeState, error) {
 	computeFree, dramFree := ck.computeFree, ck.dramFree
 	dramBusy, dramBytes := ck.dramBusy, ck.dramBytes
 	lastCk := i + j
+	live, rejoined, wp, wgate := w != nil, false, 0, 0
+	if live {
+		wp, wgate = w.p, w.gate
+	}
 
 	tensorEnd := func(id int) float64 {
 		if r.pos[id] < ck.j {
@@ -285,6 +304,10 @@ func (r *replay) run(ck mergeState, ckpts *[]checkpoint) (mergeState, error) {
 	}
 
 	for i < n || j < m {
+		if live && j > wp && i > wgate {
+			rejoined = true
+			break
+		}
 		if ckpts != nil && i+j-lastCk >= ckptStride {
 			*ckpts = append(*ckpts, mergeState{
 				i: i, j: j, computeFree: computeFree, dramFree: dramFree,
@@ -316,11 +339,15 @@ func (r *replay) run(ck mergeState, ckpts *[]checkpoint) (mergeState, error) {
 			}
 			start := maxf(dramFree, depTime)
 			dur := float64(t.Bytes) / bw
-			r.tensorEnd[t.ID] = start + dur
+			end := start + dur
+			r.tensorEnd[t.ID] = end
 			if r.tensorStart != nil {
 				r.tensorStart[t.ID] = start
 			}
-			dramFree = start + dur
+			if live && end != r.accTensorEnd[t.ID] {
+				live = false
+			}
+			dramFree = end
 			dramBusy += dur
 			dramBytes += t.Bytes
 			j++
@@ -341,11 +368,15 @@ func (r *replay) run(ck mergeState, ckpts *[]checkpoint) (mergeState, error) {
 			}
 			if ready {
 				start := maxf(computeFree, depTime)
-				r.tileEnd[i] = start + tileDur[i]
+				end := start + tileDur[i]
+				r.tileEnd[i] = end
 				if r.tileStart != nil {
 					r.tileStart[i] = start
 				}
-				computeFree = start + tileDur[i]
+				if live && end != r.accTileEnd[i] {
+					live = false
+				}
+				computeFree = end
 				i++
 				advanced = true
 			}
@@ -356,10 +387,10 @@ func (r *replay) run(ck mergeState, ckpts *[]checkpoint) (mergeState, error) {
 	}
 	end := mergeState{i: i, j: j, computeFree: computeFree, dramFree: dramFree,
 		dramBusy: dramBusy, dramBytes: dramBytes}
-	if i < n || j < m {
-		return end, &deadlockError{i, n, j, m}
+	if !rejoined && (i < n || j < m) {
+		return end, false, &deadlockError{i, n, j, m}
 	}
-	return end, nil
+	return end, rejoined, nil
 }
 
 // metrics folds a completed run ending at end, with the schedule's

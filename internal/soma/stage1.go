@@ -97,18 +97,23 @@ type chainEval struct {
 // sim.Key(Scope+encKeyPrefix+CanonicalKey, budget), is built in ev.key and
 // looked up as bytes: the cache copies it only to insert a miss. A hit is
 // written into ev.m, valid until ev's next evaluation; a miss is evaluated
-// in ev's arena, so a chain whose lookups all hit builds none.
+// in ev's arena, so a chain whose lookups all hit builds none. Without a
+// cache (the Cocco baseline) no key is built.
 func (e *Explorer) evalEnc(enc *core.Encoding, budget int64, ev *chainEval) (*sim.Metrics, error) {
-	k := append(ev.key[:0], e.Scope...)
-	k = append(k, encKeyPrefix...)
-	k = sim.AppendBudget(enc.AppendKey(k), budget)
-	ev.key = k
-	return sim.Memoize(e.Cache, k, ev.m, func() (*sim.Metrics, error) {
+	eval := func() (*sim.Metrics, error) {
 		if ev.arena == nil {
 			ev.arena = sim.NewArena(e.G, e.CS, e.flgMemo())
 		}
 		return ev.arena.Evaluate(enc, sim.Options{BufferBudget: budget})
-	})
+	}
+	if e.Cache == nil {
+		return eval()
+	}
+	k := append(ev.key[:0], e.Scope...)
+	k = append(k, encKeyPrefix...)
+	k = sim.AppendBudget(enc.AppendKey(k), budget)
+	ev.key = k
+	return sim.Memoize(e.Cache, k, ev.m, eval)
 }
 
 // flgMemo returns the FLG memo the explorer's stage-1 chains share across

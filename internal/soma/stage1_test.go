@@ -37,9 +37,10 @@ func lfaWalk(e *Explorer, n int) []*core.Encoding {
 }
 
 // TestStage1MissAllocs gates stage 1's allocations per cache miss: once the
-// chain's arena and the FLG memo are warm, a miss - key, parse, tile costs,
+// chain's arena and the FLG memo are warm, a miss - parse, tile costs,
 // merge and metrics - allocates only the metrics it returns, on a CNN of a
-// few dozen FLGs and on a prefill cut of thousands of tiles alike.
+// few dozen FLGs and on a prefill cut of thousands of tiles alike. Without
+// a cache, as in the Cocco baseline, no lookup key is built.
 func TestStage1MissAllocs(t *testing.T) {
 	const limit = 1
 	for _, c := range []struct {
@@ -66,6 +67,9 @@ func TestStage1MissAllocs(t *testing.T) {
 				e.evalEnc(walk[i%len(walk)], e.Cfg.GBufBytes, &ev)
 				i++
 			})
+			if ev.key != nil {
+				t.Errorf("built a %d-byte cache key with no cache", len(ev.key))
+			}
 			t.Logf("%.1f allocs per miss (up to %d tiles)", allocs, tiles)
 			if allocs > limit {
 				t.Errorf("%.1f allocs per stage-1 miss, limit %d", allocs, limit)

@@ -110,6 +110,7 @@ func (e *Explorer) addIncStats(chains []*stage2Moves) {
 		sum.Proposals += st.Proposals
 		sum.Resumed += st.Resumed
 		sum.Fallbacks += st.Fallbacks
+		sum.Rejoined += st.Rejoined
 		sum.Rollbacks += st.Rollbacks
 		sum.EventsTotal += st.EventsTotal
 		sum.EventsSimulated += st.EventsSimulated
@@ -120,12 +121,14 @@ func (e *Explorer) addIncStats(chains []*stage2Moves) {
 		"Proposals resumed from a cached checkpoint.").Add(sum.Resumed)
 	e.Reg.Counter("sim_inc_fallbacks_total",
 		"Proposals re-simulated from scratch (no valid checkpoint).").Add(sum.Fallbacks)
+	e.Reg.Counter("sim_inc_rejoined_total",
+		"Resumed proposals stopped where they rejoined the accepted run.").Add(sum.Rejoined)
 	e.Reg.Counter("sim_inc_rollbacks_total",
 		"Rejected proposals rolled back in place.").Add(sum.Rollbacks)
 	e.Reg.Counter("sim_inc_events_total",
 		"Merge events a full evaluator would have replayed.").Add(sum.EventsTotal)
 	e.Reg.Counter("sim_inc_events_simulated_total",
-		"Merge events actually re-simulated.").Add(sum.EventsSimulated)
+		"Merge events the proposals' runs simulated, up to a deadlock or a rejoin.").Add(sum.EventsSimulated)
 }
 
 func (ms *stage2Moves) InitCost() float64 {

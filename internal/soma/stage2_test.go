@@ -137,12 +137,13 @@ func TestStage2IncCounters(t *testing.T) {
 		want.Proposals += st.Proposals
 		want.Resumed += st.Resumed
 		want.Fallbacks += st.Fallbacks
+		want.Rejoined += st.Rejoined
 		want.Rollbacks += st.Rollbacks
 		want.EventsTotal += st.EventsTotal
 		want.EventsSimulated += st.EventsSimulated
 	}
-	if want.Proposals == 0 || want.Rollbacks == 0 {
-		t.Fatalf("stage 2 made no proposals or rollbacks: %+v", want)
+	if want.Proposals == 0 || want.Rollbacks == 0 || want.Rejoined == 0 {
+		t.Fatalf("stage 2 made no proposals, rollbacks or rejoins: %+v", want)
 	}
 	if want.Rollbacks != int64(res.Stats.Total.Rejected) {
 		t.Errorf("rollbacks %d, annealer rejections %d", want.Rollbacks, res.Stats.Total.Rejected)
@@ -151,6 +152,7 @@ func TestStage2IncCounters(t *testing.T) {
 		"sim_inc_proposals_total":        want.Proposals,
 		"sim_inc_resumed_total":          want.Resumed,
 		"sim_inc_fallbacks_total":        want.Fallbacks,
+		"sim_inc_rejoined_total":         want.Rejoined,
 		"sim_inc_rollbacks_total":        want.Rollbacks,
 		"sim_inc_events_total":           want.EventsTotal,
 		"sim_inc_events_simulated_total": want.EventsSimulated,

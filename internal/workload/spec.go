@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+
+	"soma/internal/strictjson"
 )
 
 // ParseSpec decodes a declarative JSON scenario spec, fills defaults
@@ -24,13 +26,8 @@ import (
 //	}
 func ParseSpec(data []byte) (Scenario, error) {
 	var s Scenario
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(bytes.NewReader(data), &s); err != nil {
 		return Scenario{}, fmt.Errorf("workload: bad scenario spec: %w", err)
-	}
-	if dec.More() {
-		return Scenario{}, fmt.Errorf("workload: bad scenario spec: trailing data after the spec object")
 	}
 	s.Normalize()
 	if err := s.Validate(); err != nil {

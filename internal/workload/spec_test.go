@@ -71,6 +71,8 @@ func TestParseSpecRejects(t *testing.T) {
 		"not json":      `scenario: yaml`,
 		"no components": `{"name":"x"}`,
 		"trailing data": `{"name":"x","components":[{"model":"resnet50"}]}{"name":"y"}`,
+		"stray brace":   `{"name":"x","components":[{"model":"resnet50"}]}}`,
+		"stray bracket": `{"name":"x","components":[{"model":"resnet50"}]}]`,
 	}
 	for name, in := range cases {
 		if _, err := ParseSpec([]byte(in)); err == nil {
