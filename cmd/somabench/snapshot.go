@@ -15,6 +15,7 @@ import (
 	"soma/internal/models"
 	"soma/internal/report"
 	"soma/internal/sim"
+	"soma/internal/soma"
 )
 
 // BenchSchema identifies the snapshot file format. BENCH_6.json (committed at
@@ -266,11 +267,7 @@ func proposeIncMove(ev *sim.Incremental, rng *rand.Rand) bool {
 	if rng.Intn(2) == 0 {
 		return ev.MoveTensor(ev.PosOf(id), rng.Intn(len(s.Order)))
 	}
-	delta := durationJitter(s, rng)
-	if s.Tensors[id].Kind.IsLoad() {
-		return ev.SetStart(id, s.Tensors[id].Start+delta)
-	}
-	return ev.SetEnd(id, s.Tensors[id].End+delta)
+	return ev.SetLiving(id, s.Tensors[id].Living()+soma.LivingJitter(s, rng))
 }
 
 // proposeFullMove applies the identically-drawn operator directly to a
@@ -287,28 +284,7 @@ func proposeFullMove(s *core.Schedule, rng *rand.Rand) bool {
 		}
 		return s.MoveTensor(from, rng.Intn(len(s.Order)))
 	}
-	delta := durationJitter(s, rng)
-	t := &s.Tensors[id]
-	if t.Kind.IsLoad() {
-		old := t.Start
-		return s.SetStart(id, t.Start+delta) && s.Tensors[id].Start != old
-	}
-	old := t.End
-	return s.SetEnd(id, t.End+delta) && s.Tensors[id].End != old
-}
-
-// durationJitter draws the stage-2 Living Duration delta (span scales with
-// the schedule length, sign is a coin).
-func durationJitter(s *core.Schedule, rng *rand.Rand) int {
-	span := s.NumTiles() / 16
-	if span < 8 {
-		span = 8
-	}
-	delta := 1 + rng.Intn(span)
-	if rng.Intn(2) == 0 {
-		delta = -delta
-	}
-	return delta
+	return s.SetLiving(id, s.Tensors[id].Living()+soma.LivingJitter(s, rng))
 }
 
 func snapshotTable(snap BenchSnapshot) *report.Table {

@@ -445,35 +445,45 @@ func TestMoveTensorLegality(t *testing.T) {
 	}
 }
 
-func TestSetStartSetEndClamping(t *testing.T) {
+func TestSetLivingClamping(t *testing.T) {
 	g, ids := fig4(t)
 	s := mustParse(t, g, fig4Encoding(ids))
-	var load, store int = -1, -1
+	load, store := -1, -1
 	for _, ts := range s.Tensors {
-		if ts.Kind.IsLoad() && load == -1 {
+		if ts.Kind.IsLoad() && ts.FirstUse > 0 && load == -1 {
 			load = ts.ID
 		}
 		if ts.Kind == StoreOfmap && store == -1 {
 			store = ts.ID
 		}
 	}
-	if !s.SetStart(load, -5) || s.Tensors[load].Start != 0 {
-		t.Fatalf("SetStart clamp low: %d", s.Tensors[load].Start)
+	if load < 0 || store < 0 {
+		t.Fatalf("fig4 parse lacks a late load or a store: load %d store %d", load, store)
 	}
-	if !s.SetStart(load, 999) || s.Tensors[load].Start != s.Tensors[load].FirstUse {
-		t.Fatalf("SetStart clamp high: %d", s.Tensors[load].Start)
+	ld, st := &s.Tensors[load], &s.Tensors[store]
+	if !s.SetLiving(load, -5) || ld.Start != 0 {
+		t.Fatalf("load clamp low: Start %d", ld.Start)
 	}
-	if s.SetStart(store, 0) {
-		t.Fatal("SetStart must reject stores")
+	if !s.SetLiving(load, 999) || ld.Start != ld.FirstUse {
+		t.Fatalf("load clamp high: Start %d, FirstUse %d", ld.Start, ld.FirstUse)
 	}
-	if !s.SetEnd(store, -1) || s.Tensors[store].End != s.Tensors[store].Producer+1 {
-		t.Fatalf("SetEnd clamp low: %d", s.Tensors[store].End)
+	if s.SetLiving(load, ld.FirstUse+1) {
+		t.Fatal("a load clamped onto its current Start must report no change")
 	}
-	if !s.SetEnd(store, 999) || s.Tensors[store].End != s.NumTiles() {
-		t.Fatalf("SetEnd clamp high: %d", s.Tensors[store].End)
+	if !s.SetLiving(store, -1) || st.End != st.Producer+1 {
+		t.Fatalf("store clamp low: End %d, Producer %d", st.End, st.Producer)
 	}
-	if s.SetEnd(load, 3) {
-		t.Fatal("SetEnd must reject loads")
+	if s.SetLiving(store, st.Producer) {
+		t.Fatal("a store clamped onto its current End must report no change")
+	}
+	if !s.SetLiving(store, 999) || st.End != s.NumTiles() {
+		t.Fatalf("store clamp high: End %d", st.End)
+	}
+	if s.SetLiving(store, s.NumTiles()) {
+		t.Fatal("an unchanged End must report no change")
+	}
+	if s.SetLiving(-1, 0) || s.SetLiving(len(s.Tensors), 0) {
+		t.Fatal("out-of-range ids must be refused")
 	}
 	if !s.LivingValid() {
 		t.Fatal("clamped livings must stay valid")
@@ -486,7 +496,7 @@ func TestCloneIsolation(t *testing.T) {
 	order := append([]int(nil), s.Order...)
 	tensors := append([]Tensor(nil), s.Tensors...)
 	c := s.Clone()
-	c.SetStart(c.Order[0], 0)
+	c.SetLiving(c.Order[0], 0)
 	c.MoveTensor(0, 2)
 	if !reflect.DeepEqual(s.Order, order) || !reflect.DeepEqual(s.Tensors, tensors) {
 		t.Fatal("clone mutation leaked")
@@ -559,9 +569,9 @@ func TestRandomDLSAMutationsKeepInvariants(t *testing.T) {
 		case 0:
 			s.MoveTensor(rng.Intn(len(s.Order)), rng.Intn(len(s.Order)))
 		case 1:
-			s.SetStart(rng.Intn(len(s.Tensors)), rng.Intn(s.NumTiles()+1)-1)
+			s.SetLiving(rng.Intn(len(s.Tensors)), rng.Intn(s.NumTiles()+1)-1)
 		case 2:
-			s.SetEnd(rng.Intn(len(s.Tensors)), rng.Intn(s.NumTiles()+2)-1)
+			s.SetLiving(rng.Intn(len(s.Tensors)), rng.Intn(s.NumTiles()+2)-1)
 		}
 		if !s.OrderValid() {
 			t.Fatalf("iteration %d: order invalid", i)
@@ -585,7 +595,7 @@ func TestBufferUsagePropertyMorePrefetchMoreBuffer(t *testing.T) {
 		// Prefetch everything at time zero: peak can only grow.
 		for i := range s.Tensors {
 			if s.Tensors[i].Kind.IsLoad() {
-				s.SetStart(s.Tensors[i].ID, 0)
+				s.SetLiving(s.Tensors[i].ID, 0)
 			}
 		}
 		_ = seedRaw

@@ -34,21 +34,13 @@ func (s *Schedule) OrderValid() bool {
 }
 
 // LivingValid reports whether every Living Duration is inside its legal
-// range: loads must start no later than their first use and not before tile
-// zero; stores must end after their producing tile and no later than the end
-// of execution.
+// range (see SetLiving).
 func (s *Schedule) LivingValid() bool {
 	n := s.NumTiles()
 	for i := range s.Tensors {
 		t := &s.Tensors[i]
-		if t.Kind.IsLoad() {
-			if t.Start < 0 || t.Start > t.FirstUse {
-				return false
-			}
-		} else {
-			if t.End <= t.Producer || t.End > n {
-				return false
-			}
+		if lo, hi := t.livingRange(n); t.Living() < lo || t.Living() > hi {
+			return false
 		}
 	}
 	return true
@@ -62,8 +54,7 @@ func (s *Schedule) MoveTensor(from, to int) bool {
 	if from < 0 || from >= n || to < 0 || to >= n || from == to {
 		return false
 	}
-	id := s.Order[from]
-	t := &s.Tensors[id]
+	t := &s.Tensors[s.Order[from]]
 	// A load may not pass a store of its Source layer, and a store may not
 	// pass a load of its layer's output. The loads waiting on a store are
 	// those whose Source is its layer, and a load's stores are one ID
@@ -86,48 +77,39 @@ func (s *Schedule) MoveTensor(from, to int) bool {
 			}
 		}
 	}
-	copy(s.Order[from:], s.Order[from+1:])
-	copy(s.Order[to+1:], s.Order[to:n-1])
-	s.Order[to] = id
+	Rotate(s.Order, from, to)
 	return true
 }
 
-// SetStart adjusts a load's Living Duration start (prefetch earlier or
-// later), clamped to [0, FirstUse]. Returns false for stores.
-func (s *Schedule) SetStart(id, start int) bool {
-	if id < 0 || id >= len(s.Tensors) {
+// SetLiving sets tensor id's Living Duration - a load's Start (prefetch
+// earlier or later) or a store's End (delay the writeback) - to v clamped
+// to its legal range: [0, FirstUse] for a load, [Producer+1, NumTiles] for
+// a store. It reports whether the value changed.
+func (s *Schedule) SetLiving(id, v int) bool {
+	if uint(id) >= uint(len(s.Tensors)) {
 		return false
 	}
 	t := &s.Tensors[id]
-	if !t.Kind.IsLoad() {
+	lo, hi := t.livingRange(s.NumTiles())
+	if v = min(max(v, lo), hi); v == t.Living() {
 		return false
 	}
-	if start < 0 {
-		start = 0
-	}
-	if start > t.FirstUse {
-		start = t.FirstUse
-	}
-	t.Start = start
-	return true
-}
-
-// SetEnd adjusts a store's Living Duration end (delay the writeback),
-// clamped to [Producer+1, NumTiles]. Returns false for loads.
-func (s *Schedule) SetEnd(id, end int) bool {
-	if id < 0 || id >= len(s.Tensors) {
-		return false
-	}
-	t := &s.Tensors[id]
 	if t.Kind.IsLoad() {
-		return false
+		t.Start = v
+	} else {
+		t.End = v
 	}
-	if end <= t.Producer {
-		end = t.Producer + 1
-	}
-	if n := s.NumTiles(); end > n {
-		end = n
-	}
-	t.End = end
 	return true
+}
+
+// Rotate moves the element of x at position from to position to, shifting
+// the elements between them one place toward from.
+func Rotate[T any](x []T, from, to int) {
+	e := x[from]
+	if to < from {
+		copy(x[to+1:from+1], x[to:from])
+	} else {
+		copy(x[from:to], x[from+1:to+1])
+	}
+	x[to] = e
 }

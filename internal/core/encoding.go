@@ -214,16 +214,14 @@ func (e *Encoding) MoveLayer(g *graph.Graph, from, to int) bool {
 				return false
 			}
 		}
-		copy(e.Order[to+1:from+1], e.Order[to:from])
 	} else {
 		for _, x := range e.Order[from+1 : to+1] {
 			if g.Layer(x).DependsOn(id) {
 				return false
 			}
 		}
-		copy(e.Order[from:to], e.Order[from+1:to+1])
 	}
-	e.Order[to] = id
+	Rotate(e.Order, from, to)
 	return true
 }
 

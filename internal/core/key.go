@@ -81,13 +81,3 @@ func (s *Schedule) AppendCanonicalKey(b []byte, orderAt, durAt []int) []byte {
 	}
 	return b
 }
-
-// Living returns the tensor's adjustable Living Duration field: Start for
-// loads, End for stores. The other one is fixed by the parse, so it is the
-// one value per tensor a canonical key holds.
-func (t *Tensor) Living() int {
-	if t.Kind.IsLoad() {
-		return t.Start
-	}
-	return t.End
-}

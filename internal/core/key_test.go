@@ -80,11 +80,11 @@ func TestScheduleCanonicalKeyTracksDLSA(t *testing.T) {
 	changed := false
 	for i := range jittered.Tensors {
 		tn := &jittered.Tensors[i]
-		if tn.Kind.IsLoad() && tn.Start > 0 && jittered.SetStart(i, tn.Start-1) {
+		if tn.Kind.IsLoad() && tn.Start > 0 && jittered.SetLiving(i, tn.Start-1) {
 			changed = true
 			break
 		}
-		if !tn.Kind.IsLoad() && jittered.SetEnd(i, tn.End+1) {
+		if !tn.Kind.IsLoad() && jittered.SetLiving(i, tn.End+1) {
 			changed = true
 			break
 		}

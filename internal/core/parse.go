@@ -86,6 +86,65 @@ type Tensor struct {
 	End int
 }
 
+// Living returns the tensor's adjustable Living Duration field: Start for
+// loads, End for stores. The other one is fixed by the parse, so it is the
+// one value per tensor a canonical key holds.
+func (t *Tensor) Living() int {
+	if t.Kind.IsLoad() {
+		return t.Start
+	}
+	return t.End
+}
+
+// The three rules below are everything the Living Duration decides. The
+// simulator, the Buffer Allocator's occupancy profile and the instruction
+// generator all read them here.
+
+// Wait returns the tile seq whose completion the transfer waits for: the
+// tile before Start for a load (-1, none, when Start is 0), the producing
+// tile for a store.
+func (t *Tensor) Wait() int {
+	if t.Kind.IsLoad() {
+		return t.Start - 1
+	}
+	return t.Producer
+}
+
+// Gate returns the tile seq, out of n, that cannot start before the
+// transfer has completed: a load's first consuming tile, a store's Living
+// Duration end, or -1 for a store due only by the end of the execution
+// (End == n).
+func (t *Tensor) Gate(n int) int {
+	switch {
+	case t.Kind.IsLoad():
+		return t.FirstUse
+	case t.End < n:
+		return t.End
+	}
+	return -1
+}
+
+// Live returns the tile seqs [lo, hi) over which the tensor holds buffer:
+// a load from Start to its fixed release, a store from its producing tile
+// to the later of End and the end of its on-chip consumption.
+func (t *Tensor) Live() (lo, hi int) {
+	if t.Kind.IsLoad() {
+		return t.Start, t.Release
+	}
+	return t.Producer, max(t.End, t.OnChipHi)
+}
+
+// livingRange returns the legal range [lo, hi] of the Living Duration out
+// of n tiles: a load starts no later than its first use and not before
+// tile zero; a store ends after its producing tile and no later than the
+// end of execution.
+func (t *Tensor) livingRange(n int) (lo, hi int) {
+	if t.Kind.IsLoad() {
+		return 0, t.FirstUse
+	}
+	return t.Producer + 1, n
+}
+
 // IDRange is the half-open tensor ID window [Lo, Hi).
 type IDRange struct{ Lo, Hi int }
 
@@ -247,12 +306,8 @@ func (s *Schedule) BufferUsageInto(buf []int64) []int64 {
 		AddUsage(diff, iv.Lo, iv.Hi, iv.Bytes)
 	}
 	for i := range s.Tensors {
-		t := &s.Tensors[i]
-		if t.Kind.IsLoad() {
-			AddUsage(diff, t.Start, t.Release, t.Bytes)
-		} else {
-			AddUsage(diff, t.Producer, max(t.End, t.OnChipHi), t.Bytes)
-		}
+		lo, hi := s.Tensors[i].Live()
+		AddUsage(diff, lo, hi, s.Tensors[i].Bytes)
 	}
 	// Prefix sums in place: usage at seq i is the sum of diff[0..i].
 	var acc int64

@@ -230,8 +230,8 @@ func Fig3Layers(g *graph.Graph) []ScatterPoint {
 }
 
 // Fig3Tiles produces the per-tile scatter of Fig. 3(c)/(d) under the Cocco
-// baseline schedule: each computing tile's DRAM demand (the tensors it
-// gates) against its operation count.
+// baseline schedule: each computing tile's DRAM demand (the loads it first
+// uses and the stores of its output) against its operation count.
 func Fig3Tiles(g *graph.Graph, cfg hw.Config, par soma.Params) ([]ScatterPoint, error) {
 	base, err := engine.Run(context.Background(), engine.Request{Backend: "cocco",
 		Graph: g, Batch: 1, Config: &cfg, Objective: soma.EDP(), Params: par}, nil)

@@ -106,15 +106,8 @@ func Generate(s *core.Schedule, gbufBytes int64) (*Program, error) {
 	}
 	for i := range s.Tensors {
 		t := &s.Tensors[i]
-		if t.Kind.IsLoad() {
-			spans = append(spans, span{t.Start, t.Release, t.Bytes, t.ID})
-		} else {
-			hi := t.End
-			if t.OnChipHi > hi {
-				hi = t.OnChipHi
-			}
-			spans = append(spans, span{t.Producer, hi, t.Bytes, t.ID})
-		}
+		lo, hi := t.Live()
+		spans = append(spans, span{lo, hi, t.Bytes, t.ID})
 	}
 	// First-fit linear-scan allocation. Fragmentation depends on the
 	// placement order of same-start spans, so several tie-break
@@ -167,13 +160,10 @@ func Generate(s *core.Schedule, gbufBytes int64) (*Program, error) {
 	}
 
 	// Gating tensors per tile (loads at first use, stores at End).
-	gate := make([][]int, s.NumTiles()+1)
+	gate := make([][]int, s.NumTiles())
 	for i := range s.Tensors {
-		t := &s.Tensors[i]
-		if t.Kind.IsLoad() {
-			gate[t.FirstUse] = append(gate[t.FirstUse], t.ID)
-		} else if t.End < s.NumTiles() {
-			gate[t.End] = append(gate[t.End], t.ID)
+		if g := s.Tensors[i].Gate(s.NumTiles()); g >= 0 {
+			gate[g] = append(gate[g], i)
 		}
 	}
 
@@ -185,16 +175,16 @@ func Generate(s *core.Schedule, gbufBytes int64) (*Program, error) {
 		progressed := false
 		for j < len(s.Tensors) {
 			t := &s.Tensors[s.Order[j]]
-			if t.Kind.IsLoad() {
-				if i < t.Start {
-					break
-				}
-			} else if i <= t.Producer {
+			wait := t.Wait()
+			if i <= wait {
 				break
 			}
 			deps := make([]int, 0, 3)
 			if j > 0 {
 				deps = append(deps, tensorInstr[s.Order[j-1]])
+			}
+			if wait >= 0 {
+				deps = append(deps, tileInstr[wait])
 			}
 			op := Load
 			name := t.Kind.String() + " " + s.G.Layer(t.Layer).Name
@@ -208,9 +198,6 @@ func Generate(s *core.Schedule, gbufBytes int64) (*Program, error) {
 				}
 				object("fmap:"+src, s.G.Layer(srcOrSelf(s, t)).Out.Bytes(s.G.ElemBytes))
 				name = fmt.Sprintf("I %s<-%s", s.G.Layer(t.Layer).Name, src)
-				if t.Start > 0 {
-					deps = append(deps, tileInstr[t.Start-1])
-				}
 				w := s.WaitsOn(t)
 				for st := w.Lo; st < w.Hi; st++ {
 					deps = append(deps, tensorInstr[st])
@@ -218,10 +205,6 @@ func Generate(s *core.Schedule, gbufBytes int64) (*Program, error) {
 			case core.StoreOfmap:
 				op = Store
 				object("fmap:"+s.G.Layer(t.Layer).Name, s.G.Layer(t.Layer).Out.Bytes(s.G.ElemBytes))
-				deps = append(deps, tileInstr[t.Producer])
-			}
-			if t.Kind == core.LoadWeight && t.Start > 0 {
-				deps = append(deps, tileInstr[t.Start-1])
 			}
 			dram := dramObjectAddr(p, t, s)
 			id := add(Instr{Op: op, Label: name, Bytes: t.Bytes,

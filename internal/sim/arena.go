@@ -85,11 +85,12 @@ func (a *Arena) Evaluate(enc *core.Encoding, opt Options) (*Metrics, error) {
 		for len(ts) > 0 && ts[0].Kind.IsLoad() {
 			t := &ts[0]
 			var dep float64
-			if t.Start > 0 {
-				dep = tileEnd[t.Start-1]
+			if wait := t.Wait(); wait >= 0 {
+				dep = tileEnd[wait]
 			}
 			depTime = maxf(depTime, dram(t, dep))
-			core.AddUsage(usage, t.Start, t.Release, t.Bytes)
+			lo, hi := t.Live()
+			core.AddUsage(usage, lo, hi, t.Bytes)
 			ts = ts[1:]
 		}
 		tileDur[s] = st.Dur
@@ -99,11 +100,12 @@ func (a *Arena) Evaluate(enc *core.Encoding, opt Options) (*Metrics, error) {
 		computeBusy += st.Dur
 		for i := range ts { // the store of tile s
 			t := &ts[i]
-			end := dram(t, tileEnd[t.Producer])
-			if t.End < n {
-				gate[t.End] = maxf(gate[t.End], end)
+			end := dram(t, tileEnd[t.Wait()])
+			if g := t.Gate(n); g >= 0 {
+				gate[g] = maxf(gate[g], end)
 			}
-			core.AddUsage(usage, t.Producer, max(t.End, t.OnChipHi), t.Bytes)
+			lo, hi := t.Live()
+			core.AddUsage(usage, lo, hi, t.Bytes)
 		}
 	}
 	a.onChip = w.AppendOnChip(a.onChip[:0])

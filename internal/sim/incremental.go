@@ -24,14 +24,14 @@ import (
 // point - the times do not depend on the interleaving the loop happened to
 // take, only on the schedule's attributes. A DLSA move changes the DRAM
 // Tensor Order from its earliest moved position P onward, or one tensor's
-// Start/End. Any checkpoint whose order cursor j <= P (and, for a store's
-// End move, whose tile cursor i has not passed the new gate) therefore
-// captures a commit set and times the perturbed schedule shares, and the
-// suffix re-simulation from it reproduces Evaluate bit for bit. Structural
+// Living Duration. Any checkpoint whose order cursor j <= P (and, for a
+// store's End move, whose tile cursor i has not passed the new gate)
+// therefore captures a commit set and times the perturbed schedule shares,
+// and the suffix re-simulation from it reproduces Evaluate bit for bit. Structural
 // moves (different tile set, different tensor set) cannot be delta-ed; they
 // go through full Evaluate and a fresh Incremental.
 //
-// A duration move (SetStart / SetEnd) also stops early. The resumed run
+// A Living Duration move (SetLiving) also stops early. The resumed run
 // compares each completion time it writes with the accepted run's; when the
 // moved tensor and the last tile whose gating the move changed have
 // committed with every time so far equal, the proposal has rejoined the
@@ -43,10 +43,12 @@ import (
 // run to the end.
 //
 // The proposal workflow mirrors simulated annealing: apply exactly one move
-// (MoveTensor / SetStart / SetEnd), evaluate it (EvaluateProposal), then
-// Accept or Reject. Rejected moves roll back in O(moved range); accepted
-// moves splice the scratch suffix into the cached state. An Incremental is
-// NOT safe for concurrent use - portfolio chains each own one.
+// (MoveTensor / SetLiving), evaluate it (EvaluateProposal), then Accept or
+// Reject. Reject re-applies the move's inverse - the reverse rotation, or
+// the old Living Duration through the same code path as the move - so a
+// rejected move rolls back in O(moved range); an accepted one splices the
+// scratch suffix into the cached state. An Incremental is NOT safe for
+// concurrent use - portfolio chains each own one.
 //
 // The merge reads each tensor's order position and stalls a reload until
 // its layer's last store in the order has committed (see replay). The
@@ -100,8 +102,12 @@ type pendingMove struct {
 	kind     moveKind
 	id       int // moved tensor
 	from, to int // order positions (order moves)
-	old, new int // start/end values; old is also the layer's last store
-	// before a store's order move
+	// old is the Living Duration before a Living move, and the layer's
+	// last store before a store's order move.
+	old int
+	// gate is the later of the tile seqs a Living move took the tensor's
+	// gate from and to; -1 when its gate did not move.
+	gate int
 }
 
 type moveKind int
@@ -109,8 +115,7 @@ type moveKind int
 const (
 	moveNone moveKind = iota
 	moveOrder
-	moveStart
-	moveEnd
+	moveLiving
 )
 
 // IncStats counts the evaluator's delta effectiveness.
@@ -279,68 +284,61 @@ func (inc *Incremental) syncPos(a, b int) {
 	}
 }
 
-// SetStart proposes jittering a load's Living Duration start. Returns false
-// when the clamped value leaves the schedule unchanged.
-func (inc *Incremental) SetStart(id, start int) bool {
+// SetLiving proposes jittering tensor id's Living Duration to v, clamped
+// like Schedule.SetLiving. Returns false when the clamped value leaves the
+// schedule unchanged.
+func (inc *Incremental) SetLiving(id, v int) bool {
 	if inc.pending.kind != moveNone {
-		panic("sim: SetStart with a proposal already pending")
+		panic("sim: SetLiving with a proposal already pending")
 	}
 	if id < 0 || id >= inc.m {
 		return false
 	}
-	t := &inc.s.Tensors[id]
-	old := t.Start
-	if !inc.s.SetStart(id, start) || t.Start == old {
-		return false
+	old := inc.s.Tensors[id].Living()
+	gate, ok := inc.setLiving(id, v)
+	if ok {
+		inc.pending = pendingMove{kind: moveLiving, id: id, old: old, gate: gate}
 	}
-	inc.key.syncDur(id, t.Start)
-	// The load occupies [Start, Release); shift the occupancy delta.
-	if t.Start < old {
-		inc.rangeAdd(t.Start, old, t.Bytes)
-	} else {
-		inc.rangeAdd(old, t.Start, -t.Bytes)
-	}
-	inc.pending = pendingMove{kind: moveStart, id: id, old: old, new: t.Start}
-	return true
+	return ok
 }
 
-// SetEnd proposes jittering a store's Living Duration end. Returns false
-// when the clamped value leaves the schedule unchanged.
-func (inc *Incremental) SetEnd(id, end int) bool {
-	if inc.pending.kind != moveNone {
-		panic("sim: SetEnd with a proposal already pending")
-	}
-	if id < 0 || id >= inc.m {
-		return false
-	}
+// setLiving sets tensor id's Living Duration to v, clamped, and moves the
+// occupancy profile, the gate rows and the live key with it. It reports
+// whether the value changed and, if so, the later of the old and new gate
+// tiles when the gate moved (-1 when it did not).
+func (inc *Incremental) setLiving(id, v int) (gate int, ok bool) {
 	t := &inc.s.Tensors[id]
-	old := t.End
-	if !inc.s.SetEnd(id, end) || t.End == old {
-		return false
+	lo, hi := t.Live()
+	g := t.Gate(inc.n)
+	if !inc.s.SetLiving(id, v) {
+		return 0, false
 	}
-	inc.key.syncDur(id, t.End)
-	// The store occupies [Producer, max(End, OnChipHi)).
-	oldHi, newHi := old, t.End
-	if t.OnChipHi > oldHi {
-		oldHi = t.OnChipHi
+	inc.key.syncDur(id, t.Living())
+	// Only one end of the occupied interval moves: add the seqs it gains,
+	// remove the ones it loses.
+	b := t.Bytes
+	nlo, nhi := t.Live()
+	if nlo < lo {
+		inc.rangeAdd(nlo, lo, b)
+	} else {
+		inc.rangeAdd(lo, nlo, -b)
 	}
-	if t.OnChipHi > newHi {
-		newHi = t.OnChipHi
+	if nhi > hi {
+		inc.rangeAdd(hi, nhi, b)
+	} else {
+		inc.rangeAdd(nhi, hi, -b)
 	}
-	if newHi > oldHi {
-		inc.rangeAdd(oldHi, newHi, t.Bytes)
-	} else if newHi < oldHi {
-		inc.rangeAdd(newHi, oldHi, -t.Bytes)
+	ng := t.Gate(inc.n)
+	if ng == g {
+		return -1, true
 	}
-	// The gate moves from tile old to tile t.End (when inside the range).
-	if old < inc.n {
-		inc.removeGate(old, id)
+	if g >= 0 {
+		inc.removeGate(g, id)
 	}
-	if t.End < inc.n {
-		inc.gates[t.End] = append(inc.gates[t.End], id)
+	if ng >= 0 {
+		inc.gates[ng] = append(inc.gates[ng], id)
 	}
-	inc.pending = pendingMove{kind: moveEnd, id: id, old: old, new: t.End}
-	return true
+	return max(g, ng), true
 }
 
 // rangeAdd adds delta to the occupancy of tile seqs [lo, hi), clamped like
@@ -426,29 +424,19 @@ func (inc *Incremental) EvaluateProposal() (*Metrics, error) {
 }
 
 // durationWatch returns the early-stop watch of the pending move, nil for
-// an order move: the moved tensor's order position and, for a store's End
-// move, the later of its old and new gate tiles inside the schedule.
+// an order move: the moved tensor's order position and the later of its
+// old and new gate tiles when a store's End move took its gate along.
 func (inc *Incremental) durationWatch() *watch {
-	mv := &inc.pending
-	w := &watch{p: inc.pos[mv.id], gate: -1}
-	switch mv.kind {
-	case moveStart:
-	case moveEnd:
-		for _, g := range [2]int{mv.old, mv.new} {
-			if g < inc.n {
-				w.gate = max(w.gate, g)
-			}
-		}
-	default:
-		return nil
+	if mv := &inc.pending; mv.kind == moveLiving {
+		return &watch{p: inc.pos[mv.id], gate: mv.gate}
 	}
-	return w
+	return nil
 }
 
 // resumePoint picks the latest accepted checkpoint still valid under the
 // pending move: its order cursor must not have reached the first perturbed
-// order position, and (for a store-End move) its tile cursor must not have
-// passed the store's new gate. Both cursors are nondecreasing along the
+// order position, and (for a Living move) its tile cursor must not have
+// passed the tensor's new gate. Both cursors are nondecreasing along the
 // checkpoint list, so the valid region is a prefix.
 func (inc *Incremental) resumePoint() (checkpoint, int) {
 	if !inc.accValid {
@@ -461,12 +449,12 @@ func (inc *Incremental) resumePoint() (checkpoint, int) {
 		if inc.pending.to < maxJ {
 			maxJ = inc.pending.to
 		}
-	case moveStart:
+	case moveLiving:
+		// For a load the gate is its first use, which no checkpoint short
+		// of the load has passed, so only a store's new End bounds i.
 		maxJ = inc.pos[inc.pending.id]
-	case moveEnd:
-		maxJ = inc.pos[inc.pending.id]
-		if inc.pending.new < inc.n {
-			maxI = inc.pending.new
+		if g := inc.s.Tensors[inc.pending.id].Gate(inc.n); g >= 0 {
+			maxI = g
 		}
 	default: // stale base: only a from-scratch replay is valid
 		return mergeState{}, -1
@@ -550,67 +538,26 @@ func (inc *Incremental) mergeScratch(err error) {
 	inc.accValid = true
 }
 
-// Reject rolls the pending move back in O(perturbed range): the order
-// rotation is reversed, Start/End restored, and the occupancy and gate
-// deltas undone. The cached accepted state was never touched.
+// Reject rolls the pending move back in O(perturbed range) by re-applying
+// its inverse: the reverse rotation, or the old Living Duration. The cached
+// accepted state was never touched.
 func (inc *Incremental) Reject() {
-	switch inc.pending.kind {
+	mv := inc.pending
+	switch mv.kind {
 	case moveNone:
 		panic("sim: Reject without a pending move")
 	case moveOrder:
-		rotateOrder(inc.s.Order, inc.pending.to, inc.pending.from)
-		inc.key.syncMove(inc.s.Order, inc.pending.to, inc.pending.from)
-		inc.syncPos(inc.pending.to, inc.pending.from)
-		if t := &inc.s.Tensors[inc.pending.id]; !t.Kind.IsLoad() {
-			inc.lastStore[t.Layer] = inc.pending.old
+		core.Rotate(inc.s.Order, mv.to, mv.from)
+		inc.key.syncMove(inc.s.Order, mv.to, mv.from)
+		inc.syncPos(mv.to, mv.from)
+		if t := &inc.s.Tensors[mv.id]; !t.Kind.IsLoad() {
+			inc.lastStore[t.Layer] = mv.old
 		}
-	case moveStart:
-		t := &inc.s.Tensors[inc.pending.id]
-		if inc.pending.new < inc.pending.old {
-			inc.rangeAdd(inc.pending.new, inc.pending.old, -t.Bytes)
-		} else {
-			inc.rangeAdd(inc.pending.old, inc.pending.new, t.Bytes)
-		}
-		t.Start = inc.pending.old
-		inc.key.syncDur(inc.pending.id, t.Start)
-	case moveEnd:
-		t := &inc.s.Tensors[inc.pending.id]
-		oldHi, newHi := inc.pending.old, inc.pending.new
-		if t.OnChipHi > oldHi {
-			oldHi = t.OnChipHi
-		}
-		if t.OnChipHi > newHi {
-			newHi = t.OnChipHi
-		}
-		if newHi > oldHi {
-			inc.rangeAdd(oldHi, newHi, -t.Bytes)
-		} else if newHi < oldHi {
-			inc.rangeAdd(newHi, oldHi, t.Bytes)
-		}
-		if inc.pending.new < inc.n {
-			inc.removeGate(inc.pending.new, inc.pending.id)
-		}
-		if inc.pending.old < inc.n {
-			inc.gates[inc.pending.old] = append(inc.gates[inc.pending.old], inc.pending.id)
-		}
-		t.End = inc.pending.old
-		inc.key.syncDur(inc.pending.id, t.End)
+	case moveLiving:
+		inc.setLiving(mv.id, mv.old)
 	}
 	inc.pending = pendingMove{}
 	inc.propEvaluated = false
 	inc.propErr = nil
 	inc.stats.Rollbacks++
-}
-
-// rotateOrder moves the element at position from to position to, shifting
-// the span between them (the inverse of a MoveTensor with swapped
-// arguments).
-func rotateOrder(order []int, from, to int) {
-	id := order[from]
-	if to < from {
-		copy(order[to+1:from+1], order[to:from])
-	} else {
-		copy(order[from:to], order[from+1:to+1])
-	}
-	order[to] = id
 }

@@ -94,8 +94,7 @@ func applyRandomMove(s *core.Schedule, rng *rand.Rand) bool {
 		if rng.Intn(2) == 0 {
 			delta = -delta
 		}
-		old := s.Tensors[id].Start
-		return s.SetStart(id, old+delta) && s.Tensors[id].Start != old
+		return s.SetLiving(id, s.Tensors[id].Start+delta)
 	default:
 		id := rng.Intn(len(s.Tensors))
 		if s.Tensors[id].Kind.IsLoad() {
@@ -105,7 +104,6 @@ func applyRandomMove(s *core.Schedule, rng *rand.Rand) bool {
 		if rng.Intn(2) == 0 {
 			delta = -delta
 		}
-		old := s.Tensors[id].End
-		return s.SetEnd(id, old+delta) && s.Tensors[id].End != old
+		return s.SetLiving(id, s.Tensors[id].End+delta)
 	}
 }

@@ -51,7 +51,7 @@ func proposeRandomMove(inc *Incremental, rng *rand.Rand) bool {
 		if rng.Intn(2) == 0 {
 			delta = -delta
 		}
-		return inc.SetStart(id, s.Tensors[id].Start+delta)
+		return inc.SetLiving(id, s.Tensors[id].Start+delta)
 	default:
 		id := rng.Intn(len(s.Tensors))
 		if s.Tensors[id].Kind.IsLoad() {
@@ -61,7 +61,7 @@ func proposeRandomMove(inc *Incremental, rng *rand.Rand) bool {
 		if rng.Intn(2) == 0 {
 			delta = -delta
 		}
-		return inc.SetEnd(id, s.Tensors[id].End+delta)
+		return inc.SetLiving(id, s.Tensors[id].End+delta)
 	}
 }
 
@@ -73,9 +73,9 @@ func proposeWideJitter(inc *Incremental, rng *rand.Rand) bool {
 	id := rng.Intn(len(s.Tensors))
 	t := &s.Tensors[id]
 	if t.Kind.IsLoad() {
-		return inc.SetStart(id, rng.Intn(t.FirstUse+1))
+		return inc.SetLiving(id, rng.Intn(t.FirstUse+1))
 	}
-	return inc.SetEnd(id, t.Producer+1+rng.Intn(8))
+	return inc.SetLiving(id, t.Producer+1+rng.Intn(8))
 }
 
 // proposeStoreMove exercises the evaluator's per-layer last-store
@@ -133,10 +133,10 @@ func interleaveReload(s *core.Schedule, rng *rand.Rand) int {
 		if len(stores) < 3 {
 			continue
 		}
-		s.SetStart(t.ID, 0)
+		s.SetLiving(t.ID, 0)
 		inBlock := map[int]bool{t.ID: true}
 		for _, st := range stores {
-			s.SetEnd(st, s.NumTiles())
+			s.SetLiving(st, s.NumTiles())
 			inBlock[st] = true
 		}
 		after := rng.Intn(len(stores) - 1)
@@ -445,12 +445,12 @@ func TestIncrementalRejoin(t *testing.T) {
 		tn := &s.Tensors[id]
 		// Jitter by one either way, and to the latest Start or the earliest
 		// End, which more often changes a time.
-		set, extreme := inc.SetEnd, tn.Producer+1
+		extreme := tn.Producer + 1
 		if tn.Kind.IsLoad() {
-			set, extreme = inc.SetStart, tn.FirstUse
+			extreme = tn.FirstUse
 		}
 		for _, v := range []int{tn.Living() - 1, tn.Living() + 1, extreme} {
-			if !set(id, v) {
+			if !inc.SetLiving(id, v) {
 				continue
 			}
 			what := fmt.Sprintf("jitter of tensor %d at order position %d to %d", id, p, v)

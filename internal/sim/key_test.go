@@ -57,11 +57,7 @@ func TestIncrementalKey(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				v = 127 + rng.Intn(2)
 			}
-			if tn.Kind.IsLoad() {
-				ok = inc.SetStart(id, v)
-			} else {
-				ok = inc.SetEnd(id, v)
-			}
+			ok = inc.SetLiving(id, v)
 			if ok && (old < 128) != (tn.Living() < 128) {
 				crossings++
 			}
@@ -156,12 +152,7 @@ func FuzzIncrementalKey(f *testing.F) {
 			case 0:
 				pending = inc.MoveTensor(a%m, b%m)
 			case 1:
-				id := a % m
-				if s.Tensors[id].Kind.IsLoad() {
-					pending = inc.SetStart(id, b%(n+1))
-				} else {
-					pending = inc.SetEnd(id, b%(n+1))
-				}
+				pending = inc.SetLiving(a%m, b%(n+1))
 			case 2:
 				if pending {
 					if code&4 != 0 {

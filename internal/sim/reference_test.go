@@ -24,7 +24,8 @@ import (
 // last-store shortcut. The commit times form a fixed point that does not
 // depend on the interleaving, so Evaluate and Incremental must reproduce
 // them - and the point where a deadlocked merge gets stuck - exactly. The
-// completed merge is folded by the same finishMetrics as theirs.
+// completed merge is folded by the same finishMetrics as theirs, over the
+// occupancy referenceUsage sums.
 func referenceEvaluate(s *core.Schedule, cs *coresched.Scheduler, budget int64) (*Metrics, error) {
 	cfg := cs.Config()
 	n, m := s.NumTiles(), len(s.Tensors)
@@ -97,11 +98,38 @@ func referenceEvaluate(s *core.Schedule, cs *coresched.Scheduler, budget int64) 
 		return &Metrics{}, fmt.Errorf("%w: stuck at tile %d/%d, tensor %d/%d",
 			ErrDeadlock, i, n, j, m)
 	}
-	met := finishMetrics(cfg, s.G, budget, s.BufferUsage(), tc.Dur,
+	met := finishMetrics(cfg, s.G, budget, referenceUsage(s), tc.Dur,
 		tc.CoreEnergy, tc.ComputeBusy, computeFree, dramFree, dramBusy, dramBytes)
 	met.TileStart, met.TileEnd = tileStart, tileEnd
 	met.TensorStart, met.TensorEnd = tensorStart, tensorEnd
 	return met, nil
+}
+
+// referenceUsage sums the buffer occupancy at each tile seq seq by seq,
+// from the tensors' raw fields rather than core.Tensor.Live: a load holds
+// its bytes from Start up to its Release, a store from its producing tile
+// up to the later of its End and the end of its on-chip consumption
+// (OnChipHi), and each static on-chip interval over its seqs.
+func referenceUsage(s *core.Schedule) []int64 {
+	n := s.NumTiles()
+	usage := make([]int64, n)
+	hold := func(lo, hi int, b int64) {
+		for seq := max(lo, 0); seq < min(hi, n); seq++ {
+			usage[seq] += b
+		}
+	}
+	for _, iv := range s.OnChip {
+		hold(iv.Lo, iv.Hi, iv.Bytes)
+	}
+	for i := range s.Tensors {
+		t := &s.Tensors[i]
+		if t.Kind.IsLoad() {
+			hold(t.Start, t.Release, t.Bytes)
+		} else {
+			hold(t.Producer, max(t.End, t.OnChipHi), t.Bytes)
+		}
+	}
+	return usage
 }
 
 // sameResult reports how got differs from the reference result (want,
@@ -284,8 +312,8 @@ func misorder(s *core.Schedule, rng *rand.Rand, k int) bool {
 	for ; k > 0; k-- {
 		id := gated[rng.Intn(len(gated))]
 		from := slices.Index(s.Order, id)
-		s.SetStart(id, 0)
-		rotateOrder(s.Order, from, rng.Intn(from+1))
+		s.SetLiving(id, 0)
+		core.Rotate(s.Order, from, rng.Intn(from+1))
 	}
 	return true
 }
@@ -362,7 +390,7 @@ func TestMoveTensorMatchesListReference(t *testing.T) {
 						step, from, to, before[from], got, want)
 				}
 				if want {
-					rotateOrder(before, from, to)
+					core.Rotate(before, from, to)
 					legal++
 				} else if from != to && to >= 0 && to < n {
 					illegal++

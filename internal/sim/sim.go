@@ -156,10 +156,10 @@ type replay struct {
 	tc   *TileCosts
 	n, m int // tiles, tensors
 
-	// gates[i] lists the tensor IDs gating tile seq i (n+1 rows, the last
-	// one empty, so a store's End may move to any seq). pos is each
-	// tensor's order position, and lastStore, per layer, the ID of its
-	// store that comes last in the order (-1 without stores).
+	// gates[i] lists the IDs of the tensors gating tile seq i
+	// (core.Tensor.Gate). pos is each tensor's order position, and
+	// lastStore, per layer, the ID of its store that comes last in the
+	// order (-1 without stores).
 	gates     [][]int
 	pos       []int
 	lastStore []int
@@ -213,27 +213,17 @@ func (r *replay) init(s *core.Schedule, cs *coresched.Scheduler, opt Options) er
 	return nil
 }
 
-// gateRows maps each tile seq 0..n to the tensor IDs gating it, in ID
-// order: loads gate their first consuming tile, stores the tile at their
-// Living Duration end (none when that is the end of the execution). The
-// rows share one array, and each row's capacity ends with it, so appending
-// to a row never overwrites the next one.
+// gateRows maps each of the n tile seqs to the IDs of the tensors gating it
+// (core.Tensor.Gate), in ID order. The rows share one array, and each
+// row's capacity ends with it, so appending to a row never overwrites the
+// next one.
 func gateRows(s *core.Schedule, n int) [][]int {
-	gate := func(t *core.Tensor) int {
-		switch {
-		case t.Kind.IsLoad():
-			return t.FirstUse
-		case t.End < n:
-			return t.End
-		}
-		return -1
-	}
 	// Count row g's gates into off[g+2]. After the prefix sum off[g+1] is
 	// where row g starts, and the fill advances it to where the row ends:
 	// row g+1's start.
 	off := make([]int, n+2)
 	for i := range s.Tensors {
-		if g := gate(&s.Tensors[i]); g >= 0 {
+		if g := s.Tensors[i].Gate(n); g >= 0 {
 			off[g+2]++
 		}
 	}
@@ -242,12 +232,12 @@ func gateRows(s *core.Schedule, n int) [][]int {
 	}
 	ids := make([]int, off[n+1])
 	for i := range s.Tensors {
-		if g := gate(&s.Tensors[i]); g >= 0 {
+		if g := s.Tensors[i].Gate(n); g >= 0 {
 			ids[off[g+1]] = i
 			off[g+1]++
 		}
 	}
-	rows := make([][]int, n+1)
+	rows := make([][]int, n)
 	for i := range rows {
 		rows[i] = ids[off[i]:off[i+1]:off[i+1]]
 	}
@@ -318,24 +308,18 @@ func (r *replay) run(ck mergeState, ckpts *[]checkpoint, w *watch) (mergeState, 
 		// Drain every currently-ready DRAM tensor.
 		for j < m {
 			t := &s.Tensors[s.Order[j]]
+			wait := t.Wait()
+			if i <= wait {
+				break // the tile it waits for has not finished
+			}
+			if t.Kind == core.LoadIfmap {
+				if st := r.lastStore[t.Source]; st >= 0 && r.pos[st] > j {
+					break // a producer store is still ahead in the order
+				}
+			}
 			var depTime float64
-			if t.Kind.IsLoad() {
-				if i < t.Start {
-					break // needs more compute progress
-				}
-				if t.Kind == core.LoadIfmap {
-					if st := r.lastStore[t.Source]; st >= 0 && r.pos[st] > j {
-						break // a producer store is still ahead in the order
-					}
-				}
-				if t.Start > 0 {
-					depTime = tileEnd(t.Start - 1)
-				}
-			} else {
-				if i <= t.Producer {
-					break // producing tile not finished
-				}
-				depTime = tileEnd(t.Producer)
+			if wait >= 0 {
+				depTime = tileEnd(wait)
 			}
 			start := maxf(dramFree, depTime)
 			dur := float64(t.Bytes) / bw

@@ -117,7 +117,7 @@ func TestPrefetchReducesLatency(t *testing.T) {
 	early := s.Clone()
 	for i := range early.Tensors {
 		if early.Tensors[i].Kind.IsLoad() {
-			early.SetStart(early.Tensors[i].ID, 0)
+			early.SetLiving(early.Tensors[i].ID, 0)
 		}
 	}
 	m := evalOK(t, early, cfg, Options{})
@@ -136,7 +136,7 @@ func TestDelayedStoreEffect(t *testing.T) {
 	lax := s.Clone()
 	for i := range lax.Tensors {
 		if lax.Tensors[i].Kind == core.StoreOfmap {
-			lax.SetEnd(lax.Tensors[i].ID, lax.NumTiles())
+			lax.SetLiving(lax.Tensors[i].ID, lax.NumTiles())
 		}
 	}
 	m := evalOK(t, lax, cfg, Options{})

@@ -144,7 +144,6 @@ func (ms *stage2Moves) Propose(rng *rand.Rand) (float64, bool) {
 		return 0, false
 	}
 	id := ms.picker.pick(rng)
-	t := &s.Tensors[id]
 	ok := false
 	if rng.Intn(2) == 0 {
 		// Change DRAM Tensor Order: move the tensor elsewhere.
@@ -153,26 +152,24 @@ func (ms *stage2Moves) Propose(rng *rand.Rand) (float64, bool) {
 	} else {
 		ms.kind = "duration"
 		// Change Living Duration: jitter Start (loads) or End (stores).
-		// The jitter span scales with the schedule length so prefetches
-		// can reach far-away DRAM-idle windows on large tile sequences.
-		span := s.NumTiles() / 16
-		if span < 8 {
-			span = 8
-		}
-		delta := 1 + rng.Intn(span)
-		if rng.Intn(2) == 0 {
-			delta = -delta
-		}
-		if t.Kind.IsLoad() {
-			ok = ms.inc.SetStart(id, t.Start+delta)
-		} else {
-			ok = ms.inc.SetEnd(id, t.End+delta)
-		}
+		ok = ms.inc.SetLiving(id, s.Tensors[id].Living()+LivingJitter(s, rng))
 	}
 	if !ok {
 		return 0, false
 	}
 	return ms.e.objective(sim.Memoize(ms.e.Cache, ms.inc.Key(), &ms.m, ms.inc.EvaluateProposal)), true
+}
+
+// LivingJitter draws the delta of stage 2's Living Duration operator: a
+// magnitude of 1 to max(8, NumTiles/16) tiles, then a coin for its sign. The
+// span scales with the schedule length so prefetches can reach far-away
+// DRAM-idle windows on large tile sequences.
+func LivingJitter(s *core.Schedule, rng *rand.Rand) int {
+	delta := 1 + rng.Intn(max(s.NumTiles()/16, 8))
+	if rng.Intn(2) == 0 {
+		delta = -delta
+	}
+	return delta
 }
 
 func (ms *stage2Moves) Accept() { ms.inc.Accept() }
