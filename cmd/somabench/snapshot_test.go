@@ -10,7 +10,7 @@ import (
 // measurement whose incremental evaluator never resumes - every proposal a
 // full re-simulation - fails, however fast its moves are.
 func TestCheckSnapshot(t *testing.T) {
-	const path = "../../BENCH_28.json"
+	const path = "../../BENCH_30.json"
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -564,14 +564,20 @@ func TestRandomDLSAMutationsKeepInvariants(t *testing.T) {
 	g, ids := fig4(t)
 	s := mustParse(t, g, fig4Encoding(ids))
 	rng := rand.New(rand.NewSource(42))
+	moves := 0
 	for i := 0; i < 500; i++ {
-		switch rng.Intn(3) {
-		case 0:
-			s.MoveTensor(rng.Intn(len(s.Order)), rng.Intn(len(s.Order)))
-		case 1:
-			s.SetLiving(rng.Intn(len(s.Tensors)), rng.Intn(s.NumTiles()+1)-1)
-		case 2:
-			s.SetLiving(rng.Intn(len(s.Tensors)), rng.Intn(s.NumTiles()+2)-1)
+		if k := rng.Intn(3); k == 0 {
+			if s.MoveTensor(rng.Intn(len(s.Order)), rng.Intn(len(s.Order))) {
+				moves++
+			}
+		} else {
+			// A jitter may deadlock the schedule; it is undone, as stage 2
+			// rejects the proposal. An order move never may.
+			id := rng.Intn(len(s.Tensors))
+			old := s.Tensors[id].Living()
+			if s.SetLiving(id, rng.Intn(s.NumTiles()+k)-1) && !s.OrderValid() {
+				s.SetLiving(id, old)
+			}
 		}
 		if !s.OrderValid() {
 			t.Fatalf("iteration %d: order invalid", i)
@@ -579,6 +585,9 @@ func TestRandomDLSAMutationsKeepInvariants(t *testing.T) {
 		if !s.LivingValid() {
 			t.Fatalf("iteration %d: livings invalid", i)
 		}
+	}
+	if moves == 0 {
+		t.Fatal("no order move was legal")
 	}
 	for _, u := range s.BufferUsage() {
 		if u < 0 {

@@ -1,12 +1,17 @@
 package core
 
-// OrderValid reports whether the DRAM Tensor Order is a permutation that
-// places every producer store before the loads that re-read its data
-// (violations deadlock the serial DRAM channel).
+// OrderValid reports whether the merge of the DRAM channel and the compute
+// pipeline runs this schedule to completion: the DRAM Tensor Order is a
+// permutation, every load follows all stores of its Source layer, and no
+// transfer is ordered at or before a transfer that gates a tile it waits
+// for. It checks the last rule its own way, a prefix maximum of the waits
+// along the order compared with each gate, so it can check MoveTensor's
+// span scan and the simulator's merge.
 func (s *Schedule) OrderValid() bool {
 	if len(s.Order) != len(s.Tensors) {
 		return false
 	}
+	n := s.NumTiles()
 	pos := make([]int, len(s.Tensors))
 	for i := range pos {
 		pos[i] = -1
@@ -16,13 +21,21 @@ func (s *Schedule) OrderValid() bool {
 	for i := range lastStore {
 		lastStore[i] = -1
 	}
+	maxWait := -1
 	for i, id := range s.Order {
 		if id < 0 || id >= len(s.Tensors) || pos[id] != -1 {
 			return false
 		}
 		pos[id] = i
-		if t := &s.Tensors[id]; t.Kind == StoreOfmap {
+		t := &s.Tensors[id]
+		if t.Kind == StoreOfmap {
 			lastStore[t.Layer] = i
+		}
+		// t commits after itself and every transfer before it have waited
+		// for their tiles, so the tile it gates must come after all those.
+		maxWait = max(maxWait, t.Wait())
+		if g := t.Gate(n); g >= 0 && g <= maxWait {
+			return false
 		}
 	}
 	for i := range s.Tensors {
@@ -47,32 +60,40 @@ func (s *Schedule) LivingValid() bool {
 }
 
 // MoveTensor relocates the tensor at order position from to position to.
-// The move is rejected (returning false, order unchanged) when it would put
-// a load before a store it depends on.
+// The move is refused (returning false, order unchanged) when it would
+// deadlock a schedule whose order OrderValid accepts: when it would put a
+// load before a store it depends on, a store after a load of its output,
+// or a transfer at or before one that gates a tile the first waits for.
 func (s *Schedule) MoveTensor(from, to int) bool {
 	n := len(s.Order)
 	if from < 0 || from >= n || to < 0 || to >= n || from == to {
 		return false
 	}
 	t := &s.Tensors[s.Order[from]]
-	// A load may not pass a store of its Source layer, and a store may not
-	// pass a load of its layer's output. The loads waiting on a store are
-	// those whose Source is its layer, and a load's stores are one ID
-	// window, so either check is one comparison per tensor of the moved
-	// range. This runs on every order proposal of the stage-2 hot loop and
-	// must not allocate.
-	switch {
-	case to < from:
-		if w := s.WaitsOn(t); w.Lo < w.Hi {
-			for _, c := range s.Order[to:from] {
-				if w.Has(c) {
-					return false
-				}
+	nt := s.NumTiles()
+	// The merge stalls on a load ordered before a store of its Source
+	// layer, or on a transfer U ordered at or before a transfer V with
+	// 0 <= V.Gate <= U.Wait: V waits for U, the tile V gates waits for V,
+	// and U waits for that tile or a later one. A move reorders only the
+	// moved tensor against the span it passes, so a stall-free order
+	// stalls after it iff one of those pairs does. Moving earlier, the
+	// tensor may not pass a store it waits on (the loads' stores are one
+	// ID window) or a tensor gating a tile at or before its wait; moving
+	// later, a store may not pass a load of its layer's output, nor any
+	// tensor pass one waiting for a tile at or after its gate. Each pass
+	// reads the span once and stops at the first conflict. This runs on
+	// every order proposal of the stage-2 hot loop and must not allocate.
+	if to < from {
+		w, wait := s.WaitsOn(t), t.Wait()
+		for _, c := range s.Order[to:from] {
+			if g := s.Tensors[c].Gate(nt); g >= 0 && g <= wait || w.Has(c) {
+				return false
 			}
 		}
-	case t.Kind == StoreOfmap:
+	} else {
+		gate, store := t.Gate(nt), t.Kind == StoreOfmap
 		for _, c := range s.Order[from+1 : to+1] {
-			if s.Tensors[c].Source == t.Layer {
+			if u := &s.Tensors[c]; gate >= 0 && u.Wait() >= gate || store && u.Source == t.Layer {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -76,6 +77,56 @@ func proposeWideJitter(inc *Incremental, rng *rand.Rand) bool {
 		return inc.SetLiving(id, rng.Intn(t.FirstUse+1))
 	}
 	return inc.SetLiving(id, t.Producer+1+rng.Intn(8))
+}
+
+// proposeDeadlockingJitter sets a Living Duration to a value that
+// deadlocks the merge, now that order moves never do: a store's End to a
+// tile some tensor ordered before it waits for, or a load's Start past a
+// tile some tensor ordered after it gates. It takes the first tensor, from
+// a random order position on, that has such a value, and returns false
+// when none does, as on an order sorted by gate.
+func proposeDeadlockingJitter(inc *Incremental, rng *rand.Rand) bool {
+	s := inc.Schedule()
+	m, n := len(s.Order), s.NumTiles()
+	// waitTo[p] is the latest tile a tensor ordered before p waits for,
+	// gateFrom[p] the earliest one a tensor ordered at or after p gates.
+	waitTo, gateFrom := make([]int, m+1), make([]int, m+1)
+	waitTo[0], gateFrom[m] = -1, n
+	for p, c := range s.Order {
+		waitTo[p+1] = max(waitTo[p], s.Tensors[c].Wait())
+	}
+	for p := m - 1; p >= 0; p-- {
+		gateFrom[p] = gateFrom[p+1]
+		if g := s.Tensors[s.Order[p]].Gate(n); g >= 0 {
+			gateFrom[p] = min(gateFrom[p], g)
+		}
+	}
+	off := rng.Intn(m)
+	for k := range m {
+		p := (off + k) % m
+		id := s.Order[p]
+		t := &s.Tensors[id]
+		if g := gateFrom[p+1]; t.Kind.IsLoad() && g < t.FirstUse {
+			return inc.SetLiving(id, g+1+rng.Intn(t.FirstUse-g))
+		}
+		if w := waitTo[p]; !t.Kind.IsLoad() && w > t.Producer {
+			return inc.SetLiving(id, t.Producer+1+rng.Intn(w-t.Producer))
+		}
+	}
+	return false
+}
+
+// reorder applies k legal order moves, drawn at random, to s and returns
+// it. A parse orders the tensors about as they gate tiles, and on an order
+// sorted by gate no Living move deadlocks; few random order moves are
+// legal, so a walk alone rarely unsorts it.
+func reorder(s *core.Schedule, rng *rand.Rand, k int) *core.Schedule {
+	for k > 0 {
+		if s.MoveTensor(rng.Intn(len(s.Order)), rng.Intn(len(s.Order))) {
+			k--
+		}
+	}
+	return s
 }
 
 // proposeStoreMove exercises the evaluator's per-layer last-store
@@ -162,11 +213,12 @@ func interleaveReload(s *core.Schedule, rng *rand.Rand) int {
 	}
 }
 
-// diffHarness drives moves random moves through an Incremental over s,
-// checking after every proposal that the incremental metrics equal a full
-// sim.Evaluate of the (mutated) schedule, and after every reject that the
-// rollback restored the schedule exactly.
-func diffHarness(t *testing.T, s *core.Schedule, cs *coresched.Scheduler, seed int64, moves int, wantResume bool) {
+// diffHarness drives moves random moves through an Incremental over s, one
+// in eight a deadlocking jitter, checking after every proposal that the
+// incremental metrics equal a full sim.Evaluate of the (mutated) schedule,
+// and after every reject that the rollback restored the schedule exactly.
+// It returns the number of evaluated proposals that deadlocked.
+func diffHarness(t *testing.T, s *core.Schedule, cs *coresched.Scheduler, seed int64, moves int, wantResume bool) int {
 	t.Helper()
 	tc := PrecomputeTileCosts(s, cs)
 	opt := Options{TileCosts: tc}
@@ -175,10 +227,14 @@ func diffHarness(t *testing.T, s *core.Schedule, cs *coresched.Scheduler, seed i
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	applied := 0
+	applied, deadlocks := 0, 0
 	for applied < moves {
 		before := snapshotDLSA(s)
-		if !proposeRandomMove(inc, rng) {
+		propose := proposeRandomMove
+		if rng.Intn(8) == 0 {
+			propose = proposeDeadlockingJitter
+		}
+		if !propose(inc, rng) {
 			continue
 		}
 		applied++
@@ -197,6 +253,9 @@ func diffHarness(t *testing.T, s *core.Schedule, cs *coresched.Scheduler, seed i
 			}
 			if ierr == nil && !metricsEqual(im, fm) {
 				t.Fatalf("move %d: proposal metrics diverge:\nincremental %+v\nfull        %+v", applied, im, fm)
+			}
+			if errors.Is(ierr, ErrDeadlock) {
+				deadlocks++
 			}
 			// Deadlocked proposals cost Inf and are rejected by the
 			// annealer; rejecting them here also keeps the walk on
@@ -225,6 +284,7 @@ func diffHarness(t *testing.T, s *core.Schedule, cs *coresched.Scheduler, seed i
 	if st := inc.Stats(); wantResume && st.Resumed == 0 {
 		t.Errorf("no proposal ever resumed from a checkpoint (proposals=%d fallbacks=%d)", st.Proposals, st.Fallbacks)
 	}
+	return deadlocks
 }
 
 // dlsa is a schedule's DRAM-Load-and-Store-related attribute set: the
@@ -258,7 +318,10 @@ func TestIncrementalDifferentialSmall(t *testing.T) {
 }
 
 // TestIncrementalDifferentialZoo: the same property over real zoo models
-// (the schedules stage-2 search actually walks).
+// (the schedules stage-2 search actually walks). Order moves no longer
+// deadlock, so each walk starts from an order reordered by legal moves,
+// where Living moves can deadlock, and must reach the evaluator's deadlock
+// paths that way or through raw orders.
 func TestIncrementalDifferentialZoo(t *testing.T) {
 	cases := []struct {
 		model string
@@ -280,28 +343,41 @@ func TestIncrementalDifferentialZoo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffHarness(t, s, coresched.New(c.cfg), int64(len(c.model)), c.moves, true)
+			reorder(s, rand.New(rand.NewSource(int64(c.tile))), c.moves)
+			if diffHarness(t, s, coresched.New(c.cfg), int64(len(c.model)), c.moves, true) == 0 {
+				t.Error("no proposal deadlocked")
+			}
 		})
 	}
 	// Reloads of the prefill cut's tiled consumers each wait on all 8
 	// stores of their producer.
 	t.Run("gpt2s-prefill-2blk", func(t *testing.T) {
-		diffHarness(t, prefillCut(t, 8), coresched.New(hw.Edge()), 15, 200, true)
+		s := reorder(prefillCut(t, 8), rand.New(rand.NewSource(15)), 200)
+		if diffHarness(t, s, coresched.New(hw.Edge()), 15, 200, true) == 0 {
+			t.Error("no proposal deadlocked")
+		}
 	})
 	// Stage-1 winners fuse layers, so compute decides some times and a
-	// jitter may change them: the early stop must notice. Half the jitters
-	// go anywhere in the tensor's range.
+	// jitter may change them: the early stop must notice. Most other
+	// jitters go anywhere in the tensor's range, a few deadlock.
 	t.Run("gpt2s-prefill-2blk-fused", func(t *testing.T) {
 		g := prefillGraph()
 		cs := coresched.New(hw.Edge())
 		for seed := int64(2); seed <= 4; seed++ {
-			refWalk(t, parse(t, g, randomEncoding(g, seed)), cs, seed, 150,
+			s := reorder(parse(t, g, randomEncoding(g, seed)), rand.New(rand.NewSource(seed)), 150)
+			deadlocks := refWalk(t, s, cs, seed, 150,
 				func(inc *Incremental, rng *rand.Rand) bool {
-					if rng.Intn(2) == 0 {
+					switch {
+					case rng.Intn(2) == 0:
 						return proposeRandomMove(inc, rng)
+					case rng.Intn(4) == 0:
+						return proposeDeadlockingJitter(inc, rng)
 					}
 					return proposeWideJitter(inc, rng)
 				})
+			if deadlocks == 0 {
+				t.Errorf("seed %d: no proposal deadlocked", seed)
+			}
 		}
 	})
 	// A legal order hides that bookkeeping (every store precedes its
@@ -311,15 +387,19 @@ func TestIncrementalDifferentialZoo(t *testing.T) {
 	t.Run("gpt2s-prefill-2blk-store-moves", func(t *testing.T) {
 		cs := coresched.New(hw.Edge())
 		rng := rand.New(rand.NewSource(16))
+		deadlocks := 0
 		for ep := 0; ep < 12; ep++ {
 			s := prefillCut(t, 8)
 			load := interleaveReload(s, rng)
-			refWalk(t, s, cs, int64(ep), 40, func(inc *Incremental, rng *rand.Rand) bool {
+			deadlocks += refWalk(t, s, cs, int64(ep), 40, func(inc *Incremental, rng *rand.Rand) bool {
 				if rng.Intn(4) == 0 {
 					return proposeRandomMove(inc, rng)
 				}
 				return proposeStoreMove(inc, rng, load)
 			})
+		}
+		if deadlocks == 0 {
+			t.Error("no proposal deadlocked")
 		}
 	})
 }

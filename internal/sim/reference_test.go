@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -222,9 +224,9 @@ func refCases(t *testing.T) []refCase {
 // deadlocked or not) through an Incremental over s and checks every
 // proposal - and, after each decision, the accepted state - against the
 // reference: Evaluate with its traced times, and the Incremental's own
-// result.
+// result. It returns the number of proposals that deadlocked.
 func refWalk(t *testing.T, s *core.Schedule, cs *coresched.Scheduler, seed int64, moves int,
-	propose func(*Incremental, *rand.Rand) bool) {
+	propose func(*Incremental, *rand.Rand) bool) int {
 	t.Helper()
 	inc, err := NewIncremental(s, cs, Options{})
 	if err != nil {
@@ -244,12 +246,16 @@ func refWalk(t *testing.T, s *core.Schedule, cs *coresched.Scheduler, seed int64
 	im, ierr := inc.Metrics()
 	check(0, "start", im, ierr)
 	rng := rand.New(rand.NewSource(seed))
+	deadlocks := 0
 	for step := 1; step <= moves; {
 		if !propose(inc, rng) {
 			continue
 		}
 		im, ierr := inc.EvaluateProposal()
 		check(step, "proposal", im, ierr)
+		if errors.Is(ierr, ErrDeadlock) {
+			deadlocks++
+		}
 		if rng.Intn(2) == 0 {
 			inc.Accept()
 		} else {
@@ -259,6 +265,7 @@ func refWalk(t *testing.T, s *core.Schedule, cs *coresched.Scheduler, seed int64
 		check(step, "accepted state", im, ierr)
 		step++
 	}
+	return deadlocks
 }
 
 // TestReferenceLegalWalks: on legal DLSA walks over the small net, the zoo
@@ -336,9 +343,60 @@ func TestReferenceInvalidOrders(t *testing.T) {
 	}
 }
 
-// referenceMoveLegal is Schedule.MoveTensor's legality rule written as the
-// list scan it used to be: a load may not move before any store it waits
-// on, and a store may not move after any load that waits on it.
+// TestOrderValidMatchesEvaluate: OrderValid - a prefix maximum of the waits
+// along the order against each gate, plus the producer rule - accepts
+// exactly the schedules Evaluate runs to completion. Each step perturbs a
+// fresh copy of the small nets, the zoo and the prefill cut by one to three
+// raw rotations, misordered reloads or Living Durations set anywhere in
+// their range.
+func TestOrderValidMatchesEvaluate(t *testing.T) {
+	for i, c := range refCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			cs := coresched.New(c.cfg)
+			opt := Options{TileCosts: PrecomputeTileCosts(c.s, cs)}
+			rng := rand.New(rand.NewSource(int64(i + 1)))
+			n, m := c.s.NumTiles(), len(c.s.Order)
+			var valid, invalid int
+			for step := 0; step < 300; step++ {
+				s := c.s.Clone()
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					switch rng.Intn(4) {
+					case 0:
+						misorder(s, rng, 1)
+					case 1:
+						core.Rotate(s.Order, rng.Intn(m), rng.Intn(m))
+					default:
+						s.SetLiving(rng.Intn(m), rng.Intn(n+1))
+					}
+				}
+				_, err := Evaluate(s, cs, opt)
+				if err != nil && !errors.Is(err, ErrDeadlock) {
+					t.Fatal(err)
+				}
+				if s.OrderValid() != (err == nil) {
+					t.Fatalf("step %d: OrderValid() = %v, Evaluate: %v", step, s.OrderValid(), err)
+				}
+				if err == nil {
+					valid++
+				} else {
+					invalid++
+				}
+			}
+			if valid == 0 || invalid == 0 {
+				t.Fatalf("%d valid and %d invalid schedules: the walk does not exercise both", valid, invalid)
+			}
+		})
+	}
+}
+
+// referenceMoveLegal is Schedule.MoveTensor's legality rule written on its
+// own. The producer rule is the list scan it used to be: a load may
+// not move before any store it waits on, and a store may not move after
+// any load that waits on it. The pair rule is a brute-force scan of every
+// pair of the rotated order: the move is illegal when it orders a tensor U
+// at or before a tensor V that gates a tile U waits for (0 <= V.Gate <=
+// U.Wait) and the order before the move did not, so a base that already
+// carries such a pair keeps the moves that add none.
 func referenceMoveLegal(s *core.Schedule, after [][]int, from, to int) bool {
 	n := len(s.Order)
 	if from < 0 || from >= n || to < 0 || to >= n || from == to {
@@ -359,13 +417,32 @@ func referenceMoveLegal(s *core.Schedule, after [][]int, from, to int) bool {
 			}
 		}
 	}
+	basePos := make([]int, n)
+	for p, c := range s.Order {
+		basePos[c] = p
+	}
+	moved := slices.Clone(s.Order)
+	core.Rotate(moved, from, to)
+	nt := s.NumTiles()
+	for q, v := range moved {
+		g := s.Tensors[v].Gate(nt)
+		if g < 0 {
+			continue
+		}
+		for _, u := range moved[:q+1] {
+			if s.Tensors[u].Wait() >= g && basePos[u] > basePos[v] {
+				return false
+			}
+		}
+	}
 	return true
 }
 
 // TestMoveTensorMatchesListReference: on random moves over the small net,
 // the zoo and the prefill cut - from the parsed order, and from orders
-// misorder scrambled - MoveTensor accepts exactly the moves the list scan
-// accepts, applies each as a rotation and leaves the order alone otherwise.
+// misorder scrambled - MoveTensor accepts exactly the moves
+// referenceMoveLegal's list and pair scans accept, applies each as a
+// rotation and leaves the order alone otherwise.
 func TestMoveTensorMatchesListReference(t *testing.T) {
 	for i, c := range refCases(t) {
 		t.Run(c.name, func(t *testing.T) {
@@ -386,7 +463,7 @@ func TestMoveTensorMatchesListReference(t *testing.T) {
 				want := referenceMoveLegal(s, after, from, to)
 				before := slices.Clone(s.Order)
 				if got := s.MoveTensor(from, to); got != want {
-					t.Fatalf("step %d: MoveTensor(%d, %d) of tensor %d = %v, list scan says %v",
+					t.Fatalf("step %d: MoveTensor(%d, %d) of tensor %d = %v, reference says %v",
 						step, from, to, before[from], got, want)
 				}
 				if want {
@@ -404,4 +481,95 @@ func TestMoveTensorMatchesListReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzMoveTensor checks MoveTensor's refusal against the reference merge:
+// on a deadlock-free schedule it refuses a move exactly when the move,
+// forced by a plain rotation, makes referenceEvaluate deadlock. The first
+// byte picks the schedule - mobilenetv2, resnet50, gpt2s-decode, the
+// prefill cut at 4 tiles per layer, or a fused encoding of the prefill
+// cut - and every following 5-byte group is one operation: its first byte
+// c picks it, the next two 16-bit values a and b are its arguments.
+//
+//   - c%4 == 0: jitter tensor a's Living Duration by b%17-8, undone when the
+//     schedule then deadlocks, so the walk stays deadlock-free;
+//   - otherwise: move the tensor at order position a to position b, or,
+//     when bit 2 of c is clear, to at most 16 positions either way, where
+//     more moves are legal. A legal move is kept.
+func FuzzMoveTensor(f *testing.F) {
+	prefill := prefillGraph()
+	edge, cloud := coresched.New(hw.Edge()), coresched.New(hw.Cloud())
+	type zooCase struct {
+		s  *core.Schedule
+		cs *coresched.Scheduler
+	}
+	var zoo []zooCase
+	for _, z := range []struct {
+		model string
+		cs    *coresched.Scheduler
+		tile  int
+	}{{"mobilenetv2", edge, 2}, {"resnet50", cloud, 1}, {"gpt2s-decode", edge, 1}} {
+		g := build(f, z.model, 1)
+		zoo = append(zoo, zooCase{parse(f, g, core.DefaultEncoding(g, z.tile)), z.cs})
+	}
+	zoo = append(zoo, zooCase{prefillCut(f, 4), edge},
+		zooCase{parse(f, prefill, randomEncoding(prefill, 2)), edge})
+	rng := rand.New(rand.NewSource(1))
+	for k := range zoo {
+		seed := make([]byte, 1+5*300)
+		rng.Read(seed)
+		seed[0] = byte(k)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		z := zoo[0]
+		if len(data) > 0 {
+			z, data = zoo[int(data[0])%len(zoo)], data[1:]
+		}
+		s, cs := z.s.Clone(), z.cs
+		deadlocks := func() bool {
+			_, err := referenceEvaluate(s, cs, 0)
+			return errors.Is(err, ErrDeadlock)
+		}
+		if deadlocks() {
+			t.Fatal("the start schedule deadlocks")
+		}
+		m := len(s.Order)
+		const maxOps = 300
+		for op := 0; len(data) >= 5 && op < maxOps; op++ {
+			c := data[0]
+			a := int(binary.BigEndian.Uint16(data[1:]))
+			b := int(binary.BigEndian.Uint16(data[3:]))
+			data = data[5:]
+			if c%4 == 0 {
+				id := a % m
+				old := s.Tensors[id].Living()
+				if s.SetLiving(id, old+b%17-8) && deadlocks() {
+					s.SetLiving(id, old)
+				}
+				continue
+			}
+			from, to := a%m, b%m
+			if c&4 == 0 {
+				to = min(max(from+b%33-16, 0), m-1)
+			}
+			if from == to {
+				continue
+			}
+			want := slices.Clone(s.Order)
+			core.Rotate(s.Order, from, to)
+			stalls := deadlocks()
+			core.Rotate(s.Order, to, from)
+			if !stalls {
+				core.Rotate(want, from, to)
+			}
+			if got := s.MoveTensor(from, to); got == stalls {
+				t.Fatalf("operation %d: MoveTensor(%d, %d) of tensor %d = %v, but the rotated order deadlocks: %v",
+					op, from, to, s.Order[from], got, stalls)
+			}
+			if !slices.Equal(s.Order, want) {
+				t.Fatalf("operation %d: MoveTensor(%d, %d) left order %v, want %v", op, from, to, s.Order, want)
+			}
+		}
+	})
 }

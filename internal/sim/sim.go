@@ -18,7 +18,8 @@ var ErrDeadlock = errors.New("sim: schedule deadlocks")
 
 // deadlockError is ErrDeadlock with the tile and tensor the merge got stuck
 // at, out of n tiles and m tensors. It formats its text only when asked:
-// stage 2 proposes deadlocking moves all the time and rarely prints one.
+// stage 2 evaluates Living Duration moves that deadlock and never prints
+// one.
 type deadlockError struct{ i, n, j, m int }
 
 func (e *deadlockError) Error() string {
@@ -149,6 +150,14 @@ func Evaluate(s *core.Schedule, cs *coresched.Scheduler, opt Options) (*Metrics,
 // still has a store ordered after it - an invalid order that deadlocks.
 // Since a reload waits on every store of its Source layer, that is one
 // check of the layer's last store.
+//
+// The merge gets stuck in exactly two ways: at such a reload, or at a
+// transfer U ordered at or before a transfer V that gates a tile U waits
+// for (0 <= V.Gate <= U.Wait), since U waits for that tile, the tile for V
+// and V, behind U in the order, for U. core.Schedule.OrderValid states both
+// rules, and MoveTensor refuses any order move that would break one, so
+// stage 2's order moves never reach a deadlocked run; Living Duration
+// moves still can, and the run reports where it got stuck.
 type replay struct {
 	s    *core.Schedule
 	cfg  hw.Config

@@ -12,8 +12,9 @@ import (
 
 // RunStage2 anneals the DLSA (Sec. V-C2) of a frozen LFA solution: the
 // initial state is the double-buffer DLSA the parser installed; operators
-// move a DRAM tensor to another legal order position or jitter a Living
-// Duration (Start for loads, End for stores). Tensors are selected with
+// move a DRAM tensor to another legal order position (one that does not
+// deadlock, see core.Schedule.MoveTensor) or jitter a Living Duration
+// (Start for loads, End for stores). Tensors are selected with
 // probability proportional to their size, as larger tensors move the needle
 // more (paper rule). Stage 2 may use the whole GBUF: the allocator's budget
 // split only constrains stage 1. Canceling ctx stops the annealer early and
@@ -137,7 +138,11 @@ func (ms *stage2Moves) InitCost() float64 {
 
 // Propose applies one random DLSA operator in place and evaluates it. The
 // operator mix and its rng draw order replicate the historical mutateDLSA
-// exactly (picker draw, operator coin, then the operator's own draws).
+// exactly (picker draw, operator coin, then the operator's own draws). An
+// order move that would deadlock is refused before the key, the cache and
+// the merge, and the draw is unproductive: the annealer draws nothing more
+// for it, as for a deadlocked proposal's +Inf cost, so the search keeps
+// its path.
 func (ms *stage2Moves) Propose(rng *rand.Rand) (float64, bool) {
 	s := ms.inc.Schedule()
 	if len(s.Tensors) == 0 {

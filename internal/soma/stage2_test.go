@@ -54,9 +54,10 @@ func TestStage2KeyMatchesCacheKey(t *testing.T) {
 // chain's evaluator and key are warm, a proposal - operator, key, cache
 // miss through EvaluateProposal, then reject - allocates a fixed handful of
 // times (the proposal's Metrics, the cache entry holding a copy of it,
-// the entry's copy of the key and, for a deadlocked proposal, its error),
-// on a CNN of about 500
-// tensors and on a prefill cut of about 1,800 alike.
+// the entry's copy of the key and, for a Living Duration move that
+// deadlocks, its error; an order move that would deadlock is refused before
+// any of these), on a CNN of about 500 tensors and on a prefill cut of
+// about 1,800 alike.
 func TestStage2MoveAllocs(t *testing.T) {
 	const limit = 4
 	for _, c := range []struct {
