@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -436,12 +437,27 @@ func TestMoveTensorLegality(t *testing.T) {
 	if s.MoveTensor(pos[ob], pos[ic]) {
 		t.Fatal("store moved after its dependent load")
 	}
-	// A legal move keeps the order valid.
-	if !s.MoveTensor(0, len(s.Order)-1) && !s.MoveTensor(len(s.Order)-1, 0) {
-		t.Skip("no legal boundary move in this schedule")
+	// Every accepted move keeps the order valid, every refused one leaves
+	// it untouched, and the schedule has at least one legal move.
+	legal := 0
+	for from := range s.Order {
+		for to := range s.Order {
+			c := s.Clone()
+			before := slices.Clone(c.Order)
+			if !c.MoveTensor(from, to) {
+				if !slices.Equal(c.Order, before) {
+					t.Fatalf("refused move %d->%d changed the order", from, to)
+				}
+				continue
+			}
+			legal++
+			if !c.OrderValid() {
+				t.Fatalf("legal move %d->%d produced invalid order", from, to)
+			}
+		}
 	}
-	if !s.OrderValid() {
-		t.Fatal("legal move produced invalid order")
+	if legal == 0 {
+		t.Fatal("no legal move in this schedule")
 	}
 }
 
