@@ -119,12 +119,18 @@ func proposeDeadlockingJitter(inc *Incremental, rng *rand.Rand) bool {
 // reorder applies k legal order moves, drawn at random, to s and returns
 // it. A parse orders the tensors about as they gate tiles, and on an order
 // sorted by gate no Living move deadlocks; few random order moves are
-// legal, so a walk alone rarely unsorts it.
-func reorder(s *core.Schedule, rng *rand.Rand, k int) *core.Schedule {
-	for k > 0 {
+// legal, so a walk alone rarely unsorts it. It fails t when 1000 draws per
+// move do not find k legal ones.
+func reorder(t testing.TB, s *core.Schedule, rng *rand.Rand, k int) *core.Schedule {
+	t.Helper()
+	moved := 0
+	for draws := 0; moved < k && draws < 1000*k; draws++ {
 		if s.MoveTensor(rng.Intn(len(s.Order)), rng.Intn(len(s.Order))) {
-			k--
+			moved++
 		}
+	}
+	if moved < k {
+		t.Fatalf("reorder: %d legal order moves in %d draws, want %d", moved, 1000*k, k)
 	}
 	return s
 }
@@ -343,7 +349,7 @@ func TestIncrementalDifferentialZoo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reorder(s, rand.New(rand.NewSource(int64(c.tile))), c.moves)
+			reorder(t, s, rand.New(rand.NewSource(int64(c.tile))), c.moves)
 			if diffHarness(t, s, coresched.New(c.cfg), int64(len(c.model)), c.moves, true) == 0 {
 				t.Error("no proposal deadlocked")
 			}
@@ -352,7 +358,7 @@ func TestIncrementalDifferentialZoo(t *testing.T) {
 	// Reloads of the prefill cut's tiled consumers each wait on all 8
 	// stores of their producer.
 	t.Run("gpt2s-prefill-2blk", func(t *testing.T) {
-		s := reorder(prefillCut(t, 8), rand.New(rand.NewSource(15)), 200)
+		s := reorder(t, prefillCut(t, 8), rand.New(rand.NewSource(15)), 200)
 		if diffHarness(t, s, coresched.New(hw.Edge()), 15, 200, true) == 0 {
 			t.Error("no proposal deadlocked")
 		}
@@ -364,7 +370,7 @@ func TestIncrementalDifferentialZoo(t *testing.T) {
 		g := prefillGraph()
 		cs := coresched.New(hw.Edge())
 		for seed := int64(2); seed <= 4; seed++ {
-			s := reorder(parse(t, g, randomEncoding(g, seed)), rand.New(rand.NewSource(seed)), 150)
+			s := reorder(t, parse(t, g, randomEncoding(g, seed)), rand.New(rand.NewSource(seed)), 150)
 			deadlocks := refWalk(t, s, cs, seed, 150,
 				func(inc *Incremental, rng *rand.Rand) bool {
 					switch {

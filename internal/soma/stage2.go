@@ -140,9 +140,11 @@ func (ms *stage2Moves) InitCost() float64 {
 // operator mix and its rng draw order replicate the historical mutateDLSA
 // exactly (picker draw, operator coin, then the operator's own draws). An
 // order move that would deadlock is refused before the key, the cache and
-// the merge, and the draw is unproductive: the annealer draws nothing more
-// for it, as for a deadlocked proposal's +Inf cost, so the search keeps
-// its path.
+// the merge, and the draw is unproductive. While the incumbent is
+// feasible the annealer rejects a deadlocked proposal's +Inf cost without
+// drawing, so the search keeps its path. From a +Inf incumbent, which
+// accepts +Inf proposals, the refusal keeps the walk off the deadlocking
+// order move it would otherwise accept.
 func (ms *stage2Moves) Propose(rng *rand.Rand) (float64, bool) {
 	s := ms.inc.Schedule()
 	if len(s.Tensors) == 0 {

@@ -2,6 +2,8 @@ package soma
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"soma/internal/core"
@@ -171,6 +173,70 @@ func TestStage2IncCounters(t *testing.T) {
 	_, pres := pe.RunStage2(context.Background(), s.Clone(), seed)
 	if got := pe.Reg.Counter("sim_inc_rollbacks_total", "").Value(); got != int64(pres.Stats.Total.Rejected) {
 		t.Errorf("parallel chains: %d rollbacks, annealer rejections %d", got, pres.Stats.Total.Rejected)
+	}
+}
+
+// orderChecked is a stage-2 chain that notes, for each accepted move,
+// whether it turned an order OrderValid accepts into one it refuses.
+type orderChecked struct {
+	*stage2Moves
+	validBefore bool
+	// fromValid counts accepted moves by kind that started on a valid
+	// order, broken those that left it invalid.
+	fromValid, broken map[string]int
+}
+
+func (c *orderChecked) Propose(rng *rand.Rand) (float64, bool) {
+	c.validBefore = c.inc.Schedule().OrderValid()
+	return c.stage2Moves.Propose(rng)
+}
+
+func (c *orderChecked) Accept() {
+	c.stage2Moves.Accept()
+	if c.validBefore {
+		c.fromValid[c.kind]++
+		if !c.inc.Schedule().OrderValid() {
+			c.broken[c.kind]++
+		}
+	}
+}
+
+// TestStage2InfeasibleStart: stage 2 also runs when its start overflows the
+// buffer. From a +Inf incumbent the annealer accepts every evaluated
+// proposal, +Inf ones included (cc <= curCost), so an order move that
+// deadlocks would be accepted if it were evaluated. MoveTensor refuses it
+// instead: this is the one case where the refusal changes the search path,
+// since from a feasible incumbent a deadlocked proposal is always rejected.
+// The walk still reaches deadlocked states through Living Duration moves,
+// which are evaluated and, from +Inf, accepted as before.
+func TestStage2InfeasibleStart(t *testing.T) {
+	g := testNet(t)
+	cfg := hw.Edge()
+	cfg.GBufBytes = 1 << 10 // 1 KB: every DLSA overflows
+	e := New(g, cfg, EDP(), FastParams())
+	s, err := core.Parse(g, core.DefaultEncoding(g, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := &orderChecked{stage2Moves: newStage2Moves(e, s, newSizePicker(s), sim.PrecomputeTileCosts(s, e.CS)),
+		fromValid: map[string]int{}, broken: map[string]int{}}
+	sc := sa.Config{T0: e.Par.T0, Alpha: e.Par.Alpha, Iters: 2000, Seed: 5}
+	_, cost, stats := sa.RunMovesPortfolioCtx[*core.Schedule](context.Background(), sc, sa.PortfolioConfig{},
+		func(int) sa.MoveState[*core.Schedule] { return ms })
+	if !math.IsInf(cost, 1) {
+		t.Fatalf("best cost %g, want +Inf on a 1 KB buffer", cost)
+	}
+	st := stats.Total
+	t.Logf("%d draws, %d accepted, %d unproductive; from a valid order: %v accepted, %v of them broke it",
+		st.Iterations, st.Accepted, st.Iterations-st.Accepted-st.Rejected, ms.fromValid, ms.broken)
+	if st.Rejected != 0 {
+		t.Errorf("%d proposals rejected from a +Inf incumbent, want 0", st.Rejected)
+	}
+	if n := ms.broken["move-tensor"]; n != 0 {
+		t.Errorf("%d accepted order moves deadlocked a valid order", n)
+	}
+	if ms.fromValid["move-tensor"] == 0 || ms.broken["duration"] == 0 {
+		t.Error("the walk accepted no order move on a valid order, or no deadlocking Living move")
 	}
 }
 
