@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -11,8 +12,10 @@ import (
 	"soma/internal/core"
 	"soma/internal/coresched"
 	"soma/internal/exp"
+	"soma/internal/graph"
 	"soma/internal/hw"
 	"soma/internal/models"
+	"soma/internal/obs"
 	"soma/internal/report"
 	"soma/internal/sim"
 	"soma/internal/soma"
@@ -47,9 +50,22 @@ type BenchEntry struct {
 	Speedup float64 `json:"speedup"`
 	// ResumedFrac is the fraction of evaluated proposals that resumed from
 	// a mid-schedule checkpoint; EventsFrac the fraction of merge events
-	// actually re-simulated (both from sim.IncStats).
-	ResumedFrac float64 `json:"resumed_frac"`
-	EventsFrac  float64 `json:"events_frac"`
+	// actually re-simulated (both from sim.IncStats). EventsPerStep is the
+	// merge events re-simulated per walk step, refused and unproductive
+	// draws included: unlike EventsFrac it does not rise when cheap
+	// proposals stop reaching the evaluator.
+	ResumedFrac   float64 `json:"resumed_frac"`
+	EventsFrac    float64 `json:"events_frac"`
+	EventsPerStep float64 `json:"events_per_step"`
+
+	// Stage1Misses is the number of cache misses of one serial fixed-seed
+	// stage-1 run from the no-fusion start; Stage1FoldedFrac the fraction
+	// of their tiles the arena folded (sim_arena_tiles_folded_total over
+	// sim_arena_tiles_total), and Stage1AllocsPerMiss the run's heap
+	// allocations per miss.
+	Stage1Misses        int64   `json:"stage1_misses"`
+	Stage1FoldedFrac    float64 `json:"stage1_folded_frac"`
+	Stage1AllocsPerMiss float64 `json:"stage1_allocs_per_miss"`
 }
 
 // BenchSnapshot is the BENCH_6.json payload.
@@ -198,8 +214,40 @@ func (h *harness) benchCase(c exp.Case) (BenchEntry, error) {
 	if stats.EventsTotal > 0 {
 		e.EventsFrac = float64(stats.EventsSimulated) / float64(stats.EventsTotal)
 	}
+	// stats covers one repetition: the warmup and the timed moves.
+	e.EventsPerStep = float64(stats.EventsSimulated) / float64(incBenchMoves+incBenchMoves/10)
 
-	return e, nil
+	e.Stage1Misses, e.Stage1FoldedFrac, e.Stage1AllocsPerMiss, err = stage1Walk(g, cfg, h.par)
+	return e, err
+}
+
+// stage1Walk runs stage 1 on g serially (one chain) at the parameters' seed
+// and profile, and reports its cache misses: how many there were, the
+// fraction of their tiles the chain's arena folded, and the run's heap
+// allocations per miss, the fewest of benchReps runs. Every run makes the
+// same misses: it starts from a fresh explorer and cache.
+func stage1Walk(g *graph.Graph, cfg hw.Config, par soma.Params) (misses int64, folded, allocs float64, err error) {
+	par.Chains, par.Workers = 1, 1
+	for r := 0; r < benchReps; r++ {
+		e := soma.New(g, cfg, soma.EDP(), par)
+		e.Reg = obs.NewRegistry()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err = e.RunStage1(context.Background(), cfg.GBufBytes, par.Seed)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		count := func(name string) int64 { return e.Reg.Counter(name, "").Value() }
+		misses = count("sim_arena_evals_total")
+		if tiles := count("sim_arena_tiles_total"); tiles > 0 {
+			folded = float64(count("sim_arena_tiles_folded_total")) / float64(tiles)
+		}
+		if a := float64(after.Mallocs-before.Mallocs) / float64(max(misses, 1)); r == 0 || a < allocs {
+			allocs = a
+		}
+	}
+	return misses, folded, allocs, nil
 }
 
 // The per-move measurement walks a deterministic move sequence and times a
@@ -288,9 +336,10 @@ func proposeFullMove(s *core.Schedule, rng *rand.Rand) bool {
 }
 
 func snapshotTable(snap BenchSnapshot) *report.Table {
-	t := report.New("stage-2 per-move evaluation snapshot", "model", "platform",
+	t := report.New("per-move evaluation snapshot (stage 2) and stage-1 misses", "model", "platform",
 		"tiles", "tensors", "inc ns/move", "full ns/move", "speedup",
-		"allocs inc/full", "resumed", "events")
+		"allocs inc/full", "resumed", "events", "events/step",
+		"s1 misses", "s1 folded", "s1 allocs/miss")
 	for _, e := range snap.Models {
 		t.Add(e.Model, e.Platform,
 			fmt.Sprintf("%d", e.Tiles), fmt.Sprintf("%d", e.Tensors),
@@ -299,23 +348,32 @@ func snapshotTable(snap BenchSnapshot) *report.Table {
 			fmt.Sprintf("%.2fx", e.Speedup),
 			fmt.Sprintf("%.0f/%.0f", e.IncAllocsPerMove, e.FullAllocsPerMove),
 			fmt.Sprintf("%.0f%%", 100*e.ResumedFrac),
-			fmt.Sprintf("%.0f%%", 100*e.EventsFrac))
+			fmt.Sprintf("%.0f%%", 100*e.EventsFrac),
+			fmt.Sprintf("%.1f", e.EventsPerStep),
+			fmt.Sprintf("%d", e.Stage1Misses),
+			fmt.Sprintf("%.0f%%", 100*e.Stage1FoldedFrac),
+			fmt.Sprintf("%.1f", e.Stage1AllocsPerMiss))
 	}
 	return t
 }
 
-// fracSlack is how far, in absolute terms, a model's resumed and
-// re-simulated event fractions may move the wrong way before the snapshot
-// check fails.
-const fracSlack = 0.02
+// fracSlack is how far, in absolute terms, a model's resumed, re-simulated
+// event and stage-1 folded-tile fractions may move the wrong way before the
+// snapshot check fails; stepSlack is how far, relative to the committed
+// value, its re-simulated events per walk step may rise.
+const (
+	fracSlack = 0.02
+	stepSlack = 0.05
+)
 
 // checkSnapshot compares a fresh measurement against the committed snapshot
 // and returns an error describing every regression. Every gated quantity is
-// machine-portable: allocs/move and the resumed and re-simulated event
-// fractions are deterministic for a given build, and the 3x floor is a
-// same-machine ratio, so none depends on how fast the CI runner happens to
-// be. Absolute ns/move is reported but not gated (docs/performance.md
-// discusses the rules).
+// machine-portable: allocation counts, the resumed, re-simulated event and
+// folded-tile fractions and the events per step are deterministic for a
+// given build, and the 3x floor is a same-machine ratio, so none depends on
+// how fast the CI runner happens to be. Absolute ns/move is reported but not
+// gated (docs/performance.md discusses the rules). A column the committed
+// snapshot lacks, because it predates the column, is not gated.
 func checkSnapshot(fresh BenchSnapshot, path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -325,9 +383,16 @@ func checkSnapshot(fresh BenchSnapshot, path string) error {
 	if err := json.Unmarshal(buf, &want); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
+	var cols struct {
+		Models []map[string]json.RawMessage `json:"models"`
+	}
+	if err := json.Unmarshal(buf, &cols); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	base := make(map[string]BenchEntry, len(want.Models))
-	for _, e := range want.Models {
-		base[e.Model] = e
+	has := make(map[string]map[string]json.RawMessage, len(want.Models))
+	for i, e := range want.Models {
+		base[e.Model], has[e.Model] = e, cols.Models[i]
 	}
 
 	var fails []string
@@ -338,35 +403,37 @@ func checkSnapshot(fresh BenchSnapshot, path string) error {
 			continue // model added after the snapshot: nothing to compare
 		}
 		bestSpeedup = max(bestSpeedup, e.Speedup)
-		// >20% allocs/move regression per model (plus one alloc of
-		// absolute slack: the committed counts are small integers, and a
-		// counter artifact must not fail CI on 20% of 2 allocs).
-		// Allocation counts are deterministic, so this gate never flakes.
-		if e.IncAllocsPerMove > w.IncAllocsPerMove*1.2+1 {
-			fails = append(fails, fmt.Sprintf(
-				"%s: incremental allocs/move %.1f exceeds committed %.1f by >20%%",
-				e.Model, e.IncAllocsPerMove, w.IncAllocsPerMove))
+		// worse reports the regression when the committed snapshot has the
+		// column and the measurement crosses its bound.
+		worse := func(col string, crossed bool, format string, args ...any) {
+			if _, ok := has[e.Model][col]; ok && crossed {
+				fails = append(fails, e.Model+": "+fmt.Sprintf(format, args...))
+			}
 		}
-		if e.FullAllocsPerMove > w.FullAllocsPerMove*1.2+1 {
-			fails = append(fails, fmt.Sprintf(
-				"%s: full allocs/move %.1f exceeds committed %.1f by >20%%",
-				e.Model, e.FullAllocsPerMove, w.FullAllocsPerMove))
-		}
+		// >20% allocation regressions per model (plus one alloc of
+		// absolute slack: the committed counts are small, and a counter
+		// artifact must not fail CI on 20% of 2 allocs). Allocation counts
+		// are deterministic, so these gates never flake.
+		worse("inc_allocs_per_move", e.IncAllocsPerMove > w.IncAllocsPerMove*1.2+1,
+			"incremental allocs/move %.1f exceeds committed %.1f by >20%%", e.IncAllocsPerMove, w.IncAllocsPerMove)
+		worse("full_allocs_per_move", e.FullAllocsPerMove > w.FullAllocsPerMove*1.2+1,
+			"full allocs/move %.1f exceeds committed %.1f by >20%%", e.FullAllocsPerMove, w.FullAllocsPerMove)
+		worse("stage1_allocs_per_miss", e.Stage1AllocsPerMiss > w.Stage1AllocsPerMiss*1.2+1,
+			"stage-1 allocs/miss %.1f exceeds committed %.1f by >20%%", e.Stage1AllocsPerMiss, w.Stage1AllocsPerMiss)
 		// The incremental path's own work: how often a proposal resumes
-		// from a checkpoint, and what share of the merge it re-simulates.
-		// Both are deterministic for the fixed-seed move count, so unlike
-		// a timing ratio they neither flake on a slow runner nor move when
-		// the full path gets faster.
-		if e.ResumedFrac < w.ResumedFrac-fracSlack {
-			fails = append(fails, fmt.Sprintf(
-				"%s: resumed fraction %.3f fell below committed %.3f",
-				e.Model, e.ResumedFrac, w.ResumedFrac))
-		}
-		if e.EventsFrac > w.EventsFrac+fracSlack {
-			fails = append(fails, fmt.Sprintf(
-				"%s: re-simulated event fraction %.3f rose above committed %.3f",
-				e.Model, e.EventsFrac, w.EventsFrac))
-		}
+		// from a checkpoint, what share of the merge it re-simulates and
+		// how much it re-simulates per step of the walk. All are
+		// deterministic for the fixed-seed move count, so unlike a timing
+		// ratio they neither flake on a slow runner nor move when the full
+		// path gets faster. So is stage 1's share of tiles folded.
+		worse("resumed_frac", e.ResumedFrac < w.ResumedFrac-fracSlack,
+			"resumed fraction %.3f fell below committed %.3f", e.ResumedFrac, w.ResumedFrac)
+		worse("events_frac", e.EventsFrac > w.EventsFrac+fracSlack,
+			"re-simulated event fraction %.3f rose above committed %.3f", e.EventsFrac, w.EventsFrac)
+		worse("events_per_step", e.EventsPerStep > w.EventsPerStep*(1+stepSlack),
+			"re-simulated events per step %.1f rose above committed %.1f", e.EventsPerStep, w.EventsPerStep)
+		worse("stage1_folded_frac", e.Stage1FoldedFrac > w.Stage1FoldedFrac+fracSlack,
+			"stage-1 folded-tile fraction %.3f rose above committed %.3f", e.Stage1FoldedFrac, w.Stage1FoldedFrac)
 	}
 	// The PR's acceptance floor stays enforced: at least one zoo model must
 	// keep a >=3x incremental speedup.

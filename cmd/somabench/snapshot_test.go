@@ -6,11 +6,9 @@ import (
 	"testing"
 )
 
-// TestCheckSnapshot: the committed point passes against itself, and a
-// measurement whose incremental evaluator never resumes - every proposal a
-// full re-simulation - fails, however fast its moves are.
-func TestCheckSnapshot(t *testing.T) {
-	const path = "../../BENCH_30.json"
+// readSnapshot loads a committed snapshot.
+func readSnapshot(t *testing.T, path string) BenchSnapshot {
+	t.Helper()
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -22,16 +20,48 @@ func TestCheckSnapshot(t *testing.T) {
 	if len(snap.Models) == 0 {
 		t.Fatalf("%s holds no models", path)
 	}
+	return snap
+}
+
+// TestCheckSnapshot: the committed point passes against itself; a
+// measurement whose incremental evaluator never resumes - every proposal a
+// full re-simulation - fails, however fast its moves are, and so do one that
+// re-simulates more events per walk step and one whose stage-1 misses fold
+// every tile. A column the committed point lacks is not gated: the older
+// BENCH_30.json has no per-step or stage-1 columns.
+func TestCheckSnapshot(t *testing.T) {
+	const path, older = "../../BENCH_31.json", "../../BENCH_30.json"
+	snap := readSnapshot(t, path)
 	if err := checkSnapshot(snap, path); err != nil {
 		t.Fatalf("the committed snapshot fails against itself: %v", err)
 	}
-
-	never := snap
-	never.Models = append([]BenchEntry(nil), snap.Models...)
-	for i := range never.Models {
-		never.Models[i].ResumedFrac, never.Models[i].EventsFrac = 0, 1
+	for _, e := range snap.Models {
+		if e.Stage1FoldedFrac <= 0 || e.Stage1FoldedFrac >= 1 {
+			t.Errorf("%s: committed stage-1 folded-tile fraction %v, want inside (0, 1)", e.Model, e.Stage1FoldedFrac)
+		}
 	}
-	if err := checkSnapshot(never, path); err == nil {
-		t.Fatal("a never-resuming evaluator passes the snapshot check")
+
+	for _, c := range []struct {
+		name   string
+		change func(*BenchEntry)
+	}{
+		{"never resumes", func(e *BenchEntry) { e.ResumedFrac, e.EventsFrac = 0, 1 }},
+		{"more events per step", func(e *BenchEntry) { e.EventsPerStep *= 1.5 }},
+		{"folds every stage-1 tile", func(e *BenchEntry) { e.Stage1FoldedFrac = 1 }},
+		{"allocates per stage-1 miss", func(e *BenchEntry) { e.Stage1AllocsPerMiss = 2*e.Stage1AllocsPerMiss + 2 }},
+	} {
+		bad := snap
+		bad.Models = append([]BenchEntry(nil), snap.Models...)
+		for i := range bad.Models {
+			c.change(&bad.Models[i])
+		}
+		if err := checkSnapshot(bad, path); err == nil {
+			t.Errorf("a measurement that %s passes the snapshot check", c.name)
+		}
+		if c.name != "never resumes" {
+			if err := checkSnapshot(bad, older); err != nil {
+				t.Errorf("a measurement that %s fails against %s, which lacks the column: %v", c.name, older, err)
+			}
+		}
 	}
 }

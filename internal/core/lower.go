@@ -11,7 +11,8 @@ import (
 // the tiles in seq order and yields each tile's DRAM tensors in DRAM Tensor
 // Order, and AppendOnChip the static on-chip intervals. Parse materializes
 // the walk into a Schedule; the stage-1 evaluator folds it into the merge
-// without one.
+// without one, and resumes it: Seek skips the tiles of the FLGs a move left
+// unchanged, and LowerKept takes their plans from a lowering Keep retained.
 //
 // During stage 1 the DLSA is the classical double-buffer strategy (Sec.
 // III-B): every load is prefetched one tile ahead of its first use, every
@@ -26,6 +27,10 @@ type Arena struct {
 	g    *graph.Graph
 	e    *Encoding
 	flgs []*flgEntry
+	// kept holds the FLG plans Keep retained, for LowerKept; memoized
+	// reports whether the current lowering took its plans from a memo.
+	kept     []*flgEntry
+	memoized bool
 	// local backs flgs when Lower has no memo; ints and i64s back their
 	// slabs.
 	local    []flgEntry
@@ -102,6 +107,25 @@ func resize[T any](s []T, n int) []T {
 // its bookkeeping, the encoding check's included, in dense LayerID-indexed
 // slices: with a warm arena and a warm memo it allocates nothing.
 func (a *Arena) Lower(g *graph.Graph, e *Encoding, memo *FLGMemo) error {
+	return a.LowerKept(g, e, memo, 0)
+}
+
+// Keep retains the FLG plans of the current lowering for LowerKept. A
+// lowering without a memo retains none: its plans live in the arena's own
+// storage, which the next lowering overwrites.
+func (a *Arena) Keep() {
+	a.kept = a.kept[:0]
+	if a.memoized {
+		a.kept = append(a.kept, a.flgs...)
+	}
+}
+
+// LowerKept lowers e like Lower, but takes the plans of e's first kept FLGs
+// from the lowering Keep last retained instead of from memo. The caller
+// guarantees that each of those FLGs holds the same layers with the same
+// tiling number in both encodings; kept is capped at the number of FLGs
+// retained.
+func (a *Arena) LowerKept(g *graph.Graph, e *Encoding, memo *FLGMemo, kept int) error {
 	if memo != nil && memo.g != g {
 		panic("core: FLG memo built for another graph")
 	}
@@ -110,7 +134,7 @@ func (a *Arena) Lower(g *graph.Graph, e *Encoding, memo *FLGMemo) error {
 	if err := e.check(g, a.pos); err != nil {
 		return err
 	}
-	a.g, a.e = g, e
+	a.g, a.e, a.memoized = g, e, memo != nil
 
 	// Tiling plans. FLGs run in order, each enumerated tile-major.
 	nf := e.NumFLGs()
@@ -119,11 +143,16 @@ func (a *Arena) Lower(g *graph.Graph, e *Encoding, memo *FLGMemo) error {
 	a.flgStart[0] = 0
 	if memo == nil {
 		a.local = resize(a.local, nf)
+		kept = 0
 	}
+	kept = min(kept, len(a.kept))
 	for f := range a.flgs {
-		if memo != nil {
+		switch {
+		case f < kept:
+			a.flgs[f] = a.kept[f]
+		case memo != nil:
 			a.flgs[f] = memo.get(e.FLGLayers(f), e.Tile[f], &a.key)
-		} else {
+		default:
 			a.local[f] = planFLG(g, e.FLGLayers(f), e.Tile[f])
 			a.flgs[f] = &a.local[f]
 		}
@@ -338,14 +367,25 @@ func (st *Step) load(s int, kind TensorKind, id graph.LayerID, next *int, source
 	*next++
 }
 
-// AppendOnChip appends the lowered encoding's static on-chip intervals to
-// dst: for each dependency inside an FLG, the producer's computed slab of
-// tile t lives until the consumer's tile t finishes; a producer consumed in
-// a later FLG of its LG keeps its owned slabs until the last such consumer
-// finishes, unless a store already keeps them.
-func (a *Arena) AppendOnChip(dst []Interval) []Interval {
+// Seek positions the walk at the first tile of FLG f, skipping the tiles
+// before it, so that Next yields FLG f's tiles and the rest. It is valid
+// only between Lower and the walk's first Next. The skipped tiles change
+// nothing the rest of the walk yields: each layer numbers its own tensors.
+func (a *Arena) Seek(f int) {
+	a.f, a.t, a.li, a.seq = f, 0, 0, a.flgStart[f]
+}
+
+// AppendOnChip appends to dst the static on-chip intervals of the layers at
+// Order positions [lo, hi) of the lowered encoding: for each dependency
+// inside an FLG, the producer's computed slab of tile t lives until the
+// consumer's tile t finishes; a producer consumed in a later FLG of its LG
+// keeps its owned slabs until the last such consumer finishes, unless a
+// store already keeps them. Every interval lies inside its layer's LG, so
+// ranges that cover whole LGs partition the intervals by LG.
+func (a *Arena) AppendOnChip(dst []Interval, lo, hi int) []Interval {
 	g, info := a.g, a.info
-	for _, id := range a.e.Order {
+	order := a.e.Order[lo:hi]
+	for _, id := range order {
 		li := &info[id]
 		for _, d := range g.Layer(id).Deps {
 			pi := &info[d.Producer]
@@ -362,7 +402,7 @@ func (a *Arena) AppendOnChip(dst []Interval) []Interval {
 	}
 	// Cross-FLG same-LG aggregates, emitted once per producer so that
 	// multiple consumers do not count them twice.
-	for _, id := range a.e.Order {
+	for _, id := range order {
 		li := &info[id]
 		if li.stores.Lo < li.stores.Hi || li.flgHi == 0 {
 			continue
@@ -399,7 +439,7 @@ func (a *Arena) Parse(g *graph.Graph, e *Encoding, memo *FLGMemo) (*Schedule, er
 			s.Order = append(s.Order, t.ID)
 		}
 	}
-	s.OnChip = a.AppendOnChip(resize(s.OnChip, a.nOnChip)[:0])
+	s.OnChip = a.AppendOnChip(resize(s.OnChip, a.nOnChip)[:0], 0, len(e.Order))
 	s.Stores = resize(s.Stores, len(g.Layers))
 	for id := range s.Stores {
 		s.Stores[id] = a.info[id].stores

@@ -62,7 +62,7 @@ type Request struct {
 	Cache sim.EvalCache
 	// Obs optionally attaches an observability bundle: the registry
 	// receives engine solve counters/latency plus the solver layers'
-	// telemetry (soma_sa_*, sim_inc_*, sim_eval_cache_*), and the tracer
+	// telemetry (soma_sa_*, sim_inc_*, sim_arena_*, sim_eval_cache_*), and the tracer
 	// records stage/component spans. Pure pass-through: fixed-seed results
 	// are byte-identical with Obs set or nil, except that successful runs
 	// additionally carry a Result.Telemetry section (wall times).

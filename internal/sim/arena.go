@@ -13,7 +13,13 @@ import (
 // gives each chain one, and it evaluates every cache miss of the chain. It
 // builds no Schedule: it folds the core.Arena walk straight into the merge.
 // FLG plans, slab sizes and tile costs come from an FLG memo, which the
-// chains of one explorer share. An Arena is not safe for concurrent use.
+// chains of one explorer share.
+//
+// An arena resumes each evaluation from its base, the encoding of the last
+// evaluation Accept promoted: it keeps the fold's state where each LG of the
+// base begins (an lgCheckpoint), and an encoding whose first LGs equal the
+// base's folds only the tiles from the first LG that differs. An arena is
+// not safe for concurrent use.
 type Arena struct {
 	g    *graph.Graph
 	cs   *coresched.Scheduler
@@ -26,6 +32,60 @@ type Arena struct {
 	gate   []float64
 	usage  []int64
 	onChip []core.Interval
+
+	// base is the encoding ckpts describe: ckpts[k] is the state where its
+	// LG k begins. ckpts[0], the state before any tile, is always there;
+	// the last LG has none when it holds one tile.
+	base  core.Encoding
+	ckpts []lgCheckpoint
+	// last is the encoding of the last evaluation when lastOK, resumed
+	// from ckpts[from]; next holds the checkpoints it recorded, for its
+	// LGs from+1 on.
+	last   core.Encoding
+	lastOK bool
+	from   int
+	next   []lgCheckpoint
+
+	stats ArenaStats
+}
+
+// lgCheckpoint is the fold's state where an LG begins, before its first
+// tile b: everything the tiles from b on read of the tiles before b. Under
+// the double-buffer DLSA a tile's loads wait on the tile two before it and
+// a store holds buffer and gates the tile two after its producer, so the
+// state reaches back one tile and forward two.
+type lgCheckpoint struct {
+	// flg is the LG's first FLG, and seq its first tile b.
+	flg, seq int
+	// The resource frontiers and the sums over the tiles before b.
+	computeFree, dramFree, dramBusy, coreEnergy, computeBusy float64
+	dramBytes                                                int64
+	// end holds tileEnd[b-2] and tileEnd[b-1], on which the loads of
+	// tiles b and b+1 wait, and dur tileDur[b-1].
+	end [2]float64
+	dur float64
+	// gate holds gate[b] and gate[b+1], which the stores of tiles b-2 and
+	// b-1 set.
+	gate [2]float64
+	// diff holds the usage differences at seqs b-1, b and b+1 that the
+	// tensors and on-chip intervals of the tiles before b contribute;
+	// nothing before b reaches further.
+	diff [3]int64
+	// acc is the usage at seq b-2, and us the usage folded through it.
+	// The differences up to b-2 are final once tile b-1 is folded: the
+	// tensors of tile b and later start at b-1.
+	acc int64
+	us  usageSum
+}
+
+// ArenaStats counts an arena's evaluations and the tiles it folded.
+type ArenaStats struct {
+	// Evals counts Evaluate calls, Resumed those that resumed from a
+	// checkpoint after tile 0.
+	Evals, Resumed int64
+	// Tiles sums the tiles of the encodings that lowered: what cold folds
+	// would walk. Folded sums the tiles the evaluations walked and folded.
+	Tiles, Folded int64
 }
 
 // NewArena returns an empty arena for encodings of g evaluated on cs. memo,
@@ -35,7 +95,24 @@ func NewArena(g *graph.Graph, cs *coresched.Scheduler, memo *core.FLGMemo) *Aren
 	if memo == nil {
 		memo = core.NewFLGMemo(g, cs, core.DefaultFLGMemoBytes)
 	}
-	return &Arena{g: g, cs: cs, memo: memo}
+	return &Arena{g: g, cs: cs, memo: memo, ckpts: []lgCheckpoint{{}}}
+}
+
+// Stats returns the arena's counters.
+func (a *Arena) Stats() ArenaStats { return a.stats }
+
+// Accept makes the encoding of the last evaluation the base later
+// evaluations resume from, with the checkpoints that evaluation recorded.
+// After an evaluation that failed to lower, or a second Accept, it does
+// nothing: the base stays the encoding its checkpoints describe.
+func (a *Arena) Accept() {
+	if !a.lastOK {
+		return
+	}
+	a.ckpts = append(a.ckpts[:a.from+1], a.next...)
+	a.base, a.last = a.last, a.base
+	a.low.Keep()
+	a.lastOK = false
 }
 
 // Evaluate scores enc under opt; the result equals
@@ -51,12 +128,24 @@ func NewArena(g *graph.Graph, cs *coresched.Scheduler, memo *core.FLGMemo) *Aren
 // earlier step, and the steps issue the DRAM tensors in DRAM Tensor Order
 // and the tiles in seq order, so folding them in this order performs
 // Evaluate's float operations in Evaluate's order, and never deadlocks.
+//
+// The steps of an LG depend on the encoding only through that LG and the
+// ones before it, so the fold resumes from the base's checkpoint where the
+// first LG that differs from the base's begins (see resumeFrom). The usage
+// profile is folded LG by LG as well, with each LG's on-chip intervals
+// added where the LG begins, so the resumed fold performs the cold fold's
+// float operations on the tiles from its checkpoint on.
 func (a *Arena) Evaluate(enc *core.Encoding, opt Options) (*Metrics, error) {
 	if opt.Trace || opt.TileCosts != nil {
 		return nil, errors.New("sim: arena evaluations take neither Trace nor TileCosts")
 	}
+	a.stats.Evals++
+	a.lastOK = false
+	// The FLGs before the first that differs from the base's keep the
+	// base's plans.
+	changed := firstChangedFLG(&a.base, enc)
 	w := &a.low
-	if err := w.Lower(a.g, enc, a.memo); err != nil {
+	if err := w.LowerKept(a.g, enc, a.memo, changed); err != nil {
 		return nil, err
 	}
 	cfg := a.cs.Config()
@@ -64,11 +153,40 @@ func (a *Arena) Evaluate(enc *core.Encoding, opt Options) (*Metrics, error) {
 	tileDur, tileEnd := resize(a.tileDur, n), resize(a.tileEnd, n)
 	gate, usage := resize(a.gate, n), resize(a.usage, n+1)
 	a.tileDur, a.tileEnd, a.gate, a.usage = tileDur, tileEnd, gate, usage
-	clear(gate)
-	clear(usage)
 
-	var computeFree, dramFree, dramBusy, coreEnergy, computeBusy float64
-	var dramBytes int64
+	from := a.resumeFrom(changed, n)
+	ck := &a.ckpts[from]
+	b := ck.seq
+	a.stats.Tiles += int64(n)
+	a.stats.Folded += int64(n - b)
+	if b > 0 {
+		a.stats.Resumed++
+	}
+	clear(gate[b:])
+	clear(usage[max(b-1, 0):])
+	if b > 0 { // b+1 < n: see resumeFrom
+		if b > 1 {
+			tileEnd[b-2] = ck.end[0]
+		}
+		tileEnd[b-1], tileDur[b-1] = ck.end[1], ck.dur
+		gate[b], gate[b+1] = ck.gate[0], ck.gate[1]
+		usage[b-1], usage[b], usage[b+1] = ck.diff[0], ck.diff[1], ck.diff[2]
+	}
+	computeFree, dramFree, dramBusy := ck.computeFree, ck.dramFree, ck.dramBusy
+	coreEnergy, computeBusy, dramBytes := ck.coreEnergy, ck.computeBusy, ck.dramBytes
+	acc, us := ck.acc, ck.us
+	done := max(b-1, 0) // the next seq the usage fold takes
+	sumTo := func(hi int) {
+		for ; done < hi; done++ {
+			acc += usage[done]
+			us.add(acc, tileDur[done])
+		}
+	}
+	a.next = a.next[:0]
+	lg := from
+	a.addOnChip(enc, ck.flg)
+	w.Seek(ck.flg)
+
 	// dram issues tensor t on the serial DRAM channel once dep has passed.
 	dram := func(t *core.Tensor, dep float64) float64 {
 		dur := float64(t.Bytes) / cfg.DRAMBandwidth
@@ -80,6 +198,20 @@ func (a *Arena) Evaluate(enc *core.Encoding, opt Options) (*Metrics, error) {
 	}
 	for st := w.Next(); st != nil; st = w.Next() {
 		s := st.Tile.Seq
+		if st.Tile.LG != lg { // LG lg begins at tile s
+			lg = st.Tile.LG
+			sumTo(s - 1)
+			if s+1 < n {
+				a.next = append(a.next, lgCheckpoint{flg: st.Tile.FLG, seq: s,
+					computeFree: computeFree, dramFree: dramFree, dramBusy: dramBusy,
+					coreEnergy: coreEnergy, computeBusy: computeBusy, dramBytes: dramBytes,
+					end: [2]float64{tileEnd[max(s-2, 0)], tileEnd[s-1]}, dur: tileDur[s-1],
+					gate: [2]float64{gate[s], gate[s+1]},
+					diff: [3]int64{usage[s-1], usage[s], usage[s+1]},
+					acc:  acc, us: us})
+			}
+			a.addOnChip(enc, st.Tile.FLG)
+		}
 		depTime := gate[s]
 		ts := st.Tensors
 		for len(ts) > 0 && ts[0].Kind.IsLoad() {
@@ -108,19 +240,76 @@ func (a *Arena) Evaluate(enc *core.Encoding, opt Options) (*Metrics, error) {
 			core.AddUsage(usage, lo, hi, t.Bytes)
 		}
 	}
-	a.onChip = w.AppendOnChip(a.onChip[:0])
-	for _, iv := range a.onChip {
-		core.AddUsage(usage, iv.Lo, iv.Hi, iv.Bytes)
-	}
-	// Prefix sums in place: usage at seq i is the sum of the differences
-	// at seqs 0..i.
-	var acc int64
-	for i := range usage[:n] {
-		acc += usage[i]
-		usage[i] = acc
-	}
-	return finishMetrics(cfg, a.g, opt.BufferBudget, usage[:n], tileDur,
+	sumTo(n)
+	a.last.CopyFrom(enc)
+	a.lastOK, a.from = true, from
+	return finishMetrics(cfg, a.g, opt.BufferBudget, us,
 		coreEnergy, computeBusy, computeFree, dramFree, dramBusy, dramBytes), nil
+}
+
+// resumeFrom returns the index of the base checkpoint an evaluation resumes
+// from when its encoding, lowered to n tiles, first differs from the base
+// at FLG changed: the checkpoint where the LG holding that FLG begins, or
+// an earlier one. The LGs before it hold the same layers in the same FLGs
+// with the same tiling numbers and cuts in both encodings, so their tiles
+// yield the same steps: a layer of theirs consumed in a later LG is stored
+// in both. The checkpoint must also leave two tiles after its seq b in the
+// encoding as in the base, so that the stores of tiles b-2 and b-1 end
+// before the last tile in both (core.Tensor.Gate).
+func (a *Arena) resumeFrom(changed, n int) int {
+	k := min(lgOf(&a.base, changed), len(a.ckpts)-1)
+	for k > 0 && a.ckpts[k].seq+1 >= n {
+		k--
+	}
+	return k
+}
+
+// firstChangedFLG returns the first FLG whose layers, tiling number or
+// closing cut differ between x and y, or their common FLG count when
+// neither holds one. It reads y before any check: a malformed y only
+// changes sooner.
+func firstChangedFLG(x, y *core.Encoding) int {
+	p := 0 // the first order position that differs
+	for p < len(x.Order) && p < len(y.Order) && x.Order[p] == y.Order[p] {
+		p++
+	}
+	nf := min(x.NumFLGs(), y.NumFLGs(), len(x.Tile), len(y.Tile))
+	for f := 0; f < nf; f++ {
+		_, hx := x.FLGBounds(f)
+		_, hy := y.FLGBounds(f)
+		if hx != hy || hx > p || x.Tile[f] != y.Tile[f] ||
+			(f < len(x.IsDRAM)) != (f < len(y.IsDRAM)) ||
+			f < len(x.IsDRAM) && x.IsDRAM[f] != y.IsDRAM[f] {
+			return f
+		}
+	}
+	return nf
+}
+
+// lgOf returns the index of the LG of e that holds FLG f, or that would
+// begin there when f is past the last FLG.
+func lgOf(e *core.Encoding, f int) int {
+	k := 0
+	for _, cut := range e.IsDRAM[:min(f, len(e.IsDRAM))] {
+		if cut {
+			k++
+		}
+	}
+	return k
+}
+
+// addOnChip adds to the usage differences the on-chip intervals of the LG
+// of enc that begins at FLG f.
+func (a *Arena) addOnChip(enc *core.Encoding, f int) {
+	lo, _ := enc.FLGBounds(f)
+	for f < len(enc.IsDRAM) && !enc.IsDRAM[f] {
+		f++
+	}
+	_, hi := enc.FLGBounds(f)
+	a.onChip = a.low.AppendOnChip(a.onChip[:0], lo, hi)
+	for _, iv := range a.onChip {
+		core.AddUsage(a.usage, iv.Lo, iv.Hi, iv.Bytes)
+	}
 }
 
 // resize returns s with length n, reusing its storage when it is large

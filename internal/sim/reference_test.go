@@ -100,7 +100,7 @@ func referenceEvaluate(s *core.Schedule, cs *coresched.Scheduler, budget int64) 
 		return &Metrics{}, fmt.Errorf("%w: stuck at tile %d/%d, tensor %d/%d",
 			ErrDeadlock, i, n, j, m)
 	}
-	met := finishMetrics(cfg, s.G, budget, referenceUsage(s), tc.Dur,
+	met := finishMetrics(cfg, s.G, budget, sumUsage(referenceUsage(s), tc.Dur),
 		tc.CoreEnergy, tc.ComputeBusy, computeFree, dramFree, dramBusy, dramBytes)
 	met.TileStart, met.TileEnd = tileStart, tileEnd
 	met.TensorStart, met.TensorEnd = tensorStart, tensorEnd

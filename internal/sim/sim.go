@@ -389,35 +389,53 @@ func (r *replay) run(ck mergeState, ckpts *[]checkpoint, w *watch) (mergeState, 
 // metrics folds a completed run ending at end, with the schedule's
 // buffer-usage profile usage, into the full metric set.
 func (r *replay) metrics(usage []int64, end mergeState) *Metrics {
-	return finishMetrics(r.cfg, r.s.G, r.opt.BufferBudget, usage, r.tc.Dur,
+	return finishMetrics(r.cfg, r.s.G, r.opt.BufferBudget, sumUsage(usage, r.tc.Dur),
 		r.tc.CoreEnergy, r.tc.ComputeBusy, end.computeFree, end.dramFree, end.dramBusy, end.dramBytes)
 }
 
+// usageSum folds a buffer-usage profile seq by seq, in seq order: its peak,
+// and its sum weighted by each tile's compute time.
+type usageSum struct {
+	peak     int64
+	weighted float64
+}
+
+// add folds the usage u of a tile whose compute time is dur.
+func (us *usageSum) add(u int64, dur float64) {
+	if u > us.peak {
+		us.peak = u
+	}
+	us.weighted += float64(u) * dur
+}
+
+// sumUsage folds the whole profile usage of tiles with compute times
+// tileDur.
+func sumUsage(usage []int64, tileDur []float64) usageSum {
+	var us usageSum
+	for seq, u := range usage {
+		us.add(u, tileDur[seq])
+	}
+	return us
+}
+
 // finishMetrics folds a completed merge (final resource frontiers, DRAM
-// occupancy) and the schedule's buffer-usage profile into the full metric
-// set. Evaluate, the Incremental evaluator and the Arena feed it identical
-// inputs through identical float operations in the same order, so their
-// Metrics are bit-for-bit equal - the property the differential tests pin
-// down.
-func finishMetrics(cfg hw.Config, g *graph.Graph, budget int64, usage []int64,
-	tileDur []float64, coreEnergy, computeBusy, computeFree, dramFree, dramBusy float64,
+// occupancy) and the schedule's folded buffer-usage profile into the full
+// metric set. Evaluate, the Incremental evaluator and the Arena feed it
+// identical inputs through identical float operations in the same order, so
+// their Metrics are bit-for-bit equal - the property the differential tests
+// pin down.
+func finishMetrics(cfg hw.Config, g *graph.Graph, budget int64, us usageSum,
+	coreEnergy, computeBusy, computeFree, dramFree, dramBusy float64,
 	dramBytes int64) *Metrics {
 
 	latency := maxf(computeFree, dramFree)
 	if budget == 0 {
 		budget = cfg.GBufBytes
 	}
-	var peak int64
-	var weighted float64
-	for seq, u := range usage {
-		if u > peak {
-			peak = u
-		}
-		weighted += float64(u) * tileDur[seq]
-	}
+	peak := us.peak
 	avg := 0.0
 	if computeBusy > 0 {
-		avg = weighted / computeBusy
+		avg = us.weighted / computeBusy
 	}
 
 	en := cfg.Energy

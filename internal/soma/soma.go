@@ -176,7 +176,8 @@ type Explorer struct {
 	Progress func(Progress)
 	// Reg, when non-nil, receives search telemetry: annealer move counters
 	// per stage (soma_sa_*), incremental-evaluator counters (sim_inc_*),
-	// the evaluation cache's counters (sim_eval_cache_*) and allocator
+	// stage-1 arena counters (sim_arena_*), the evaluation cache's
+	// counters (sim_eval_cache_*) and allocator
 	// iteration counts. Like Progress it observes only - fixed-seed
 	// results are byte-identical with or without it.
 	Reg *obs.Registry

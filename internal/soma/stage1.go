@@ -56,13 +56,16 @@ func (e *Explorer) AnnealLFA(ctx context.Context, stage string, init *core.Encod
 	pf := e.portfolio()
 	pf.OnImprove = e.improveHook(stage, cfg)
 	pf.Journal = e.stageJournal(stage)
+	chains := make([]*lfaMoves, max(pf.Chains, 1))
 	best, bestCost, stats := sa.RunMovesPortfolioCtx[*core.Encoding](ctx, cfg, pf,
-		func(int) sa.MoveState[*core.Encoding] {
-			return &lfaMoves{e: e, budget: budget, mutate: mutate, cur: init.Clone(),
+		func(c int) sa.MoveState[*core.Encoding] {
+			chains[c] = &lfaMoves{e: e, budget: budget, mutate: mutate, cur: init.Clone(),
 				cand: &core.Encoding{}, best: &core.Encoding{},
 				ev: chainEval{m: new(sim.Metrics)}}
+			return chains[c]
 		})
 	e.addSAStats(stage, stats.Total)
+	e.addArenaStats(chains)
 	if err := ctx.Err(); err != nil {
 		return nil, StageResult{}, err
 	}
@@ -83,11 +86,23 @@ func (e *Explorer) AnnealLFA(ctx context.Context, stage string, init *core.Encod
 // chainEval is one chain's stage-1 evaluation storage: the arena its cache
 // misses are evaluated in, built on first use, the buffer each lookup key
 // is built in, and the metrics a cache hit is written into (nil: each hit
-// gets a fresh copy).
+// gets a fresh copy). missed reports whether the last evaluation ran in the
+// arena rather than hitting the cache.
 type chainEval struct {
-	arena *sim.Arena
-	key   []byte
-	m     *sim.Metrics
+	arena  *sim.Arena
+	key    []byte
+	m      *sim.Metrics
+	missed bool
+}
+
+// accept makes the chain's arena resume later misses from the encoding the
+// last evaluation scored, when the arena scored it. An encoding accepted
+// from a cache hit has no checkpoints, so the arena keeps resuming from the
+// last miss it accepted, which its checkpoints still describe.
+func (ev *chainEval) accept() {
+	if ev.missed {
+		ev.arena.Accept()
+	}
 }
 
 // evalEnc evaluates an encoding under a stage-1 budget. It is keyed on the
@@ -100,10 +115,12 @@ type chainEval struct {
 // in ev's arena, so a chain whose lookups all hit builds none. Without a
 // cache (the Cocco baseline) no key is built.
 func (e *Explorer) evalEnc(enc *core.Encoding, budget int64, ev *chainEval) (*sim.Metrics, error) {
+	ev.missed = false
 	eval := func() (*sim.Metrics, error) {
 		if ev.arena == nil {
 			ev.arena = sim.NewArena(e.G, e.CS, e.flgMemo())
 		}
+		ev.missed = true
 		return ev.arena.Evaluate(enc, sim.Options{BufferBudget: budget})
 	}
 	if e.Cache == nil {
@@ -114,6 +131,33 @@ func (e *Explorer) evalEnc(enc *core.Encoding, budget int64, ev *chainEval) (*si
 	k = sim.AppendBudget(enc.AppendKey(k), budget)
 	ev.key = k
 	return sim.Memoize(e.Cache, k, ev.m, eval)
+}
+
+// addArenaStats adds the finished chains' arena counters (sim.ArenaStats)
+// to the registry's sim_arena_* family, in bulk like addIncStats.
+func (e *Explorer) addArenaStats(chains []*lfaMoves) {
+	if e.Reg == nil {
+		return
+	}
+	var sum sim.ArenaStats
+	for _, m := range chains {
+		if m == nil || m.ev.arena == nil {
+			continue
+		}
+		st := m.ev.arena.Stats()
+		sum.Evals += st.Evals
+		sum.Resumed += st.Resumed
+		sum.Tiles += st.Tiles
+		sum.Folded += st.Folded
+	}
+	e.Reg.Counter("sim_arena_evals_total",
+		"Stage-1 cache misses the chains' arenas evaluated.").Add(sum.Evals)
+	e.Reg.Counter("sim_arena_resumed_total",
+		"Stage-1 arena evaluations resumed from an LG checkpoint after tile 0.").Add(sum.Resumed)
+	e.Reg.Counter("sim_arena_tiles_total",
+		"Tiles the stage-1 arena evaluations would fold from tile 0.").Add(sum.Tiles)
+	e.Reg.Counter("sim_arena_tiles_folded_total",
+		"Tiles the stage-1 arena evaluations folded.").Add(sum.Folded)
 }
 
 // flgMemo returns the FLG memo the explorer's stage-1 chains share across
@@ -134,7 +178,8 @@ func (e *Explorer) flgMemo() *core.FLGMemo {
 // copy Snapshot returns. Accept swaps cur and cand, so a chain allocates
 // only while its encodings grow. Only the operator draws from the rng
 // before the annealer's acceptance draw, so reusing cand changes no
-// fixed-seed result.
+// fixed-seed result. The initial state and every accepted candidate that
+// missed the cache become the base the chain's arena resumes from.
 type lfaMoves struct {
 	e               *Explorer
 	budget          int64
@@ -149,7 +194,11 @@ func (m *lfaMoves) cost(enc *core.Encoding) float64 {
 	return m.e.objective(m.e.evalEnc(enc, m.budget, &m.ev))
 }
 
-func (m *lfaMoves) InitCost() float64 { return m.cost(m.cur) }
+func (m *lfaMoves) InitCost() float64 {
+	c := m.cost(m.cur)
+	m.ev.accept()
+	return c
+}
 
 func (m *lfaMoves) Propose(rng *rand.Rand) (float64, bool) {
 	m.cand.CopyFrom(m.cur)
@@ -161,7 +210,10 @@ func (m *lfaMoves) Propose(rng *rand.Rand) (float64, bool) {
 	return m.cost(m.cand), true
 }
 
-func (m *lfaMoves) Accept() { m.cur, m.cand = m.cand, m.cur }
+func (m *lfaMoves) Accept() {
+	m.cur, m.cand = m.cand, m.cur
+	m.ev.accept()
+}
 func (m *lfaMoves) Reject() {}
 
 // Snapshot copies the accepted state into the chain's best buffer; the

@@ -2,12 +2,14 @@ package soma
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"soma/internal/core"
 	"soma/internal/graph"
 	"soma/internal/hw"
 	"soma/internal/models"
+	"soma/internal/obs"
 )
 
 // prefill2Blk is GPT-2 Small prefill cut to two transformer blocks.
@@ -38,9 +40,10 @@ func lfaWalk(e *Explorer, n int) []*core.Encoding {
 
 // TestStage1MissAllocs gates stage 1's allocations per cache miss: once the
 // chain's arena and the FLG memo are warm, a miss - parse, tile costs,
-// merge and metrics - allocates only the metrics it returns, on a CNN of a
-// few dozen FLGs and on a prefill cut of thousands of tiles alike. Without
-// a cache, as in the Cocco baseline, no lookup key is built.
+// merge and metrics, resumed from the candidate accepted before it -
+// allocates only the metrics it returns, on a CNN of a few dozen FLGs and
+// on a prefill cut of thousands of tiles alike. Without a cache, as in the
+// Cocco baseline, no lookup key is built.
 func TestStage1MissAllocs(t *testing.T) {
 	const limit = 1
 	for _, c := range []struct {
@@ -55,22 +58,37 @@ func TestStage1MissAllocs(t *testing.T) {
 			e.Cache = nil // every evaluation misses
 			walk := lfaWalk(e, 200)
 			var ev chainEval
+			// Like a chain that accepts every candidate that lowers.
+			eval := func(enc *core.Encoding) error {
+				_, err := e.evalEnc(enc, e.Cfg.GBufBytes, &ev)
+				if err == nil {
+					ev.accept()
+				}
+				return err
+			}
 			tiles := 0
 			for _, enc := range walk {
-				if _, err := e.evalEnc(enc, e.Cfg.GBufBytes, &ev); err == nil {
+				if eval(enc) == nil {
 					s, _ := core.Parse(e.G, enc)
 					tiles = max(tiles, s.NumTiles())
 				}
 			}
+			before := ev.arena.Stats()
 			i := 0
 			allocs := testing.AllocsPerRun(len(walk), func() {
-				e.evalEnc(walk[i%len(walk)], e.Cfg.GBufBytes, &ev)
+				eval(walk[i%len(walk)])
 				i++
 			})
 			if ev.key != nil {
 				t.Errorf("built a %d-byte cache key with no cache", len(ev.key))
 			}
-			t.Logf("%.1f allocs per miss (up to %d tiles)", allocs, tiles)
+			st := ev.arena.Stats()
+			resumed, folded := st.Resumed-before.Resumed, st.Folded-before.Folded
+			if resumed == 0 {
+				t.Error("no timed miss resumed")
+			}
+			t.Logf("%.1f allocs per miss (up to %d tiles); %d of %d misses resumed, %.0f%% of tiles folded",
+				allocs, tiles, resumed, st.Evals-before.Evals, 100*float64(folded)/float64(st.Tiles-before.Tiles))
 			if allocs > limit {
 				t.Errorf("%.1f allocs per stage-1 miss, limit %d", allocs, limit)
 			}
@@ -163,4 +181,73 @@ func TestStage1ParallelChainsMatchSerial(t *testing.T) {
 	if keys[0] != keys[1] || costs[0] != costs[1] {
 		t.Fatalf("workers 1: cost %v; workers 2: cost %v (winner equal: %v)", costs[0], costs[1], keys[0] == keys[1])
 	}
+}
+
+// TestStage1ArenaCounters: once a stage-1 run returns, the sim_arena_*
+// counters reconcile with its walk. With a cache, every arena evaluation is
+// one of the stage's cache misses. Without one, as in the Cocco baseline,
+// every chain's initial state and every productive proposal is an arena
+// evaluation, and sim_arena_tiles_total sums the tiles of those that lower,
+// which a mutate hook records. The folded tiles stay below that sum once
+// evaluations resume.
+func TestStage1ArenaCounters(t *testing.T) {
+	g := mustBuild(t, "mobilenetv2")
+	par := portfolioParams(2, 1)
+	ctx := context.Background()
+	counters := func(e *Explorer) (evals, resumed, tiles, folded int64) {
+		c := func(name string) int64 { return e.Reg.Counter(name, "").Value() }
+		return c("sim_arena_evals_total"), c("sim_arena_resumed_total"),
+			c("sim_arena_tiles_total"), c("sim_arena_tiles_folded_total")
+	}
+
+	e := New(g, hw.Edge(), EDP(), par)
+	e.Reg = obs.NewRegistry()
+	before := e.Cache.Stats().Misses
+	if _, _, err := e.RunStage1(ctx, e.Cfg.GBufBytes, e.Par.Seed); err != nil {
+		t.Fatal(err)
+	}
+	evals, resumed, tiles, folded := counters(e)
+	if misses := e.Cache.Stats().Misses - before; evals != misses {
+		t.Errorf("cached: %d arena evaluations, %d cache misses", evals, misses)
+	}
+	if resumed == 0 || resumed > evals || folded >= tiles {
+		t.Errorf("cached: %d of %d evaluations resumed, %d of %d tiles folded", resumed, evals, folded, tiles)
+	}
+
+	u := New(g, hw.Edge(), EDP(), par)
+	u.Cache, u.Reg = nil, obs.NewRegistry()
+	init := InitialEncoding(u.G, u.Cfg, u.Par.MinTile)
+	var wantEvals, wantTiles int64
+	count := func(enc *core.Encoding) {
+		wantEvals++
+		if s, err := core.Parse(g, enc); err == nil {
+			wantTiles += int64(s.NumTiles())
+		}
+	}
+	for c := 0; c < par.Chains; c++ {
+		count(init)
+	}
+	mutate := func(c *core.Encoding, rng *rand.Rand) (string, bool) {
+		kind, ok := u.mutateLFA(c, rng)
+		if ok {
+			count(c)
+		}
+		return kind, ok
+	}
+	_, res, err := u.AnnealLFA(ctx, "stage1", init, u.Cfg.GBufBytes, u.Par.Seed, mutate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals, resumed, tiles, folded = counters(u)
+	if evals != wantEvals || tiles != wantTiles {
+		t.Errorf("uncached: %d evaluations of %d tiles, the walk made %d of %d", evals, tiles, wantEvals, wantTiles)
+	}
+	if st := res.Stats.Total; evals != int64(st.Accepted+st.Rejected+par.Chains) {
+		t.Errorf("uncached: %d evaluations, the annealer scored %d proposals and %d initial states",
+			evals, st.Accepted+st.Rejected, par.Chains)
+	}
+	if resumed == 0 || folded >= tiles {
+		t.Errorf("uncached: %d of %d evaluations resumed, %d of %d tiles folded", resumed, evals, folded, tiles)
+	}
+	t.Logf("uncached: %d of %d evaluations resumed, %.0f%% of tiles folded", resumed, evals, 100*float64(folded)/float64(tiles))
 }
