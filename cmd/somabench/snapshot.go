@@ -62,10 +62,17 @@ type BenchEntry struct {
 	// stage-1 run from the no-fusion start; Stage1FoldedFrac the fraction
 	// of their tiles the arena folded (sim_arena_tiles_folded_total over
 	// sim_arena_tiles_total), and Stage1AllocsPerMiss the run's heap
-	// allocations per miss.
-	Stage1Misses        int64   `json:"stage1_misses"`
-	Stage1FoldedFrac    float64 `json:"stage1_folded_frac"`
-	Stage1AllocsPerMiss float64 `json:"stage1_allocs_per_miss"`
+	// allocations per miss. Stage1LookupsPerMiss is the FLG plans their
+	// lowerings took from the FLG memo per miss
+	// (sim_arena_memo_lookups_total), and Stage1LoweredFrac the fraction of
+	// the misses' layers whose bookkeeping they recomputed
+	// (sim_arena_layers_bookkept_total over misses times the model's
+	// layers).
+	Stage1Misses         int64   `json:"stage1_misses"`
+	Stage1FoldedFrac     float64 `json:"stage1_folded_frac"`
+	Stage1AllocsPerMiss  float64 `json:"stage1_allocs_per_miss"`
+	Stage1LookupsPerMiss float64 `json:"stage1_lookups_per_miss"`
+	Stage1LoweredFrac    float64 `json:"stage1_lowered_frac"`
 }
 
 // BenchSnapshot is the BENCH_6.json payload.
@@ -217,37 +224,45 @@ func (h *harness) benchCase(c exp.Case) (BenchEntry, error) {
 	// stats covers one repetition: the warmup and the timed moves.
 	e.EventsPerStep = float64(stats.EventsSimulated) / float64(incBenchMoves+incBenchMoves/10)
 
-	e.Stage1Misses, e.Stage1FoldedFrac, e.Stage1AllocsPerMiss, err = stage1Walk(g, cfg, h.par)
+	err = stage1Walk(g, cfg, h.par, &e)
 	return e, err
 }
 
 // stage1Walk runs stage 1 on g serially (one chain) at the parameters' seed
-// and profile, and reports its cache misses: how many there were, the
-// fraction of their tiles the chain's arena folded, and the run's heap
-// allocations per miss, the fewest of benchReps runs. Every run makes the
-// same misses: it starts from a fresh explorer and cache.
-func stage1Walk(g *graph.Graph, cfg hw.Config, par soma.Params) (misses int64, folded, allocs float64, err error) {
+// and profile, and records its cache misses in e's stage-1 columns: how
+// many there were, the fraction of their tiles the chain's arena folded,
+// the FLG plans looked up per miss, the fraction of their layers bookkept
+// afresh, and the run's heap allocations per miss, the fewest of benchReps
+// runs. Every run makes the same misses: it starts from a fresh explorer
+// and cache.
+func stage1Walk(g *graph.Graph, cfg hw.Config, par soma.Params, e *BenchEntry) error {
 	par.Chains, par.Workers = 1, 1
+	layers := int64(len(g.ComputeLayers()))
 	for r := 0; r < benchReps; r++ {
-		e := soma.New(g, cfg, soma.EDP(), par)
-		e.Reg = obs.NewRegistry()
+		x := soma.New(g, cfg, soma.EDP(), par)
+		x.Reg = obs.NewRegistry()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err = e.RunStage1(context.Background(), cfg.GBufBytes, par.Seed)
+		_, _, err := x.RunStage1(context.Background(), cfg.GBufBytes, par.Seed)
 		runtime.ReadMemStats(&after)
 		if err != nil {
-			return 0, 0, 0, err
+			return err
 		}
-		count := func(name string) int64 { return e.Reg.Counter(name, "").Value() }
-		misses = count("sim_arena_evals_total")
+		count := func(name string) int64 { return x.Reg.Counter(name, "").Value() }
+		misses := count("sim_arena_evals_total")
+		e.Stage1Misses = misses
 		if tiles := count("sim_arena_tiles_total"); tiles > 0 {
-			folded = float64(count("sim_arena_tiles_folded_total")) / float64(tiles)
+			e.Stage1FoldedFrac = float64(count("sim_arena_tiles_folded_total")) / float64(tiles)
 		}
-		if a := float64(after.Mallocs-before.Mallocs) / float64(max(misses, 1)); r == 0 || a < allocs {
-			allocs = a
+		if misses > 0 {
+			e.Stage1LookupsPerMiss = float64(count("sim_arena_memo_lookups_total")) / float64(misses)
+			e.Stage1LoweredFrac = float64(count("sim_arena_layers_bookkept_total")) / float64(misses*layers)
+		}
+		if a := float64(after.Mallocs-before.Mallocs) / float64(max(misses, 1)); r == 0 || a < e.Stage1AllocsPerMiss {
+			e.Stage1AllocsPerMiss = a
 		}
 	}
-	return misses, folded, allocs, nil
+	return nil
 }
 
 // The per-move measurement walks a deterministic move sequence and times a
@@ -339,7 +354,7 @@ func snapshotTable(snap BenchSnapshot) *report.Table {
 	t := report.New("per-move evaluation snapshot (stage 2) and stage-1 misses", "model", "platform",
 		"tiles", "tensors", "inc ns/move", "full ns/move", "speedup",
 		"allocs inc/full", "resumed", "events", "events/step",
-		"s1 misses", "s1 folded", "s1 allocs/miss")
+		"s1 misses", "s1 folded", "s1 lookups/miss", "s1 lowered", "s1 allocs/miss")
 	for _, e := range snap.Models {
 		t.Add(e.Model, e.Platform,
 			fmt.Sprintf("%d", e.Tiles), fmt.Sprintf("%d", e.Tensors),
@@ -352,15 +367,18 @@ func snapshotTable(snap BenchSnapshot) *report.Table {
 			fmt.Sprintf("%.1f", e.EventsPerStep),
 			fmt.Sprintf("%d", e.Stage1Misses),
 			fmt.Sprintf("%.0f%%", 100*e.Stage1FoldedFrac),
+			fmt.Sprintf("%.2f", e.Stage1LookupsPerMiss),
+			fmt.Sprintf("%.0f%%", 100*e.Stage1LoweredFrac),
 			fmt.Sprintf("%.1f", e.Stage1AllocsPerMiss))
 	}
 	return t
 }
 
 // fracSlack is how far, in absolute terms, a model's resumed, re-simulated
-// event and stage-1 folded-tile fractions may move the wrong way before the
-// snapshot check fails; stepSlack is how far, relative to the committed
-// value, its re-simulated events per walk step may rise.
+// event and stage-1 folded-tile and bookkept-layer fractions may move the
+// wrong way before the snapshot check fails; stepSlack is how far, relative
+// to the committed value, its re-simulated events per walk step and its
+// stage-1 FLG memo lookups per miss may rise.
 const (
 	fracSlack = 0.02
 	stepSlack = 0.05
@@ -368,9 +386,9 @@ const (
 
 // checkSnapshot compares a fresh measurement against the committed snapshot
 // and returns an error describing every regression. Every gated quantity is
-// machine-portable: allocation counts, the resumed, re-simulated event and
-// folded-tile fractions and the events per step are deterministic for a
-// given build, and the 3x floor is a same-machine ratio, so none depends on
+// machine-portable: allocation counts, the resumed, re-simulated event,
+// folded-tile and bookkept-layer fractions, the events per step and the
+// lookups per miss are deterministic for a given build, and the 3x floor is a same-machine ratio, so none depends on
 // how fast the CI runner happens to be. Absolute ns/move is reported but not
 // gated (docs/performance.md discusses the rules). A column the committed
 // snapshot lacks, because it predates the column, is not gated.
@@ -434,6 +452,10 @@ func checkSnapshot(fresh BenchSnapshot, path string) error {
 			"re-simulated events per step %.1f rose above committed %.1f", e.EventsPerStep, w.EventsPerStep)
 		worse("stage1_folded_frac", e.Stage1FoldedFrac > w.Stage1FoldedFrac+fracSlack,
 			"stage-1 folded-tile fraction %.3f rose above committed %.3f", e.Stage1FoldedFrac, w.Stage1FoldedFrac)
+		worse("stage1_lowered_frac", e.Stage1LoweredFrac > w.Stage1LoweredFrac+fracSlack,
+			"stage-1 bookkept-layer fraction %.3f rose above committed %.3f", e.Stage1LoweredFrac, w.Stage1LoweredFrac)
+		worse("stage1_lookups_per_miss", e.Stage1LookupsPerMiss > w.Stage1LookupsPerMiss*(1+stepSlack),
+			"stage-1 FLG memo lookups per miss %.2f rose above committed %.2f", e.Stage1LookupsPerMiss, w.Stage1LookupsPerMiss)
 	}
 	// The PR's acceptance floor stays enforced: at least one zoo model must
 	// keep a >=3x incremental speedup.

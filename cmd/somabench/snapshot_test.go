@@ -26,11 +26,13 @@ func readSnapshot(t *testing.T, path string) BenchSnapshot {
 // TestCheckSnapshot: the committed point passes against itself; a
 // measurement whose incremental evaluator never resumes - every proposal a
 // full re-simulation - fails, however fast its moves are, and so do one that
-// re-simulates more events per walk step and one whose stage-1 misses fold
-// every tile. A column the committed point lacks is not gated: the older
-// BENCH_30.json has no per-step or stage-1 columns.
+// re-simulates more events per walk step, one whose stage-1 misses fold
+// every tile, and ones whose stage-1 lowerings look up more FLG plans per
+// miss or bookkeep every layer. A column the committed point lacks is not
+// gated: the older BENCH_31.json has no stage-1 lookup or bookkeeping
+// columns, and BENCH_30.json no per-step or stage-1 columns at all.
 func TestCheckSnapshot(t *testing.T) {
-	const path, older = "../../BENCH_31.json", "../../BENCH_30.json"
+	const path = "../../BENCH_32.json"
 	snap := readSnapshot(t, path)
 	if err := checkSnapshot(snap, path); err != nil {
 		t.Fatalf("the committed snapshot fails against itself: %v", err)
@@ -39,16 +41,26 @@ func TestCheckSnapshot(t *testing.T) {
 		if e.Stage1FoldedFrac <= 0 || e.Stage1FoldedFrac >= 1 {
 			t.Errorf("%s: committed stage-1 folded-tile fraction %v, want inside (0, 1)", e.Model, e.Stage1FoldedFrac)
 		}
+		if e.Stage1LoweredFrac <= 0 || e.Stage1LoweredFrac >= 1 {
+			t.Errorf("%s: committed stage-1 bookkept-layer fraction %v, want inside (0, 1)", e.Model, e.Stage1LoweredFrac)
+		}
+		if e.Stage1LookupsPerMiss <= 0 {
+			t.Errorf("%s: committed stage-1 lookups per miss %v, want above 0", e.Model, e.Stage1LookupsPerMiss)
+		}
 	}
 
 	for _, c := range []struct {
 		name   string
 		change func(*BenchEntry)
+		// older is the newest committed snapshot that lacks the column.
+		older string
 	}{
-		{"never resumes", func(e *BenchEntry) { e.ResumedFrac, e.EventsFrac = 0, 1 }},
-		{"more events per step", func(e *BenchEntry) { e.EventsPerStep *= 1.5 }},
-		{"folds every stage-1 tile", func(e *BenchEntry) { e.Stage1FoldedFrac = 1 }},
-		{"allocates per stage-1 miss", func(e *BenchEntry) { e.Stage1AllocsPerMiss = 2*e.Stage1AllocsPerMiss + 2 }},
+		{"never resumes", func(e *BenchEntry) { e.ResumedFrac, e.EventsFrac = 0, 1 }, ""},
+		{"more events per step", func(e *BenchEntry) { e.EventsPerStep *= 1.5 }, "../../BENCH_30.json"},
+		{"folds every stage-1 tile", func(e *BenchEntry) { e.Stage1FoldedFrac = 1 }, "../../BENCH_30.json"},
+		{"allocates per stage-1 miss", func(e *BenchEntry) { e.Stage1AllocsPerMiss = 2*e.Stage1AllocsPerMiss + 2 }, "../../BENCH_30.json"},
+		{"looks up more FLG plans per stage-1 miss", func(e *BenchEntry) { e.Stage1LookupsPerMiss *= 1.5 }, "../../BENCH_31.json"},
+		{"bookkeeps every layer of a stage-1 miss", func(e *BenchEntry) { e.Stage1LoweredFrac = 1 }, "../../BENCH_31.json"},
 	} {
 		bad := snap
 		bad.Models = append([]BenchEntry(nil), snap.Models...)
@@ -58,9 +70,9 @@ func TestCheckSnapshot(t *testing.T) {
 		if err := checkSnapshot(bad, path); err == nil {
 			t.Errorf("a measurement that %s passes the snapshot check", c.name)
 		}
-		if c.name != "never resumes" {
-			if err := checkSnapshot(bad, older); err != nil {
-				t.Errorf("a measurement that %s fails against %s, which lacks the column: %v", c.name, older, err)
+		if c.older != "" {
+			if err := checkSnapshot(bad, c.older); err != nil {
+				t.Errorf("a measurement that %s fails against %s, which lacks the column: %v", c.name, c.older, err)
 			}
 		}
 	}

@@ -7,12 +7,13 @@ import (
 )
 
 // Arena lowers encodings in reusable storage. Lower checks an encoding and
-// takes its FLG plans, from an FLG memo or planned afresh; Next then walks
-// the tiles in seq order and yields each tile's DRAM tensors in DRAM Tensor
-// Order, and AppendOnChip the static on-chip intervals. Parse materializes
-// the walk into a Schedule; the stage-1 evaluator folds it into the merge
-// without one, and resumes it: Seek skips the tiles of the FLGs a move left
-// unchanged, and LowerKept takes their plans from a lowering Keep retained.
+// takes its FLG plans and per-layer bookkeeping; Next then walks the tiles
+// in seq order and yields each tile's DRAM tensors in DRAM Tensor Order, and
+// AppendOnChip the static on-chip intervals. Parse numbers the tensors and
+// materializes the walk into a Schedule; the stage-1 evaluator folds it into
+// the merge without one, and resumes it: Keep retains a lowering, the next
+// Lower redoes only what its encoding changed, and Seek skips the tiles of
+// the LGs before the change.
 //
 // During stage 1 the DLSA is the classical double-buffer strategy (Sec.
 // III-B): every load is prefetched one tile ahead of its first use, every
@@ -26,11 +27,8 @@ import (
 type Arena struct {
 	g    *graph.Graph
 	e    *Encoding
+	memo *FLGMemo
 	flgs []*flgEntry
-	// kept holds the FLG plans Keep retained, for LowerKept; memoized
-	// reports whether the current lowering took its plans from a memo.
-	kept     []*flgEntry
-	memoized bool
 	// local backs flgs when Lower has no memo; ints and i64s back their
 	// slabs.
 	local    []flgEntry
@@ -38,23 +36,40 @@ type Arena struct {
 	i64s     []int64
 	flgStart []int
 	info     []layerInfo
-	// depNext backs the layers' depNext windows; pos is the encoding
-	// check's position table.
-	depNext  []int
-	pos      []int
-	nTensors int
-	nOnChip  int
-	// key is the memo's lookup scratch, s Parse's output.
-	key []byte
-	s   Schedule
+	// pos is the encoding check's position table, key the memo's lookup
+	// scratch.
+	pos   []int
+	key   []byte
+	stats LowerStats
+
+	// The kept lowering, Keep's: base is its encoding, lowered on bg with
+	// bmemo, kept its FLG plans and binfo its layers' bookkeeping. info
+	// holds binfo's entries for the layers at base.Order[:fresh]. last
+	// copies the encoding of the current lowering when keepable, which
+	// Keep makes the base.
+	base, last Encoding
+	bg         *graph.Graph
+	bmemo      *FLGMemo
+	kept       []*flgEntry
+	binfo      []layerInfo
+	fresh      int
+	keepable   bool
+
+	// Parse's tensor numbering: the next ID of each layer's numbering
+	// slots, from ids[slot[id]] on; numbered is set once they are filled.
+	// s is Parse's output.
+	ids, slot []int
+	numbered  bool
+	s         Schedule
 
 	// The walk's cursor: FLG f, tile t of layer li, at seq.
 	f, t, li, seq int
 	step          Step
 }
 
-// layerInfo is the lowering's per-layer bookkeeping, indexed by LayerID
-// (Input layers keep the zero value).
+// layerInfo is the lowering's per-layer bookkeeping, indexed by LayerID.
+// Input layers hold flg and lg -1, so an operand is served on-chip exactly
+// when its producer's lg is its consumer's.
 type layerInfo struct {
 	flg, lg int
 	// li is the layer's position in its FLG: tile t has seq
@@ -67,13 +82,27 @@ type layerInfo struct {
 	// consumer, flgHi the same over same-LG consumers in other FLGs; 0
 	// when there is none.
 	lgHi, flgHi int
-	// stores is the layer's store-ID window; storeID and weightID are the
-	// next IDs the walk gives its stores and weight loads, depNext[di]
-	// the next its dependency di's ifmap loads get, or -1 when that
-	// operand stays on-chip.
-	stores            IDRange
-	storeID, weightID int
-	depNext           []int
+}
+
+// A layer's numbering slots: its stores, its weight loads, and the ifmap
+// loads of its dependency di at slotDeps+di.
+const (
+	slotStore = iota
+	slotWeight
+	slotDeps
+)
+
+// LowerStats describes what the last Lower took from the kept lowering and
+// what it redid.
+type LowerStats struct {
+	// LG is the first LG whose steps may differ from the kept lowering's:
+	// the LGs before it hold the same layers with the same plans and
+	// bookkeeping, so their tiles yield the same steps. It is 0 after a
+	// lowering with nothing kept.
+	LG int
+	// Lookups counts the FLG plans taken from the memo (or planned, without
+	// one), Bookkept the layers whose bookkeeping was recomputed.
+	Lookups, Bookkept int
 }
 
 // Step is one tile of an Arena walk.
@@ -83,8 +112,9 @@ type Step struct {
 	// both are zero when Lower had no memo.
 	Dur, Energy float64
 	// Tensors are the tile's DRAM tensors in DRAM Tensor Order: the loads
-	// it uses first, then the store of its output. They carry their IDs
-	// and double-buffer Living Durations.
+	// it uses first, then the store of its output, with their double-buffer
+	// Living Durations. They carry their IDs in Parse's walk, and ID 0 in
+	// any other.
 	Tensors []Tensor
 }
 
@@ -103,56 +133,53 @@ func resize[T any](s []T, n int) []T {
 // tile costs come from the memo. Everything the walk yields is valid until
 // the next Lower or Parse on a.
 //
-// The stage-1 annealer lowers every cache-missing candidate, so Lower keeps
-// its bookkeeping, the encoding check's included, in dense LayerID-indexed
-// slices: with a warm arena and a warm memo it allocates nothing.
+// Lower always checks the whole encoding, but when Keep retained a lowering
+// of g with the same memo it redoes only what e changed (see sharedFLGs):
+// the FLGs e shares with the kept encoding at its front and at its back
+// keep their plans, and the layers of the LGs before the first changed FLG
+// keep their bookkeeping. A lowering with nothing kept is the same pass
+// with nothing shared. The stage-1 annealer lowers every cache-missing
+// candidate, so the bookkeeping lives in dense LayerID-indexed slices: with
+// a warm arena and a warm memo Lower allocates nothing.
 func (a *Arena) Lower(g *graph.Graph, e *Encoding, memo *FLGMemo) error {
-	return a.LowerKept(g, e, memo, 0)
-}
-
-// Keep retains the FLG plans of the current lowering for LowerKept. A
-// lowering without a memo retains none: its plans live in the arena's own
-// storage, which the next lowering overwrites.
-func (a *Arena) Keep() {
-	a.kept = a.kept[:0]
-	if a.memoized {
-		a.kept = append(a.kept, a.flgs...)
-	}
-}
-
-// LowerKept lowers e like Lower, but takes the plans of e's first kept FLGs
-// from the lowering Keep last retained instead of from memo. The caller
-// guarantees that each of those FLGs holds the same layers with the same
-// tiling number in both encodings; kept is capped at the number of FLGs
-// retained.
-func (a *Arena) LowerKept(g *graph.Graph, e *Encoding, memo *FLGMemo, kept int) error {
 	if memo != nil && memo.g != g {
 		panic("core: FLG memo built for another graph")
 	}
 	a.flgs, a.f = a.flgs[:0], 0 // a failed Lower leaves an empty walk
+	a.stats, a.keepable, a.numbered = LowerStats{}, false, false
 	a.pos = resize(a.pos, len(g.Layers))
 	if err := e.check(g, a.pos); err != nil {
 		return err
 	}
-	a.g, a.e, a.memoized = g, e, memo != nil
+	kept := memo != nil && a.bg == g && a.bmemo == memo
+	if !kept { // the kept lowering belongs to another graph or memo
+		a.bg, a.bmemo, a.kept = nil, nil, a.kept[:0]
+	}
+	a.g, a.e, a.memo = g, e, memo
 
 	// Tiling plans. FLGs run in order, each enumerated tile-major.
 	nf := e.NumFLGs()
+	front, back := 0, 0
+	if kept {
+		front, back = sharedFLGs(&a.base, e)
+	}
 	a.flgs = resize(a.flgs, nf)
 	a.flgStart = resize(a.flgStart, nf+1)
 	a.flgStart[0] = 0
 	if memo == nil {
 		a.local = resize(a.local, nf)
-		kept = 0
 	}
-	kept = min(kept, len(a.kept))
 	for f := range a.flgs {
 		switch {
-		case f < kept:
+		case f < front:
 			a.flgs[f] = a.kept[f]
+		case f >= nf-back:
+			a.flgs[f] = a.kept[f+len(a.kept)-nf]
 		case memo != nil:
+			a.stats.Lookups++
 			a.flgs[f] = memo.get(e.FLGLayers(f), e.Tile[f], &a.key)
 		default:
+			a.stats.Lookups++
 			a.local[f] = planFLG(g, e.FLGLayers(f), e.Tile[f])
 			a.flgs[f] = &a.local[f]
 		}
@@ -167,27 +194,53 @@ func (a *Arena) LowerKept(g *graph.Graph, e *Encoding, memo *FLGMemo, kept int) 
 		a.fillLocalSlabs()
 	}
 
+	// LG lg, which holds FLG front, begins at FLG f0 and order position lo
+	// (the last LG when no FLG changed, and then lo is past the order). The
+	// layers before lo keep the kept lowering's bookkeeping: their LGs hold
+	// the same layers in both encodings, and everything else lies in later
+	// LGs in both, so their store obligations and same-LG lifetimes are
+	// the same. The layers from lo on are bookkept afresh.
+	f0, lg := 0, 0
+	for f := 1; f <= front && f < nf; f++ {
+		if e.IsDRAM[f-1] {
+			f0, lg = f, lg+1
+		}
+	}
+	lo := len(e.Order)
+	if front < nf {
+		lo, _ = e.FLGBounds(f0)
+	} else {
+		f0 = nf
+	}
+	a.stats.LG, a.stats.Bookkept = lg, len(e.Order)-lo
+	info := a.info
+	if kept {
+		if a.fresh < lo {
+			for _, id := range e.Order[a.fresh:lo] {
+				info[id] = a.binfo[id]
+			}
+		}
+	} else {
+		info = resize(info, len(g.Layers))
+		a.info, a.binfo = info, resize(a.binfo, len(g.Layers))
+		for id := range info {
+			info[id] = layerInfo{flg: -1, lg: -1}
+		}
+	}
+	a.fresh = lo
+
 	// Each layer's place in the tile sequence.
-	info := resize(a.info, len(g.Layers))
-	a.info = info
-	clear(info)
-	lg := 0
-	for f, fe := range a.flgs {
-		if f > 0 && e.IsDRAM[f-1] {
+	for f := f0; f < nf; f++ {
+		if f > f0 && e.IsDRAM[f-1] {
 			lg++
 		}
-		for li, id := range fe.plan.Layers {
+		for li, id := range a.flgs[f].plan.Layers {
 			info[id] = layerInfo{flg: f, lg: lg, li: li}
 		}
 	}
-
-	// Store obligations, on-chip lifetimes and ID windows. Stores come
-	// first, one per tile of each stored layer, so a layer's store IDs
-	// form the contiguous window Stores[id]; then the weight loads; then
-	// the ifmap loads, per dependency edge. Emission skips zero-byte
-	// slabs, which the per-FLG nonzero counts account for.
-	next, nOnChip := 0, 0
-	for _, id := range e.Order {
+	// Store obligations and on-chip lifetimes: every consumer comes later
+	// in the order, so it is placed already.
+	for _, id := range e.Order[lo:] {
 		li := &info[id]
 		li.store = g.IsOutput(id)
 		for _, cid := range g.Consumers(id) {
@@ -202,52 +255,71 @@ func (a *Arena) LowerKept(g *graph.Graph, e *Encoding, memo *FLGMemo, kept int) 
 				li.flgHi = max(li.flgHi, hi)
 			}
 		}
-		fe := a.flgs[li.flg]
-		if li.store {
-			li.stores = IDRange{next, next + fe.ownNZ[li.li]}
-			li.storeID = next
-			next = li.stores.Hi
-		} else if li.flgHi > 0 {
-			nOnChip += fe.plan.Tiles
-		}
 	}
-	for _, id := range e.Order {
-		l, li := g.Layer(id), &info[id]
-		li.weightID = next
-		switch {
-		case l.WeightBytes == 0:
-		case l.WeightsPerSample:
-			next += a.flgs[li.flg].weightNZ[li.li]
-		default:
-			next++
-		}
+	if memo != nil {
+		a.last.CopyFrom(e)
+		a.keepable = true
 	}
-	nd := 0
-	for i := range g.Layers {
-		nd += len(g.Layers[i].Deps)
-	}
-	a.depNext = resize(a.depNext, nd)
-	deps := a.depNext
-	for _, id := range e.Order {
-		l, li := g.Layer(id), &info[id]
-		fe := a.flgs[li.flg]
-		li.depNext, deps = deps[:len(l.Deps)], deps[len(l.Deps):]
-		for di, d := range l.Deps {
-			pi := &info[d.Producer]
-			if g.Layer(d.Producer).Kind == graph.Input || pi.lg != li.lg {
-				li.depNext[di] = next
-				next += fe.inNZ[fe.depOff[li.li]+di]
-				continue
-			}
-			li.depNext[di] = -1
-			if pi.flg == li.flg {
-				nOnChip += fe.plan.Tiles
-			}
-		}
-	}
-	a.nTensors, a.nOnChip = next, nOnChip
 	a.f, a.t, a.li, a.seq = 0, 0, 0, 0
 	return nil
+}
+
+// Keep retains the current lowering for the Lowers after it. After a
+// lowering that failed or had no memo, or a second Keep, it does nothing:
+// the kept lowering stays the one retained before.
+func (a *Arena) Keep() {
+	if !a.keepable {
+		return
+	}
+	a.keepable = false
+	for _, id := range a.last.Order[a.fresh:] {
+		a.binfo[id] = a.info[id]
+	}
+	a.fresh = len(a.last.Order)
+	a.base, a.last = a.last, a.base
+	a.kept = append(a.kept[:0], a.flgs...)
+	a.bg, a.bmemo = a.g, a.memo
+}
+
+// LowerStats describes the last Lower.
+func (a *Arena) LowerStats() LowerStats { return a.stats }
+
+// sharedFLGs returns how many FLGs y shares with x at its front and, after
+// those, at its back: FLGs at the same order positions, holding the same
+// layers with the same tiling number, so with the same plan. The front ones
+// also close with the same cut, so the LGs before the first changed FLG are
+// the same. x and y are legal encodings of one graph.
+func sharedFLGs(x, y *Encoding) (front, back int) {
+	n := len(y.Order)
+	p := 0 // the first order position that differs
+	for p < n && x.Order[p] == y.Order[p] {
+		p++
+	}
+	nx, ny := x.NumFLGs(), y.NumFLGs()
+	for front < min(nx, ny) {
+		_, hx := x.FLGBounds(front)
+		_, hy := y.FLGBounds(front)
+		if hx != hy || hx > p || x.Tile[front] != y.Tile[front] ||
+			(front < len(x.IsDRAM)) != (front < len(y.IsDRAM)) ||
+			front < len(x.IsDRAM) && x.IsDRAM[front] != y.IsDRAM[front] {
+			break
+		}
+		front++
+	}
+	q := 0 // the order positions from q on are the same
+	if p < n {
+		for q = n; x.Order[q-1] == y.Order[q-1]; q-- {
+		}
+	}
+	for back < ny-front && back < nx {
+		lx, hx := x.FLGBounds(nx - 1 - back)
+		ly, hy := y.FLGBounds(ny - 1 - back)
+		if lx != ly || hx != hy || ly < q || x.Tile[nx-1-back] != y.Tile[ny-1-back] {
+			break
+		}
+		back++
+	}
+	return front, back
 }
 
 // fillLocalSlabs computes the slab sizes of the plans in a.local, carved
@@ -304,10 +376,10 @@ func (a *Arena) Next() *Step {
 	if l.WeightBytes != 0 {
 		if l.WeightsPerSample {
 			if b := l.WeightBytes * int64(fe.rows[k]) / int64(l.Out.N); b != 0 {
-				st.load(s, LoadWeight, id, &li.weightID, graph.None, b, s+1)
+				st.load(s, LoadWeight, id, a.id(id, slotWeight), graph.None, b, s+1)
 			}
 		} else if t == 0 {
-			st.load(s, LoadWeight, id, &li.weightID, graph.None, l.WeightBytes, a.flgStart[f+1])
+			st.load(s, LoadWeight, id, a.id(id, slotWeight), graph.None, l.WeightBytes, a.flgStart[f+1])
 		}
 	}
 	// Ifmap loads from DRAM, per dependency edge: a slab with halo
@@ -316,15 +388,14 @@ func (a *Arena) Next() *Step {
 	// consumer streams its batch rows' full spatial extent per tile (the
 	// only way attention over a large context fits the buffer - at the
 	// price of re-reading it under spatial splits, a trade-off the SA
-	// owns).
+	// owns). An operand produced in the same LG is served on-chip.
 	in := fe.in[t*fe.depOff[nl]+fe.depOff[a.li]:]
 	for di, d := range l.Deps {
-		next := &li.depNext[di]
-		if *next < 0 {
+		if a.info[d.Producer].lg == li.lg {
 			continue
 		}
 		if b := in[di]; b != 0 || d.Global && nt == 1 {
-			st.load(s, LoadIfmap, id, next, d.Producer, b, s+1)
+			st.load(s, LoadIfmap, id, a.id(id, slotDeps+di), d.Producer, b, s+1)
 		}
 	}
 	// The store of the tile's output drains during the following tile;
@@ -332,10 +403,9 @@ func (a *Arena) Next() *Step {
 	if li.store {
 		if b := fe.own[k]; b != 0 {
 			x := st.add()
-			x.ID, x.Kind, x.Layer, x.Source, x.Bytes = li.storeID, StoreOfmap, id, graph.None, b
+			x.ID, x.Kind, x.Layer, x.Source, x.Bytes = a.id(id, slotStore), StoreOfmap, id, graph.None, b
 			x.FirstUse, x.Release, x.Producer, x.OnChipHi = s, 0, s, li.lgHi
 			x.Start, x.End = s, min(s+2, n)
-			li.storeID++
 		}
 	}
 
@@ -358,19 +428,29 @@ func (st *Step) add() *Tensor {
 }
 
 // load appends a load of layer id first used by tile s, prefetched during
-// the tile before, numbered *next (which it advances).
-func (st *Step) load(s int, kind TensorKind, id graph.LayerID, next *int, source graph.LayerID, bytes int64, release int) {
+// the tile before, with ID tid.
+func (st *Step) load(s int, kind TensorKind, id graph.LayerID, tid int, source graph.LayerID, bytes int64, release int) {
 	t := st.add()
-	t.ID, t.Kind, t.Layer, t.Source, t.Bytes = *next, kind, id, source, bytes
+	t.ID, t.Kind, t.Layer, t.Source, t.Bytes = tid, kind, id, source, bytes
 	t.FirstUse, t.Release, t.Producer, t.OnChipHi = s, release, -1, 0
 	t.Start, t.End = max(s-1, 0), 0
-	*next++
+}
+
+// id returns the ID of the next tensor layer emits in its numbering slot k,
+// or 0 in a walk Parse did not number.
+func (a *Arena) id(layer graph.LayerID, k int) int {
+	if !a.numbered {
+		return 0
+	}
+	c := &a.ids[a.slot[layer]+k]
+	*c++
+	return *c - 1
 }
 
 // Seek positions the walk at the first tile of FLG f, skipping the tiles
 // before it, so that Next yields FLG f's tiles and the rest. It is valid
-// only between Lower and the walk's first Next. The skipped tiles change
-// nothing the rest of the walk yields: each layer numbers its own tensors.
+// only between Lower and the walk's first Next, and only in a walk Parse
+// does not number.
 func (a *Arena) Seek(f int) {
 	a.f, a.t, a.li, a.seq = f, 0, 0, a.flgStart[f]
 }
@@ -389,7 +469,7 @@ func (a *Arena) AppendOnChip(dst []Interval, lo, hi int) []Interval {
 		li := &info[id]
 		for _, d := range g.Layer(id).Deps {
 			pi := &info[d.Producer]
-			if g.Layer(d.Producer).Kind == graph.Input || pi.flg != li.flg {
+			if pi.flg != li.flg {
 				continue
 			}
 			fe := a.flgs[li.flg]
@@ -404,7 +484,7 @@ func (a *Arena) AppendOnChip(dst []Interval, lo, hi int) []Interval {
 	// multiple consumers do not count them twice.
 	for _, id := range order {
 		li := &info[id]
-		if li.stores.Lo < li.stores.Hi || li.flgHi == 0 {
+		if li.store || li.flgHi == 0 {
 			continue
 		}
 		fe := a.flgs[li.flg]
@@ -428,9 +508,11 @@ func (a *Arena) Parse(g *graph.Graph, e *Encoding, memo *FLGMemo) (*Schedule, er
 	}
 	s := &a.s
 	s.G, s.Enc = g, e
+	s.Stores = resize(s.Stores, len(g.Layers))
+	nTensors, nOnChip := a.number(s.Stores)
 	s.Tiles = resize(s.Tiles, a.NumTiles())
-	s.Tensors = resize(s.Tensors, a.nTensors)
-	s.Order = resize(s.Order, a.nTensors)[:0]
+	s.Tensors = resize(s.Tensors, nTensors)
+	s.Order = resize(s.Order, nTensors)[:0]
 	for st := a.Next(); st != nil; st = a.Next() {
 		s.Tiles[st.Tile.Seq] = st.Tile
 		for i := range st.Tensors {
@@ -439,15 +521,71 @@ func (a *Arena) Parse(g *graph.Graph, e *Encoding, memo *FLGMemo) (*Schedule, er
 			s.Order = append(s.Order, t.ID)
 		}
 	}
-	s.OnChip = a.AppendOnChip(resize(s.OnChip, a.nOnChip)[:0], 0, len(e.Order))
-	s.Stores = resize(s.Stores, len(g.Layers))
-	for id := range s.Stores {
-		s.Stores[id] = a.info[id].stores
-	}
+	s.OnChip = a.AppendOnChip(resize(s.OnChip, nOnChip)[:0], 0, len(e.Order))
 	s.plans = resize(s.plans, len(a.flgs))
 	for f, fe := range a.flgs {
 		s.plans[f] = fe.plan
 	}
 	s.flgStart = a.flgStart
 	return s, nil
+}
+
+// number numbers the tensors of the lowered encoding for the walk that
+// follows, and returns their count and that of its on-chip intervals. Stores
+// come first, one per tile of each stored layer, so a layer's store IDs
+// form the contiguous window stores[id] (which number fills, indexed by
+// LayerID); then the weight loads; then the ifmap loads, per dependency
+// edge. Emission skips zero-byte slabs, which the per-FLG nonzero counts
+// account for. Layers number in Order, so the IDs of a layer depend on the
+// layers after it: only Parse numbers, and the walks that resume read no
+// ID.
+func (a *Arena) number(stores []IDRange) (nTensors, nOnChip int) {
+	g, info := a.g, a.info
+	a.slot = resize(a.slot, len(g.Layers))
+	slots := 0
+	for _, id := range a.e.Order {
+		a.slot[id] = slots
+		slots += slotDeps + len(g.Layer(id).Deps)
+	}
+	a.ids = resize(a.ids, slots)
+	clear(stores)
+	next := 0
+	for _, id := range a.e.Order {
+		li := &info[id]
+		fe := a.flgs[li.flg]
+		if li.store {
+			stores[id] = IDRange{next, next + fe.ownNZ[li.li]}
+			a.ids[a.slot[id]+slotStore] = next
+			next = stores[id].Hi
+		} else if li.flgHi > 0 {
+			nOnChip += fe.plan.Tiles
+		}
+	}
+	for _, id := range a.e.Order {
+		l, li := g.Layer(id), &info[id]
+		a.ids[a.slot[id]+slotWeight] = next
+		switch {
+		case l.WeightBytes == 0:
+		case l.WeightsPerSample:
+			next += a.flgs[li.flg].weightNZ[li.li]
+		default:
+			next++
+		}
+	}
+	for _, id := range a.e.Order {
+		l, li := g.Layer(id), &info[id]
+		fe := a.flgs[li.flg]
+		for di, d := range l.Deps {
+			if pi := &info[d.Producer]; pi.lg == li.lg {
+				if pi.flg == li.flg {
+					nOnChip += fe.plan.Tiles
+				}
+				continue
+			}
+			a.ids[a.slot[id]+slotDeps+di] = next
+			next += fe.inNZ[fe.depOff[li.li]+di]
+		}
+	}
+	a.numbered = true
+	return next, nOnChip
 }

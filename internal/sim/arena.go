@@ -16,10 +16,11 @@ import (
 // chains of one explorer share.
 //
 // An arena resumes each evaluation from its base, the encoding of the last
-// evaluation Accept promoted: it keeps the fold's state where each LG of the
-// base begins (an lgCheckpoint), and an encoding whose first LGs equal the
-// base's folds only the tiles from the first LG that differs. An arena is
-// not safe for concurrent use.
+// evaluation Accept promoted: it keeps the lowering of the base
+// (core.Arena.Keep) and the fold's state where each LG of the base begins
+// (an lgCheckpoint), and an encoding whose first LGs equal the base's
+// lowers only what differs and folds only the tiles from the first LG that
+// differs. An arena is not safe for concurrent use.
 type Arena struct {
 	g    *graph.Graph
 	cs   *coresched.Scheduler
@@ -33,15 +34,13 @@ type Arena struct {
 	usage  []int64
 	onChip []core.Interval
 
-	// base is the encoding ckpts describe: ckpts[k] is the state where its
-	// LG k begins. ckpts[0], the state before any tile, is always there;
-	// the last LG has none when it holds one tile.
-	base  core.Encoding
+	// ckpts describe the base, the encoding low keeps: ckpts[k] is the
+	// state where its LG k begins. ckpts[0], the state before any tile, is
+	// always there; the last LG has none when it holds one tile.
 	ckpts []lgCheckpoint
-	// last is the encoding of the last evaluation when lastOK, resumed
-	// from ckpts[from]; next holds the checkpoints it recorded, for its
-	// LGs from+1 on.
-	last   core.Encoding
+	// lastOK reports that the last evaluation lowered, resumed from
+	// ckpts[from]; next holds the checkpoints it recorded, for its LGs
+	// from+1 on.
 	lastOK bool
 	from   int
 	next   []lgCheckpoint
@@ -78,7 +77,8 @@ type lgCheckpoint struct {
 	us  usageSum
 }
 
-// ArenaStats counts an arena's evaluations and the tiles it folded.
+// ArenaStats counts an arena's evaluations, the tiles it folded and what
+// their lowerings redid.
 type ArenaStats struct {
 	// Evals counts Evaluate calls, Resumed those that resumed from a
 	// checkpoint after tile 0.
@@ -86,6 +86,10 @@ type ArenaStats struct {
 	// Tiles sums the tiles of the encodings that lowered: what cold folds
 	// would walk. Folded sums the tiles the evaluations walked and folded.
 	Tiles, Folded int64
+	// Lookups sums the FLG plans the lowerings took from the FLG memo,
+	// Bookkept the layers whose bookkeeping they recomputed
+	// (core.LowerStats).
+	Lookups, Bookkept int64
 }
 
 // NewArena returns an empty arena for encodings of g evaluated on cs. memo,
@@ -110,7 +114,6 @@ func (a *Arena) Accept() {
 		return
 	}
 	a.ckpts = append(a.ckpts[:a.from+1], a.next...)
-	a.base, a.last = a.last, a.base
 	a.low.Keep()
 	a.lastOK = false
 }
@@ -131,7 +134,8 @@ func (a *Arena) Accept() {
 //
 // The steps of an LG depend on the encoding only through that LG and the
 // ones before it, so the fold resumes from the base's checkpoint where the
-// first LG that differs from the base's begins (see resumeFrom). The usage
+// first LG whose lowering differs from the base's begins (see resumeFrom;
+// core.Arena.Lower finds that LG and lowers only from it). The usage
 // profile is folded LG by LG as well, with each LG's on-chip intervals
 // added where the LG begins, so the resumed fold performs the cold fold's
 // float operations on the tiles from its checkpoint on.
@@ -141,11 +145,12 @@ func (a *Arena) Evaluate(enc *core.Encoding, opt Options) (*Metrics, error) {
 	}
 	a.stats.Evals++
 	a.lastOK = false
-	// The FLGs before the first that differs from the base's keep the
-	// base's plans.
-	changed := firstChangedFLG(&a.base, enc)
 	w := &a.low
-	if err := w.LowerKept(a.g, enc, a.memo, changed); err != nil {
+	err := w.Lower(a.g, enc, a.memo)
+	low := w.LowerStats()
+	a.stats.Lookups += int64(low.Lookups)
+	a.stats.Bookkept += int64(low.Bookkept)
+	if err != nil {
 		return nil, err
 	}
 	cfg := a.cs.Config()
@@ -154,7 +159,7 @@ func (a *Arena) Evaluate(enc *core.Encoding, opt Options) (*Metrics, error) {
 	gate, usage := resize(a.gate, n), resize(a.usage, n+1)
 	a.tileDur, a.tileEnd, a.gate, a.usage = tileDur, tileEnd, gate, usage
 
-	from := a.resumeFrom(changed, n)
+	from := a.resumeFrom(low.LG, n)
 	ck := &a.ckpts[from]
 	b := ck.seq
 	a.stats.Tiles += int64(n)
@@ -241,7 +246,6 @@ func (a *Arena) Evaluate(enc *core.Encoding, opt Options) (*Metrics, error) {
 		}
 	}
 	sumTo(n)
-	a.last.CopyFrom(enc)
 	a.lastOK, a.from = true, from
 	return finishMetrics(cfg, a.g, opt.BufferBudget, us,
 		coreEnergy, computeBusy, computeFree, dramFree, dramBusy, dramBytes), nil
@@ -249,51 +253,17 @@ func (a *Arena) Evaluate(enc *core.Encoding, opt Options) (*Metrics, error) {
 
 // resumeFrom returns the index of the base checkpoint an evaluation resumes
 // from when its encoding, lowered to n tiles, first differs from the base
-// at FLG changed: the checkpoint where the LG holding that FLG begins, or
-// an earlier one. The LGs before it hold the same layers in the same FLGs
-// with the same tiling numbers and cuts in both encodings, so their tiles
-// yield the same steps: a layer of theirs consumed in a later LG is stored
-// in both. The checkpoint must also leave two tiles after its seq b in the
-// encoding as in the base, so that the stores of tiles b-2 and b-1 end
-// before the last tile in both (core.Tensor.Gate).
-func (a *Arena) resumeFrom(changed, n int) int {
-	k := min(lgOf(&a.base, changed), len(a.ckpts)-1)
+// in LG k: the checkpoint where LG k begins, or an earlier one. The LGs
+// before it hold the same layers in the same FLGs with the same tiling
+// numbers and cuts in both encodings, so their tiles yield the same steps:
+// a layer of theirs consumed in a later LG is stored in both. The
+// checkpoint must also leave two tiles after its seq b in the encoding as
+// in the base, so that the stores of tiles b-2 and b-1 end before the last
+// tile in both (core.Tensor.Gate).
+func (a *Arena) resumeFrom(k, n int) int {
+	k = min(k, len(a.ckpts)-1)
 	for k > 0 && a.ckpts[k].seq+1 >= n {
 		k--
-	}
-	return k
-}
-
-// firstChangedFLG returns the first FLG whose layers, tiling number or
-// closing cut differ between x and y, or their common FLG count when
-// neither holds one. It reads y before any check: a malformed y only
-// changes sooner.
-func firstChangedFLG(x, y *core.Encoding) int {
-	p := 0 // the first order position that differs
-	for p < len(x.Order) && p < len(y.Order) && x.Order[p] == y.Order[p] {
-		p++
-	}
-	nf := min(x.NumFLGs(), y.NumFLGs(), len(x.Tile), len(y.Tile))
-	for f := 0; f < nf; f++ {
-		_, hx := x.FLGBounds(f)
-		_, hy := y.FLGBounds(f)
-		if hx != hy || hx > p || x.Tile[f] != y.Tile[f] ||
-			(f < len(x.IsDRAM)) != (f < len(y.IsDRAM)) ||
-			f < len(x.IsDRAM) && x.IsDRAM[f] != y.IsDRAM[f] {
-			return f
-		}
-	}
-	return nf
-}
-
-// lgOf returns the index of the LG of e that holds FLG f, or that would
-// begin there when f is past the last FLG.
-func lgOf(e *core.Encoding, f int) int {
-	k := 0
-	for _, cut := range e.IsDRAM[:min(f, len(e.IsDRAM))] {
-		if cut {
-			k++
-		}
 	}
 	return k
 }

@@ -441,25 +441,33 @@ func TestArenaResumeMatchesCold(t *testing.T) {
 }
 
 // FuzzArenaResume drives a resuming arena with accept and reject sequences.
-// The first byte picks the graph (mobilenetv2 or the 2-block prefill cut)
-// and the no-fusion start's tiling number (1, 2 or 4); every following
-// 4-byte group is one LFA operator (see lfaMutate) and a decision: evaluate
-// the candidate and accept it, evaluate it and reject it, or accept it
-// unevaluated, as after a cache hit. Every evaluation, and a last one of
-// the accepted state, must equal Evaluate on the fresh parse and the
-// reference merge, errors included.
+// The first byte picks the graph (mobilenetv2 or the 2-block prefill cut),
+// the no-fusion start's tiling number (1, 2 or 4) and the FLG memo: one of
+// 64 KB, or one of 1 KB, which evicts its generation on every insert and
+// keeps no entry above 512 bytes, so the plans the arena keeps from its
+// base are no longer the memo's and the FLGs it looks up are planned
+// afresh. Every following 4-byte group is one LFA operator (see lfaMutate)
+// and a decision: evaluate the candidate and accept it, evaluate it and
+// reject it, or accept it unevaluated, as after a cache hit. Every
+// evaluation, and a last one of the accepted state, must equal Evaluate on
+// the fresh parse and the reference merge, errors included.
 func FuzzArenaResume(f *testing.F) {
 	zoo := []*graph.Graph{build(f, "mobilenetv2", 1), prefillGraph()}
 	cs := coresched.New(hw.Edge())
 	f.Add([]byte{0, 4, 3, 0, 0, 1, 2, 0, 1, 2, 7, 5, 0, 0, 9, 1, 1, 3, 1, 0, 2})
 	f.Add([]byte{4, 2, 5, 0, 0, 4, 1, 0, 0, 1, 0, 0, 2, 0, 6, 1, 0, 4, 1, 3, 2})
+	f.Add([]byte{6, 4, 3, 0, 0, 1, 2, 0, 1, 2, 7, 5, 0, 0, 9, 1, 1, 3, 1, 0, 2})
+	f.Add([]byte{10, 2, 5, 0, 0, 4, 1, 0, 0, 1, 0, 0, 2, 0, 6, 1, 0, 4, 1, 3, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, tiles := zoo[0], 1
+		g, tiles, budget := zoo[0], 1, int64(64<<10)
 		if len(data) > 0 {
 			g, tiles = zoo[data[0]/3%2], 1<<(data[0]%3)
+			if data[0]/6%2 == 1 {
+				budget = 1 << 10
+			}
 			data = data[1:]
 		}
-		a := NewArena(g, cs, core.NewFLGMemo(g, cs, 64<<10))
+		a := NewArena(g, cs, core.NewFLGMemo(g, cs, budget))
 		cur := core.DefaultEncoding(g, tiles)
 		if checkArena(t, a, cur, Options{}, "start") {
 			a.Accept()

@@ -149,6 +149,8 @@ func (e *Explorer) addArenaStats(chains []*lfaMoves) {
 		sum.Resumed += st.Resumed
 		sum.Tiles += st.Tiles
 		sum.Folded += st.Folded
+		sum.Lookups += st.Lookups
+		sum.Bookkept += st.Bookkept
 	}
 	e.Reg.Counter("sim_arena_evals_total",
 		"Stage-1 cache misses the chains' arenas evaluated.").Add(sum.Evals)
@@ -158,6 +160,10 @@ func (e *Explorer) addArenaStats(chains []*lfaMoves) {
 		"Tiles the stage-1 arena evaluations would fold from tile 0.").Add(sum.Tiles)
 	e.Reg.Counter("sim_arena_tiles_folded_total",
 		"Tiles the stage-1 arena evaluations folded.").Add(sum.Folded)
+	e.Reg.Counter("sim_arena_memo_lookups_total",
+		"FLG plans the stage-1 arena lowerings took from the FLG memo.").Add(sum.Lookups)
+	e.Reg.Counter("sim_arena_layers_bookkept_total",
+		"Layers whose bookkeeping the stage-1 arena lowerings recomputed.").Add(sum.Bookkept)
 }
 
 // flgMemo returns the FLG memo the explorer's stage-1 chains share across

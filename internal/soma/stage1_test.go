@@ -3,6 +3,7 @@ package soma
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"soma/internal/core"
@@ -189,15 +190,22 @@ func TestStage1ParallelChainsMatchSerial(t *testing.T) {
 // every chain's initial state and every productive proposal is an arena
 // evaluation, and sim_arena_tiles_total sums the tiles of those that lower,
 // which a mutate hook records. The folded tiles stay below that sum once
-// evaluations resume.
+// evaluations resume. The hook also sees each proposal's chain state, which
+// without a cache is the encoding the chain's arena keeps: no lowering looks
+// up more FLG plans than the FLGs the proposal changed (those not shared
+// with the state at its front or back), and the layers bookkept are, per
+// proposal that lowers, those from the start of the LG holding its first
+// changed FLG, and every layer for a chain's initial state.
 func TestStage1ArenaCounters(t *testing.T) {
 	g := mustBuild(t, "mobilenetv2")
 	par := portfolioParams(2, 1)
 	ctx := context.Background()
-	counters := func(e *Explorer) (evals, resumed, tiles, folded int64) {
+	type counts struct{ evals, resumed, tiles, folded, lookups, bookkept int64 }
+	counters := func(e *Explorer) counts {
 		c := func(name string) int64 { return e.Reg.Counter(name, "").Value() }
-		return c("sim_arena_evals_total"), c("sim_arena_resumed_total"),
-			c("sim_arena_tiles_total"), c("sim_arena_tiles_folded_total")
+		return counts{c("sim_arena_evals_total"), c("sim_arena_resumed_total"),
+			c("sim_arena_tiles_total"), c("sim_arena_tiles_folded_total"),
+			c("sim_arena_memo_lookups_total"), c("sim_arena_layers_bookkept_total")}
 	}
 
 	e := New(g, hw.Edge(), EDP(), par)
@@ -206,31 +214,39 @@ func TestStage1ArenaCounters(t *testing.T) {
 	if _, _, err := e.RunStage1(ctx, e.Cfg.GBufBytes, e.Par.Seed); err != nil {
 		t.Fatal(err)
 	}
-	evals, resumed, tiles, folded := counters(e)
-	if misses := e.Cache.Stats().Misses - before; evals != misses {
-		t.Errorf("cached: %d arena evaluations, %d cache misses", evals, misses)
+	got := counters(e)
+	if misses := e.Cache.Stats().Misses - before; got.evals != misses {
+		t.Errorf("cached: %d arena evaluations, %d cache misses", got.evals, misses)
 	}
-	if resumed == 0 || resumed > evals || folded >= tiles {
-		t.Errorf("cached: %d of %d evaluations resumed, %d of %d tiles folded", resumed, evals, folded, tiles)
+	if got.resumed == 0 || got.resumed > got.evals || got.folded >= got.tiles {
+		t.Errorf("cached: %d of %d evaluations resumed, %d of %d tiles folded", got.resumed, got.evals, got.folded, got.tiles)
+	}
+	if n := int64(len(g.ComputeLayers())); got.bookkept == 0 || got.bookkept >= got.evals*n {
+		t.Errorf("cached: %d layers bookkept over %d evaluations of %d layers", got.bookkept, got.evals, n)
 	}
 
 	u := New(g, hw.Edge(), EDP(), par)
 	u.Cache, u.Reg = nil, obs.NewRegistry()
 	init := InitialEncoding(u.G, u.Cfg, u.Par.MinTile)
-	var wantEvals, wantTiles int64
-	count := func(enc *core.Encoding) {
-		wantEvals++
+	var want counts
+	count := func(base, enc *core.Encoding) {
+		want.evals++
+		front, back := sharedFLGs(base, enc)
+		want.lookups += int64(enc.NumFLGs() - front - back)
 		if s, err := core.Parse(g, enc); err == nil {
-			wantTiles += int64(s.NumTiles())
+			want.tiles += int64(s.NumTiles())
+			want.bookkept += int64(len(enc.Order) - lgStart(enc, front))
 		}
 	}
 	for c := 0; c < par.Chains; c++ {
-		count(init)
+		count(&core.Encoding{}, init)
 	}
+	base := &core.Encoding{}
 	mutate := func(c *core.Encoding, rng *rand.Rand) (string, bool) {
+		base.CopyFrom(c) // the chain's state
 		kind, ok := u.mutateLFA(c, rng)
 		if ok {
-			count(c)
+			count(base, c)
 		}
 		return kind, ok
 	}
@@ -238,16 +254,59 @@ func TestStage1ArenaCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evals, resumed, tiles, folded = counters(u)
-	if evals != wantEvals || tiles != wantTiles {
-		t.Errorf("uncached: %d evaluations of %d tiles, the walk made %d of %d", evals, tiles, wantEvals, wantTiles)
+	got = counters(u)
+	if got.evals != want.evals || got.tiles != want.tiles {
+		t.Errorf("uncached: %d evaluations of %d tiles, the walk made %d of %d", got.evals, got.tiles, want.evals, want.tiles)
 	}
-	if st := res.Stats.Total; evals != int64(st.Accepted+st.Rejected+par.Chains) {
+	if st := res.Stats.Total; got.evals != int64(st.Accepted+st.Rejected+par.Chains) {
 		t.Errorf("uncached: %d evaluations, the annealer scored %d proposals and %d initial states",
-			evals, st.Accepted+st.Rejected, par.Chains)
+			got.evals, st.Accepted+st.Rejected, par.Chains)
 	}
-	if resumed == 0 || folded >= tiles {
-		t.Errorf("uncached: %d of %d evaluations resumed, %d of %d tiles folded", resumed, evals, folded, tiles)
+	if got.resumed == 0 || got.folded >= got.tiles {
+		t.Errorf("uncached: %d of %d evaluations resumed, %d of %d tiles folded", got.resumed, got.evals, got.folded, got.tiles)
 	}
-	t.Logf("uncached: %d of %d evaluations resumed, %.0f%% of tiles folded", resumed, evals, 100*float64(folded)/float64(tiles))
+	if got.lookups > want.lookups || got.bookkept != want.bookkept {
+		t.Errorf("uncached: %d FLG plans looked up and %d layers bookkept; the proposals changed %d FLGs and %d layers from their first changed LG on",
+			got.lookups, got.bookkept, want.lookups, want.bookkept)
+	}
+	t.Logf("uncached: %d of %d evaluations resumed, %.0f%% of tiles folded, %.2f FLG plans looked up per evaluation, %.0f%% of layers bookkept",
+		got.resumed, got.evals, 100*float64(got.folded)/float64(got.tiles), float64(got.lookups)/float64(got.evals),
+		100*float64(got.bookkept)/float64(got.evals*int64(len(init.Order))))
+}
+
+// sharedFLGs counts the FLGs y shares with x at its front - the same layers,
+// tiling number and closing cut - and, after those, at its back - the same
+// layers and tiling number at the same order positions.
+func sharedFLGs(x, y *core.Encoding) (front, back int) {
+	same := func(fx, fy int) bool {
+		lx, hx := x.FLGBounds(fx)
+		ly, hy := y.FLGBounds(fy)
+		return lx == ly && hx == hy && x.Tile[fx] == y.Tile[fy] &&
+			slices.Equal(x.Order[lx:hx], y.Order[ly:hy])
+	}
+	nx, ny := x.NumFLGs(), y.NumFLGs()
+	if len(x.Order) == 0 {
+		return 0, 0
+	}
+	for front < min(nx, ny) && same(front, front) &&
+		(front == nx-1) == (front == ny-1) && (front == nx-1 || x.IsDRAM[front] == y.IsDRAM[front]) {
+		front++
+	}
+	for back < min(nx, ny-front) && same(nx-1-back, ny-1-back) {
+		back++
+	}
+	return front, back
+}
+
+// lgStart returns the order position where the LG holding FLG f of e
+// begins, or the order's length when f is past the last FLG.
+func lgStart(e *core.Encoding, f int) int {
+	if f >= e.NumFLGs() {
+		return len(e.Order)
+	}
+	for f > 0 && !e.IsDRAM[f-1] {
+		f--
+	}
+	lo, _ := e.FLGBounds(f)
+	return lo
 }
